@@ -425,8 +425,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         return cmd_stream(args);
     }
     use mmjoin_serve::{
-        AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, Service, ShardedService,
-        PAGE,
+        AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, ShardedService, PAGE,
     };
 
     let budget_pages: u64 = args.get_or("budget-pages", 256)?;
@@ -545,11 +544,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let svc: Box<dyn JoinService> = if shards > 1 {
-        Box::new(ShardedService::start(cfg, shards, placement.build())?)
-    } else {
-        Box::new(Service::start(cfg)?)
-    };
+    let svc = ShardedService::start(cfg, shards.max(1), placement.build())?;
     let ids = svc.submit_script(&script)?;
     if shards > 1 {
         println!(

@@ -1,6 +1,6 @@
 //! Job descriptions: what a client submits, and what comes back.
 
-use mmjoin::{Algo, ExecMode};
+use mmjoin::{Algo, ExecMode, PlanChoice};
 use mmjoin_model::JoinInputs;
 use mmjoin_relstore::{PointerDist, RelConfig, WorkloadSpec, SPTR_SIZE};
 
@@ -269,6 +269,37 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The result of job `id` before anything ran: identity and plan
+    /// fields from the request and its queued plan, every outcome field
+    /// zeroed. Callers set what differs.
+    pub(crate) fn new(id: JobId, req: &JobRequest, plan: &PlanChoice) -> JobResult {
+        JobResult {
+            id,
+            shard: 0,
+            name: req.name.clone(),
+            alg: req.alg.unwrap_or_else(|| Algo::from(plan.algorithm)),
+            predicted_seconds: plan.predicted_seconds(),
+            pairs: 0,
+            checksum: 0,
+            verified: false,
+            env_elapsed: 0.0,
+            queue_wait: 0.0,
+            exec_wall: 0.0,
+            read_faults: 0,
+            write_backs: 0,
+            attempts: 0,
+            retries: 0,
+            faults_injected: 0,
+            degraded: 0,
+            released_bytes: 0,
+            cleaned_files: 0,
+            deadline_hit: false,
+            panicked: false,
+            resumed: false,
+            error: None,
+        }
+    }
+
     /// Wall-clock latency a client observes: queue wait plus execution.
     pub fn latency(&self) -> f64 {
         self.queue_wait + self.exec_wall

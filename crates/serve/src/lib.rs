@@ -6,9 +6,9 @@
 //! queries arriving concurrently, all drawing on one machine's memory.
 //! This crate closes that gap with a small service:
 //!
-//! * a **job queue + admission controller** ([`Service`]) that holds
-//!   pending requests and admits one only when its `m_rproc × D`
-//!   footprint fits a configured global budget — FIFO by default, or
+//! * a **job queue + admission controller** that holds pending
+//!   requests and admits one only when its `m_rproc × D` footprint fits
+//!   the configured budget — FIFO by default, or
 //!   shortest-predicted-job-first using the planner's
 //!   ([`mmjoin::choose`]) predicted seconds as the priority key;
 //! * an **executor pool** of worker threads running admitted jobs on
@@ -16,12 +16,15 @@
 //!   store, through the same `mmjoin::join` entry point the single-query
 //!   tools use;
 //! * a **service stats layer** ([`ServiceStats`]) folding per-job
-//!   process counters into service-level totals, with a JSON snapshot;
-//! * a **sharded service** ([`ShardedService`]) that partitions the
-//!   global budget across N shards — each with its own queue, worker
-//!   pool, and counters — with pluggable cross-shard [`Placement`]
-//!   policies and work stealing between shards. Both services implement
-//!   the [`JoinService`] trait, so callers can switch between them.
+//!   process counters into service-level totals, with a JSON snapshot.
+//!
+//! There is one scheduler, [`ShardedService`]: the global budget
+//! partitioned across N shards — each with its own queue, worker pool,
+//! and counters — with pluggable cross-shard [`Placement`] policies and
+//! work stealing between shards. The single-queue [`Service`] is that
+//! scheduler with N = 1 (one slice holding the whole budget), kept as
+//! its own type so callers with no placement to choose need not name
+//! one. Both implement the [`JoinService`] trait.
 //!
 //! ```
 //! use mmjoin_serve::{JobRequest, ServeConfig, Service, PAGE};
@@ -37,7 +40,7 @@
 //! assert!(stats.peak_budget_bytes <= stats.budget_bytes);
 //! ```
 //!
-//! The sharded service is a drop-in replacement behind [`JoinService`]:
+//! More shards are a drop-in replacement behind [`JoinService`]:
 //!
 //! ```
 //! use mmjoin_serve::{

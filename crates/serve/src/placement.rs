@@ -43,8 +43,8 @@ pub trait Placement: Send + Sync {
 
     /// The shard `job` should queue on, as an index into `loads`, or
     /// `None` when no shard's budget partition can ever hold the job's
-    /// footprint (the sharded equivalent of the single-queue service's
-    /// submit-time rejection).
+    /// footprint — the job is rejected at submit (with one shard the
+    /// partition is the whole budget).
     fn place(&self, job: &Candidate, loads: &[ShardLoad]) -> Option<usize>;
 }
 

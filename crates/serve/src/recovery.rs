@@ -249,7 +249,7 @@ impl TraceSink for CheckpointSink {
 }
 
 /// Everything a restarted service must do with a replayed journal,
-/// computed up front so both service flavors apply it the same way.
+/// computed before the scheduler exists so `apply_resume` only installs it.
 pub(crate) struct ResumeOutcome {
     /// Completed jobs re-reported from their journaled results.
     pub(crate) finished: Vec<JobResult>,
@@ -307,33 +307,12 @@ pub(crate) fn plan_resume(cfg: &ServeConfig, plan: ResumePlan) -> Result<ResumeO
             Some((pairs, checksum, ok)) => {
                 let plan = choose(cfg.machine()?, &req.planner_inputs());
                 finished.push(JobResult {
-                    id: *id,
-                    shard: 0,
-                    name: req.name.clone(),
-                    alg: req.alg.unwrap_or_else(|| plan.algorithm.into()),
-                    predicted_seconds: plan.predicted_seconds(),
                     pairs,
                     checksum,
                     verified: ok,
-                    env_elapsed: 0.0,
-                    queue_wait: 0.0,
-                    exec_wall: 0.0,
-                    read_faults: 0,
-                    write_backs: 0,
-                    attempts: 0,
-                    retries: 0,
-                    faults_injected: 0,
-                    degraded: 0,
-                    released_bytes: 0,
-                    cleaned_files: 0,
-                    deadline_hit: false,
-                    panicked: false,
                     resumed: true,
-                    error: if ok {
-                        None
-                    } else {
-                        Some("failed before restart (replayed from journal)".into())
-                    },
+                    error: (!ok).then(|| "failed before restart (replayed from journal)".into()),
+                    ..JobResult::new(*id, &req, &plan)
                 });
             }
             None => pending.push((*id, req)),

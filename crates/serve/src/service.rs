@@ -1,16 +1,16 @@
-//! The service proper: a worker pool behind a budget-gated job queue.
+//! Service configuration, the [`JoinService`] surface, the single-queue
+//! [`Service`], and the execution core every worker runs an admitted
+//! job through.
 //!
-//! Submission plans the job (`mmjoin::choose()` on planning-time
-//! inputs), rejects it outright if its footprint can never fit, and
-//! otherwise queues it. Workers admit jobs under the configured
-//! [`AdmissionPolicy`], reserving `m_rproc × D` bytes of the global
-//! budget for the duration of the run — the reservation never exceeds
-//! the budget, by construction.
+//! Scheduling — queues, budget admission, the worker loop, journaling
+//! order, resume — lives in [`crate::shard`]; [`Service`] is that
+//! scheduler with one shard, whose slice is the whole budget. Admission
+//! reserves `m_rproc × D` bytes for the duration of a run, so the
+//! reservation never exceeds the budget, by construction.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mmjoin::{
@@ -25,12 +25,12 @@ use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
 use mmjoin_relstore::build;
 use mmjoin_vmsim::{calibrated_params, DiskParams, SimConfig, SimEnv};
 
-use crate::admission::{AdmissionPolicy, Candidate};
+use crate::admission::AdmissionPolicy;
 use crate::job::{JobId, JobRequest, JobResult, PAGE};
-use crate::plan::resolve_auto;
-use crate::recovery::{plan_resume, CheckpointSink, ResumeOutcome, ServiceJournal};
+use crate::placement::PlacementKind;
+use crate::recovery::{CheckpointSink, ServiceJournal};
+use crate::shard::{ShardedInner, ShardedService};
 use crate::stats::ServiceStats;
-use mmjoin_recovery::JournalRecord;
 
 /// Which environment jobs execute on.
 #[derive(Clone, Debug)]
@@ -207,8 +207,7 @@ pub fn service_machine() -> Result<&'static MachineParams, String> {
         .map_err(Clone::clone)
 }
 
-/// A planned job waiting for admission. Shared with the sharded
-/// service, whose queues hold the same unit of work.
+/// A planned job waiting for admission in a shard's queue.
 pub(crate) struct Queued {
     pub(crate) id: JobId,
     pub(crate) req: JobRequest,
@@ -216,32 +215,16 @@ pub(crate) struct Queued {
     pub(crate) enqueued: Instant,
 }
 
-/// What the execution core ([`run_job`]) needs from whatever owns the
-/// job: configuration, a trace clock, and a way to return degraded
-/// reservations to the right budget pool mid-run. The single-queue
-/// [`Service`] and each shard of the sharded service implement it.
-pub(crate) trait JobHost: Sync {
-    /// Service configuration (deadline, retries, faults, env, trace).
-    fn cfg(&self) -> &ServeConfig;
-    /// Emit a job lifecycle event at the service wall clock.
-    fn trace(&self, event: TraceEvent);
-    /// Return `bytes` of a running job's reservation to the budget pool
-    /// mid-run (graceful degradation), waking admission waiters.
-    fn release(&self, bytes: u64);
-    /// The service's write-ahead journal, if one is configured.
-    fn journal(&self) -> Option<&Arc<ServiceJournal>> {
-        None
-    }
-}
-
-/// The common surface of the single-queue [`Service`] and the sharded
-/// `ShardedService`: submit jobs, wait for them, read results and
-/// counters. Dropping an implementation shuts its workers down, so a
-/// `drain` + `results` + `stats` sequence through this trait observes
-/// the same final state `finish` would return.
+/// The common surface of [`Service`] and [`ShardedService`]: submit
+/// jobs, wait for them, read results and counters. Dropping an
+/// implementation shuts its workers down, so a `drain` + `results` +
+/// `stats` sequence through this trait observes the same final state
+/// `finish` would return.
 pub trait JoinService: Send + Sync {
     /// Plan and enqueue one job; returns its id or a submit-time
-    /// rejection.
+    /// rejection. Id assignment, the journal record and the enqueue
+    /// happen under one lock, so each shard's queue (and with it FIFO
+    /// admission) is in id order even with concurrent submitters.
     fn submit(&self, req: JobRequest) -> Result<JobId, String>;
 
     /// Block until every submitted job has completed.
@@ -280,407 +263,78 @@ pub trait JoinService: Send + Sync {
     }
 }
 
-#[derive(Default)]
-struct State {
-    pending: VecDeque<Queued>,
-    used_bytes: u64,
-    running: usize,
-    next_id: JobId,
-    results: Vec<JobResult>,
-    stats: ServiceStats,
-    shutdown: bool,
-}
-
-struct Shared {
-    cfg: ServeConfig,
-    /// Write-ahead journal, when `cfg.journal_dir` is set.
-    journal: Option<Arc<ServiceJournal>>,
-    state: Mutex<State>,
-    /// Signalled when work may have become admissible (new job, budget
-    /// released, shutdown).
-    work: Condvar,
-    /// Signalled when a job completes (for [`Service::drain`]).
-    done: Condvar,
-    /// Service start; lifecycle trace timestamps are seconds since it.
-    origin: Instant,
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Overlay live journal counters onto a stats snapshot.
-    fn fold_journal(&self, stats: &mut ServiceStats) {
-        if let Some(j) = &self.journal {
-            let js = j.stats();
-            stats.journal_appended_records = js.appended_records;
-            stats.journal_commits = js.commits;
-        }
-    }
-}
-
-/// Install a replayed journal's outcome into a freshly-built service
-/// (before its workers start): completed jobs land in the results,
-/// in-flight jobs re-enter the queue under their original ids, and id
-/// assignment continues past everything the journal has seen.
-fn apply_resume(shared: &Shared, outcome: ResumeOutcome) -> Result<(), String> {
-    shared.trace(outcome.trace_event());
-    let mut submitted_traces = Vec::with_capacity(outcome.pending.len());
-    {
-        let mut st = shared.lock();
-        st.next_id = st.next_id.max(outcome.next_id);
-        st.stats.journal_replayed_records = outcome.records;
-        st.stats.journal_torn_bytes = outcome.torn_bytes;
-        st.stats.journal_orphans_deleted = outcome.orphans_deleted;
-        st.stats.journal_resumed_jobs = outcome.pending.len() as u64;
-        for r in outcome.finished {
-            st.stats.submitted += 1;
-            st.stats.record(&r, None, None);
-            st.results.push(r);
-        }
-        for (id, mut req) in outcome.pending {
-            // Journaled `plan=auto` lines re-resolve to the identical
-            // plan here: the sampler is seeded from the workload seed.
-            let resolved = resolve_auto(&shared.cfg, &mut req)?;
-            let plan = match &resolved {
-                Some(r) => r.auto.choice.clone(),
-                None => choose(shared.cfg.machine()?, &req.planner_inputs()),
-            };
-            submitted_traces.push((id, req.footprint(), resolved));
-            st.stats.submitted += 1;
-            st.pending.push_back(Queued {
-                id,
-                req,
-                plan,
-                enqueued: Instant::now(),
-            });
-        }
-    }
-    for (id, footprint, resolved) in submitted_traces {
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                shared.trace(ev);
-            }
-        }
-        shared.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: 0,
-        });
-    }
-    shared.work.notify_all();
-    Ok(())
-}
-
-impl JobHost for Shared {
-    fn cfg(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    fn trace(&self, event: TraceEvent) {
-        if self.cfg.trace.enabled() {
-            self.cfg
-                .trace
-                .emit(self.origin.elapsed().as_secs_f64(), event);
-        }
-    }
-
-    fn release(&self, bytes: u64) {
-        {
-            let mut st = self.lock();
-            st.used_bytes -= bytes;
-        }
-        self.work.notify_all();
-    }
-
-    fn journal(&self) -> Option<&Arc<ServiceJournal>> {
-        self.journal.as_ref()
-    }
-}
-
-/// A running join service. Dropping it shuts the workers down; use
-/// [`Service::finish`] to also collect results and stats.
-pub struct Service {
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
+/// The single-queue join service: one queue, one budget, `cfg.workers`
+/// workers — a [`ShardedService`] with one shard. Dropping it shuts the
+/// workers down; use [`Service::finish`] to also collect results and
+/// stats.
+pub struct Service(ShardedService);
 
 impl Service {
     /// Start a service with `cfg.workers` worker threads. Fails if the
     /// OS refuses to spawn them (already-started workers are shut back
     /// down).
     pub fn start(cfg: ServeConfig) -> Result<Service, String> {
-        let workers = cfg.workers.max(1);
-        let (journal, resume_plan) = match &cfg.journal_dir {
-            Some(dir) => {
-                let (j, plan) = ServiceJournal::open(dir, cfg.resume, cfg.trace.clone())?;
-                (Some(j), plan)
-            }
-            None => (None, None),
-        };
-        let outcome = match resume_plan {
-            Some(plan) => Some(plan_resume(&cfg, plan)?),
-            None => None,
-        };
-        let shared = Arc::new(Shared {
-            cfg,
-            journal,
-            state: Mutex::new(State::default()),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            origin: Instant::now(),
-        });
-        if let Some(outcome) = outcome {
-            apply_resume(&shared, outcome)?;
-        }
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let sh = Arc::clone(&shared);
-            match std::thread::Builder::new()
-                .name(format!("mmjoin-serve-{i}"))
-                .spawn(move || worker_loop(&sh))
-            {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    let mut svc = Service {
-                        shared,
-                        workers: handles,
-                    };
-                    svc.stop();
-                    return Err(format!("cannot spawn worker {i}: {e}"));
-                }
-            }
-        }
-        Ok(Service {
-            shared,
-            workers: handles,
-        })
+        ShardedService::start(cfg, 1, PlacementKind::default().build()).map(Service)
     }
 
     /// The configured global budget in bytes.
     pub fn budget_bytes(&self) -> u64 {
-        self.shared.cfg.budget_bytes
+        self.0.budget_bytes()
     }
 
     /// Plan and enqueue one job. Returns its id, or an error if the job
     /// could *never* run: a footprint above the whole budget would sit
     /// in the queue forever (and under FIFO starve everything behind
     /// it), so it is refused here instead.
-    pub fn submit(&self, mut req: JobRequest) -> Result<JobId, String> {
-        // Capture the submitted form before auto-planning mutates the
-        // grants: the journal must store the original `plan=auto` line
-        // so a resumed service re-resolves it (deterministically, the
-        // sampler is seeded) instead of re-trimming a trimmed grant.
-        let original_line = req.to_line();
-        let resolved = resolve_auto(&self.shared.cfg, &mut req)?;
-        // Everything below budgets against the *chosen* grants.
-        let footprint = req.footprint();
-        let plan = match &resolved {
-            Some(r) => r.auto.choice.clone(),
-            None => choose(self.shared.cfg.machine()?, &req.planner_inputs()),
-        };
-        let mut st = self.shared.lock();
-        if footprint > self.shared.cfg.budget_bytes {
-            st.stats.rejected += 1;
-            return Err(format!(
-                "job footprint {footprint} B exceeds the global budget {} B",
-                self.shared.cfg.budget_bytes
-            ));
-        }
-        st.next_id += 1;
-        let id = st.next_id;
-        // Journal-before-queue, under the id-assigning lock: a client
-        // that got an id back will find its job after a crash, and
-        // journal order matches id order.
-        if let Some(j) = &self.shared.journal {
-            j.append_commit(&JournalRecord::JobSubmitted {
-                job: id,
-                line: original_line,
-            });
-        }
-        st.stats.submitted += 1;
-        st.pending.push_back(Queued {
-            id,
-            req,
-            plan,
-            enqueued: Instant::now(),
-        });
-        drop(st);
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                self.shared.trace(ev);
-            }
-        }
-        self.shared.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: 0,
-        });
-        self.shared.work.notify_all();
-        Ok(id)
+    pub fn submit(&self, req: JobRequest) -> Result<JobId, String> {
+        self.0.submit(req)
     }
 
     /// Block until every submitted job has completed.
     pub fn drain(&self) {
-        let mut st = self.shared.lock();
-        while !st.pending.is_empty() || st.running > 0 {
-            st = self.shared.done.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        self.0.drain()
     }
 
     /// Results completed so far, in completion order.
     pub fn results(&self) -> Vec<JobResult> {
-        self.shared.lock().results.clone()
+        self.0.results()
     }
 
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        let st = self.shared.lock();
-        let mut stats = st.stats.clone();
-        stats.budget_bytes = self.shared.cfg.budget_bytes;
-        stats.budget_leak_bytes = if st.running == 0 { st.used_bytes } else { 0 };
-        drop(st);
-        self.shared.fold_journal(&mut stats);
-        stats
+        self.0.stats()
     }
 
     /// Drain, stop the workers, and return every result plus the final
     /// counters.
-    pub fn finish(mut self) -> (Vec<JobResult>, ServiceStats) {
-        self.drain();
-        self.stop();
-        let mut st = self.shared.lock();
-        let results = std::mem::take(&mut st.results);
-        let mut stats = st.stats.clone();
-        stats.budget_bytes = self.shared.cfg.budget_bytes;
-        // Every job has released its reservation; anything left is an
-        // accounting leak.
-        stats.budget_leak_bytes = st.used_bytes;
-        drop(st);
-        self.shared.fold_journal(&mut stats);
-        (results, stats)
-    }
-
-    fn stop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.work.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        self.stop();
+    pub fn finish(self) -> (Vec<JobResult>, ServiceStats) {
+        self.0.finish()
     }
 }
 
 impl JoinService for Service {
     fn submit(&self, req: JobRequest) -> Result<JobId, String> {
-        Service::submit(self, req)
+        self.0.submit(req)
     }
 
     fn drain(&self) {
-        Service::drain(self)
+        self.0.drain()
     }
 
     fn results(&self) -> Vec<JobResult> {
-        Service::results(self)
+        self.0.results()
     }
 
     fn stats(&self) -> ServiceStats {
-        Service::stats(self)
+        self.0.stats()
     }
 
     fn shard_stats(&self) -> Vec<ServiceStats> {
-        vec![Service::stats(self)]
+        self.0.shard_stats()
     }
 
     fn shards(&self) -> u32 {
-        1
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let mut st = shared.lock();
-        let job = loop {
-            if st.shutdown {
-                return;
-            }
-            let free = shared.cfg.budget_bytes - st.used_bytes;
-            let candidates: Vec<Candidate> = st
-                .pending
-                .iter()
-                .map(|q| Candidate {
-                    footprint: q.req.footprint(),
-                    predicted_seconds: q.plan.predicted_seconds(),
-                })
-                .collect();
-            // `pick` indexes into `candidates`, which mirrors `pending`
-            // one-to-one under the held lock; a miss means a policy bug,
-            // handled by re-evaluating rather than crashing the worker.
-            if let Some(q) = shared
-                .cfg
-                .policy
-                .pick(&candidates, free)
-                .and_then(|idx| st.pending.remove(idx))
-            {
-                break q;
-            }
-            st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
-        };
-        let footprint = job.req.footprint();
-        st.used_bytes += footprint;
-        st.stats.peak_budget_bytes = st.stats.peak_budget_bytes.max(st.used_bytes);
-        st.running += 1;
-        let used = st.used_bytes;
-        drop(st);
-        shared.trace(TraceEvent::JobAdmitted {
-            job: job.id,
-            footprint,
-            used,
-            shard: 0,
-        });
-
-        let (result, folded, passes) = run_job(shared, job, 0);
-
-        // Journal the terminal result (and any area records still
-        // riding) before it becomes visible in memory: a crash after
-        // this commit re-reports the job, never re-runs it.
-        if let Some(j) = &shared.journal {
-            j.append_commit(&JournalRecord::JobCompleted {
-                job: result.id,
-                pairs: result.pairs,
-                checksum: result.checksum,
-                ok: result.error.is_none() && result.verified,
-            });
-        }
-
-        let mut st = shared.lock();
-        // Terminal release — success, error, deadline, and panic paths
-        // alike: degradations already returned part of the reservation
-        // mid-run, so exactly the remainder is still held. Releasing
-        // anything else here (e.g. the degraded job's *halved* footprint)
-        // would leak budget on every degraded-then-failed job.
-        debug_assert!(result.released_bytes <= footprint);
-        st.used_bytes -= footprint - result.released_bytes;
-        st.running -= 1;
-        st.stats.record(&result, folded.as_ref(), passes.as_ref());
-        let ok = result.error.is_none() && result.verified;
-        shared.trace(TraceEvent::JobCompleted {
-            job: result.id,
-            ok,
-            degraded: result.degraded,
-        });
-        st.results.push(result);
-        drop(st);
-        // Freed budget may admit a queued job; a finished job may
-        // complete a drain.
-        shared.work.notify_all();
-        shared.done.notify_all();
+        self.0.shards()
     }
 }
 
@@ -706,42 +360,18 @@ struct Attempt {
 /// * **transient faults** — absorbed inside `join_with_retry` with
 ///   bounded exponential backoff and orphan cleanup.
 pub(crate) fn run_job(
-    host: &impl JobHost,
+    inner: &ShardedInner,
     job: Queued,
-    exec_shard: u32,
+    shard: usize,
 ) -> (JobResult, Option<ProcStats>, Option<Histogram>) {
-    let queue_wait = job.enqueued.elapsed().as_secs_f64();
-    let cfg = host.cfg();
+    let cfg = &inner.cfg;
     let started = Instant::now();
     let mut m_rproc = job.req.m_rproc;
     let mut m_sproc = job.req.m_sproc;
     let mut result = JobResult {
-        id: job.id,
-        shard: exec_shard,
-        name: job.req.name.clone(),
-        alg: job
-            .req
-            .alg
-            .unwrap_or_else(|| Algo::from(job.plan.algorithm)),
-        predicted_seconds: job.plan.predicted_seconds(),
-        pairs: 0,
-        checksum: 0,
-        verified: false,
-        env_elapsed: 0.0,
-        queue_wait,
-        exec_wall: 0.0,
-        read_faults: 0,
-        write_backs: 0,
-        attempts: 0,
-        retries: 0,
-        faults_injected: 0,
-        degraded: 0,
-        released_bytes: 0,
-        cleaned_files: 0,
-        deadline_hit: false,
-        panicked: false,
-        resumed: false,
-        error: None,
+        shard: shard as u32,
+        queue_wait: job.enqueued.elapsed().as_secs_f64(),
+        ..JobResult::new(job.id, &job.req, &job.plan)
     };
     let outcome: Result<(JoinOutput, bool), String> = loop {
         if cfg.deadline.is_some_and(|d| started.elapsed() >= d) {
@@ -754,13 +384,13 @@ pub(crate) fn run_job(
         // Re-plan under the (possibly degraded) budgets. Jobs that
         // pinned an algorithm keep it; `auto` jobs ask the planner what
         // is cheapest at this footprint.
-        let alg = match plan_algorithm(host.cfg(), &job, m_rproc, m_sproc) {
+        let alg = match plan_algorithm(cfg, &job, m_rproc, m_sproc) {
             Ok(alg) => alg,
             Err(e) => break Err(e),
         };
         result.alg = alg;
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            execute(cfg, host.journal(), &job, alg, m_rproc, m_sproc)
+            execute(cfg, inner.journal.as_ref(), &job, alg, m_rproc, m_sproc)
         }));
         let attempt = match attempt {
             Ok(a) => a,
@@ -779,7 +409,7 @@ pub(crate) fn run_job(
             Err(EnvError::DiskFull(_)) if result.degraded < MAX_DEGRADE && m_rproc / 2 >= PAGE => {
                 // Graceful degradation: halve the footprint and re-plan
                 // rather than failing the job. The halved reservation is
-                // returned to the global budget immediately, so queued
+                // returned to the shard's slice immediately, so queued
                 // jobs can be admitted while this one re-runs smaller.
                 let d = job.req.workload.rel.d as u64;
                 let freed = (m_rproc - m_rproc / 2) * d;
@@ -790,12 +420,12 @@ pub(crate) fn run_job(
                 // Emit before releasing: a trace consumer must see the
                 // cause (degradation) before its effect (another job's
                 // admission into the freed room).
-                host.trace(TraceEvent::JobDegraded {
+                inner.trace(TraceEvent::JobDegraded {
                     job: job.id,
                     footprint: m_rproc * d,
                     released: freed,
                 });
-                host.release(freed);
+                inner.release(shard, freed);
             }
             Err(e) => break Err(e.to_string()),
         }
@@ -963,6 +593,7 @@ fn attempt_on<E: mmjoin_env::Env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_recovery::JournalRecord;
 
     fn tiny_job(seed: u64, mem_pages: u64) -> JobRequest {
         JobRequest::new(800, 32, 2, mem_pages, seed)
@@ -1084,6 +715,53 @@ mod tests {
         assert_eq!(stats.journal_resumed_jobs, 1);
         assert!(stats.journal_replayed_records >= 5);
         assert_eq!(stats.completed, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_under_a_smaller_budget_fails_the_oversized_job_visibly() {
+        let dir = std::env::temp_dir().join(format!("mmjoin-resume-shrunk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // First life, 64-page budget: one job completes, two more are
+        // accepted (32 and 16 pages — both fit) but still in flight at
+        // the "crash".
+        let svc = Service::start(ServeConfig::sim(64 * PAGE, 1).with_journal(dir.clone())).unwrap();
+        svc.submit(tiny_job(1, 8)).unwrap();
+        svc.finish();
+        {
+            let (j, _) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
+            for (job, mem_pages) in [(2, 16), (3, 8)] {
+                j.append_commit(&JournalRecord::JobSubmitted {
+                    job,
+                    line: tiny_job(job, mem_pages).to_line(),
+                });
+            }
+        }
+        // Second life with a quarter of the budget: job 2 can never be
+        // admitted. Queued anyway it would hang the drain (and, FIFO,
+        // starve job 3 behind it), hence the watchdog.
+        let cfg = ServeConfig::sim(16 * PAGE, 1)
+            .with_journal(dir.clone())
+            .with_resume();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // A timed-out receiver is gone; the assertion below reports it.
+            let _ = tx.send(Service::start(cfg).unwrap().finish());
+        });
+        let (mut results, stats) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("finish() hung on a resumed job no budget can admit");
+        results.sort_by_key(|r| r.id);
+        assert_eq!(results.len(), 3);
+        assert!(results[0].resumed && results[0].verified);
+        assert!(results[1].resumed, "the oversized job never ran here");
+        let err = results[1].error.as_deref().unwrap_or_default();
+        assert!(err.contains("exceeds"), "{err}");
+        assert!(!results[2].resumed);
+        assert!(results[2].verified, "{:?}", results[2].error);
+        assert_eq!((stats.completed, stats.failed), (2, 1));
+        assert_eq!(stats.in_flight(), 0);
+        assert_eq!(stats.budget_leak_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

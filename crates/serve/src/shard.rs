@@ -1,11 +1,13 @@
-//! The sharded service: the global budget partitioned across N shards,
-//! each owning its own admission queue, worker pool, and counters.
+//! The scheduler: the global budget partitioned across N shards, each
+//! owning its own admission queue, worker pool, and counters.
 //!
-//! The paper's staggered-phase schedule removes disk contention *inside*
-//! one join; the single-queue [`Service`](crate::Service) still funnels
-//! every job through one lock, one queue, and one budget — a
-//! single-resource bottleneck. [`ShardedService`] splits the service
-//! itself, shared-nothing style:
+//! The paper removes disk contention *inside* one join by partitioning
+//! — D disks, D process pairs, one staggered schedule. This module
+//! applies the same move to the service: [`ShardedService`] is the only
+//! scheduler in the crate, and the single-queue
+//! [`Service`](crate::Service) is its N = 1 form (one slice holding the
+//! whole budget, placement with one choice, nobody to steal from), not
+//! a second implementation. With N > 1 it is shared-nothing:
 //!
 //! * the global budget is partitioned into per-shard slices (quotient
 //!   split; remainders spread over the first shards), so the *sum of
@@ -13,7 +15,8 @@
 //!   shard enforces its own slice locally, without a global lock;
 //! * a [`Placement`] policy picks the owning shard at submission time
 //!   (round-robin, least-reserved-bytes, or planner-predicted backlog
-//!   balance);
+//!   balance); a job no slice can ever hold is refused at submit — and
+//!   failed visibly at resume — rather than queued forever;
 //! * each shard runs `cfg.workers` worker threads against its own queue
 //!   under the configured [`AdmissionPolicy`](crate::AdmissionPolicy);
 //! * an idle shard with free budget **steals** queued-but-unadmitted
@@ -27,6 +30,9 @@
 //! once), admission is re-checked against the thief's slice at admit
 //! time, and a steal that loses its room re-queues the job on the thief
 //! — never drops it.
+//!
+//! Lock order: the global lock may be held while taking one shard's
+//! lock (submit enqueues under it), never the reverse.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -37,11 +43,12 @@ use mmjoin_env::TraceEvent;
 use crate::admission::Candidate;
 use crate::job::{JobId, JobRequest, JobResult};
 use crate::placement::{Placement, ShardLoad};
+use crate::plan::{resolve_auto, ResolvedPlan};
 use crate::recovery::{plan_resume, ResumeOutcome, ServiceJournal};
-use crate::service::{run_job, JobHost, JoinService, Queued, ServeConfig};
+use crate::service::{run_job, JoinService, Queued, ServeConfig};
 use crate::stats::ServiceStats;
 
-use mmjoin::choose;
+use mmjoin::{choose, PlanChoice};
 use mmjoin_recovery::JournalRecord;
 use std::sync::Arc;
 
@@ -111,12 +118,15 @@ struct Global {
     journal_resumed_jobs: u64,
 }
 
-struct ShardedInner {
-    cfg: ServeConfig,
+/// Everything the shards share. The execution core
+/// ([`run_job`]) reads the configuration and journal from here and
+/// reports lifecycle events and mid-run releases back through it.
+pub(crate) struct ShardedInner {
+    pub(crate) cfg: ServeConfig,
     placement: Box<dyn Placement>,
     shards: Vec<Shard>,
     /// Write-ahead journal shared by every shard, when configured.
-    journal: Option<Arc<ServiceJournal>>,
+    pub(crate) journal: Option<Arc<ServiceJournal>>,
     global: Mutex<Global>,
     /// Signalled under `global` when a job completes (for `drain`).
     done: Condvar,
@@ -129,12 +139,20 @@ impl ShardedInner {
         self.global.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn trace(&self, event: TraceEvent) {
+    /// Emit a job lifecycle event at the service wall clock.
+    pub(crate) fn trace(&self, event: TraceEvent) {
         if self.cfg.trace.enabled() {
             self.cfg
                 .trace
                 .emit(self.origin.elapsed().as_secs_f64(), event);
         }
+    }
+
+    /// Return `bytes` of a running job's reservation to `shard`'s slice
+    /// mid-run (graceful degradation); every shard may then admit.
+    pub(crate) fn release(&self, shard: usize, bytes: u64) {
+        self.shards[shard].lock().used_bytes -= bytes;
+        self.kick_all();
     }
 
     /// Wake every shard's workers: local admission and steal
@@ -152,34 +170,63 @@ impl ShardedInner {
             .map(|(i, s)| s.load(i as u32))
             .collect()
     }
-}
 
-/// A shard's view of the execution core: degradations release bytes
-/// back to the *owning shard's* slice, and every shard may then admit.
-struct ShardHost<'a> {
-    inner: &'a ShardedInner,
-    shard: usize,
-}
-
-impl JobHost for ShardHost<'_> {
-    fn cfg(&self) -> &ServeConfig {
-        &self.inner.cfg
+    /// Plan `req` — resolving `plan=auto` in place, so footprint,
+    /// placement, and admission all see the *chosen* grants — and ask
+    /// the placement policy for its shard (`None`: no slice can ever
+    /// hold it). A journaled `plan=auto` line re-resolves to the
+    /// identical plan at resume: the sampler is seeded from the
+    /// workload seed.
+    fn plan_and_place(
+        &self,
+        req: &mut JobRequest,
+    ) -> Result<(Option<ResolvedPlan>, PlanChoice, Option<usize>), String> {
+        let resolved = resolve_auto(&self.cfg, req)?;
+        let plan = match &resolved {
+            Some(r) => r.auto.choice.clone(),
+            None => choose(self.cfg.machine()?, &req.planner_inputs()),
+        };
+        let cand = Candidate {
+            footprint: req.footprint(),
+            predicted_seconds: plan.predicted_seconds(),
+        };
+        let shard = self.placement.place(&cand, &self.loads());
+        Ok((resolved, plan, shard))
     }
 
-    fn trace(&self, event: TraceEvent) {
-        self.inner.trace(event);
+    /// Queue a placed job on shard `k` under `id`.
+    fn enqueue(&self, k: usize, id: JobId, req: JobRequest, plan: PlanChoice) {
+        let mut st = self.shards[k].lock();
+        st.queued_bytes += req.footprint();
+        st.backlog_seconds += plan.predicted_seconds();
+        st.stats.submitted += 1;
+        st.pending.push_back(Queued {
+            id,
+            req,
+            plan,
+            enqueued: Instant::now(),
+        });
     }
 
-    fn release(&self, bytes: u64) {
-        {
-            let mut st = self.inner.shards[self.shard].lock();
-            st.used_bytes -= bytes;
+    /// Narrate a queued job: its auto-plan provenance, if any, then the
+    /// submission itself.
+    fn trace_submitted(
+        &self,
+        id: JobId,
+        footprint: u64,
+        k: usize,
+        resolved: Option<&ResolvedPlan>,
+    ) {
+        if let Some(r) = resolved {
+            for ev in r.trace_events(id) {
+                self.trace(ev);
+            }
         }
-        self.inner.kick_all();
-    }
-
-    fn journal(&self) -> Option<&Arc<ServiceJournal>> {
-        self.inner.journal.as_ref()
+        self.trace(TraceEvent::JobSubmitted {
+            job: id,
+            footprint,
+            shard: k as u32,
+        });
     }
 }
 
@@ -298,73 +345,52 @@ impl Drop for ShardedService {
 
 impl JoinService for ShardedService {
     /// Plan and place one job. Returns its id, or an error if no
-    /// shard's budget slice could *ever* hold its footprint — the
-    /// sharded analogue of the single-queue submit-time rejection
-    /// (note it is stricter: the threshold is the largest slice, not
-    /// the whole budget).
+    /// shard's budget slice could *ever* hold its footprint: it would
+    /// sit in a queue forever (and under FIFO starve everything behind
+    /// it), so it is refused here instead. With N > 1 the threshold is
+    /// the largest slice, not the whole budget.
     fn submit(&self, mut req: JobRequest) -> Result<JobId, String> {
+        let inner = &*self.inner;
         // Capture the submitted form before auto-planning mutates the
-        // grants (see the single-queue submit): the journal stores the
-        // original `plan=auto` line; footprint, placement, and
-        // admission all see the *chosen* grants.
+        // grants: the journal must store the original `plan=auto` line
+        // so a resumed service re-resolves it instead of re-trimming a
+        // trimmed grant.
         let original_line = req.to_line();
-        let resolved = crate::plan::resolve_auto(&self.inner.cfg, &mut req)?;
+        let (resolved, plan, shard) = inner.plan_and_place(&mut req)?;
         let footprint = req.footprint();
-        let plan = match &resolved {
-            Some(r) => r.auto.choice.clone(),
-            None => choose(self.inner.cfg.machine()?, &req.planner_inputs()),
-        };
-        let cand = Candidate {
-            footprint,
-            predicted_seconds: plan.predicted_seconds(),
-        };
-        let loads = self.inner.loads();
-        let Some(k) = self.inner.placement.place(&cand, &loads) else {
-            let max = loads.iter().map(|l| l.budget_bytes).max().unwrap_or(0);
-            self.inner.global_lock().rejected += 1;
-            return Err(format!(
-                "job footprint {footprint} B exceeds every shard's budget slice (largest {max} B)"
-            ));
+        let Some(k) = shard else {
+            inner.global_lock().rejected += 1;
+            let slices = inner.shards.iter().map(|s| s.budget_bytes);
+            let max = slices.max().unwrap_or(0);
+            return Err(if inner.shards.len() == 1 {
+                format!("job footprint {footprint} B exceeds the global budget {max} B")
+            } else {
+                format!(
+                    "job footprint {footprint} B exceeds every shard's budget slice (largest {max} B)"
+                )
+            });
         };
         let id = {
-            let mut g = self.inner.global_lock();
+            let mut g = inner.global_lock();
             g.next_id += 1;
             g.placed += 1;
             let id = g.next_id;
-            // Journal-before-queue, under the id-assigning lock (see
-            // the single-queue submit).
-            if let Some(j) = &self.inner.journal {
+            // Journal-before-queue, and both under the id-assigning
+            // lock: a client that got an id back will find its job
+            // after a crash, and journal order and every shard's queue
+            // order match id order.
+            if let Some(j) = &inner.journal {
                 j.append_commit(&JournalRecord::JobSubmitted {
                     job: id,
                     line: original_line,
                 });
             }
+            inner.enqueue(k, id, req, plan);
             id
         };
-        {
-            let mut st = self.inner.shards[k].lock();
-            st.pending.push_back(Queued {
-                id,
-                req,
-                plan,
-                enqueued: Instant::now(),
-            });
-            st.queued_bytes += footprint;
-            st.backlog_seconds += cand.predicted_seconds;
-            st.stats.submitted += 1;
-        }
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                self.inner.trace(ev);
-            }
-        }
-        self.inner.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: k as u32,
-        });
+        inner.trace_submitted(id, footprint, k, resolved.as_ref());
         // Every shard wakes: the owner to admit, idle siblings to steal.
-        self.inner.kick_all();
+        inner.kick_all();
         Ok(id)
     }
 
@@ -415,10 +441,11 @@ impl JoinService for ShardedService {
     }
 }
 
-/// Install a replayed journal's outcome into a freshly-built sharded
-/// service (before its workers start). Completed jobs are re-reported
-/// through shard 0's counters; in-flight jobs are re-placed under their
-/// original ids by the configured placement policy.
+/// Install a replayed journal's outcome into a freshly-built service
+/// (before its workers start). Completed jobs are re-reported through
+/// shard 0's counters; in-flight jobs are re-placed under their
+/// original ids by the configured placement policy, and id assignment
+/// continues past everything the journal has seen.
 fn apply_resume(inner: &ShardedInner, outcome: ResumeOutcome) -> Result<(), String> {
     inner.trace(outcome.trace_event());
     {
@@ -444,84 +471,27 @@ fn apply_resume(inner: &ShardedInner, outcome: ResumeOutcome) -> Result<(), Stri
         finish(r);
     }
     for (id, mut req) in outcome.pending {
-        // Journaled `plan=auto` lines re-resolve to the identical plan
-        // here: the sampler is seeded from the workload seed.
-        let resolved = crate::plan::resolve_auto(&inner.cfg, &mut req)?;
+        let (resolved, plan, shard) = inner.plan_and_place(&mut req)?;
         let footprint = req.footprint();
-        let plan = match &resolved {
-            Some(r) => r.auto.choice.clone(),
-            None => choose(inner.cfg.machine()?, &req.planner_inputs()),
-        };
-        let cand = Candidate {
-            footprint,
-            predicted_seconds: plan.predicted_seconds(),
-        };
-        let Some(k) = inner.placement.place(&cand, &inner.loads()) else {
+        let Some(k) = shard else {
             // The journal came from a differently-shaped service and no
             // slice can ever hold this job: fail it visibly rather than
             // queue it forever (which would hang every drain).
-            let mut r = resumed_failure(id, &req, &plan);
-            r.error = Some(format!(
-                "resumed job footprint {footprint} B exceeds every shard's budget slice"
-            ));
-            finish(r);
+            finish(JobResult {
+                resumed: true,
+                error: Some(format!(
+                    "resumed job footprint {footprint} B exceeds every shard's budget slice"
+                )),
+                ..JobResult::new(id, &req, &plan)
+            });
             continue;
         };
         inner.global_lock().placed += 1;
-        {
-            let mut st = inner.shards[k].lock();
-            st.pending.push_back(Queued {
-                id,
-                req,
-                plan,
-                enqueued: Instant::now(),
-            });
-            st.queued_bytes += footprint;
-            st.backlog_seconds += cand.predicted_seconds;
-            st.stats.submitted += 1;
-        }
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                inner.trace(ev);
-            }
-        }
-        inner.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: k as u32,
-        });
+        inner.enqueue(k, id, req, plan);
+        inner.trace_submitted(id, footprint, k, resolved.as_ref());
     }
     inner.kick_all();
     Ok(())
-}
-
-/// A terminal result for a resumed job that could not be re-queued.
-fn resumed_failure(id: JobId, req: &JobRequest, plan: &mmjoin::PlanChoice) -> JobResult {
-    JobResult {
-        id,
-        shard: 0,
-        name: req.name.clone(),
-        alg: req.alg.unwrap_or_else(|| plan.algorithm.into()),
-        predicted_seconds: plan.predicted_seconds(),
-        pairs: 0,
-        checksum: 0,
-        verified: false,
-        env_elapsed: 0.0,
-        queue_wait: 0.0,
-        exec_wall: 0.0,
-        read_faults: 0,
-        write_backs: 0,
-        attempts: 0,
-        retries: 0,
-        faults_injected: 0,
-        degraded: 0,
-        released_bytes: 0,
-        cleaned_files: 0,
-        deadline_hit: false,
-        panicked: false,
-        resumed: true,
-        error: None,
-    }
 }
 
 /// Pop the best steal candidate: scan siblings in descending
@@ -633,8 +603,7 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
             shard: me as u32,
         });
 
-        let host = ShardHost { inner, shard: me };
-        let (result, folded, passes) = run_job(&host, job, me as u32);
+        let (result, folded, passes) = run_job(inner, job, me);
 
         // Journal the terminal result before it becomes visible in
         // memory: a crash after this commit re-reports, never re-runs.
@@ -774,7 +743,13 @@ mod tests {
     #[test]
     fn idle_shard_steals_from_overloaded_sibling() {
         let sink = CollectingSink::new();
-        let cfg = ServeConfig::sim(32 * PAGE, 1).with_trace(sink.clone() as Arc<dyn TraceSink>);
+        // Every job stalls 20 ms (each gets its own injector), so shard 0
+        // is still busy with the first while the rest queue up behind it:
+        // without the stall an optimized build can finish each tiny job
+        // before the next submit lands, and nothing is ever stealable.
+        let cfg = ServeConfig::sim(32 * PAGE, 1)
+            .with_trace(sink.clone() as Arc<dyn TraceSink>)
+            .with_faults(mmjoin_env::FaultSpec::parse("delay:count=1:ms=20").unwrap());
         let svc = ShardedService::start(cfg, 2, Box::new(PinFirst)).unwrap();
         for seed in 0..6 {
             svc.submit(tiny_job(seed, 4)).unwrap();
@@ -869,27 +844,5 @@ mod tests {
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.in_flight(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn single_shard_matches_single_queue_results() {
-        let jobs: Vec<JobRequest> = (0..5).map(|s| tiny_job(s, 4)).collect();
-        let sharded = start(32, 2, 1, PlacementKind::PredictedBalanced);
-        for req in jobs.clone() {
-            sharded.submit(req).unwrap();
-        }
-        let (mut sr, _) = sharded.finish();
-        let single = crate::Service::start(ServeConfig::sim(32 * PAGE, 2)).unwrap();
-        for req in jobs {
-            single.submit(req).unwrap();
-        }
-        let (mut qr, _) = single.finish();
-        sr.sort_by_key(|r| r.id);
-        qr.sort_by_key(|r| r.id);
-        let key = |r: &JobResult| (r.id, r.pairs, r.checksum, r.verified);
-        assert_eq!(
-            sr.iter().map(key).collect::<Vec<_>>(),
-            qr.iter().map(key).collect::<Vec<_>>()
-        );
     }
 }

@@ -9,12 +9,13 @@
 //! * **end-to-end runs** of [`ShardedService`] under every stock
 //!   placement, checking the same invariants against the real
 //!   bookkeeping (per-shard peaks within per-shard slices, slices
-//!   summing to the global budget, merged counters consistent).
+//!   summing to the global budget, merged counters consistent), and of
+//!   [`Service`], which is that scheduler with one shard.
 
 use mmjoin::Algo;
 use mmjoin_serve::{
-    Candidate, JobRequest, JobResult, JoinService, PlacementKind, ServeConfig, ServiceStats,
-    ShardLoad, ShardedService, PAGE,
+    Candidate, JobRequest, JobResult, JoinService, PlacementKind, ServeConfig, Service,
+    ServiceStats, ShardLoad, ShardedService, PAGE,
 };
 use proptest::prelude::*;
 
@@ -234,4 +235,47 @@ fn sharded_runs_respect_per_shard_budgets() {
         // Every result names a real shard.
         assert!(results.iter().all(|r| (r.shard as usize) < per.len()));
     }
+}
+
+/// `Service` is a one-shard `ShardedService`: its merged stats are its
+/// single shard's snapshot plus the counters kept globally (rejections
+/// and the journal), because merging one snapshot into the default is
+/// the identity — byte-identical JSON, bucket-exact histograms.
+#[test]
+fn service_is_its_single_shard() {
+    let dir = std::env::temp_dir().join(format!("mmjoin-one-shard-{}", std::process::id()));
+    let svc = Service::start(ServeConfig::sim(32 * PAGE, 2).with_journal(dir.clone())).unwrap();
+    for seed in 0..6 {
+        svc.submit(JobRequest::new(1_000, 32, 2, 4, 300 + seed))
+            .unwrap();
+    }
+    // 64 pages against a 32-page budget: counted globally, not per shard.
+    svc.submit(JobRequest::new(1_000, 32, 2, 32, 1))
+        .unwrap_err();
+    svc.drain();
+    assert_eq!(JoinService::shards(&svc), 1);
+    let per = svc.shard_stats();
+    assert_eq!(per.len(), 1);
+    let stats = svc.stats();
+    assert_eq!((stats.completed, stats.rejected), (6, 1));
+    assert!(stats.journal_commits >= 12, "{stats:?}");
+    let expected = ServiceStats {
+        rejected: stats.rejected,
+        journal_appended_records: stats.journal_appended_records,
+        journal_commits: stats.journal_commits,
+        ..per[0].clone()
+    };
+    assert_eq!(stats.to_json(), expected.to_json());
+    for (m, s) in [
+        (&stats.latency_hist, &per[0].latency_hist),
+        (&stats.queue_hist, &per[0].queue_hist),
+        (&stats.exec_hist, &per[0].exec_hist),
+        (&stats.pass_hist, &per[0].pass_hist),
+    ] {
+        assert_eq!(m.buckets(), s.buckets());
+    }
+    let (results, finished) = svc.finish();
+    assert_eq!(results.len(), 6);
+    assert_eq!(finished.to_json(), stats.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }
