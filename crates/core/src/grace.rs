@@ -1,11 +1,11 @@
 //! Parallel pointer-based Grace join (paper §7).
 //!
-//! Re-partitioning (passes 0/1) works like sort-merge, but each R-object
-//! is *hashed* into one of `K` buckets of its target `RS_j`. The hash is
-//! a **range partition of the virtual pointer**, so "each hash bucket
-//! contains monotonically increasing locations in S_i" (§7) — which is
-//! what lets the per-bucket join passes read `S_i` (near-)sequentially
-//! with no hashing of `S` at all.
+//! Placement rule for the shared prologue ([`crate::repartition`]): each
+//! R-object is *hashed* into one of `K` buckets of its target `RS_j`.
+//! The hash is a **range partition of the virtual pointer**, so "each
+//! hash bucket contains monotonically increasing locations in S_i" (§7)
+//! — which is what lets the per-bucket join passes read `S_i`
+//! (near-)sequentially with no hashing of `S` at all.
 //!
 //! Pass `1+j` loads bucket `j` into an in-memory hash table of `TSIZE`
 //! chains whose second-level hash is also range-based, then walks the
@@ -13,21 +13,12 @@
 //! share a chain (so each S-object is fetched while its page is hot),
 //! and the joins flow through the shared buffer.
 
-use mmjoin_env::{CpuOp, DiskId, Env, EnvError, MoveKind, ProcId, Result, SPtr, TraceEvent};
+use mmjoin_env::{CpuOp, Env, ProcId, Result, SPtr};
 use mmjoin_model::{choose_k, choose_tsize};
-use mmjoin_relstore::{chunked_capacity, names, r_key, r_sptr, ChunkedFile, ObjScan, Relations};
+use mmjoin_relstore::{r_key, r_sptr, ChunkedFile, Relations};
 
-use crate::exec::{
-    finish, phase_partner, run_stages, stage_summary, JoinAcc, JoinOutput, JoinSpec, SBatcher,
-    SharedSlots,
-};
-
-struct GraceState<E: Env> {
-    acc: JoinAcc,
-    rf: Option<E::File>,
-    rp: Option<ChunkedFile<E::File>>,
-    rs: Option<ChunkedFile<E::File>>,
-}
+use crate::exec::{JoinAcc, JoinOutput, JoinSpec, SBatcher};
+use crate::repartition::{self, rs_objects, Pass, Place, RsArea};
 
 /// The two-level range hash: bucket within the partition, then chain
 /// within the bucket. Both preserve pointer (= storage) order.
@@ -63,11 +54,6 @@ impl RangeHash {
     }
 }
 
-/// `|RS_i|` estimate for bucket-area capacity.
-fn rs_objects(rels: &Relations, i: u32) -> u64 {
-    (0..rels.rel.d).map(|k| rels.sub_count(k, i)).sum()
-}
-
 /// The `K` the implementation (and the model) uses for this spec.
 pub fn k_for(rels: &Relations, spec: &JoinSpec) -> u64 {
     let worst_rs = (0..rels.rel.d)
@@ -79,195 +65,40 @@ pub fn k_for(rels: &Relations, spec: &JoinSpec) -> u64 {
 
 /// Execute the join (S catalog must be registered).
 pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let page = env.page_size();
-    let r_size = rels.rel.r_size;
+    let part_bytes = rels.rel.s_part_bytes();
     let k = k_for(rels, spec);
-    let slots: std::sync::Arc<SharedSlots<ChunkedFile<E::File>>> = SharedSlots::new(d);
-
-    // Stages: setup | pass0 | phase 1..d-1 | per-bucket join.
-    let stages = 2 + (d as usize - 1) + 1;
-
-    let (states, times) = run_stages(
-        env,
-        d,
-        spec.mode,
-        stages,
-        |_| GraceState::<E> {
-            acc: JoinAcc::default(),
-            rf: None,
-            rp: None,
-            rs: None,
+    let hash = RangeHash::new(part_bytes, k, 1);
+    let area = RsArea {
+        buckets: k as u32,
+        scratch: None,
+        local_stage: "bucket-join",
+        local_join: &|i, rs, acc| {
+            bucket_join(env, rels, spec, i, rs, acc, |ptr, tsize| {
+                RangeHash::new(part_bytes, k, tsize).chain(ptr)
+            })
         },
-        |stage, i, state: &mut GraceState<E>| {
-            let proc = ProcId::rproc(i);
-            match stage {
-                0 => {
-                    // ---- setup ----
-                    state.rf = Some(env.open_file(proc, &rels.r_files[i as usize])?);
-                    let _sf = env.open_file(proc, &rels.s_files[i as usize])?;
-                    let rp_capacity = chunked_capacity(rels.rel.r_per_part(), r_size, d, page);
-                    let rp_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::rp(i)),
-                        DiskId(i),
-                        rp_capacity,
-                    )?;
-                    state.rp = Some(ChunkedFile::new(rp_file, d, r_size, page)?);
-
-                    let rs_capacity = chunked_capacity(rs_objects(rels, i), r_size, k as u32, page);
-                    let rs_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::rs(i)),
-                        DiskId(i),
-                        rs_capacity,
-                    )?;
-                    let rs = ChunkedFile::new(rs_file, k as u32, r_size, page)?;
-                    slots.publish(i, rs.clone());
-                    state.rs = Some(rs);
-                    Ok(())
-                }
-                1 => {
-                    // ---- pass 0: split R_i, hashing R_(i,i) ----
-                    let rf = state.rf.clone().ok_or_else(|| {
-                        EnvError::InvalidConfig("grace: setup stage left no R file".into())
-                    })?;
-                    let part_bytes = rels.rel.s_part_bytes();
-                    let hash = RangeHash::new(part_bytes, k, 1);
-                    let rp = state.rp.clone().ok_or_else(|| {
-                        EnvError::InvalidConfig("grace: setup stage left no RP area".into())
-                    })?;
-                    let rs = state.rs.clone().ok_or_else(|| {
-                        EnvError::InvalidConfig("grace: setup stage left no RS area".into())
-                    })?;
-                    env.trace(
-                        proc,
-                        TraceEvent::PassStart {
-                            proc: i,
-                            pass: 0,
-                            phase: 0,
-                            disk: i,
-                            area: format!("R_{i}"),
-                        },
-                    );
-                    let ri_objects = rels.rel.r_per_part();
-                    let mut scan = ObjScan::new(&rf, 0, r_size, ri_objects);
-                    let mut obj = vec![0u8; r_size as usize];
-                    while scan.next_into(proc, &mut obj)? {
-                        env.cpu(proc, CpuOp::Map, 1);
-                        let ptr = r_sptr(&obj);
-                        let j = ptr.partition(part_bytes);
-                        if j == i {
-                            env.cpu(proc, CpuOp::Hash, 1);
-                            rs.append(proc, hash.bucket(ptr), &obj)?;
-                        } else {
-                            rp.append(proc, j, &obj)?;
-                        }
-                        env.move_bytes(proc, MoveKind::PP, r_size as u64);
-                    }
-                    env.trace(
-                        proc,
-                        TraceEvent::PassEnd {
-                            proc: i,
-                            pass: 0,
-                            phase: 0,
-                            disk: i,
-                            area: format!("R_{i}"),
-                            bytes: ri_objects * r_size as u64,
-                            objects: ri_objects,
-                        },
-                    );
-                    Ok(())
-                }
-                s if s < stages - 1 => {
-                    // ---- pass 1, staggered phase t ----
-                    let t = (s - 1) as u32;
-                    let j = phase_partner(i, t, d);
-                    env.trace(
-                        proc,
-                        TraceEvent::PassStart {
-                            proc: i,
-                            pass: 1,
-                            phase: t,
-                            disk: j,
-                            area: format!("R({i},{j})"),
-                        },
-                    );
-                    let part_bytes = rels.rel.s_part_bytes();
-                    let hash = RangeHash::new(part_bytes, k, 1);
-                    let rp = state.rp.as_ref().ok_or_else(|| {
-                        EnvError::InvalidConfig("grace: pass 0 left no RP area".into())
-                    })?;
-                    let rs_j = slots.try_get(j)?;
-                    let mut reader = rp.stream_reader(j);
-                    let mut obj = vec![0u8; r_size as usize];
-                    let mut objects = 0u64;
-                    while reader.next_into(proc, &mut obj)? {
-                        env.cpu(proc, CpuOp::Hash, 1);
-                        let ptr = r_sptr(&obj);
-                        rs_j.append(proc, hash.bucket(ptr), &obj)?;
-                        env.move_bytes(proc, MoveKind::PP, r_size as u64);
-                        objects += 1;
-                    }
-                    env.trace(
-                        proc,
-                        TraceEvent::PassEnd {
-                            proc: i,
-                            pass: 1,
-                            phase: t,
-                            disk: j,
-                            area: format!("R({i},{j})"),
-                            bytes: objects * r_size as u64,
-                            objects,
-                        },
-                    );
-                    Ok(())
-                }
-                _ => bucket_join(env, rels, spec, i, k, state),
-            }
-        },
-    )?;
-
-    let mut names: Vec<String> = vec!["setup".into(), "pass0".into()];
-    names.extend((1..d).map(|t| format!("phase{t}")));
-    names.push("bucket-join".into());
-    let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    let summary = stage_summary(&refs, &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
+    };
+    repartition::run(env, rels, spec, Some(area), |proc, ptr| {
+        env.cpu(proc, CpuOp::Hash, 1);
+        Place::Rs(hash.bucket(ptr))
+    })
 }
 
-/// Pass `1+j` for every bucket: build the `TSIZE`-chain table, walk it
-/// in order, join through `Sproc_i`.
-fn bucket_join<E: Env>(
+/// Pass `1+j` for every bucket of `RS_i`: build the `TSIZE`-chain table
+/// (`chain(ptr, tsize)` is the second-level hash), walk it in order,
+/// join through `Sproc_i`.
+pub(crate) fn bucket_join<E: Env>(
     env: &E,
     rels: &Relations,
     spec: &JoinSpec,
     i: u32,
-    k: u64,
-    state: &mut GraceState<E>,
+    rs: &ChunkedFile<E::File>,
+    acc: &mut JoinAcc,
+    chain: impl Fn(SPtr, u64) -> u32,
 ) -> Result<()> {
     let proc = ProcId::rproc(i);
-    let rs = state
-        .rs
-        .take()
-        .ok_or_else(|| EnvError::InvalidConfig("grace: setup stage left no RS area".into()))?;
-    let part_bytes = rels.rel.s_part_bytes();
-    env.trace(
-        proc,
-        TraceEvent::PassStart {
-            proc: i,
-            pass: 2,
-            phase: 0,
-            disk: i,
-            area: format!("RS_{i}"),
-        },
-    );
+    let pass = Pass::local(i);
+    pass.start(env);
     let mut batcher = SBatcher::new(env, proc, i, rels, spec.g_buffer);
     let mut obj = vec![0u8; rels.rel.r_size as usize];
     let mut objects = 0u64;
@@ -275,14 +106,13 @@ fn bucket_join<E: Env>(
     // chain's capacity, so the steady state allocates nothing per
     // bucket (`choose_tsize` varies, so the table only ever grows).
     let mut table: Vec<Vec<(SPtr, u64)>> = Vec::new();
-    for bucket in 0..k as u32 {
+    for bucket in 0..rs.num_streams() {
         let len = rs.stream_len(bucket);
         if len == 0 {
             continue;
         }
         objects += len;
         let tsize = choose_tsize(len);
-        let hash = RangeHash::new(part_bytes, k, tsize);
         if table.len() < tsize as usize {
             table.resize_with(tsize as usize, Vec::new);
         }
@@ -290,7 +120,7 @@ fn bucket_join<E: Env>(
         while reader.next_into(proc, &mut obj)? {
             env.cpu(proc, CpuOp::Hash, 1);
             let ptr = r_sptr(&obj);
-            table[hash.chain(ptr) as usize].push((ptr, r_key(&obj)));
+            table[chain(ptr, tsize) as usize].push((ptr, r_key(&obj)));
         }
         // Process the table in order: slot ranges are disjoint and
         // ascending; sorting within a chain keeps common references
@@ -301,24 +131,13 @@ fn bucket_join<E: Env>(
             }
             chain.sort_unstable_by_key(|&(ptr, _)| ptr);
             for &(ptr, r_key) in chain.iter() {
-                batcher.add(r_key, ptr, &mut state.acc)?;
+                batcher.add(r_key, ptr, acc)?;
             }
             chain.clear();
         }
     }
-    batcher.flush(&mut state.acc)?;
-    env.trace(
-        proc,
-        TraceEvent::PassEnd {
-            proc: i,
-            pass: 2,
-            phase: 0,
-            disk: i,
-            area: format!("RS_{i}"),
-            bytes: objects * rels.rel.r_size as u64,
-            objects,
-        },
-    );
+    batcher.flush(acc)?;
+    pass.end(env, objects, rels.rel.r_size as u64);
     Ok(())
 }
 

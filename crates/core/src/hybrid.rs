@@ -12,20 +12,22 @@
 //! `Sproc`'s buffer — and R-objects pointing into it are joined
 //! immediately through the shared buffer during passes 0 and 1, while
 //! their page of `S` stays hot. Only the remaining `K` buckets are
-//! written to `RS_i` and joined bucket-by-bucket as in Grace.
+//! written to `RS_i` and joined bucket-by-bucket with Grace's
+//! `bucket_join`.
 //!
-//! The phase staggering keeps the immediate joins contention-free: in
-//! any phase, `S_j` (bucket-0 range included) is touched by exactly one
-//! Rproc.
+//! That is this file's whole contribution to the shared prologue
+//! ([`crate::repartition`]): the `f₀`/`K` plan and the router that
+//! turns a pointer into "join now" or "spill bucket `b`". The phase
+//! staggering keeps the immediate joins contention-free: in any phase,
+//! `S_j` (bucket-0 range included) is touched by exactly one Rproc.
 
-use mmjoin_env::{CpuOp, DiskId, Env, EnvError, MoveKind, ProcId, Result, SPtr, TraceEvent};
-use mmjoin_model::{choose_k, choose_tsize};
-use mmjoin_relstore::{chunked_capacity, names, r_key, r_sptr, ChunkedFile, ObjScan, Relations};
+use mmjoin_env::{CpuOp, Env, Result, SPtr};
+use mmjoin_model::choose_k;
+use mmjoin_relstore::Relations;
 
-use crate::exec::{
-    finish, phase_partner, run_stages, stage_summary, JoinAcc, JoinOutput, JoinSpec, SBatcher,
-    SharedSlots,
-};
+use crate::exec::{JoinOutput, JoinSpec};
+use crate::grace::bucket_join;
+use crate::repartition::{self, rs_objects, Place, RsArea};
 
 /// The memory-resident fraction `f₀` of each `S` partition and the
 /// on-disk bucket layout for the rest.
@@ -48,7 +50,7 @@ pub fn plan_for(rels: &Relations, spec: &JoinSpec) -> HybridPlan {
     let f0 = f0_bytes as f64 / part_bytes as f64;
     // Worst-case spill objects: |RS_i| · (1 − f0).
     let worst_rs = (0..rels.rel.d)
-        .map(|i| (0..rels.rel.d).map(|k| rels.sub_count(k, i)).sum::<u64>())
+        .map(|i| rs_objects(rels, i))
         .max()
         .unwrap_or(1);
     let spill = ((worst_rs as f64) * (1.0 - f0)).ceil().max(1.0) as u64;
@@ -102,266 +104,25 @@ impl HybridHashFn {
     }
 }
 
-struct HybridState<E: Env> {
-    acc: JoinAcc,
-    rf: Option<E::File>,
-    rp: Option<ChunkedFile<E::File>>,
-    rs: Option<ChunkedFile<E::File>>,
-}
-
 /// Execute the join (S catalog must be registered).
 pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let page = env.page_size();
-    let r_size = rels.rel.r_size;
     let plan = plan_for(rels, spec);
-    let part_bytes = rels.rel.s_part_bytes();
-    let hash = HybridHashFn::new(part_bytes, &plan);
-    let slots: std::sync::Arc<SharedSlots<ChunkedFile<E::File>>> = SharedSlots::new(d);
-
-    // Stages: setup | pass0 | phase 1..d-1 | spill-bucket join.
-    let stages = 2 + (d as usize - 1) + 1;
-
-    let (states, times) = run_stages(
-        env,
-        d,
-        spec.mode,
-        stages,
-        |_| HybridState::<E> {
-            acc: JoinAcc::default(),
-            rf: None,
-            rp: None,
-            rs: None,
+    let hash = HybridHashFn::new(rels.rel.s_part_bytes(), &plan);
+    let area = RsArea {
+        buckets: plan.k as u32,
+        scratch: None,
+        local_stage: "spill-join",
+        // Grace's per-bucket join, over the spilled buckets only.
+        local_join: &|i, rs, acc| {
+            bucket_join(env, rels, spec, i, rs, acc, |ptr, tsize| {
+                hash.chain(ptr, tsize)
+            })
         },
-        |stage, i, state: &mut HybridState<E>| {
-            let proc = ProcId::rproc(i);
-            match stage {
-                0 => {
-                    state.rf = Some(env.open_file(proc, &rels.r_files[i as usize])?);
-                    let _sf = env.open_file(proc, &rels.s_files[i as usize])?;
-                    let rp_capacity = chunked_capacity(rels.rel.r_per_part(), r_size, d, page);
-                    let rp_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::rp(i)),
-                        DiskId(i),
-                        rp_capacity,
-                    )?;
-                    state.rp = Some(ChunkedFile::new(rp_file, d, r_size, page)?);
-                    let rs_objects: u64 = (0..d).map(|k| rels.sub_count(k, i)).sum();
-                    let rs_capacity = chunked_capacity(rs_objects, r_size, plan.k as u32, page);
-                    let rs_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::rs(i)),
-                        DiskId(i),
-                        rs_capacity,
-                    )?;
-                    let rs = ChunkedFile::new(rs_file, plan.k as u32, r_size, page)?;
-                    slots.publish(i, rs.clone());
-                    state.rs = Some(rs);
-                    Ok(())
-                }
-                1 => {
-                    // ---- pass 0: split R_i; bucket-0 pointers into S_i
-                    // join immediately, spill buckets go to RS_i ----
-                    let rf = state.rf.clone().ok_or_else(|| {
-                        EnvError::InvalidConfig("hybrid: setup stage left no R file".into())
-                    })?;
-                    let rp = state.rp.clone().ok_or_else(|| {
-                        EnvError::InvalidConfig("hybrid: setup stage left no RP area".into())
-                    })?;
-                    let rs = state.rs.clone().ok_or_else(|| {
-                        EnvError::InvalidConfig("hybrid: setup stage left no RS area".into())
-                    })?;
-                    env.trace(
-                        proc,
-                        TraceEvent::PassStart {
-                            proc: i,
-                            pass: 0,
-                            phase: 0,
-                            disk: i,
-                            area: format!("R_{i}"),
-                        },
-                    );
-                    let ri_objects = rels.rel.r_per_part();
-                    let mut batcher = SBatcher::new(env, proc, i, rels, spec.g_buffer);
-                    let mut scan = ObjScan::new(&rf, 0, r_size, ri_objects);
-                    let mut obj = vec![0u8; r_size as usize];
-                    while scan.next_into(proc, &mut obj)? {
-                        env.cpu(proc, CpuOp::Map, 1);
-                        let ptr = r_sptr(&obj);
-                        let j = ptr.partition(part_bytes);
-                        if j == i {
-                            env.cpu(proc, CpuOp::Hash, 1);
-                            match hash.route(ptr) {
-                                None => batcher.add(r_key(&obj), ptr, &mut state.acc)?,
-                                Some(b) => {
-                                    rs.append(proc, b, &obj)?;
-                                    env.move_bytes(proc, MoveKind::PP, r_size as u64);
-                                }
-                            }
-                        } else {
-                            rp.append(proc, j, &obj)?;
-                            env.move_bytes(proc, MoveKind::PP, r_size as u64);
-                        }
-                    }
-                    batcher.flush(&mut state.acc)?;
-                    env.trace(
-                        proc,
-                        TraceEvent::PassEnd {
-                            proc: i,
-                            pass: 0,
-                            phase: 0,
-                            disk: i,
-                            area: format!("R_{i}"),
-                            bytes: ri_objects * r_size as u64,
-                            objects: ri_objects,
-                        },
-                    );
-                    Ok(())
-                }
-                s if s < stages - 1 => {
-                    // ---- pass 1, phase t: drain RP_(i,partner); route
-                    // each object to an immediate join or a spill bucket
-                    // of the partner's RS ----
-                    let t = (s - 1) as u32;
-                    let j = phase_partner(i, t, d);
-                    env.trace(
-                        proc,
-                        TraceEvent::PassStart {
-                            proc: i,
-                            pass: 1,
-                            phase: t,
-                            disk: j,
-                            area: format!("R({i},{j})"),
-                        },
-                    );
-                    let rp = state.rp.as_ref().ok_or_else(|| {
-                        EnvError::InvalidConfig("hybrid: pass 0 left no RP area".into())
-                    })?;
-                    let rs_j = slots.try_get(j)?;
-                    let mut batcher = SBatcher::new(env, proc, j, rels, spec.g_buffer);
-                    let mut reader = rp.stream_reader(j);
-                    let mut obj = vec![0u8; r_size as usize];
-                    let mut objects = 0u64;
-                    while reader.next_into(proc, &mut obj)? {
-                        objects += 1;
-                        env.cpu(proc, CpuOp::Hash, 1);
-                        let ptr = r_sptr(&obj);
-                        match hash.route(ptr) {
-                            None => batcher.add(r_key(&obj), ptr, &mut state.acc)?,
-                            Some(b) => {
-                                rs_j.append(proc, b, &obj)?;
-                                env.move_bytes(proc, MoveKind::PP, r_size as u64);
-                            }
-                        }
-                    }
-                    batcher.flush(&mut state.acc)?;
-                    env.trace(
-                        proc,
-                        TraceEvent::PassEnd {
-                            proc: i,
-                            pass: 1,
-                            phase: t,
-                            disk: j,
-                            area: format!("R({i},{j})"),
-                            bytes: objects * r_size as u64,
-                            objects,
-                        },
-                    );
-                    Ok(())
-                }
-                _ => spill_join(env, rels, spec, i, &plan, state),
-            }
-        },
-    )?;
-
-    let mut stage_names: Vec<String> = vec!["setup".into(), "pass0".into()];
-    stage_names.extend((1..d).map(|t| format!("phase{t}")));
-    stage_names.push("spill-join".into());
-    let refs: Vec<&str> = stage_names.iter().map(|s| s.as_str()).collect();
-    let summary = stage_summary(&refs, &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
-}
-
-/// Grace-style per-bucket join over the spilled buckets only.
-fn spill_join<E: Env>(
-    env: &E,
-    rels: &Relations,
-    spec: &JoinSpec,
-    i: u32,
-    plan: &HybridPlan,
-    state: &mut HybridState<E>,
-) -> Result<()> {
-    let proc = ProcId::rproc(i);
-    let rs = state
-        .rs
-        .take()
-        .ok_or_else(|| EnvError::InvalidConfig("hybrid: setup stage left no RS area".into()))?;
-    let part_bytes = rels.rel.s_part_bytes();
-    env.trace(
-        proc,
-        TraceEvent::PassStart {
-            proc: i,
-            pass: 2,
-            phase: 0,
-            disk: i,
-            area: format!("RS_{i}"),
-        },
-    );
-    let mut batcher = SBatcher::new(env, proc, i, rels, spec.g_buffer);
-    let mut obj = vec![0u8; rels.rel.r_size as usize];
-    let mut objects = 0u64;
-    // Chain table reused across buckets (see grace::bucket_join):
-    // `clear()` keeps capacity, so steady state allocates nothing.
-    let mut table: Vec<Vec<(SPtr, u64)>> = Vec::new();
-    for bucket in 0..plan.k as u32 {
-        let len = rs.stream_len(bucket);
-        if len == 0 {
-            continue;
-        }
-        objects += len;
-        let tsize = choose_tsize(len);
-        let hash = HybridHashFn::new(part_bytes, plan);
-        if table.len() < tsize as usize {
-            table.resize_with(tsize as usize, Vec::new);
-        }
-        let mut reader = rs.stream_reader(bucket);
-        while reader.next_into(proc, &mut obj)? {
-            env.cpu(proc, CpuOp::Hash, 1);
-            let ptr = r_sptr(&obj);
-            table[hash.chain(ptr, tsize) as usize].push((ptr, r_key(&obj)));
-        }
-        for chain in &mut table[..tsize as usize] {
-            if chain.is_empty() {
-                continue;
-            }
-            chain.sort_unstable_by_key(|&(ptr, _)| ptr);
-            for &(ptr, key) in chain.iter() {
-                batcher.add(key, ptr, &mut state.acc)?;
-            }
-            chain.clear();
-        }
-    }
-    batcher.flush(&mut state.acc)?;
-    env.trace(
-        proc,
-        TraceEvent::PassEnd {
-            proc: i,
-            pass: 2,
-            phase: 0,
-            disk: i,
-            area: format!("RS_{i}"),
-            bytes: objects * rels.rel.r_size as u64,
-            objects,
-        },
-    );
-    Ok(())
+    };
+    repartition::run(env, rels, spec, Some(area), |proc, ptr| {
+        env.cpu(proc, CpuOp::Hash, 1);
+        hash.route(ptr).map_or(Place::JoinNow, Place::Rs)
+    })
 }
 
 #[cfg(test)]

@@ -53,6 +53,7 @@ pub mod naive;
 pub mod nested_loops;
 pub mod pheap;
 pub mod planner;
+pub mod repartition;
 pub mod retry;
 pub mod sort_merge;
 pub mod stats;

@@ -49,6 +49,7 @@ use mmjoin_relstore::{s_key, Relations};
 use crate::exec::{
     finish, phase_partner, run_stages, stage_summary, JoinAcc, JoinOutput, JoinSpec, SharedSlots,
 };
+use crate::repartition::Pass;
 use crate::{grace, hybrid, Algo};
 
 /// Bytes read per bulk scan block (rounded down to whole R-objects).
@@ -115,44 +116,6 @@ fn le64(buf: &[u8], off: usize) -> u64 {
     let mut w = [0u8; 8];
     w.copy_from_slice(&buf[off..off + 8]);
     u64::from_le_bytes(w)
-}
-
-fn pass_start<E: Env>(env: &E, i: u32, pass: u32, phase: u32, disk: u32, area: String) {
-    env.trace(
-        ProcId::rproc(i),
-        TraceEvent::PassStart {
-            proc: i,
-            pass,
-            phase,
-            disk,
-            area,
-        },
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pass_end<E: Env>(
-    env: &E,
-    i: u32,
-    pass: u32,
-    phase: u32,
-    disk: u32,
-    area: String,
-    objects: u64,
-    r_size: u32,
-) {
-    env.trace(
-        ProcId::rproc(i),
-        TraceEvent::PassEnd {
-            proc: i,
-            pass,
-            phase,
-            disk,
-            area,
-            bytes: objects * r_size as u64,
-            objects,
-        },
-    );
 }
 
 /// Pass-0 kernel: bulk-scan `R_i` block by block, radix-partitioning
@@ -309,234 +272,222 @@ pub fn run<E: Env>(env: &E, rels: &Relations, alg: Algo, spec: &JoinSpec) -> Res
     }
 }
 
+/// Run `stage_fn` over `stages` barrier-separated stages with a fresh
+/// [`MState`] per worker, and assemble the output.
+fn run_modern<E: Env>(
+    env: &E,
+    rels: &Relations,
+    spec: &JoinSpec,
+    stage_names: &[&str],
+    stage_fn: impl Fn(usize, u32, &mut MState) -> Result<()> + Sync,
+) -> Result<JoinOutput> {
+    let d = rels.rel.d;
+    let (states, times) = run_stages(
+        env,
+        d,
+        spec.mode,
+        stage_names.len(),
+        |_| MState {
+            acc: JoinAcc::default(),
+            arena: Arena::new(d),
+        },
+        stage_fn,
+    )?;
+    let summary = stage_summary(stage_names, &times);
+    Ok(finish(
+        env,
+        d,
+        states.into_iter().map(|s| s.acc),
+        summary,
+        &times,
+    ))
+}
+
 /// Modern nested loops: scan + radix, probe the home partition inside
 /// the pass-0 window, then probe each partner partition in staggered
 /// phase order. No repartitioning files — the radix output *is* the
 /// probe input.
 fn run_nested<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
     let d = rels.rel.d;
-    let r_size = rels.rel.r_size;
-    let (states, times) = run_stages(
-        env,
-        d,
-        spec.mode,
-        1,
-        |_| MState {
-            acc: JoinAcc::default(),
-            arena: Arena::new(d),
-        },
-        |_stage, i, state: &mut MState| {
-            let arena = &mut state.arena;
-            pass_start(env, i, 0, 0, i, format!("R_{i}"));
+    let r_size = rels.rel.r_size as u64;
+    run_modern(env, rels, spec, &["join"], |_stage, i, state| {
+        let arena = &mut state.arena;
+        let pass = Pass::scan(i);
+        pass.start(env);
+        let n = scan_radix(env, rels, i, arena)?;
+        let mut own = std::mem::take(&mut arena.parts[i as usize]);
+        sort_pairs(&mut own, &mut arena.ops);
+        probe(env, i, i, rels, &own, arena, &mut state.acc)?;
+        pass.end(env, n, r_size);
+        for t in 1..d {
+            let j = phase_partner(i, t, d);
+            let mut rn = std::mem::take(&mut arena.parts[j as usize]);
+            let pass = Pass::phase(i, t, j);
+            pass.start(env);
+            sort_pairs(&mut rn, &mut arena.ops);
+            probe(env, i, j, rels, &rn, arena, &mut state.acc)?;
+            pass.end(env, rn.len() as u64, r_size);
+        }
+        Ok(())
+    })
+}
+
+/// The phase skeleton modern sort-merge, Grace and hybrid share (MPSM
+/// presents its variants the same way: one skeleton, one step swapped).
+///
+/// Stage 0 scans and radix-partitions `R_i`, then ships one run per
+/// owner partition through the `D×D` slot grid — the home run inside the
+/// pass-0 window, partner runs in staggered phase order. `prepare(i, j,
+/// run, ..)` is the algorithm's step on the run bound for owner `j`
+/// before it is published. Stage 1 collects the `D` runs bound for
+/// `S_i`; `gather(i, runs, out, ..)` orders them ascending by pointer
+/// into `out`, which is probed against `S_i` in one stream.
+fn run_exchange<E: Env>(
+    env: &E,
+    rels: &Relations,
+    spec: &JoinSpec,
+    stage_names: [&str; 2],
+    prepare: impl Fn(u32, u32, PairVec, &mut Arena, &mut JoinAcc) -> Result<PairVec> + Sync,
+    gather: impl Fn(u32, &[Run], &mut PairVec, &mut Arena) + Sync,
+) -> Result<JoinOutput> {
+    let d = rels.rel.d;
+    let r_size = rels.rel.r_size as u64;
+    let slots: Arc<SharedSlots<Run>> = SharedSlots::new(d * d);
+    run_modern(env, rels, spec, &stage_names, |stage, i, state| {
+        let proc = ProcId::rproc(i);
+        let MState { acc, arena } = state;
+        if stage == 0 {
+            let pass = Pass::scan(i);
+            pass.start(env);
             let n = scan_radix(env, rels, i, arena)?;
-            let mut own = std::mem::take(&mut arena.parts[i as usize]);
-            sort_pairs(&mut own, &mut arena.ops);
-            probe(env, i, i, rels, &own, arena, &mut state.acc)?;
-            pass_end(env, i, 0, 0, i, format!("R_{i}"), n, r_size);
+            let own = std::mem::take(&mut arena.parts[i as usize]);
+            let own = prepare(i, i, own, arena, acc)?;
+            slots.publish(i * d + i, Arc::new(own));
+            pass.end(env, n, r_size);
             for t in 1..d {
                 let j = phase_partner(i, t, d);
-                let mut rn = std::mem::take(&mut arena.parts[j as usize]);
-                pass_start(env, i, 1, t, j, format!("R({i},{j})"));
-                sort_pairs(&mut rn, &mut arena.ops);
-                probe(env, i, j, rels, &rn, arena, &mut state.acc)?;
-                pass_end(
-                    env,
-                    i,
-                    1,
-                    t,
-                    j,
-                    format!("R({i},{j})"),
-                    rn.len() as u64,
-                    r_size,
-                );
+                let rn = std::mem::take(&mut arena.parts[j as usize]);
+                let pass = Pass::phase(i, t, j);
+                pass.start(env);
+                let len = rn.len() as u64;
+                let rn = prepare(i, j, rn, arena, acc)?;
+                // Private→shared hand-off of the run.
+                arena.ops.moved(MoveKind::PS, rn.len() as u64 * 16);
+                arena.ops.charge(env, proc);
+                slots.publish(i * d + j, Arc::new(rn));
+                pass.end(env, len, r_size);
             }
-            Ok(())
-        },
-    )?;
-    let summary = stage_summary(&["join"], &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
+        } else {
+            let pass = Pass::local(i);
+            pass.start(env);
+            let runs: Vec<Run> = (0..d)
+                .map(|j| slots.try_get(j * d + i))
+                .collect::<Result<_>>()?;
+            let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
+            let mut merged = std::mem::take(&mut arena.gathered);
+            gather(i, &runs, &mut merged, arena);
+            probe(env, i, i, rels, &merged, arena, acc)?;
+            arena.gathered = merged;
+            pass.end(env, total, r_size);
+        }
+        Ok(())
+    })
 }
 
-/// Modern sort-merge (MPSM): stage 0 scans, radix-partitions, sorts each
-/// private run, and publishes it for its owner; stage 1 merge-scans the
-/// `D` remote runs and probes `S_i` in one ascending stream.
+/// Modern sort-merge (MPSM): each private run is sorted before it is
+/// shipped; the owner merge-scans the `D` sorted runs.
 fn run_sort_merge<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let r_size = rels.rel.r_size;
-    let slots: Arc<SharedSlots<Run>> = SharedSlots::new(d * d);
-    let (states, times) = run_stages(
+    run_exchange(
         env,
-        d,
-        spec.mode,
-        2,
-        |_| MState {
-            acc: JoinAcc::default(),
-            arena: Arena::new(d),
+        rels,
+        spec,
+        ["scan+sort", "merge+join"],
+        |i, _j, mut run, arena, _acc| {
+            sort_pairs(&mut run, &mut arena.ops);
+            arena.ops.charge(env, ProcId::rproc(i));
+            Ok(run)
         },
-        |stage, i, state: &mut MState| {
+        |i, runs, merged, arena| {
             let proc = ProcId::rproc(i);
-            let arena = &mut state.arena;
-            if stage == 0 {
-                pass_start(env, i, 0, 0, i, format!("R_{i}"));
-                let n = scan_radix(env, rels, i, arena)?;
-                let mut own = std::mem::take(&mut arena.parts[i as usize]);
-                sort_pairs(&mut own, &mut arena.ops);
-                arena.ops.charge(env, proc);
-                slots.publish(i * d + i, Arc::new(own));
-                pass_end(env, i, 0, 0, i, format!("R_{i}"), n, r_size);
-                for t in 1..d {
-                    let j = phase_partner(i, t, d);
-                    let mut rn = std::mem::take(&mut arena.parts[j as usize]);
-                    pass_start(env, i, 1, t, j, format!("R({i},{j})"));
-                    sort_pairs(&mut rn, &mut arena.ops);
-                    let len = rn.len() as u64;
-                    // Private→shared hand-off of the sorted run.
-                    arena.ops.moved(MoveKind::PS, len * 16);
-                    arena.ops.charge(env, proc);
-                    slots.publish(i * d + j, Arc::new(rn));
-                    pass_end(env, i, 1, t, j, format!("R({i},{j})"), len, r_size);
-                }
-                Ok(())
-            } else {
-                pass_start(env, i, 2, 0, i, format!("RS_{i}"));
-                let runs: Vec<Run> = (0..d)
-                    .map(|j| slots.try_get(j * d + i))
-                    .collect::<Result<_>>()?;
-                let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-                let mut merged = std::mem::take(&mut arena.gathered);
-                merge_runs(&runs, &mut merged, &mut arena.ops);
-                arena.ops.moved(MoveKind::SP, total * 16);
-                arena.ops.charge(env, proc);
-                env.trace(
-                    proc,
-                    TraceEvent::KernelMerge {
-                        proc: i,
-                        area: format!("RS_{i}"),
-                        runs: d,
-                        objects: total,
-                    },
-                );
-                probe(env, i, i, rels, &merged, arena, &mut state.acc)?;
-                arena.gathered = merged;
-                pass_end(env, i, 2, 0, i, format!("RS_{i}"), total, r_size);
-                Ok(())
-            }
+            merge_runs(runs, merged, &mut arena.ops);
+            arena.ops.moved(MoveKind::SP, merged.len() as u64 * 16);
+            arena.ops.charge(env, proc);
+            env.trace(
+                proc,
+                TraceEvent::KernelMerge {
+                    proc: i,
+                    area: format!("RS_{i}"),
+                    runs: runs.len() as u32,
+                    objects: merged.len() as u64,
+                },
+            );
         },
-    )?;
-    let summary = stage_summary(&["scan+sort", "merge+join"], &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
+    )
 }
 
-/// Modern Grace: stage 0 publishes *unsorted* radix runs; stage 1
-/// gathers them, radix-partitions into Grace's `K` range buckets
-/// (second-level histogram + scatter), sorts each cache-sized bucket,
-/// and probes the concatenation — fully ascending because the buckets
-/// are range-partitioned.
+/// Second-level radix shared by modern Grace and hybrid: histogram +
+/// scatter the gathered runs into `k` range buckets, sort each
+/// cache-sized bucket, and concatenate — fully ascending because the
+/// buckets are range-partitioned.
+fn radix_gather<E: Env>(
+    env: &E,
+    i: u32,
+    runs: &[Run],
+    k: usize,
+    bucket_of: impl Fn(SPtr) -> usize,
+    merged: &mut PairVec,
+    arena: &mut Arena,
+) {
+    let proc = ProcId::rproc(i);
+    let mut hist = vec![0usize; k];
+    for run in runs {
+        for &(p, _) in run.iter() {
+            hist[bucket_of(SPtr(p))] += 1;
+        }
+    }
+    let total: usize = hist.iter().sum();
+    let mut buckets: Vec<PairVec> = hist.iter().map(|&c| Vec::with_capacity(c)).collect();
+    for run in runs {
+        for &(p, key) in run.iter() {
+            buckets[bucket_of(SPtr(p))].push((p, key));
+        }
+    }
+    arena.ops.op(CpuOp::Hash, 2 * total as u64);
+    arena.ops.moved(MoveKind::SP, total as u64 * 16);
+    env.trace(
+        proc,
+        TraceEvent::KernelRadix {
+            proc: i,
+            area: format!("RS_{i}"),
+            buckets: k as u32,
+            objects: total as u64,
+        },
+    );
+    merged.clear();
+    merged.reserve(total);
+    for bucket in buckets.iter_mut() {
+        sort_pairs(bucket, &mut arena.ops);
+        merged.extend_from_slice(bucket);
+    }
+    arena.ops.charge(env, proc);
+}
+
+/// Modern Grace: runs ship *unsorted*; the owner radix-partitions them
+/// into Grace's `K` range buckets.
 fn run_grace<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let r_size = rels.rel.r_size;
-    let part_bytes = rels.rel.s_part_bytes();
     let k = grace::k_for(rels, spec).max(1);
-    let hash = grace::RangeHash::new(part_bytes, k, 1);
-    let slots: Arc<SharedSlots<Run>> = SharedSlots::new(d * d);
-    let (states, times) = run_stages(
+    let hash = grace::RangeHash::new(rels.rel.s_part_bytes(), k, 1);
+    run_exchange(
         env,
-        d,
-        spec.mode,
-        2,
-        |_| MState {
-            acc: JoinAcc::default(),
-            arena: Arena::new(d),
+        rels,
+        spec,
+        ["scan+radix", "bucket-join"],
+        |_i, _j, run, _arena, _acc| Ok(run),
+        |i, runs, merged, arena| {
+            let bucket_of = |p| hash.bucket(p) as usize;
+            radix_gather(env, i, runs, k as usize, bucket_of, merged, arena)
         },
-        |stage, i, state: &mut MState| {
-            let proc = ProcId::rproc(i);
-            let arena = &mut state.arena;
-            if stage == 0 {
-                pass_start(env, i, 0, 0, i, format!("R_{i}"));
-                let n = scan_radix(env, rels, i, arena)?;
-                let own = std::mem::take(&mut arena.parts[i as usize]);
-                slots.publish(i * d + i, Arc::new(own));
-                pass_end(env, i, 0, 0, i, format!("R_{i}"), n, r_size);
-                for t in 1..d {
-                    let j = phase_partner(i, t, d);
-                    let rn = std::mem::take(&mut arena.parts[j as usize]);
-                    pass_start(env, i, 1, t, j, format!("R({i},{j})"));
-                    let len = rn.len() as u64;
-                    arena.ops.moved(MoveKind::PS, len * 16);
-                    arena.ops.charge(env, proc);
-                    slots.publish(i * d + j, Arc::new(rn));
-                    pass_end(env, i, 1, t, j, format!("R({i},{j})"), len, r_size);
-                }
-                Ok(())
-            } else {
-                pass_start(env, i, 2, 0, i, format!("RS_{i}"));
-                let runs: Vec<Run> = (0..d)
-                    .map(|j| slots.try_get(j * d + i))
-                    .collect::<Result<_>>()?;
-                let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-                // Second-level radix: histogram + scatter into K range
-                // buckets (one per-stage allocation, reused per bucket).
-                let mut hist = vec![0u64; k as usize];
-                for run in &runs {
-                    for &(p, _) in run.iter() {
-                        hist[hash.bucket(SPtr(p)) as usize] += 1;
-                    }
-                }
-                let mut buckets: Vec<Vec<(u64, u64)>> = hist
-                    .iter()
-                    .map(|&c| Vec::with_capacity(c as usize))
-                    .collect();
-                for run in &runs {
-                    for &(p, key) in run.iter() {
-                        buckets[hash.bucket(SPtr(p)) as usize].push((p, key));
-                    }
-                }
-                arena.ops.op(CpuOp::Hash, 2 * total);
-                arena.ops.moved(MoveKind::SP, total * 16);
-                env.trace(
-                    proc,
-                    TraceEvent::KernelRadix {
-                        proc: i,
-                        area: format!("RS_{i}"),
-                        buckets: k as u32,
-                        objects: total,
-                    },
-                );
-                let mut merged = std::mem::take(&mut arena.gathered);
-                merged.clear();
-                merged.reserve(total as usize);
-                for bucket in buckets.iter_mut() {
-                    sort_pairs(bucket, &mut arena.ops);
-                    merged.extend_from_slice(bucket);
-                }
-                arena.ops.charge(env, proc);
-                probe(env, i, i, rels, &merged, arena, &mut state.acc)?;
-                arena.gathered = merged;
-                pass_end(env, i, 2, 0, i, format!("RS_{i}"), total, r_size);
-                Ok(())
-            }
-        },
-    )?;
-    let summary = stage_summary(&["scan+radix", "bucket-join"], &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
+    )
 }
 
 /// Modern hybrid hash: bucket-0 (`f₀`-range) pairs are probed
@@ -544,103 +495,25 @@ fn run_grace<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinO
 /// partitions in staggered phase order — while spill pairs ship through
 /// shared runs and take Grace's second-level radix in stage 1.
 fn run_hybrid<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let r_size = rels.rel.r_size;
-    let part_bytes = rels.rel.s_part_bytes();
     let plan = hybrid::plan_for(rels, spec);
-    let hash = hybrid::HybridHashFn::new(part_bytes, &plan);
-    let slots: Arc<SharedSlots<Run>> = SharedSlots::new(d * d);
-    let (states, times) = run_stages(
+    let hash = hybrid::HybridHashFn::new(rels.rel.s_part_bytes(), &plan);
+    let k = plan.k.max(1) as usize;
+    run_exchange(
         env,
-        d,
-        spec.mode,
-        2,
-        |_| MState {
-            acc: JoinAcc::default(),
-            arena: Arena::new(d),
+        rels,
+        spec,
+        ["scan+f0-join", "spill-join"],
+        |i, j, run, arena, acc| {
+            let (mut f0, spill) = split_f0(&hash, run, &mut arena.ops);
+            sort_pairs(&mut f0, &mut arena.ops);
+            probe(env, i, j, rels, &f0, arena, acc)?;
+            Ok(spill)
         },
-        |stage, i, state: &mut MState| {
-            let proc = ProcId::rproc(i);
-            let arena = &mut state.arena;
-            if stage == 0 {
-                pass_start(env, i, 0, 0, i, format!("R_{i}"));
-                let n = scan_radix(env, rels, i, arena)?;
-                let own = std::mem::take(&mut arena.parts[i as usize]);
-                let (mut f0, spill) = split_f0(&hash, own, &mut arena.ops);
-                sort_pairs(&mut f0, &mut arena.ops);
-                probe(env, i, i, rels, &f0, arena, &mut state.acc)?;
-                slots.publish(i * d + i, Arc::new(spill));
-                pass_end(env, i, 0, 0, i, format!("R_{i}"), n, r_size);
-                for t in 1..d {
-                    let j = phase_partner(i, t, d);
-                    let rn = std::mem::take(&mut arena.parts[j as usize]);
-                    pass_start(env, i, 1, t, j, format!("R({i},{j})"));
-                    let len = rn.len() as u64;
-                    let (mut f0, spill) = split_f0(&hash, rn, &mut arena.ops);
-                    sort_pairs(&mut f0, &mut arena.ops);
-                    probe(env, i, j, rels, &f0, arena, &mut state.acc)?;
-                    arena.ops.moved(MoveKind::PS, spill.len() as u64 * 16);
-                    arena.ops.charge(env, proc);
-                    slots.publish(i * d + j, Arc::new(spill));
-                    pass_end(env, i, 1, t, j, format!("R({i},{j})"), len, r_size);
-                }
-                Ok(())
-            } else {
-                pass_start(env, i, 2, 0, i, format!("RS_{i}"));
-                let runs: Vec<Run> = (0..d)
-                    .map(|j| slots.try_get(j * d + i))
-                    .collect::<Result<_>>()?;
-                let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-                let k = plan.k.max(1) as usize;
-                let mut hist = vec![0u64; k];
-                for run in &runs {
-                    for &(p, _) in run.iter() {
-                        hist[hash.route(SPtr(p)).unwrap_or(0) as usize] += 1;
-                    }
-                }
-                let mut buckets: Vec<Vec<(u64, u64)>> = hist
-                    .iter()
-                    .map(|&c| Vec::with_capacity(c as usize))
-                    .collect();
-                for run in &runs {
-                    for &(p, key) in run.iter() {
-                        buckets[hash.route(SPtr(p)).unwrap_or(0) as usize].push((p, key));
-                    }
-                }
-                arena.ops.op(CpuOp::Hash, 2 * total);
-                arena.ops.moved(MoveKind::SP, total * 16);
-                env.trace(
-                    proc,
-                    TraceEvent::KernelRadix {
-                        proc: i,
-                        area: format!("RS_{i}"),
-                        buckets: k as u32,
-                        objects: total,
-                    },
-                );
-                let mut merged = std::mem::take(&mut arena.gathered);
-                merged.clear();
-                merged.reserve(total as usize);
-                for bucket in buckets.iter_mut() {
-                    sort_pairs(bucket, &mut arena.ops);
-                    merged.extend_from_slice(bucket);
-                }
-                arena.ops.charge(env, proc);
-                probe(env, i, i, rels, &merged, arena, &mut state.acc)?;
-                arena.gathered = merged;
-                pass_end(env, i, 2, 0, i, format!("RS_{i}"), total, r_size);
-                Ok(())
-            }
+        |i, runs, merged, arena| {
+            let bucket_of = |p| hash.route(p).unwrap_or(0) as usize;
+            radix_gather(env, i, runs, k, bucket_of, merged, arena)
         },
-    )?;
-    let summary = stage_summary(&["scan+f0-join", "spill-join"], &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
+    )
 }
 
 /// Split a run into (bucket-0, spill) halves per the hybrid router.

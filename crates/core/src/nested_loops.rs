@@ -1,185 +1,21 @@
 //! Parallel pointer-based nested loops (paper §5).
 //!
-//! Pass 0: each `Rproc_i` scans `R_i` once. Objects whose join pointer
-//! lands in `S_i` are joined immediately through `Sproc_i`'s shared
-//! buffer; the rest are scattered into the `RP_{i,j}` sub-partitions of
-//! a temporary area on the same disk — the sub-partitioning that
-//! "(mostly) eliminates disk contention in the next pass".
-//!
-//! Pass 1: `D−1` staggered phases; in phase `t`, `Rproc_i` drains
-//! `RP_{i, offset(i,t)}` against `S_{offset(i,t)}`, so each `S_j` is
-//! wanted by exactly one Rproc per phase. Phases are unsynchronized by
-//! default (§5.1 measured ≤0.5% difference); `JoinSpec::sync_phases`
-//! inserts barriers for that ablation.
+//! The shared prologue ([`crate::repartition`]) with the simplest
+//! placement rule: every object is joined on sight through the owning
+//! `Sproc`'s shared buffer — `R_{i,i}` during pass 0 (the §5.1
+//! optimization), `R_{i,j}` in the phase that makes `S_j` private. No
+//! `RS` area, no local join pass. Phases are unsynchronized by default
+//! (§5.1 measured ≤0.5% difference); `JoinSpec::sync_phases` inserts
+//! barriers for that ablation.
 
-use mmjoin_env::{CpuOp, DiskId, Env, EnvError, MoveKind, ProcId, Result, TraceEvent};
-use mmjoin_relstore::{chunked_capacity, names, r_key, r_sptr, ChunkedFile, ObjScan, Relations};
+use mmjoin_env::{Env, Result};
+use mmjoin_relstore::Relations;
 
-use crate::exec::{
-    finish, phase_partner, run_stages, stage_summary, JoinAcc, JoinOutput, JoinSpec, SBatcher,
-};
-
-struct NlState<E: Env> {
-    acc: JoinAcc,
-    rp: Option<ChunkedFile<E::File>>,
-}
+use crate::exec::{JoinOutput, JoinSpec};
+use crate::repartition::{self, Place};
 
 /// Execute the join. The environment's S catalog must already be
 /// registered (the public `join()` entry point does this).
 pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let page = env.page_size();
-    let sync = spec.sync_phases;
-    // Stage layout: stage 0 = setup + pass 0 (+ all phases when
-    // unsynchronized); stages 1..d-1 = individual phases when
-    // synchronized.
-    let stages = if sync { d as usize } else { 1 };
-
-    let (states, times) = run_stages(
-        env,
-        d,
-        spec.mode,
-        stages,
-        |_| NlState::<E> {
-            acc: JoinAcc::default(),
-            rp: None,
-        },
-        |stage, i, state: &mut NlState<E>| {
-            let proc = ProcId::rproc(i);
-            if stage == 0 {
-                // ---- setup ----
-                let rf = env.open_file(proc, &rels.r_files[i as usize])?;
-                let _sf = env.open_file(proc, &rels.s_files[i as usize])?;
-                let ri_objects = rels.rel.r_per_part();
-                let r_size = rels.rel.r_size;
-                let rp_capacity = chunked_capacity(ri_objects, r_size, d, page);
-                let rp_file = env.create_file(
-                    proc,
-                    &spec.temp_name(rels, &names::rp(i)),
-                    DiskId(i),
-                    rp_capacity,
-                )?;
-                let rp = ChunkedFile::new(rp_file, d, r_size, page)?;
-
-                // ---- pass 0 ----
-                env.trace(
-                    proc,
-                    TraceEvent::PassStart {
-                        proc: i,
-                        pass: 0,
-                        phase: 0,
-                        disk: i,
-                        area: format!("R_{i}"),
-                    },
-                );
-                let part_bytes = rels.rel.s_part_bytes();
-                let mut batcher = SBatcher::new(env, proc, i, rels, spec.g_buffer);
-                let mut scan = ObjScan::new(&rf, 0, r_size, ri_objects);
-                let mut obj = vec![0u8; r_size as usize];
-                while scan.next_into(proc, &mut obj)? {
-                    env.cpu(proc, CpuOp::Map, 1);
-                    let ptr = r_sptr(&obj);
-                    let j = ptr.partition(part_bytes);
-                    if j == i {
-                        // Immediate join of R_(i,i) (§5.1 optimization).
-                        batcher.add(r_key(&obj), ptr, &mut state.acc)?;
-                    } else {
-                        rp.append(proc, j, &obj)?;
-                        env.move_bytes(proc, MoveKind::PP, r_size as u64);
-                    }
-                }
-                batcher.flush(&mut state.acc)?;
-                state.rp = Some(rp);
-                env.trace(
-                    proc,
-                    TraceEvent::PassEnd {
-                        proc: i,
-                        pass: 0,
-                        phase: 0,
-                        disk: i,
-                        area: format!("R_{i}"),
-                        bytes: ri_objects * r_size as u64,
-                        objects: ri_objects,
-                    },
-                );
-
-                if !sync {
-                    // ---- pass 1, free-running phases ----
-                    for t in 1..d {
-                        run_phase(env, rels, spec, i, t, state)?;
-                    }
-                }
-            } else {
-                // ---- pass 1, synchronized phase `stage` ----
-                run_phase(env, rels, spec, i, stage as u32, state)?;
-            }
-            Ok(())
-        },
-    )?;
-
-    let names: Vec<String> = if sync {
-        std::iter::once("setup+pass0".to_string())
-            .chain((1..d).map(|t| format!("phase{t}")))
-            .collect()
-    } else {
-        vec!["all".to_string()]
-    };
-    let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    let summary = stage_summary(&name_refs, &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
-}
-
-fn run_phase<E: Env>(
-    env: &E,
-    rels: &Relations,
-    spec: &JoinSpec,
-    i: u32,
-    t: u32,
-    state: &mut NlState<E>,
-) -> Result<()> {
-    let d = rels.rel.d;
-    let proc = ProcId::rproc(i);
-    let j = phase_partner(i, t, d);
-    env.trace(
-        proc,
-        TraceEvent::PassStart {
-            proc: i,
-            pass: 1,
-            phase: t,
-            disk: j,
-            area: format!("R({i},{j})"),
-        },
-    );
-    let rp = state
-        .rp
-        .as_ref()
-        .ok_or_else(|| EnvError::InvalidConfig("nested-loops: pass 0 left no RP area".into()))?;
-    let mut batcher = SBatcher::new(env, proc, j, rels, spec.g_buffer);
-    let mut reader = rp.stream_reader(j);
-    let mut obj = vec![0u8; rels.rel.r_size as usize];
-    let mut objects = 0u64;
-    while reader.next_into(proc, &mut obj)? {
-        batcher.add(r_key(&obj), r_sptr(&obj), &mut state.acc)?;
-        objects += 1;
-    }
-    batcher.flush(&mut state.acc)?;
-    env.trace(
-        proc,
-        TraceEvent::PassEnd {
-            proc: i,
-            pass: 1,
-            phase: t,
-            disk: j,
-            area: format!("R({i},{j})"),
-            bytes: objects * rels.rel.r_size as u64,
-            objects,
-        },
-    );
-    Ok(())
+    repartition::run(env, rels, spec, None, |_, _| Place::JoinNow)
 }

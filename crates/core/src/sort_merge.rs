@@ -1,11 +1,12 @@
 //! Parallel pointer-based sort-merge (paper §6).
 //!
-//! Passes 0 and 1 re-partition exactly like nested loops, except objects
-//! are *written* to the `RS` areas instead of joined: after pass 1,
-//! `RS_i` holds every R-object (from all partitions) whose join pointer
-//! lands in `S_i`. Because the join attribute is a virtual pointer, `S`
-//! itself never needs sorting — sorting `RS_i` by pointer already yields
-//! a sequential scan of `S_i` in the final pass (§4, §6.1).
+//! Placement rule for the shared prologue ([`crate::repartition`]):
+//! every object is *written* to the single stream of its owner's `RS`
+//! area, so after pass 1 `RS_i` holds every R-object (from all
+//! partitions) whose join pointer lands in `S_i`. Because the join
+//! attribute is a virtual pointer, `S` itself never needs sorting —
+//! sorting `RS_i` by pointer already yields a sequential scan of `S_i`
+//! in the final pass (§4, §6.1).
 //!
 //! The local sort is a multi-way external merge sort: runs of `IRUN`
 //! objects are heap-sorted in place via an array of pointers (Floyd
@@ -13,225 +14,24 @@
 //! delete-insert heaps, alternating between the `RS_i` and `Merge_i`
 //! areas (swapped with `deleteMap`/`newMap`, as the paper charges). The
 //! last merge joins directly against `S_i` through the shared buffer.
-//!
-//! Unlike nested loops, phases here are synchronized (§6.3), hence the
-//! per-phase stages.
 
-use mmjoin_env::{CpuOp, DiskId, Env, EnvError, MoveKind, ProcId, Result, SPtr, TraceEvent};
+use mmjoin_env::{DiskId, Env, EnvError, MoveKind, ProcId, Result, SPtr};
 use mmjoin_model::{choose_irun, choose_nrun_abl, choose_nrun_last, merge_plan, MergePlan};
-use mmjoin_relstore::{chunked_capacity, names, r_key, r_sptr, ChunkedFile, ObjScan, Relations};
+use mmjoin_relstore::{chunked_capacity, names, r_key, r_sptr, ChunkedFile, Relations};
 
-use crate::exec::{
-    finish, phase_partner, run_stages, stage_summary, JoinAcc, JoinOutput, JoinSpec, SBatcher,
-    SharedSlots,
-};
+use crate::exec::{JoinAcc, JoinOutput, JoinSpec, SBatcher};
 use crate::pheap::{heapsort, HeapEntry, MergeHeap};
-
-struct SmState<E: Env> {
-    acc: JoinAcc,
-    rf: Option<E::File>,
-    rp: Option<ChunkedFile<E::File>>,
-    rs: Option<ChunkedFile<E::File>>,
-}
-
-/// `|RS_i|` for capacity purposes: every R-object pointing into `S_i`,
-/// known exactly from the workload's sub-partition counts (the catalog
-/// statistics a real system would keep).
-fn rs_objects(rels: &Relations, i: u32) -> u64 {
-    (0..rels.rel.d).map(|k| rels.sub_count(k, i)).sum()
-}
+use crate::repartition::{self, rs_objects, Pass, Place, RsArea};
 
 /// Execute the join (S catalog must be registered).
 pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let d = rels.rel.d;
-    let page = env.page_size();
-    let r_size = rels.rel.r_size;
-    let slots: std::sync::Arc<SharedSlots<ChunkedFile<E::File>>> = SharedSlots::new(d);
-
-    // Stages: setup | pass0 | phase 1..d-1 | sort+merge+join.
-    let stages = 2 + (d as usize - 1) + 1;
-
-    let (states, times) = run_stages(
-        env,
-        d,
-        spec.mode,
-        stages,
-        |_| SmState::<E> {
-            acc: JoinAcc::default(),
-            rf: None,
-            rp: None,
-            rs: None,
-        },
-        |stage, i, state: &mut SmState<E>| {
-            let proc = ProcId::rproc(i);
-            match stage {
-                0 => {
-                    // ---- setup: create/open every area, publish RS_i ----
-                    state.rf = Some(env.open_file(proc, &rels.r_files[i as usize])?);
-                    let _sf = env.open_file(proc, &rels.s_files[i as usize])?;
-                    let rp_capacity = chunked_capacity(rels.rel.r_per_part(), r_size, d, page);
-                    let rp_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::rp(i)),
-                        DiskId(i),
-                        rp_capacity,
-                    )?;
-                    state.rp = Some(ChunkedFile::new(rp_file, d, r_size, page)?);
-
-                    let rs_capacity = chunked_capacity(rs_objects(rels, i), r_size, 1, page);
-                    let rs_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::rs(i)),
-                        DiskId(i),
-                        rs_capacity,
-                    )?;
-                    let rs = ChunkedFile::new(rs_file, 1, r_size, page)?;
-                    slots.publish(i, rs.clone());
-                    state.rs = Some(rs);
-                    // The alternate merge area (created now, charged as
-                    // in the model's setup term).
-                    let merge_file = env.create_file(
-                        proc,
-                        &spec.temp_name(rels, &names::merge(i)),
-                        DiskId(i),
-                        rs_capacity,
-                    )?;
-                    drop(merge_file);
-                    Ok(())
-                }
-                1 => pass0(env, rels, spec, i, state),
-                s if s < stages - 1 => {
-                    let t = (s - 1) as u32;
-                    phase(env, rels, i, t, state, &slots)
-                }
-                _ => local_sort_merge_join(env, rels, spec, i, state),
-            }
-        },
-    )?;
-
-    let mut names: Vec<String> = vec!["setup".into(), "pass0".into()];
-    names.extend((1..d).map(|t| format!("phase{t}")));
-    names.push("sort+merge+join".into());
-    let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    let summary = stage_summary(&refs, &times);
-    Ok(finish(
-        env,
-        d,
-        states.into_iter().map(|s| s.acc),
-        summary,
-        &times,
-    ))
-}
-
-fn pass0<E: Env>(
-    env: &E,
-    rels: &Relations,
-    spec: &JoinSpec,
-    i: u32,
-    state: &mut SmState<E>,
-) -> Result<()> {
-    let proc = ProcId::rproc(i);
-    let rf = state
-        .rf
-        .clone()
-        .ok_or_else(|| EnvError::InvalidConfig("sort-merge: setup stage left no R file".into()))?;
-    let r_size = rels.rel.r_size;
-    let part_bytes = rels.rel.s_part_bytes();
-    let rp = state
-        .rp
-        .clone()
-        .ok_or_else(|| EnvError::InvalidConfig("sort-merge: setup stage left no RP area".into()))?;
-    let rs = state
-        .rs
-        .clone()
-        .ok_or_else(|| EnvError::InvalidConfig("sort-merge: setup stage left no RS area".into()))?;
-    env.trace(
-        proc,
-        TraceEvent::PassStart {
-            proc: i,
-            pass: 0,
-            phase: 0,
-            disk: i,
-            area: format!("R_{i}"),
-        },
-    );
-    let ri_objects = rels.rel.r_per_part();
-    let mut scan = ObjScan::new(&rf, 0, r_size, ri_objects);
-    let mut obj = vec![0u8; r_size as usize];
-    while scan.next_into(proc, &mut obj)? {
-        env.cpu(proc, CpuOp::Map, 1);
-        let ptr = r_sptr(&obj);
-        let j = ptr.partition(part_bytes);
-        if j == i {
-            rs.append(proc, 0, &obj)?;
-        } else {
-            rp.append(proc, j, &obj)?;
-        }
-        env.move_bytes(proc, MoveKind::PP, r_size as u64);
-    }
-    env.trace(
-        proc,
-        TraceEvent::PassEnd {
-            proc: i,
-            pass: 0,
-            phase: 0,
-            disk: i,
-            area: format!("R_{i}"),
-            bytes: ri_objects * r_size as u64,
-            objects: ri_objects,
-        },
-    );
-    let _ = spec;
-    Ok(())
-}
-
-fn phase<E: Env>(
-    env: &E,
-    rels: &Relations,
-    i: u32,
-    t: u32,
-    state: &mut SmState<E>,
-    slots: &SharedSlots<ChunkedFile<E::File>>,
-) -> Result<()> {
-    let proc = ProcId::rproc(i);
-    let d = rels.rel.d;
-    let j = phase_partner(i, t, d);
-    env.trace(
-        proc,
-        TraceEvent::PassStart {
-            proc: i,
-            pass: 1,
-            phase: t,
-            disk: j,
-            area: format!("R({i},{j})"),
-        },
-    );
-    let rp = state
-        .rp
-        .as_ref()
-        .ok_or_else(|| EnvError::InvalidConfig("sort-merge: pass 0 left no RP area".into()))?;
-    let rs_j = slots.try_get(j)?;
-    let mut reader = rp.stream_reader(j);
-    let mut obj = vec![0u8; rels.rel.r_size as usize];
-    let mut objects = 0u64;
-    while reader.next_into(proc, &mut obj)? {
-        rs_j.append(proc, 0, &obj)?;
-        env.move_bytes(proc, MoveKind::PP, rels.rel.r_size as u64);
-        objects += 1;
-    }
-    env.trace(
-        proc,
-        TraceEvent::PassEnd {
-            proc: i,
-            pass: 1,
-            phase: t,
-            disk: j,
-            area: format!("R({i},{j})"),
-            bytes: objects * rels.rel.r_size as u64,
-            objects,
-        },
-    );
-    Ok(())
+    let area = RsArea {
+        buckets: 1,
+        scratch: Some(names::merge),
+        local_stage: "sort+merge+join",
+        local_join: &|i, rs, acc| local_sort_merge_join(env, rels, spec, i, rs, acc),
+    };
+    repartition::run(env, rels, spec, Some(area), |_, _| Place::Rs(0))
 }
 
 fn local_sort_merge_join<E: Env>(
@@ -239,38 +39,16 @@ fn local_sort_merge_join<E: Env>(
     rels: &Relations,
     spec: &JoinSpec,
     i: u32,
-    state: &mut SmState<E>,
+    rs: &ChunkedFile<E::File>,
+    acc: &mut JoinAcc,
 ) -> Result<()> {
     let proc = ProcId::rproc(i);
     let r_size = rels.rel.r_size as usize;
-    let rs = state
-        .rs
-        .take()
-        .ok_or_else(|| EnvError::InvalidConfig("sort-merge: setup stage left no RS area".into()))?;
     let n = rs.stream_len(0);
-    env.trace(
-        proc,
-        TraceEvent::PassStart {
-            proc: i,
-            pass: 2,
-            phase: 0,
-            disk: i,
-            area: format!("RS_{i}"),
-        },
-    );
-    let pass_end = |objects: u64| TraceEvent::PassEnd {
-        proc: i,
-        pass: 2,
-        phase: 0,
-        disk: i,
-        area: format!("RS_{i}"),
-        bytes: objects * r_size as u64,
-        objects,
-    };
-    let mut batcher = SBatcher::new(env, proc, i, rels, spec.g_buffer);
+    let pass = Pass::local(i);
+    pass.start(env);
     if n == 0 {
-        batcher.flush(&mut state.acc)?;
-        env.trace(proc, pass_end(0));
+        pass.end(env, 0, r_size as u64);
         return Ok(());
     }
 
@@ -313,17 +91,13 @@ fn local_sort_merge_join<E: Env>(
     // with exact-fit extent reuse keeping the disk layout stable).
     let rs_name = spec.temp_name(rels, &names::rs(i));
     let merge_name = spec.temp_name(rels, &names::merge(i));
-    let mut src = rs;
+    let mut src = rs.clone();
     let mut src_is_rs = true;
     let mut run_len = irun;
     let page = env.page_size();
 
     for _abl in 0..plan.npass - 1 {
-        let (dst_name, src_name) = if src_is_rs {
-            (&merge_name, &rs_name)
-        } else {
-            (&rs_name, &merge_name)
-        };
+        let dst_name = if src_is_rs { &merge_name } else { &rs_name };
         // Re-create the destination area fresh.
         let dst_capacity = chunked_capacity(n, rels.rel.r_size, 1, page);
         env.delete_file(proc, dst_name)?;
@@ -340,16 +114,16 @@ fn local_sort_merge_join<E: Env>(
             run_len,
             plan.nrun_abl,
             None,
-            &mut state.acc,
+            acc,
         )?;
 
         src = dst;
         src_is_rs = !src_is_rs;
         run_len = run_len.saturating_mul(plan.nrun_abl);
-        let _ = src_name;
     }
 
     // ---- last pass: merge + join against a sequential S_i scan ----
+    let mut batcher = SBatcher::new(env, proc, i, rels, spec.g_buffer);
     merge_pass(
         env,
         proc,
@@ -360,9 +134,9 @@ fn local_sort_merge_join<E: Env>(
         run_len,
         u64::MAX, // merge every remaining run at once
         Some(&mut batcher),
-        &mut state.acc,
+        acc,
     )?;
-    env.trace(proc, pass_end(n));
+    pass.end(env, n, r_size as u64);
     Ok(())
 }
 

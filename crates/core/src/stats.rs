@@ -17,10 +17,7 @@
 //! still hammers a single remote partition, so skew only shows up in
 //! the per-source rows.
 //!
-//! Everything here is deterministic for a fixed seed, and the summary
-//! round-trips through its hand-rolled JSON encoding bitwise (floats
-//! are printed with Rust's shortest-round-trip `Display`), so a plan's
-//! provenance can be journaled and replayed exactly.
+//! Everything here is deterministic for a fixed seed.
 
 /// Default number of pointers a submit-time sample draws.
 pub const SAMPLE_CAP: usize = 4096;
@@ -252,112 +249,6 @@ impl SampleSummary {
         let est = self.distinct as f64 + f1 * (f1 - 1.0) / (2.0 * (f2 + 1.0));
         (est.round() as u64).clamp(self.distinct, self.s_objects.max(self.distinct))
     }
-
-    /// Encode as one flat JSON object. Floats use Rust's `Display`
-    /// (shortest round-trip representation), so
-    /// [`SampleSummary::from_json`] reconstructs them bitwise.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"population\":{},\"sampled\":{},\"s_objects\":{},\"d\":{},",
-            self.population, self.sampled, self.s_objects, self.d
-        );
-        let _ = write!(s, "\"part_counts\":{},", encode_u64s(&self.part_counts));
-        let _ = write!(s, "\"cells\":{},", encode_u64s(&self.cells));
-        let _ = write!(
-            s,
-            "\"distinct\":{},\"singletons\":{},\"doubletons\":{},\"duplication\":{},",
-            self.distinct, self.singletons, self.doubletons, self.duplication
-        );
-        let _ = write!(
-            s,
-            "\"bounds\":{},\"depths\":{}}}",
-            encode_u64s(&self.bounds),
-            encode_u64s(&self.depths)
-        );
-        s
-    }
-
-    /// Decode a summary produced by [`SampleSummary::to_json`].
-    pub fn from_json(text: &str) -> Result<SampleSummary, String> {
-        Ok(SampleSummary {
-            population: field_u64(text, "population")?,
-            sampled: field_u64(text, "sampled")?,
-            s_objects: field_u64(text, "s_objects")?,
-            d: field_u64(text, "d")? as u32,
-            part_counts: field_u64s(text, "part_counts")?,
-            cells: field_u64s(text, "cells")?,
-            distinct: field_u64(text, "distinct")?,
-            singletons: field_u64(text, "singletons")?,
-            doubletons: field_u64(text, "doubletons")?,
-            duplication: field_f64(text, "duplication")?,
-            bounds: field_u64s(text, "bounds")?,
-            depths: field_u64s(text, "depths")?,
-        })
-    }
-}
-
-fn encode_u64s(values: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&v.to_string());
-    }
-    s.push(']');
-    s
-}
-
-/// Locate `"key":` and return the raw value text that follows (up to
-/// the enclosing `,` or `}` for scalars, the matching `]` for arrays).
-fn field_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let marker = format!("\"{key}\":");
-    let at = text
-        .find(&marker)
-        .ok_or_else(|| format!("missing field '{key}'"))?;
-    let rest = &text[at + marker.len()..];
-    if let Some(stripped) = rest.strip_prefix('[') {
-        let end = stripped
-            .find(']')
-            .ok_or_else(|| format!("unterminated array for '{key}'"))?;
-        Ok(&stripped[..end])
-    } else {
-        let end = rest
-            .find([',', '}'])
-            .ok_or_else(|| format!("unterminated value for '{key}'"))?;
-        Ok(&rest[..end])
-    }
-}
-
-fn field_u64(text: &str, key: &str) -> Result<u64, String> {
-    field_raw(text, key)?
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad integer for '{key}'"))
-}
-
-fn field_f64(text: &str, key: &str) -> Result<f64, String> {
-    field_raw(text, key)?
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad float for '{key}'"))
-}
-
-fn field_u64s(text: &str, key: &str) -> Result<Vec<u64>, String> {
-    let raw = field_raw(text, key)?.trim();
-    if raw.is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("bad integer in '{key}'"))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -487,8 +378,6 @@ mod tests {
         assert_eq!(s.duplication, 1.0);
         assert_eq!(s.estimated_distinct(), 400, "no sample: assume full |S|");
         assert!(s.bounds.is_empty() && s.depths.is_empty());
-        let back = SampleSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]
@@ -506,8 +395,6 @@ mod tests {
         assert_eq!(s.duplication, 1.0);
         assert_eq!(s.part_counts, vec![0, 0, 0, 0]);
         assert!(s.cells.iter().all(|&c| c == 0));
-        // And it still round-trips through JSON.
-        assert_eq!(SampleSummary::from_json(&s.to_json()).unwrap(), s);
     }
 
     #[test]
@@ -570,15 +457,6 @@ mod tests {
         assert_eq!(tiny.items().len(), 1);
     }
 
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(SampleSummary::from_json("{}").is_err());
-        assert!(SampleSummary::from_json("not json").is_err());
-        let good = SampleSummary::from_pointers(&[(0, 1), (0, 2), (1, 3)], 3, 4, 2, 2).to_json();
-        let broken = good.replace("\"distinct\"", "\"distime\"");
-        assert!(SampleSummary::from_json(&broken).is_err());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -611,25 +489,6 @@ mod tests {
                 skew <= 1.0 + eps,
                 "uniform stream sampled skew {skew} > 1 + {eps} (d={d}, seed={seed})"
             );
-        }
-
-        #[test]
-        fn summary_round_trips_through_json_bitwise(
-            seed in 0u64..1_000_000,
-            n in 1usize..3_000,
-            d in 1u32..9,
-        ) {
-            let s_objects = 512 * d as u64;
-            let ptrs = uniformish(n as u64, s_objects, d, seed);
-            let sum = SampleSummary::from_pointers(
-                &ptrs, n as u64, s_objects, d, HISTOGRAM_BUCKETS,
-            );
-            let back = SampleSummary::from_json(&sum.to_json())
-                .expect("round trip parses");
-            // PartialEq on f64 is bitwise here: Display prints the
-            // shortest string that parses back to the same bits.
-            prop_assert_eq!(&back, &sum);
-            prop_assert_eq!(back.duplication.to_bits(), sum.duplication.to_bits());
         }
 
         #[test]

@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use mmjoin::repartition::Pass;
 use mmjoin::{choose_auto, Reservoir, SampleSummary, HISTOGRAM_BUCKETS, SAMPLE_CAP};
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{CpuOp, DiskId, Env, FileOps, ProcId, Result, SCatalog, SPtr, TraceEvent};
@@ -169,18 +170,14 @@ impl<E: Env> ResidentSet<E> {
                     rel.s_per_part() * (rel.s_per_part().max(2) as f64).log2().ceil() as u64,
                 ),
             }
-            env.trace(
-                proc,
-                TraceEvent::PassEnd {
-                    proc: 0,
-                    pass: 0,
-                    phase: 0,
-                    disk: j,
-                    area: idx_name.clone(),
-                    bytes: idx_bytes,
-                    objects: rel.s_per_part(),
-                },
-            );
+            Pass {
+                proc: proc.0,
+                pass: 0,
+                phase: 0,
+                disk: j,
+                area: idx_name.clone(),
+            }
+            .end(env.as_ref(), rel.s_per_part(), IDX_ENTRY);
             idx_files.push(idx_name);
         }
 

@@ -227,7 +227,7 @@ fn sequential_and_threaded_traces_have_equal_event_sets() {
     // Threaded execution interleaves emissions across procs, but each
     // proc must still produce the same multiset of pass boundaries.
     let d = 2u32;
-    for alg in [Algo::Grace, Algo::NestedLoops] {
+    for alg in STAGED {
         let seq = traced_events(alg, d, 2 * 1024);
 
         let mut cfg = SimConfig::waterloo96(d);
