@@ -6,9 +6,15 @@
 //! One thread per configured node owns that node's TCP session:
 //! connect (with [`RetryPolicy`] backoff on transient errors — the same
 //! classification [`EnvError::is_transient`] gives the join retry
-//! layer), read the node's `Hello` registration, then loop: claim
-//! pending jobs that fit the node's advertised budget and free worker
-//! slots, send heartbeats, and absorb `Pong`/`JobDone` replies.
+//! layer) and read the node's `Hello` registration. From there the
+//! session is event-driven and has two halves. The owner thread is the
+//! *dispatcher*: it claims pending jobs that fit the node's advertised
+//! budget and free worker slots, sends heartbeats on a timer, and
+//! otherwise sleeps on the coordinator's condvar until a submit, a
+//! completion, a membership change or the next timer wakes it. A
+//! *reader* thread, alive only for the session, blocks on the socket
+//! and absorbs `Pong`/`JobDone` replies. Nothing polls: a hand-off
+//! between the two costs a context switch, not a tick.
 //!
 //! A connection **drop** that still has reconnect budget re-queues the
 //! node's in-flight jobs before the reconnect attempt: a `RunJob`
@@ -201,6 +207,11 @@ struct NodeState {
     speed: f64,
     reserved: u64,
     in_flight: std::collections::BTreeMap<u64, InFlight>,
+    /// When the live session's reader last got a frame; the heartbeat
+    /// timer measures silence from here.
+    last_heard: Option<Instant>,
+    /// How the live session's reader ended, left for its dispatcher.
+    reader_end: Option<SessionEnd>,
 }
 
 impl NodeState {
@@ -228,6 +239,10 @@ struct CoState {
 struct CoShared {
     cfg: ClusterConfig,
     state: Mutex<CoState>,
+    /// Signalled after every change to `state` that a sleeper could act
+    /// on. Dispatchers, reconnect backoffs and `drain` all sleep here,
+    /// and each checks its condition under `state` before waiting, so a
+    /// wake-up cannot be lost.
     done: Condvar,
     start: Instant,
     journal: Option<Mutex<Journal<MmapEnv>>>,
@@ -455,6 +470,8 @@ impl CoShared {
         };
         node.registered = true;
         node.alive = true;
+        node.last_heard = Some(Instant::now());
+        node.reader_end = None;
         st.stats.node_joins += 1;
         self.trace(TraceEvent::NodeJoined {
             node: name.to_string(),
@@ -467,8 +484,7 @@ impl CoShared {
 
     /// Claim the first ready pending job that fits node `idx`'s free
     /// budget and worker slots. Reserves and journals the dispatch.
-    fn claim(&self, idx: usize) -> Option<(u64, String)> {
-        let mut st = self.lock();
+    fn claim(&self, st: &mut CoState, idx: usize) -> Option<(u64, String)> {
         let node = &st.nodes[idx];
         if !node.alive || node.in_flight.len() >= node.workers as usize {
             return None;
@@ -490,11 +506,12 @@ impl CoShared {
             .position(|p| p.ready_at <= now && p.req.footprint() <= free)?;
         // Host-aware placement: when a strictly faster node could run
         // this job *right now* (alive, free worker slot, free budget),
-        // leave it in the queue — that node's session loop claims
-        // within one poll interval. If the faster node dies or fills
-        // up, the condition lapses and this node takes the job, so
-        // nothing starves; a stalled-but-undeclared faster node delays
-        // a job by at most the failure-detection timeout.
+        // leave it in the queue — that node's dispatcher is woken by
+        // the same notify. If the faster node dies or fills up, the
+        // condition lapses (and this node is notified in turn) and this
+        // node takes the job, so nothing starves; a
+        // stalled-but-undeclared faster node delays a job by at most
+        // the failure-detection timeout.
         let footprint = st.pending[pos].req.footprint();
         let my_speed = st.nodes[idx].speed;
         let faster_is_free = st.nodes.iter().enumerate().any(|(k, n)| {
@@ -530,6 +547,11 @@ impl CoShared {
             job: id,
             node: node_name,
         });
+        if !st.pending.is_empty() {
+            // This node just got fuller: a slower node that deferred
+            // to it may now be the one to take the next job.
+            self.done.notify_all();
+        }
         Some((id, line))
     }
 
@@ -548,6 +570,7 @@ impl CoShared {
         error: String,
     ) {
         let mut st = self.lock();
+        st.nodes[idx].last_heard = Some(Instant::now());
         if st.completed.contains(&job) {
             // The at-least-once resend path: this completion was
             // already recorded (possibly from a previous connection or
@@ -559,6 +582,9 @@ impl CoShared {
             if let Some(fl) = st.nodes[idx].in_flight.remove(&job) {
                 let node = &mut st.nodes[idx];
                 node.reserved = node.reserved.saturating_sub(fl.req.footprint());
+                // A worker slot came free.
+                drop(st);
+                self.done.notify_all();
             }
             return;
         }
@@ -629,17 +655,36 @@ impl CoShared {
 
     /// True when finish was requested and node `idx` has nothing left
     /// to do (no pending work anywhere, nothing in flight on it).
-    fn ready_to_part(&self, idx: usize) -> bool {
-        let st = self.lock();
+    fn ready_to_part(st: &CoState, idx: usize) -> bool {
         st.halt && st.pending.is_empty() && st.nodes[idx].in_flight.is_empty()
     }
 
-    /// True when the coordinator was dropped without `finish`: detach
-    /// from the node silently — it must keep serving (a restarted
-    /// coordinator will reconnect), so no `Shutdown` is sent.
-    fn abandoned(&self, idx: usize) -> bool {
-        let st = self.lock();
-        st.halt && st.nodes[idx].terminal
+    /// The live session's reader got a frame other than a `JobDone`.
+    /// No notify: a dispatcher that wakes at a stale silence deadline
+    /// just re-reads the stamp.
+    fn heard(&self, idx: usize) {
+        self.lock().nodes[idx].last_heard = Some(Instant::now());
+    }
+
+    /// Sleep out a reconnect backoff, returning early once the
+    /// coordinator halts or the node is terminal.
+    fn pause(&self, idx: usize, backoff: Duration) {
+        let deadline = Instant::now() + backoff;
+        let mut st = self.lock();
+        while !st.halt && !st.nodes[idx].terminal {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            st = self.wait(st, left);
+        }
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, CoState>, timeout: Duration) -> MutexGuard<'a, CoState> {
+        self.done
+            .wait_timeout(st, timeout)
+            .unwrap_or_else(|e| e.into_inner())
+            .0
     }
 
     /// Mark node `idx` cleanly departed (finish-time `Shutdown`).
@@ -661,24 +706,35 @@ enum SessionEnd {
     Dropped(io::Error),
 }
 
-/// Run one registered session over `stream`. Returns how it ended.
-fn session(shared: &CoShared, idx: usize, mut stream: TcpStream) -> SessionEnd {
-    let poll = Duration::from_millis(20).min(shared.cfg.heartbeat);
-    if let Err(e) = stream
-        .set_nodelay(true)
-        .and_then(|()| stream.set_read_timeout(Some(poll)))
-        .and_then(|()| stream.set_write_timeout(Some(shared.cfg.timeout)))
-    {
-        return SessionEnd::Dropped(e);
+impl SessionEnd {
+    fn read_failed(e: io::Error) -> SessionEnd {
+        if e.kind() == io::ErrorKind::InvalidData {
+            SessionEnd::Dead(format!("protocol error: {e}"))
+        } else {
+            SessionEnd::Dropped(e)
+        }
     }
-    // Per-connection frame state: a frame split across TCP segments can
-    // hit the poll timeout mid-frame, and the partial bytes must carry
-    // over to the next read instead of corrupting the stream.
+
+    fn closed(what: &str) -> SessionEnd {
+        SessionEnd::Dropped(io::Error::new(io::ErrorKind::UnexpectedEof, what))
+    }
+}
+
+/// Registration: the node speaks first. The one bounded read of a
+/// session — a node that connects and says nothing is dead after the
+/// failure-detection timeout.
+fn await_hello(shared: &CoShared, idx: usize, stream: &mut TcpStream) -> Result<(), SessionEnd> {
+    let deadline = Instant::now() + shared.cfg.timeout;
     let mut reader = FrameReader::new();
-    // Registration: the node speaks first.
-    let hello_deadline = Instant::now() + shared.cfg.timeout;
     loop {
-        match reader.read_msg(&mut stream) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(SessionEnd::Dead("no hello within timeout".into()));
+        }
+        stream
+            .set_read_timeout(Some(left))
+            .map_err(SessionEnd::Dropped)?;
+        match reader.read_msg(stream) {
             Ok(Some(Message::Hello {
                 node,
                 budget_bytes,
@@ -686,54 +742,26 @@ fn session(shared: &CoShared, idx: usize, mut stream: TcpStream) -> SessionEnd {
                 speed,
             })) => {
                 shared.register(idx, &node, budget_bytes, workers, speed);
-                break;
+                return stream.set_read_timeout(None).map_err(SessionEnd::Dropped);
             }
             Ok(Some(_)) => {}
-            Ok(None) => {
-                return SessionEnd::Dropped(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "closed before hello",
-                ))
-            }
+            Ok(None) => return Err(SessionEnd::closed("closed before hello")),
+            // The deadline check at the top of the loop decides.
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() > hello_deadline {
-                    return SessionEnd::Dead("no hello within timeout".into());
-                }
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return SessionEnd::Dead(format!("protocol error: {e}"));
-            }
-            Err(e) => return SessionEnd::Dropped(e),
+            Err(e) => return Err(SessionEnd::read_failed(e)),
         }
     }
-    let mut last_heard = Instant::now();
-    let mut last_ping = Instant::now();
-    let mut seq = 0u64;
-    loop {
-        if shared.abandoned(idx) {
-            return SessionEnd::Parted;
-        }
-        if shared.ready_to_part(idx) {
-            let _ = write_msg(&mut stream, &Message::Shutdown);
-            shared.depart(idx);
-            return SessionEnd::Parted;
-        }
-        while let Some((job, line)) = shared.claim(idx) {
-            if let Err(e) = write_msg(&mut stream, &Message::RunJob { job, line }) {
-                return SessionEnd::Dropped(e);
-            }
-        }
-        if last_ping.elapsed() >= shared.cfg.heartbeat {
-            seq += 1;
-            if let Err(e) = write_msg(&mut stream, &Message::Ping { seq }) {
-                return SessionEnd::Dropped(e);
-            }
-            last_ping = Instant::now();
-        }
+}
+
+/// The read half of a registered session: block on the socket, absorb
+/// completions, stamp every frame as a sign of life, and on the way out
+/// leave the reason for the dispatcher.
+fn read_loop(shared: &CoShared, idx: usize, mut stream: TcpStream) {
+    let mut reader = FrameReader::new();
+    let end = loop {
         match reader.read_msg(&mut stream) {
-            Ok(Some(Message::Pong { .. })) => last_heard = Instant::now(),
             Ok(Some(Message::JobDone {
                 job,
                 alg,
@@ -741,33 +769,102 @@ fn session(shared: &CoShared, idx: usize, mut stream: TcpStream) -> SessionEnd {
                 checksum,
                 ok,
                 error,
-            })) => {
-                last_heard = Instant::now();
-                shared.complete(idx, job, alg, pairs, checksum, ok, error);
-            }
-            Ok(Some(_)) => last_heard = Instant::now(),
-            Ok(None) => {
-                return SessionEnd::Dropped(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "node closed the connection",
-                ))
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if last_heard.elapsed() > shared.cfg.timeout {
-                    return SessionEnd::Dead(format!(
-                        "heartbeat timeout ({} ms unanswered)",
-                        last_heard.elapsed().as_millis()
-                    ));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return SessionEnd::Dead(format!("protocol error: {e}"));
-            }
-            Err(e) => return SessionEnd::Dropped(e),
+            })) => shared.complete(idx, job, alg, pairs, checksum, ok, error),
+            Ok(Some(_)) => shared.heard(idx),
+            Ok(None) => break SessionEnd::closed("node closed the connection"),
+            Err(e) => break SessionEnd::read_failed(e),
         }
+    };
+    shared.lock().nodes[idx].reader_end = Some(end);
+    shared.done.notify_all();
+}
+
+/// The write half of a registered session: dispatch what node `idx` can
+/// take, ping on the heartbeat timer, and otherwise sleep on `done`
+/// until something changes or the next timer is due — the heartbeat,
+/// the silence deadline, or a re-queued job's `ready_at`.
+fn dispatch(shared: &CoShared, idx: usize, stream: &mut TcpStream) -> SessionEnd {
+    let mut next_ping = Instant::now() + shared.cfg.heartbeat;
+    let mut seq = 0u64;
+    let mut st = shared.lock();
+    loop {
+        // Dropped without `finish`: detach from the node silently — it
+        // must keep serving (a restarted coordinator will reconnect),
+        // so no `Shutdown` is sent.
+        if st.halt && st.nodes[idx].terminal {
+            return SessionEnd::Parted;
+        }
+        if let Some(end) = st.nodes[idx].reader_end.take() {
+            return end;
+        }
+        let now = Instant::now();
+        let heard = st.nodes[idx].last_heard.unwrap_or(now);
+        let silent_at = heard + shared.cfg.timeout;
+        let msg = if CoShared::ready_to_part(&st, idx) {
+            Message::Shutdown
+        } else if let Some((job, line)) = shared.claim(&mut st, idx) {
+            Message::RunJob { job, line }
+        } else if now >= silent_at {
+            return SessionEnd::Dead(format!(
+                "heartbeat timeout ({} ms unanswered)",
+                (now - heard).as_millis()
+            ));
+        } else if now >= next_ping {
+            seq += 1;
+            next_ping = now + shared.cfg.heartbeat;
+            Message::Ping { seq }
+        } else {
+            let ready_at = st.pending.iter().map(|p| p.ready_at).filter(|t| *t > now);
+            let wake = ready_at.fold(next_ping.min(silent_at), Instant::min);
+            st = shared.wait(st, wake - now);
+            continue;
+        };
+        // Socket writes happen outside the lock; everything above is
+        // re-checked once it is back.
+        drop(st);
+        let sent = write_msg(stream, &msg);
+        if matches!(msg, Message::Shutdown) {
+            shared.depart(idx);
+            return SessionEnd::Parted;
+        }
+        if let Err(e) = sent {
+            return SessionEnd::Dropped(e);
+        }
+        st = shared.lock();
     }
+}
+
+/// Run one session over `stream`: register, then a blocked reader and a
+/// sleeping dispatcher share the socket until one of them ends it. The
+/// socket-specific calls (options, `try_clone`, `shutdown`) all live
+/// here and in [`await_hello`].
+fn session(shared: &CoShared, idx: usize, mut stream: TcpStream) -> SessionEnd {
+    if let Err(e) = stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_write_timeout(Some(shared.cfg.timeout)))
+    {
+        return SessionEnd::Dropped(e);
+    }
+    if let Err(end) = await_hello(shared, idx, &mut stream) {
+        return end;
+    }
+    let read_half = match stream.try_clone() {
+        Ok(s) => s,
+        Err(e) => return SessionEnd::Dropped(e),
+    };
+    std::thread::scope(|scope| {
+        let reader = std::thread::Builder::new()
+            .name(format!("cluster-node-{idx}-reader"))
+            .spawn_scoped(scope, || read_loop(shared, idx, read_half));
+        let end = match reader {
+            Ok(_) => dispatch(shared, idx, &mut stream),
+            Err(e) => SessionEnd::Dropped(e),
+        };
+        // Unblocks the reader, which the scope then joins: no reader
+        // outlives its session.
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        end
+    })
 }
 
 /// The per-node owner thread: connect with backoff, run sessions, and
@@ -776,12 +873,16 @@ fn node_loop(shared: Arc<CoShared>, idx: usize) {
     let addr = shared.lock().nodes[idx].addr.clone();
     let mut attempt = 0u32;
     loop {
-        if shared.ready_to_part(idx) {
-            shared.depart(idx);
-            return;
-        }
-        if shared.lock().nodes[idx].terminal {
-            return;
+        {
+            let st = shared.lock();
+            if CoShared::ready_to_part(&st, idx) {
+                drop(st);
+                shared.depart(idx);
+                return;
+            }
+            if st.nodes[idx].terminal {
+                return;
+            }
         }
         let stream = match TcpStream::connect(&addr) {
             Ok(s) => {
@@ -795,7 +896,7 @@ fn node_loop(shared: Arc<CoShared>, idx: usize) {
                     shared.declare_dead(idx, &format!("connect to {addr} failed"));
                     return;
                 }
-                std::thread::sleep(shared.cfg.retry.backoff(attempt));
+                shared.pause(idx, shared.cfg.retry.backoff(attempt));
                 continue;
             }
         };
@@ -817,7 +918,7 @@ fn node_loop(shared: Arc<CoShared>, idx: usize) {
                 // queue before reconnecting (node-side dedup absorbs
                 // the duplicates).
                 shared.requeue_dropped(idx);
-                std::thread::sleep(shared.cfg.retry.backoff(attempt));
+                shared.pause(idx, shared.cfg.retry.backoff(attempt));
             }
         }
     }
@@ -965,6 +1066,9 @@ impl Coordinator {
             ready_at: Instant::now(),
             submitted: Instant::now(),
         });
+        drop(st);
+        // Wake the idle dispatchers: one of them can take this job now.
+        self.shared.done.notify_all();
         Ok(id)
     }
 
@@ -1010,12 +1114,7 @@ impl Coordinator {
                 }
                 return;
             }
-            let (guard, _) = self
-                .shared
-                .done
-                .wait_timeout(st, Duration::from_millis(100))
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
+            st = self.shared.wait(st, Duration::from_millis(100));
         }
     }
 

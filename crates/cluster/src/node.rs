@@ -10,6 +10,16 @@
 //! accept loop survives disconnects, so a coordinator that restarts or
 //! rides out a network blip simply reconnects.
 //!
+//! Nothing here polls. The accept loop blocks in `accept`, the
+//! connection thread blocks in `read` (`RunJob`, `Ping`, `Shutdown`),
+//! and completions are *pushed*: one pump thread per node blocks on the
+//! local service for results it has not seen and writes each `JobDone`
+//! to the live connection the moment it exists. Every writer — `Hello`,
+//! `Pong`, the pump, a resend — holds the one connection mutex, so
+//! frames never interleave. `kill`, `Shutdown` and drop end all three
+//! through the `running` flag plus a socket reset (and a throw-away
+//! self-connect for a blocked `accept`).
+//!
 //! # At-least-once dispatch, idempotent dedup
 //!
 //! Dispatch is at-least-once: the coordinator resends any `RunJob` it
@@ -24,25 +34,29 @@
 //!   its side), so a completion can be duplicated on the wire but never
 //!   in either side's state.
 //!
-//! [`NodeServer::kill`] exists for chaos tests: it drops the listener
+//! [`NodeServer::kill`] exists for chaos tests: it stops the listener
 //! and resets the live connection without any goodbye, which is
 //! indistinguishable over TCP from the process being SIGKILLed.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mmjoin_serve::{JobRequest, ServeConfig, Service};
 
 use crate::wire::{write_msg, FrameReader, Message};
 
-/// Poll cadence of the per-connection loop: the read timeout that also
-/// paces the completion pump.
-const POLL: Duration = Duration::from_millis(20);
+/// How often the idle completion pump looks at the `running` flag. Not
+/// on the job path: a completion wakes the pump through the service's
+/// own condvar; this only bounds how long `kill`/drop waits for it.
+const PUMP_IDLE: Duration = Duration::from_millis(50);
+
+/// A stalled coordinator must not wedge a writer forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Dedup and result-cache state for one node.
 #[derive(Default)]
@@ -54,8 +68,16 @@ struct NodeJobs {
     /// Cluster job id → cached `JobDone`, kept forever (results are a
     /// few dozen bytes; a node's lifetime is one benchmark run).
     done: BTreeMap<u64, Message>,
-    /// Local results already harvested from the service.
-    harvested: usize,
+}
+
+/// The write half of the live connection. Every frame the node sends —
+/// `Hello`, `Pong`, pushed and resent completions — is written under
+/// the mutex that holds this, so frames never interleave.
+struct Conn {
+    stream: TcpStream,
+    /// Completions sent on *this* connection; a reconnect starts empty,
+    /// so every cached completion is resent (at-least-once).
+    sent: BTreeSet<u64>,
 }
 
 struct NodeShared {
@@ -64,45 +86,93 @@ struct NodeShared {
     workers: u32,
     speed: f64,
     svc: Service,
-    /// Cleared by `Shutdown`, `kill`, or drop; every loop watches it.
+    /// Cleared by `Shutdown`, `kill`, or drop. The session ends with
+    /// the socket (`kill` resets it); the accept loop and the pump
+    /// check this flag when they wake.
     running: AtomicBool,
-    /// The live connection, kept so `kill` can reset it abruptly.
-    conn: Mutex<Option<TcpStream>>,
+    /// The live connection. Lock order: `conn` before `jobs`.
+    conn: Mutex<Option<Conn>>,
     jobs: Mutex<NodeJobs>,
 }
 
 impl NodeShared {
-    /// Harvest newly finished local results into cached `JobDone`
-    /// messages, then return every cached message not yet sent on this
-    /// connection (tracked by the caller's `sent` set).
-    fn pump(&self, sent: &mut BTreeSet<u64>) -> Vec<Message> {
-        let results = self.svc.results();
-        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        for r in &results[jobs.harvested.min(results.len())..] {
-            let Some(cluster) = jobs.local_to_cluster.remove(&r.id) else {
-                continue;
-            };
-            jobs.running.remove(&cluster);
-            jobs.done.insert(
-                cluster,
-                Message::JobDone {
-                    job: cluster,
-                    alg: r.alg.name().to_string(),
-                    pairs: r.pairs,
-                    checksum: r.checksum,
-                    ok: r.verified,
-                    error: r.error.clone().unwrap_or_default(),
-                },
-            );
-        }
-        jobs.harvested = results.len();
-        let mut out = Vec::new();
-        for (id, msg) in &jobs.done {
-            if sent.insert(*id) {
-                out.push(msg.clone());
+    fn conn(&self) -> MutexGuard<'_, Option<Conn>> {
+        self.conn.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn jobs(&self) -> MutexGuard<'_, NodeJobs> {
+        self.jobs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Write the cached completions of `ids` that `conn` has not sent
+    /// yet, as one buffer (the cache is only borrowed to encode them).
+    fn push_done(&self, conn: &mut Conn, ids: &[u64]) -> io::Result<()> {
+        let mut frames = Vec::new();
+        {
+            let jobs = self.jobs();
+            for id in ids {
+                match jobs.done.get(id) {
+                    Some(msg) if conn.sent.insert(*id) => {
+                        frames.extend_from_slice(&msg.encode());
+                    }
+                    _ => {}
+                }
             }
         }
-        out
+        if frames.is_empty() {
+            return Ok(());
+        }
+        conn.stream.write_all(&frames)
+    }
+
+    /// Run `write` on the live connection, if there is one. A failed
+    /// write resets the connection, which also ends its blocked reader.
+    fn send(&self, write: impl FnOnce(&mut Conn) -> io::Result<()>) {
+        let mut slot = self.conn();
+        if let Some(conn) = slot.as_mut() {
+            if write(conn).is_err() {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                *slot = None;
+            }
+        }
+    }
+
+    /// The completion pump: block on the local service for results it
+    /// has not seen, fold them into the `done` cache, and push them to
+    /// the coordinator on whatever connection is live. With none live
+    /// they wait in the cache for the next `Hello`.
+    fn pump(&self) {
+        let mut harvested = 0;
+        while self.running.load(Ordering::SeqCst) {
+            let fresh = self.svc.wait_results(harvested, Instant::now() + PUMP_IDLE);
+            if fresh.is_empty() {
+                continue;
+            }
+            harvested += fresh.len();
+            let mut finished = Vec::with_capacity(fresh.len());
+            {
+                let mut jobs = self.jobs();
+                for r in fresh {
+                    let Some(cluster) = jobs.local_to_cluster.remove(&r.id) else {
+                        continue;
+                    };
+                    finished.push(cluster);
+                    jobs.running.remove(&cluster);
+                    jobs.done.insert(
+                        cluster,
+                        Message::JobDone {
+                            job: cluster,
+                            alg: r.alg.name().to_string(),
+                            pairs: r.pairs,
+                            checksum: r.checksum,
+                            ok: r.verified,
+                            error: r.error.unwrap_or_default(),
+                        },
+                    );
+                }
+            }
+            self.send(|conn| self.push_done(conn, &finished));
+        }
     }
 
     /// Handle one `RunJob`: dedup against running and finished jobs,
@@ -110,7 +180,7 @@ impl NodeShared {
     /// completion should be resent (the coordinator asked about a job
     /// that already finished — it clearly never saw the result).
     fn accept_job(&self, job: u64, line: &str) -> bool {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        let mut jobs = self.jobs();
         if jobs.done.contains_key(&job) {
             return true;
         }
@@ -153,55 +223,62 @@ impl NodeShared {
         }
     }
 
-    fn handle(&self, mut stream: TcpStream) -> io::Result<()> {
-        // The listener is non-blocking (so the accept loop can watch
-        // the running flag); the session socket must not inherit that.
-        stream.set_nonblocking(false)?;
+    /// Serve one coordinator connection: register, then block on the
+    /// socket until it ends. The write half goes into `self.conn` for
+    /// the pump, `kill`, and this thread's own replies.
+    fn handle(&self, stream: TcpStream) -> io::Result<()> {
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(POLL))?;
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-        *self.conn.lock().unwrap_or_else(|e| e.into_inner()) = Some(stream.try_clone()?);
-        write_msg(
-            &mut stream,
-            &Message::Hello {
-                node: self.name.clone(),
-                budget_bytes: self.budget_bytes,
-                workers: self.workers,
-                speed: self.speed,
-            },
-        )?;
-        // Completions sent on *this* connection; a reconnect starts
-        // empty, so every cached completion is resent (at-least-once).
-        let mut sent: BTreeSet<u64> = BTreeSet::new();
-        // Per-connection frame state: the poll-timeout read can cut in
-        // mid-frame, and the partial bytes must carry over.
-        let mut reader = FrameReader::new();
-        loop {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        let mut read_half = stream.try_clone()?;
+        {
+            let mut slot = self.conn();
+            // `kill` clears `running` before it takes this lock, so a
+            // session that lost that race never installs a connection
+            // nobody would reset.
             if !self.running.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            for msg in self.pump(&mut sent) {
-                write_msg(&mut stream, &msg)?;
-            }
-            match reader.read_msg(&mut stream) {
-                Ok(Some(Message::RunJob { job, line })) => {
+            let mut conn = Conn {
+                stream,
+                sent: BTreeSet::new(),
+            };
+            write_msg(
+                &mut conn.stream,
+                &Message::Hello {
+                    node: self.name.clone(),
+                    budget_bytes: self.budget_bytes,
+                    workers: self.workers,
+                    speed: self.speed,
+                },
+            )?;
+            // Everything finished so far goes out again: the
+            // coordinator dedups what it already has.
+            let cached: Vec<u64> = self.jobs().done.keys().copied().collect();
+            self.push_done(&mut conn, &cached)?;
+            *slot = Some(conn);
+        }
+        // Reads block with no timeout, yet a frame can still arrive in
+        // pieces: the reader keeps the partial frame between `read`s.
+        let mut reader = FrameReader::new();
+        loop {
+            match reader.read_msg(&mut read_half)? {
+                Some(Message::RunJob { job, line }) => {
                     if self.accept_job(job, &line) {
-                        sent.remove(&job);
+                        self.send(|conn| {
+                            conn.sent.remove(&job);
+                            self.push_done(conn, &[job])
+                        });
                     }
                 }
-                Ok(Some(Message::Ping { seq })) => {
-                    write_msg(&mut stream, &Message::Pong { seq })?;
+                Some(Message::Ping { seq }) => {
+                    self.send(|conn| write_msg(&mut conn.stream, &Message::Pong { seq }));
                 }
-                Ok(Some(Message::Shutdown)) => {
+                Some(Message::Shutdown) => {
                     self.running.store(false, Ordering::SeqCst);
                     return Ok(());
                 }
-                Ok(Some(_)) => {}
-                Ok(None) => return Ok(()),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(e),
+                Some(_) => {}
+                None => return Ok(()),
             }
         }
     }
@@ -228,12 +305,13 @@ fn advertised_speed(cfg: &ServeConfig) -> f64 {
     }
 }
 
-/// A running worker node. Dropping it stops the accept loop and the
-/// wrapped service's workers.
+/// A running worker node. Dropping it stops the accept loop, the
+/// completion pump, and the wrapped service's workers.
 pub struct NodeServer {
     shared: Arc<NodeShared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
+    pump: Option<JoinHandle<()>>,
 }
 
 impl NodeServer {
@@ -249,9 +327,6 @@ impl NodeServer {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
         let shared = Arc::new(NodeShared {
             name: name.to_string(),
             budget_bytes,
@@ -267,28 +342,35 @@ impl NodeServer {
             .name(format!("node-{name}"))
             .spawn(move || {
                 while accept_shared.running.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Connections are served inline: one
-                            // coordinator, one session at a time. An
-                            // errored session just waits for the next
-                            // connect.
-                            let _ = accept_shared.handle(stream);
-                            *accept_shared.conn.lock().unwrap_or_else(|e| e.into_inner()) = None;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
-                    }
+                    // Blocks; `kill` clears `running` and then wakes it
+                    // with a throw-away connection, which `handle`
+                    // turns away.
+                    let Ok((stream, _)) = listener.accept() else {
+                        break;
+                    };
+                    // Connections are served inline: one coordinator,
+                    // one session at a time. An errored session just
+                    // waits for the next connect.
+                    let _ = accept_shared.handle(stream);
+                    *accept_shared.conn() = None;
                 }
             })
             .map_err(|e| format!("spawn accept loop: {e}"))?;
-        Ok(NodeServer {
+        let mut node = NodeServer {
             shared,
             addr,
             accept: Some(accept),
-        })
+            pump: None,
+        };
+        let pump_shared = Arc::clone(&node.shared);
+        // On a failed spawn, dropping `node` stops the accept loop.
+        node.pump = Some(
+            std::thread::Builder::new()
+                .name(format!("node-{name}-pump"))
+                .spawn(move || pump_shared.pump())
+                .map_err(|e| format!("spawn completion pump: {e}"))?,
+        );
+        Ok(node)
     }
 
     /// The bound address (resolves `:0` to the ephemeral port).
@@ -309,12 +391,7 @@ impl NodeServer {
 
     /// Jobs this node has finished (cached completions).
     pub fn completed(&self) -> usize {
-        self.shared
-            .jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .done
-            .len()
+        self.shared.jobs().done.len()
     }
 
     /// Simulate the process being SIGKILLed: stop accepting, reset the
@@ -322,15 +399,11 @@ impl NodeServer {
     /// Over TCP this is indistinguishable from real process death.
     pub fn kill(&self) {
         self.shared.running.store(false, Ordering::SeqCst);
-        if let Some(conn) = self
-            .shared
-            .conn
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+        if let Some(conn) = self.shared.conn().take() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
+        // Wake a blocked `accept`; refused when the loop already ended.
+        let _ = TcpStream::connect_timeout(&self.addr, WRITE_TIMEOUT);
     }
 
     /// Block until the node stops (a coordinator `Shutdown`, or
@@ -345,7 +418,7 @@ impl NodeServer {
 impl Drop for NodeServer {
     fn drop(&mut self) {
         self.kill();
-        if let Some(h) = self.accept.take() {
+        for h in [self.accept.take(), self.pump.take()].into_iter().flatten() {
             let _ = h.join();
         }
     }

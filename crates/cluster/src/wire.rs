@@ -211,13 +211,17 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 /// Incremental frame reader: one per connection, holding partial-frame
 /// state across calls.
 ///
-/// The coordinator and node poll their sockets with short read
-/// timeouts, and a frame can arrive split across TCP segments — so a
-/// timeout can land after part of a frame has already been consumed.
-/// Bytes read so far are kept here, and the next [`FrameReader::read_msg`]
-/// call resumes where the timeout cut in. Without this state, a resumed
-/// read would parse from mid-frame and a healthy stream would look
-/// corrupt (checksum mismatch → the peer declared dead).
+/// The coordinator and node block on their sockets with no read
+/// timeout, but a frame can still arrive split across TCP segments, so
+/// one `read` may return only part of it. Bytes read so far are kept
+/// here until the frame is whole. The state also outlives a failed
+/// call: where a read *is* bounded (the coordinator's wait for `Hello`,
+/// a test peer with a timeout), `WouldBlock`/`TimedOut` can land after
+/// part of a frame has been consumed, and the next
+/// [`FrameReader::read_msg`] call resumes where it cut in. Without
+/// that, a resumed read would parse from mid-frame and a healthy
+/// stream would look corrupt (checksum mismatch → the peer declared
+/// dead).
 #[derive(Default)]
 pub struct FrameReader {
     /// Bytes of the in-progress frame, length prefix included.

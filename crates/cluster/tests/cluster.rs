@@ -610,6 +610,165 @@ fn stream_home_is_sticky_and_rehomes_only_the_dead_nodes_streams() {
     let _ = co.finish();
 }
 
+/// Block until `co` has `n` registered live nodes.
+fn await_nodes(co: &Coordinator, n: u32) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while co.stats().nodes_alive < n {
+        assert!(Instant::now() < deadline, "nodes did not register in time");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The RPC path is event-driven: `submit` wakes an idle dispatcher and
+/// the node pushes the completion, so a lone job's round trip is the
+/// job plus a few hand-offs. With the heartbeat at 500 ms there is no
+/// tick anywhere near that could be doing the waking instead.
+#[test]
+fn single_job_round_trip_does_not_wait_for_a_tick() {
+    let node = NodeServer::start("127.0.0.1:0", "worker", ServeConfig::sim(64 * PAGE, 1)).unwrap();
+    let co = Coordinator::start(
+        ClusterConfig::new(vec![node.local_addr().to_string()])
+            .with_heartbeat(Duration::from_millis(500))
+            .with_timeout(Duration::from_secs(10)),
+    )
+    .unwrap();
+    await_nodes(&co, 1);
+    let mut trips: Vec<Duration> = (0..40)
+        .map(|seed| {
+            let t = Instant::now();
+            co.submit(JobRequest::new(200, 32, 2, 4, seed)).unwrap();
+            co.drain();
+            t.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median round trip {median:?}; all: {trips:?}"
+    );
+    let (results, stats) = co.finish();
+    assert_eq!(results.len(), 40);
+    assert!(results.iter().all(|r| r.ok), "{results:?}");
+    assert_eq!(stats.duplicate_completions, 0);
+    assert_eq!(stats.budget_leak_bytes, 0);
+}
+
+/// A node whose connection thread sits in a blocking read (idle, but
+/// connected) still stops at once: `kill` resets the socket under it.
+#[test]
+fn idle_connected_node_stops_promptly() {
+    let node = NodeServer::start("127.0.0.1:0", "idle", ServeConfig::sim(64 * PAGE, 1)).unwrap();
+    let co = Coordinator::start(
+        ClusterConfig::new(vec![node.local_addr().to_string()])
+            .with_heartbeat(Duration::from_millis(500))
+            .with_timeout(Duration::from_secs(10)),
+    )
+    .unwrap();
+    await_nodes(&co, 1);
+    let t = Instant::now();
+    node.kill();
+    drop(node);
+    let took = t.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "kill + drop took {took:?}"
+    );
+    drop(co);
+}
+
+/// So does a node nobody ever connected to: its accept loop blocks, and
+/// `kill` has to wake it.
+#[test]
+fn unconnected_node_stops_promptly() {
+    let node = NodeServer::start("127.0.0.1:0", "lonely", ServeConfig::sim(64 * PAGE, 1)).unwrap();
+    let t = Instant::now();
+    drop(node);
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(200), "drop took {took:?}");
+}
+
+/// A peer that registers and then says nothing is declared dead by the
+/// heartbeat timer alone — no frame arrives to wake anything — and its
+/// session ends completely: the coordinator resets the socket (which is
+/// what unblocks the session's reader) and `finish` joins the threads.
+#[test]
+fn silent_peer_is_declared_dead_by_the_heartbeat_timer() {
+    let heartbeat = Duration::from_millis(50);
+    let timeout = Duration::from_millis(300);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        write_msg(
+            &mut stream,
+            &Message::Hello {
+                node: "mute".into(),
+                budget_bytes: 1 << 30,
+                workers: 1,
+                speed: 1.0,
+            },
+        )
+        .unwrap();
+        let said_hello = Instant::now();
+        // Swallow pings without a word until the coordinator hangs up.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        loop {
+            match read_msg(&mut stream) {
+                Ok(Some(_)) => {}
+                Ok(None) | Err(_) => return said_hello.elapsed(),
+            }
+        }
+    });
+    let co = Coordinator::start(
+        ClusterConfig::new(vec![addr])
+            .with_heartbeat(heartbeat)
+            .with_timeout(timeout)
+            .with_retry(RetryPolicy::attempts(1)),
+    )
+    .unwrap();
+    let hung_up_after = fake.join().unwrap();
+    assert!(
+        hung_up_after >= timeout,
+        "declared dead early, after {hung_up_after:?}"
+    );
+    assert!(
+        hung_up_after <= timeout + 2 * heartbeat,
+        "declared dead late, after {hung_up_after:?}"
+    );
+    let t = Instant::now();
+    let (_, stats) = co.finish();
+    assert!(t.elapsed() < Duration::from_millis(200), "finish hung");
+    assert_eq!(stats.node_losses, 1);
+    assert_eq!(stats.nodes_alive, 0);
+}
+
+/// A reconnect backoff is a wait on the coordinator's condvar, not a
+/// sleep: dropping the coordinator mid-backoff does not wait it out.
+#[test]
+fn dropped_coordinator_interrupts_a_reconnect_backoff() {
+    // An address that refuses: bound, then closed.
+    let addr = {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let retry = RetryPolicy {
+        base_backoff: Duration::from_secs(5),
+        max_backoff: Duration::from_secs(5),
+        ..RetryPolicy::attempts(6)
+    };
+    let co = Coordinator::start(fast_cfg(vec![addr]).with_retry(retry)).unwrap();
+    // Let the node thread fail its first connect and start backing off.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(co.stats().node_losses, 0);
+    let t = Instant::now();
+    drop(co);
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(200), "drop took {took:?}");
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -300,6 +300,13 @@ impl Service {
         self.0.results()
     }
 
+    /// Block until there are results past the first `from`, and return
+    /// them; empty once `deadline` passes
+    /// ([`ShardedService::wait_results`]).
+    pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<JobResult> {
+        self.0.wait_results(from, deadline)
+    }
+
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         self.0.stats()

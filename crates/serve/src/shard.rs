@@ -128,7 +128,8 @@ pub(crate) struct ShardedInner {
     /// Write-ahead journal shared by every shard, when configured.
     pub(crate) journal: Option<Arc<ServiceJournal>>,
     global: Mutex<Global>,
-    /// Signalled under `global` when a job completes (for `drain`).
+    /// Signalled under `global` when a job completes (for `drain` and
+    /// `wait_results`).
     done: Condvar,
     /// Service start; lifecycle trace timestamps are seconds since it.
     origin: Instant,
@@ -314,6 +315,30 @@ impl ShardedService {
     /// Per-shard budget slices, in shard order.
     pub fn shard_budgets(&self) -> Vec<u64> {
         self.inner.shards.iter().map(|s| s.budget_bytes).collect()
+    }
+
+    /// Block until the completion-ordered result list is longer than
+    /// `from`, then return `results[from..]`; an empty vector means
+    /// `deadline` passed first. A consumer that remembers how many
+    /// results it has seen gets each one once, woken by the completion
+    /// itself, without re-cloning the whole list per look.
+    pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<JobResult> {
+        let mut g = self.inner.global_lock();
+        loop {
+            if let Some(fresh) = g.results.get(from..).filter(|s| !s.is_empty()) {
+                return fresh.to_vec();
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Vec::new();
+            }
+            g = self
+                .inner
+                .done
+                .wait_timeout(g, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
     }
 
     /// Drain, stop the workers, and return every result plus the merged
@@ -721,6 +746,41 @@ mod tests {
             assert!(stats.peak_budget_bytes <= stats.budget_bytes);
             assert_eq!(stats.budget_bytes, 64 * PAGE);
         }
+    }
+
+    #[test]
+    fn wait_results_returns_the_suffix_blocks_for_a_completion_and_times_out() {
+        use std::time::Duration;
+        let far = || Instant::now() + Duration::from_secs(30);
+        // The stall keeps the job running while the waiter goes to sleep.
+        let cfg = ServeConfig::sim(32 * PAGE, 1)
+            .with_faults(mmjoin_env::FaultSpec::parse("delay:count=1:ms=50").unwrap());
+        let svc = ShardedService::start(cfg, 1, PlacementKind::RoundRobin.build()).unwrap();
+
+        // Nothing submitted: empty at the deadline, and not before it.
+        let t = Instant::now();
+        let none = svc.wait_results(0, t + Duration::from_millis(30));
+        assert!(none.is_empty());
+        assert!(t.elapsed() >= Duration::from_millis(30));
+
+        // Blocks until the job completes, far short of the deadline.
+        let first = svc.submit(tiny_job(1, 4)).unwrap();
+        let t = Instant::now();
+        let got = svc.wait_results(0, far());
+        assert_eq!(got.iter().map(|r| r.id).collect::<Vec<_>>(), [first]);
+        assert!(t.elapsed() >= Duration::from_millis(40), "returned early");
+        assert!(t.elapsed() < Duration::from_secs(10));
+
+        // Suffix semantics: `from` skips what the caller already holds.
+        let second = svc.submit(tiny_job(2, 4)).unwrap();
+        let got = svc.wait_results(1, far());
+        assert_eq!(got.iter().map(|r| r.id).collect::<Vec<_>>(), [second]);
+        assert_eq!(svc.wait_results(0, far()).len(), 2);
+        // Past the end (even far past) waits out the deadline.
+        assert!(svc.wait_results(2, Instant::now()).is_empty());
+        assert!(svc
+            .wait_results(9, Instant::now() + Duration::from_millis(5))
+            .is_empty());
     }
 
     /// A placement that pins everything to shard 0 — the pathological
