@@ -136,12 +136,7 @@ fn main() {
 
     println!(
         "stream sweep: |S| = {s_objects} x 64 B, D = {D}, {MEM_PAGES} pages, \
-         {batches} steady batches per point, {} index",
-        if modern {
-            "modern sorted-run"
-        } else {
-            "radix hash"
-        }
+         {batches} steady batches per point"
     );
     println!(
         "{:>10} {:>9} {:>9} {:>12} {:>12} {:>7}",

@@ -722,7 +722,7 @@ impl LineFeed {
 }
 
 /// `serve --stream`: the streaming join tier. The inner relation S is
-/// loaded and indexed once (the *resident set*); an unbounded sequence
+/// loaded once (the *resident set*); an unbounded sequence
 /// of R micro-batches probes it, with `append=` / `delete=` lines
 /// maintaining S incrementally. The script's first meaningful line is
 /// the `resident=` header; every following line is one op. With
@@ -851,17 +851,12 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     let budget_pages = header.mem_pages;
     let sess = Arc::new(StreamSession::open(env, header.clone(), cfg).map_err(|e| e.to_string())?);
     println!(
-        "stream {}: |S| = {} x {} B resident over D = {} ({} index), \
+        "stream {}: |S| = {} x {} B resident over D = {}, \
          budget {budget_pages} pages, {} journaled op(s) re-reported",
         header.name,
         header.s_objects,
         header.s_size,
         header.d,
-        if header.modern {
-            "modern sorted-run"
-        } else {
-            "radix hash"
-        },
         sess.results().len()
     );
 
@@ -1650,9 +1645,9 @@ fn usage() {
     println!("  default mode for job lines that carry no mode= of their own)");
     println!();
     println!("serve --stream keeps the inner relation S resident: the header's");
-    println!("  relation is loaded and indexed once (radix hash faithful, sorted");
-    println!("  runs under --modern), then every batch= line probes it without");
-    println!("  re-partitioning; append=/delete= patch S in place. Intake blocks");
+    println!("  relation is loaded once into D mapped partitions, then every");
+    println!("  batch= line probes it by S-pointer without re-partitioning;");
+    println!("  append=/delete= patch S in place. Intake blocks");
     println!("  once --queue-bound ops are pending (backpressure). --journal");
     println!("  DIR logs every accepted op and its result; --resume re-reports");
     println!("  completed ops and re-runs the torn suffix exactly once (give");

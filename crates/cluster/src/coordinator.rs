@@ -1013,7 +1013,7 @@ impl Coordinator {
     /// routing key, so the answer is stable across coordinator
     /// restarts; when the home node dies only its streams re-home (the
     /// resident set rebuilds on the survivor), every other stream
-    /// keeps its warm index.
+    /// keeps its warm partitions.
     pub fn stream_home(&self, stream: &str) -> Option<String> {
         let st = self.shared.lock();
         let live: Vec<String> = st

@@ -26,7 +26,7 @@
 //! * **Resident-stream routing** — [`resident_route`] gives a
 //!   coordinator a shared-nothing sticky map from a streaming
 //!   session's name (`mmjoin serve --stream`) to the node holding its
-//!   resident index: rendezvous hashing, so losing a node re-homes
+//!   resident set: rendezvous hashing, so losing a node re-homes
 //!   only that node's streams (they re-build on a survivor) while
 //!   every other stream keeps probing its warm resident set.
 //!

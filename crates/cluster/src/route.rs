@@ -1,7 +1,7 @@
 //! Sticky routing of resident streams to cluster nodes.
 //!
 //! A streaming session (`mmjoin serve --stream`) keeps its inner
-//! relation resident: the node that built a stream's resident index is
+//! relation resident: the node that built a stream's resident set is
 //! the only node that can probe it without re-paying the build. A
 //! coordinator dispatching micro-batches therefore needs a *sticky*
 //! stream→node map — every batch of stream `hot` must land on the same

@@ -334,17 +334,15 @@ pub enum TraceEvent {
         /// RMS residual of the fit in seconds.
         residual: f64,
     },
-    /// A resident S index finished building (streaming tier warmup —
-    /// the only point the stream pays pass-0 partitioning cost).
+    /// A resident S set finished loading (streaming tier warmup — the
+    /// only point the stream pays an O(|S|) cost).
     ResidentBuilt {
-        /// Resident partitions built (one per disk).
+        /// Resident partitions loaded (one per disk).
         parts: u32,
-        /// Live S objects indexed.
+        /// S objects loaded, all live.
         objects: u64,
-        /// Index layout: `"hash"` (faithful) or `"sorted"` (modern).
-        layout: String,
     },
-    /// An `append=`/`delete=` mutation patched the resident index in
+    /// An `append=`/`delete=` mutation patched the resident set in
     /// place (no rebuild).
     ResidentPatched {
         /// `"append"` or `"delete"`.
@@ -361,7 +359,7 @@ pub enum TraceEvent {
         /// R rows in the batch.
         rows: u64,
     },
-    /// An R micro-batch finished probing the resident index.
+    /// An R micro-batch finished probing the resident set.
     BatchCompleted {
         /// Stream sequence number.
         batch: u64,
@@ -816,14 +814,8 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
                 "\",\"base\":{base:.12},\"slope\":{slope:.12},\"residual\":{residual:.12}"
             );
         }
-        TraceEvent::ResidentBuilt {
-            parts,
-            objects,
-            layout,
-        } => {
-            let _ = write!(s, ",\"parts\":{parts},\"objects\":{objects},\"layout\":\"");
-            esc(layout, &mut s);
-            s.push('"');
+        TraceEvent::ResidentBuilt { parts, objects } => {
+            let _ = write!(s, ",\"parts\":{parts},\"objects\":{objects}");
         }
         TraceEvent::ResidentPatched { op, objects, live } => {
             s.push_str(",\"op\":\"");
@@ -1160,11 +1152,10 @@ mod tests {
             &TraceEvent::ResidentBuilt {
                 parts: 4,
                 objects: 40_000,
-                layout: "hash".into(),
             },
         );
         assert!(built.contains("\"ev\":\"resident_built\""));
-        assert!(built.contains("\"parts\":4") && built.contains("\"layout\":\"hash\""));
+        assert!(built.contains("\"parts\":4") && built.contains("\"objects\":40000"));
         let patched = encode(
             1.0,
             &TraceEvent::ResidentPatched {

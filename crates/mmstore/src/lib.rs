@@ -7,11 +7,9 @@
 //!   pointers survive process restarts with **zero** swizzling — the
 //!   "exact positioning of data" approach, with explicit detection and
 //!   repair when exact positioning fails;
-//! * [`plist`]/[`btree`]/[`rtree`]/[`pgraph`]: pointer-based persistent
-//!   structures (a linked list, a B-Tree, an R-Tree and a directed
-//!   graph — the full §1 list) demonstrating — and testing — that
-//!   claim, the way the paper's reference \[11\] built them in
-//!   µDatabase;
+//! * [`plist`]: a pointer-based persistent linked list demonstrating —
+//!   and testing — that claim (the simplest of the structures the
+//!   paper's reference \[11\] built in µDatabase);
 //! * [`mod@env`]: [`env::MmapEnv`], the [`mmjoin_env::Env`] implementation
 //!   over real `mmap`-ed files with real `Sproc` threads — the
 //!   functional-validation twin of the simulator;
@@ -19,19 +17,13 @@
 //!   `deleteMap` versus mapping size (Fig. 1b).
 
 pub mod arena;
-pub mod btree;
 pub mod env;
-pub mod pgraph;
 pub mod plist;
-pub mod rtree;
 pub mod segment;
 pub mod setup_cost;
 
 pub use arena::{page_size, Placement, SegmentArena, DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE};
-pub use btree::PersistentBTree;
 pub use env::{MmapEnv, MmapEnvConfig, MmapFile};
-pub use pgraph::{NodeRef, PersistentGraph};
 pub use plist::PersistentList;
-pub use rtree::{PersistentRTree, Rect};
 pub use segment::{Segment, HEADER_SIZE};
 pub use setup_cost::{measure_map_costs, MapCostSample};

@@ -95,7 +95,7 @@ pub enum JournalRecord {
     },
     /// A streaming session opened against a resident relation; `line`
     /// is the `resident=` header re-encoded in the stream grammar, so
-    /// replay can rebuild the identical resident index.
+    /// replay can rebuild the identical resident set.
     StreamOpened {
         /// `key=value` header line reproducing the resident spec.
         line: String,

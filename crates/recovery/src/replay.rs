@@ -43,7 +43,7 @@ pub struct JobState {
     pub dispatched: Option<String>,
 }
 
-/// Recovered per-stream-operation state (batches and resident-index
+/// Recovered per-stream-operation state (batches and resident-set
 /// mutations share one sequence-number space).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchState {

@@ -36,10 +36,14 @@ pub struct StreamHeader {
     pub d: u32,
     /// Per-process memory budget in pages (both Rproc and Sproc side).
     pub mem_pages: u64,
-    /// Seed for the build-time sample of S.
+    /// Parsed and journaled (`seed=`) but selects nothing: the resident
+    /// build is deterministic. Kept so journals written before the
+    /// resident index was removed still pass the header-line equality
+    /// check on `--resume`, and because the benchmark harness sets it
+    /// (removal is listed in ROADMAP).
     pub seed: u64,
-    /// Use the cache-conscious sorted-run resident layout regardless of
-    /// what the planner would pick.
+    /// Parsed and journaled (`mode=modern`) but selects nothing, for
+    /// the same reasons as `seed`.
     pub modern: bool,
 }
 

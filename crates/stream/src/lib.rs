@@ -3,19 +3,19 @@
 //! The paper's joins are one-shot: build both relations, run the three
 //! passes, report. This crate adds the *continuous* variant the same
 //! machinery supports naturally once `S` is memory-resident: load the
-//! inner relation once into mmstore partitions, build a partitioned
-//! resident index (radix hash areas faithful, sorted runs `--modern`,
-//! chosen by the sampled-histogram planner), then serve an unbounded
-//! sequence of R micro-batches — each a short probe-only job priced by
-//! [`mmjoin::probe_cost`] — plus incremental `append=`/`delete=`
-//! maintenance that patches the resident index in place.
+//! inner relation once into `D` mapped partitions, then serve an
+//! unbounded sequence of R micro-batches — each a short probe-only job
+//! priced by [`mmjoin::probe_cost`] — plus incremental
+//! `append=`/`delete=` maintenance that patches the stored S-objects in
+//! place. The joins are pointer-based, so a probe dereferences the
+//! row's S-pointer through the Sproc exchange; there is no index.
 //!
 //! The module split:
 //!
 //! * [`grammar`] — the `resident=`/`batch=`/`append=`/`delete=` line
 //!   grammar (`mmjoin serve --stream` scripts and the journal's wire
 //!   lines);
-//! * [`resident`] — the resident set: build (the stream's only pass-0
+//! * [`resident`] — the resident set: build (the stream's only O(|S|)
 //!   cost), probe through the Sproc shared-buffer exchange, in-place
 //!   patch;
 //! * [`session`] — the ordered worker, backpressure, write-ahead
@@ -39,7 +39,7 @@ pub mod resident;
 pub mod session;
 
 pub use grammar::{StreamHeader, StreamOp, PAGE};
-pub use resident::{BatchOutput, Layout, ResidentSet, DEAD_BIT, PROBE_BATCH};
+pub use resident::{BatchOutput, ResidentSet, DEAD_BIT, PROBE_BATCH};
 pub use session::{BatchResult, StreamConfig, StreamSession, StreamStats};
 
 #[cfg(test)]
@@ -50,7 +50,7 @@ mod tests {
     use mmjoin_vmsim::{SimConfig, SimEnv};
     use std::sync::Arc;
 
-    fn header(d: u32, objects: u64, modern: bool) -> StreamHeader {
+    fn header(d: u32, objects: u64) -> StreamHeader {
         StreamHeader {
             name: "t".into(),
             s_objects: objects,
@@ -58,7 +58,7 @@ mod tests {
             d,
             mem_pages: 64,
             seed: 7,
-            modern,
+            modern: false,
         }
     }
 
@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn resident_probe_matches_the_oracle() {
         let env = sim(2);
-        let h = header(2, 512, false);
+        let h = header(2, 512);
         let set = ResidentSet::build(Arc::clone(&env), &h, &machine()).unwrap();
         let rows = set.gen_batch(200, 3);
         let expected = set.expected(&rows);
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn mutations_patch_storage_and_probes_see_them() {
         let env = sim(2);
-        let h = header(2, 128, false);
+        let h = header(2, 128);
         let mut set = ResidentSet::build(Arc::clone(&env), &h, &machine()).unwrap();
         let deleted = set.delete(32, 9).unwrap();
         assert_eq!(deleted.len(), 32);
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn batch_generation_is_deterministic_and_respects_liveness() {
         let env = sim(2);
-        let h = header(2, 256, false);
+        let h = header(2, 256);
         let mut set = ResidentSet::build(Arc::clone(&env), &h, &machine()).unwrap();
         let a = set.gen_batch(100, 42);
         let b = set.gen_batch(100, 42);
@@ -137,17 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn modern_header_forces_the_sorted_layout() {
-        let env = sim(2);
-        let set = ResidentSet::build(Arc::clone(&env), &header(2, 128, true), &machine()).unwrap();
-        assert_eq!(set.layout(), Layout::Sorted);
-        assert!(set.index_partitions >= 1);
-    }
-
-    #[test]
     fn session_runs_a_script_in_order_and_verifies_every_batch() {
         let env = sim(2);
-        let h = header(2, 512, false);
+        let h = header(2, 512);
         let sess =
             StreamSession::open(Arc::clone(&env), h, StreamConfig::ephemeral(machine())).unwrap();
         let script = "\
@@ -186,7 +178,7 @@ batch=b2 objects=128 seed=5
         let env = sim(2);
         let sess = StreamSession::open(
             Arc::clone(&env),
-            header(2, 128, false),
+            header(2, 128),
             StreamConfig::ephemeral(machine()),
         )
         .unwrap();
@@ -207,7 +199,7 @@ batch=b2 objects=128 seed=5
     #[test]
     fn backpressure_blocks_submitters_at_the_bound() {
         let env = sim(2);
-        let h = header(2, 128, false);
+        let h = header(2, 128);
         let mut cfg = StreamConfig::ephemeral(machine());
         cfg.queue_bound = 2;
         let sess = Arc::new(StreamSession::open(Arc::clone(&env), h, cfg).unwrap());
@@ -241,7 +233,7 @@ batch=b2 objects=128 seed=5
         let env = sim(2);
         let sess = StreamSession::open(
             Arc::clone(&env),
-            header(2, 128, false),
+            header(2, 128),
             StreamConfig::ephemeral(machine()),
         )
         .unwrap();
@@ -262,9 +254,9 @@ batch=b2 objects=128 seed=5
     #[test]
     fn env_file_table_is_clean_after_teardown() {
         let env = sim(2);
-        let h = header(2, 128, false);
+        let h = header(2, 128);
         let set = ResidentSet::build(Arc::clone(&env), &h, &machine()).unwrap();
-        assert_eq!(env.list_files().len(), 4, "2 S parts + 2 index areas");
+        assert_eq!(env.list_files().len(), 2, "the 2 S partitions");
         set.teardown().unwrap();
         assert!(env.list_files().is_empty());
     }

@@ -1,15 +1,15 @@
-//! The resident inner relation: `S` loaded once into partitioned store
-//! files, indexed once (the stream's only pass-0 cost), then probed by
-//! an unbounded sequence of R micro-batches and patched in place by
-//! `append=`/`delete=` maintenance ops.
+//! The resident inner relation: `S` loaded once into `D` partitioned
+//! store files, then probed by an unbounded sequence of R micro-batches
+//! and patched in place by `append=`/`delete=` maintenance ops.
 //!
 //! Faithful to the paper's split of labor: the resident set *is* the
-//! Sproc side — S partitions live one per disk, every probe goes
-//! through [`Env::s_fetch_batch`]'s shared-buffer exchange, and the
-//! partitioned index is built with pass-0 scatter costs declared up
-//! front. Steady-state probes charge only pass-2-style work (hash/
-//! compare per row plus the buffer exchanges); the differential and
-//! trace tests in this crate hold that line.
+//! Sproc side — S partitions live one per disk and every probe goes
+//! through [`Env::s_fetch_batch`]'s shared-buffer exchange. The joins
+//! are pointer-based: a batch row carries the virtual pointer of its
+//! S-object, so a probe is `MAP(sptr)` plus the exchange and needs no
+//! index; there is none. Steady-state probes charge only pass-2-style
+//! work (map + hash per row plus the buffer exchanges); the
+//! differential and trace tests in this crate hold that line.
 //!
 //! Storage is authoritative: a tombstoned slot's bytes carry a key with
 //! [`DEAD_BIT`] set, so a probe discovers liveness from the fetched
@@ -20,8 +20,6 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mmjoin::repartition::Pass;
-use mmjoin::{choose_auto, Reservoir, SampleSummary, HISTOGRAM_BUCKETS, SAMPLE_CAP};
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{CpuOp, DiskId, Env, FileOps, ProcId, Result, SCatalog, SPtr, TraceEvent};
 use mmjoin_model::JoinInputs;
@@ -38,28 +36,6 @@ pub const DEAD_BIT: u64 = 1 << 63;
 /// granularity as the modern kernels' probe pipeline).
 pub const PROBE_BATCH: usize = 2048;
 
-/// Bytes per resident index entry: `(key u64, slot u64)`.
-const IDX_ENTRY: u64 = 16;
-
-/// How the resident index lays out its per-partition entries.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Layout {
-    /// Radix-partitioned hash areas (faithful Grace/hybrid-style).
-    Hash,
-    /// Sorted runs (the `--modern` cache-conscious layout).
-    Sorted,
-}
-
-impl Layout {
-    /// Stable name used in [`TraceEvent::ResidentBuilt`].
-    pub fn name(self) -> &'static str {
-        match self {
-            Layout::Hash => "hash",
-            Layout::Sorted => "sorted",
-        }
-    }
-}
-
 /// What one probe micro-batch produced.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchOutput {
@@ -71,14 +47,11 @@ pub struct BatchOutput {
     pub misses: u64,
 }
 
-/// The resident S relation plus its partitioned index.
+/// The resident S relation: `D` mapped partitions plus the in-memory
+/// key and liveness tables.
 pub struct ResidentSet<E: Env> {
     env: Arc<E>,
     rel: RelConfig,
-    prefix: String,
-    layout: Layout,
-    /// Planner partition count the index was built with (per disk).
-    pub index_partitions: u32,
     /// Current key of every slot; `DEAD_BIT` marks tombstones.
     keys: Vec<u64>,
     /// Slots currently live, kept sorted for deterministic draws.
@@ -86,55 +59,24 @@ pub struct ResidentSet<E: Env> {
     /// Next fresh key handed to `append=`.
     next_key: u64,
     s_files: Vec<String>,
-    idx_files: Vec<String>,
 }
 
 impl<E: Env> ResidentSet<E> {
     /// Load S (slot `k` starts with key `k`, matching
-    /// `mmjoin_relstore::build`), sample its key distribution, let the
-    /// planner pick the index shape, scatter the index (pass 0), and
-    /// start the Sproc service.
-    pub fn build(env: Arc<E>, header: &StreamHeader, machine: &MachineParams) -> Result<Self> {
+    /// `mmjoin_relstore::build`) and start the Sproc service. The
+    /// partitions are pre-existing data, loaded outside measurement
+    /// (the paper's relations exist before a join begins).
+    ///
+    /// `_machine` selects nothing: the parameter stays until the
+    /// benchmark harness, which passes it, can be edited (ROADMAP).
+    pub fn build(env: Arc<E>, header: &StreamHeader, _machine: &MachineParams) -> Result<Self> {
         let rel = header.rel();
         rel.validate()?;
         let d = rel.d;
 
-        // Sample S's key distribution and let the planner price the
-        // layouts: the paper's partitioning algorithms become the hash
-        // index, sort-merge the sorted runs. `mode=modern` forces the
-        // cache-conscious layout.
-        let mut res = Reservoir::<u64>::new(SAMPLE_CAP, header.seed);
-        for slot in 0..rel.s_objects {
-            res.push(slot);
-        }
-        let ptrs: Vec<(u32, u64)> = res
-            .items()
-            .iter()
-            .map(|&slot| ((slot / rel.s_per_part()) as u32, slot))
-            .collect();
-        let summary =
-            SampleSummary::from_pointers(&ptrs, rel.s_objects, rel.s_objects, d, HISTOGRAM_BUCKETS);
-        let plan = choose_auto(
-            machine,
-            &probe_inputs(&rel, header, rel.s_objects, 1.0),
-            Some(&summary),
-        );
-        let layout = if header.modern {
-            Layout::Sorted
-        } else {
-            match plan.choice.algorithm {
-                mmjoin_model::Algorithm::SortMerge => Layout::Sorted,
-                _ => Layout::Hash,
-            }
-        };
-
         let proc = ProcId(0);
         let mut s_files = Vec::with_capacity(d as usize);
-        let mut idx_files = Vec::with_capacity(d as usize);
         for j in 0..d {
-            // The S partitions themselves: pre-existing data, loaded
-            // outside measurement (the paper's relations exist before a
-            // join begins).
             let s_name = names::scoped(&header.name, &names::s_part(j));
             env.create_file(proc, &s_name, DiskId(j), rel.s_part_bytes())?;
             let mut s_data = vec![0u8; rel.s_part_bytes() as usize];
@@ -145,40 +87,6 @@ impl<E: Env> ResidentSet<E> {
             }
             env.preload(&s_name, 0, &s_data)?;
             s_files.push(s_name);
-
-            // The resident index: built *now*, at measured cost — the
-            // stream's pass 0. Entries are slot-ordered within the
-            // partition so a maintenance op can patch one entry in
-            // place; the layout choice decides the declared CPU work
-            // (radix scatter vs run formation).
-            let idx_name = names::scoped(&header.name, &format!("IDX_{j}"));
-            let idx_bytes = rel.s_per_part() * IDX_ENTRY;
-            let idx = env.create_file(proc, &idx_name, DiskId(j), idx_bytes)?;
-            let mut idx_data = vec![0u8; idx_bytes as usize];
-            for k in 0..rel.s_per_part() {
-                let slot = j as u64 * rel.s_per_part() + k;
-                let off = (k * IDX_ENTRY) as usize;
-                idx_data[off..off + 8].copy_from_slice(&slot.to_le_bytes());
-                idx_data[off + 8..off + 16].copy_from_slice(&slot.to_le_bytes());
-            }
-            idx.write_at(proc, 0, &idx_data)?;
-            match layout {
-                Layout::Hash => env.cpu(proc, CpuOp::Hash, rel.s_per_part()),
-                Layout::Sorted => env.cpu(
-                    proc,
-                    CpuOp::Compare,
-                    rel.s_per_part() * (rel.s_per_part().max(2) as f64).log2().ceil() as u64,
-                ),
-            }
-            Pass {
-                proc: proc.0,
-                pass: 0,
-                phase: 0,
-                disk: j,
-                area: idx_name.clone(),
-            }
-            .end(env.as_ref(), rel.s_per_part(), IDX_ENTRY);
-            idx_files.push(idx_name);
         }
 
         env.register_s(SCatalog {
@@ -191,27 +99,17 @@ impl<E: Env> ResidentSet<E> {
             TraceEvent::ResidentBuilt {
                 parts: d,
                 objects: rel.s_objects,
-                layout: layout.name().to_string(),
             },
         );
 
         Ok(ResidentSet {
             env,
             rel,
-            prefix: header.name.clone(),
-            layout,
-            index_partitions: plan.partitions,
             keys: (0..rel.s_objects).collect(),
             live: (0..rel.s_objects).collect(),
             next_key: rel.s_objects,
             s_files,
-            idx_files,
         })
-    }
-
-    /// The chosen index layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Live (non-tombstoned) slots.
@@ -230,11 +128,21 @@ impl<E: Env> ResidentSet<E> {
     }
 
     /// Planner inputs for a probe-only batch of `rows` rows against the
-    /// current live set.
+    /// current live set under the header's budgets.
     pub fn batch_inputs(&self, header: &StreamHeader, rows: u64) -> JoinInputs {
-        let mut inputs = probe_inputs(&self.rel, header, rows.max(1), 1.0);
-        inputs.s_objects = self.live_count().max(1);
-        inputs
+        let rel = &self.rel;
+        JoinInputs {
+            r_objects: rows.max(1),
+            s_objects: self.live_count().max(1),
+            r_size: rel.r_size,
+            s_size: rel.s_size,
+            sptr_size: SPTR_SIZE,
+            d: rel.d,
+            skew: 1.0,
+            m_rproc: header.budget_bytes(),
+            m_sproc: header.budget_bytes(),
+            g_buffer: PROBE_BATCH as u64 * (rel.r_size + SPTR_SIZE + rel.s_size) as u64,
+        }
     }
 
     /// Deterministically draw a `objects`-row micro-batch over the
@@ -290,14 +198,7 @@ impl<E: Env> ResidentSet<E> {
         for (j, (ptrs, keys)) in parts.iter().enumerate() {
             let proc = ProcId(j as u32);
             self.env.cpu(proc, CpuOp::Map, ptrs.len() as u64);
-            self.env.cpu(
-                proc,
-                match self.layout {
-                    Layout::Hash => CpuOp::Hash,
-                    Layout::Sorted => CpuOp::Compare,
-                },
-                ptrs.len() as u64,
-            );
+            self.env.cpu(proc, CpuOp::Hash, ptrs.len() as u64);
             for (chunk, kchunk) in ptrs.chunks(PROBE_BATCH).zip(keys.chunks(PROBE_BATCH)) {
                 fetched.clear();
                 self.env
@@ -362,10 +263,10 @@ impl<E: Env> ResidentSet<E> {
     }
 
     /// Write the current key of each patched slot into its S partition
-    /// and its index entry — an in-place patch, never a rebuild. The
-    /// writes go through charged `write_at`, so maintenance cost is
-    /// measured, and the trace records the patch for the steady-state
-    /// ("no pass 0 after warmup") check.
+    /// — an in-place patch, never a rebuild. The writes go through
+    /// charged `write_at`, so maintenance cost is measured, and the
+    /// trace records the patch for the steady-state ("no pass 0 after
+    /// warmup") check.
     fn patch_slots(&self, slots: &[u64], op: &str) -> Result<()> {
         let proc = ProcId(0);
         let mut obj = vec![0u8; self.rel.s_size as usize];
@@ -376,19 +277,7 @@ impl<E: Env> ResidentSet<E> {
             encode_s(&mut obj, key);
             let s = self.env.open_file(proc, &self.s_files[j])?;
             s.write_at(proc, local * self.rel.s_size as u64, &obj)?;
-            let idx = self.env.open_file(proc, &self.idx_files[j])?;
-            let mut entry = [0u8; IDX_ENTRY as usize];
-            entry[..8].copy_from_slice(&key.to_le_bytes());
-            entry[8..].copy_from_slice(&slot.to_le_bytes());
-            idx.write_at(proc, local * IDX_ENTRY, &entry)?;
-            self.env.cpu(
-                proc,
-                match self.layout {
-                    Layout::Hash => CpuOp::Hash,
-                    Layout::Sorted => CpuOp::Compare,
-                },
-                1,
-            );
+            self.env.cpu(proc, CpuOp::Hash, 1);
         }
         self.env.trace(
             proc,
@@ -405,28 +294,10 @@ impl<E: Env> ResidentSet<E> {
     pub fn teardown(self) -> Result<()> {
         self.env.shutdown_s();
         let proc = ProcId(0);
-        for name in self.s_files.iter().chain(self.idx_files.iter()) {
+        for name in &self.s_files {
             self.env.delete_file(proc, name)?;
         }
-        let _ = self.prefix;
         Ok(())
-    }
-}
-
-/// Probe-only planner inputs: `rows` outer rows against the resident
-/// set under the header's budgets.
-fn probe_inputs(rel: &RelConfig, header: &StreamHeader, rows: u64, skew: f64) -> JoinInputs {
-    JoinInputs {
-        r_objects: rows,
-        s_objects: rel.s_objects,
-        r_size: rel.r_size,
-        s_size: rel.s_size,
-        sptr_size: SPTR_SIZE,
-        d: rel.d,
-        skew,
-        m_rproc: header.budget_bytes(),
-        m_sproc: header.budget_bytes(),
-        g_buffer: PROBE_BATCH as u64 * (rel.r_size + SPTR_SIZE + rel.s_size) as u64,
     }
 }
 

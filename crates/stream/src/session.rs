@@ -19,6 +19,11 @@
 //!   that got a sequence number back will find the op after a crash);
 //! * `BatchCompleted` — before the result is visible, committed, and
 //!   only for ops that verified clean (a failed op re-runs on resume).
+//!
+//! A failed `StreamOpened` commit fails `open`, and an op whose
+//! completion cannot be committed is reported failed. A failed
+//! `BatchSubmitted` commit is still only logged to stderr: the op runs,
+//! and is not durable (ROADMAP, "Vestigial stream surface").
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -287,13 +292,15 @@ impl<E: Env> Shared<E> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn journal_commit(&self, rec: &JournalRecord) {
-        if let Some(j) = &self.journal {
-            let mut j = j.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = j.append_commit(rec) {
-                eprintln!("mmjoin-stream: journal commit ({}) failed: {e}", rec.kind());
-            }
-        }
+    /// Append and commit the record `make` builds. A session without
+    /// a journal builds nothing.
+    fn journal_commit(&self, make: impl FnOnce() -> JournalRecord) -> Result<()> {
+        let Some(j) = &self.journal else {
+            return Ok(());
+        };
+        j.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .append_commit(&make())
     }
 }
 
@@ -393,9 +400,9 @@ impl<E: Env + 'static> StreamSession<E> {
         }
 
         if replayed.is_none() {
-            shared.journal_commit(&JournalRecord::StreamOpened {
+            shared.journal_commit(|| JournalRecord::StreamOpened {
                 line: header.to_line(),
-            });
+            })?;
         }
 
         // Re-apply the replayed op list in sequence order on the fresh
@@ -494,10 +501,15 @@ impl<E: Env + 'static> StreamSession<E> {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.stats.submitted += 1;
-        self.shared.journal_commit(&JournalRecord::BatchSubmitted {
-            batch: seq,
-            line: op.to_line(),
-        });
+        if let Err(e) = self
+            .shared
+            .journal_commit(|| JournalRecord::BatchSubmitted {
+                batch: seq,
+                line: op.to_line(),
+            })
+        {
+            eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
+        }
         self.shared.env.trace(
             PROC,
             TraceEvent::BatchSubmitted {
@@ -628,6 +640,21 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
         let env_elapsed = (0..resident.rel().d)
             .map(|j| shared.env.now(ProcId(j)) - t0[j as usize])
             .fold(0.0, f64::max);
+        let exec_wall = started.elapsed().as_secs_f64();
+        // Completion commits before the result becomes visible, and
+        // only for clean ops: a failed op re-runs after a crash, and so
+        // does one whose completion could not be committed.
+        let error = error.or_else(|| {
+            shared
+                .journal_commit(|| JournalRecord::BatchCompleted {
+                    batch: item.seq,
+                    pairs: output.pairs,
+                    checksum: output.checksum,
+                    misses: output.misses,
+                })
+                .err()
+                .map(|e| format!("journal commit failed: {e}"))
+        });
         let ok = error.is_none();
         let result = BatchResult {
             seq: item.seq,
@@ -640,22 +667,12 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
             ok,
             predicted_seconds: predicted,
             queue_wait,
-            exec_wall: started.elapsed().as_secs_f64(),
+            exec_wall,
             env_elapsed,
             live_after: resident.live_count(),
             resumed: false,
             error,
         };
-        // Completion commits before the result becomes visible, and
-        // only for clean ops: a failed op re-runs after a crash.
-        if ok {
-            shared.journal_commit(&JournalRecord::BatchCompleted {
-                batch: item.seq,
-                pairs: result.pairs,
-                checksum: result.checksum,
-                misses: result.misses,
-            });
-        }
         shared.env.trace(
             PROC,
             TraceEvent::BatchCompleted {
@@ -673,7 +690,11 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
         }
         shared.idle.notify_all();
     }
-    shared.env.shutdown_s();
+    // Stops the Sproc service and deletes the S partitions: nothing
+    // a later open cannot rebuild.
+    if let Err(e) = resident.teardown() {
+        eprintln!("mmjoin-stream: resident teardown failed: {e}");
+    }
     shared.idle.notify_all();
 }
 

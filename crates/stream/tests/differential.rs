@@ -119,6 +119,12 @@ fn drive<ES: Env + 'static, EJ: Env>(
     // Generated batches only target live slots, so every probe hits.
     assert_eq!(streamed_pairs, probed.len() as u64);
 
+    // Whatever the schedule did, the stream's store holds exactly the
+    // D S partitions: no file is written that nothing reads.
+    let mut files = stream_env.list_files();
+    files.sort();
+    assert_eq!(files, ["diff.S_0", "diff.S_1"]);
+
     // Rows whose target survived to the end unchanged are exactly the
     // rows a one-shot join over the final S image reproduces.
     let final_keys = set.keys().to_vec();
@@ -172,6 +178,9 @@ fn drive<ES: Env + 'static, EJ: Env>(
     let out = join(oneshot_env, &rels, Algo::Grace, &spec).unwrap();
     assert_eq!(out.pairs, rels.expected_pairs);
     assert_eq!(out.checksum, rels.expected_checksum);
+
+    set.teardown().unwrap();
+    assert!(stream_env.list_files().is_empty());
 }
 
 fn sim() -> Arc<SimEnv> {

@@ -222,3 +222,63 @@ fn resume_refuses_a_mismatched_header() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_completion_the_full_journal_cannot_commit_is_reported_failed_and_never_resumes_clean() {
+    let dir = tmp("full");
+    let big = |n: u64, rows: u64| StreamOp::BatchRows {
+        name: format!("big{n}"),
+        rows: (0..rows).map(|k| (n << 32 | k, (n + k) % 256)).collect(),
+    };
+    // One op at a time, 4096 rows (~70 KB a record) until the 4 MiB
+    // journal stops taking both of an op's records, then ever smaller
+    // ops into what room is left, until a completion does not fit.
+    let mut journaled = Vec::new();
+    let failed = {
+        let sess = StreamSession::open(sim(), header(), cfg(&dir, false)).unwrap();
+        let mut rows = 4096;
+        let failed = loop {
+            let before = sess.stats().journal_appended_records;
+            let seq = sess.submit(big(journaled.len() as u64, rows)).unwrap();
+            sess.drain();
+            let r = sess.results().pop().unwrap();
+            assert_eq!(r.seq, seq);
+            if !r.ok {
+                break r;
+            }
+            if sess.stats().journal_appended_records == before + 2 {
+                journaled.push(r);
+            } else {
+                rows = (rows / 2).max(1);
+            }
+            assert!(seq < 2000, "the journal never filled");
+        };
+        let error = failed.error.as_deref().unwrap();
+        assert!(
+            error.contains("journal commit failed") && error.contains("journal full"),
+            "{error}"
+        );
+        sess.shutdown();
+        failed
+    };
+    assert!(journaled.len() > 40, "{}", journaled.len());
+
+    let sess = StreamSession::open(sim(), header(), cfg(&dir, true)).unwrap();
+    sess.drain();
+    let results = sess.results();
+    for want in &journaled {
+        let got: Vec<&BatchResult> = results.iter().filter(|r| r.seq == want.seq).collect();
+        assert_eq!(got.len(), 1, "seq {} exactly once", want.seq);
+        assert!(got[0].ok && got[0].resumed, "seq {}", want.seq);
+        assert_eq!(
+            (got[0].pairs, got[0].checksum, got[0].misses),
+            (want.pairs, want.checksum, want.misses)
+        );
+    }
+    assert!(
+        !results.iter().any(|r| r.seq == failed.seq && r.ok),
+        "an op whose completion never committed must not resume as clean"
+    );
+    sess.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

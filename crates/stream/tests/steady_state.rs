@@ -6,13 +6,16 @@
 //!   in the trace once batches are flowing;
 //! * a steady-state micro-batch is at least 3× cheaper in environment
 //!   time than an independent full join of the same rows against the
-//!   same inner relation — the whole point of keeping S resident.
+//!   same inner relation — the whole point of keeping S resident;
+//! * the store holds exactly the `D` S partitions under the stream's
+//!   prefix at every point after open, and nothing after shutdown —
+//!   no file is written that nothing reads.
 
 use std::sync::Arc;
 
 use mmjoin::{join, Algo, ExecMode, JoinSpec};
 use mmjoin_env::machine::MachineParams;
-use mmjoin_env::{CollectingSink, TraceEvent};
+use mmjoin_env::{CollectingSink, Env, TraceEvent};
 use mmjoin_relstore::{build, PointerDist, RelConfig, WorkloadSpec};
 use mmjoin_stream::{StreamConfig, StreamHeader, StreamOp, StreamSession};
 use mmjoin_vmsim::{SimConfig, SimEnv};
@@ -20,6 +23,17 @@ use mmjoin_vmsim::{SimConfig, SimEnv};
 const D: u32 = 2;
 const S_OBJECTS: u64 = 4096;
 const BATCH_ROWS: u64 = 256;
+
+/// The store's files under the `steady.` prefix, sorted.
+fn stream_files(env: &SimEnv) -> Vec<String> {
+    let mut files: Vec<String> = env
+        .list_files()
+        .into_iter()
+        .filter(|n| n.starts_with("steady."))
+        .collect();
+    files.sort();
+    files
+}
 
 fn sim(pages: usize) -> Arc<SimEnv> {
     let mut cfg = SimConfig::waterloo96(D);
@@ -49,6 +63,8 @@ fn no_pass_zero_events_after_warmup_and_batches_beat_full_joins() {
         StreamConfig::ephemeral(MachineParams::waterloo96()),
     )
     .unwrap();
+    let s_parts = vec!["steady.S_0".to_string(), "steady.S_1".to_string()];
+    assert_eq!(stream_files(&env), s_parts, "after open");
 
     // Warmup: the build itself plus one batch that pays the cold-cache
     // faults on S.
@@ -79,6 +95,11 @@ fn no_pass_zero_events_after_warmup_and_batches_beat_full_joins() {
         }
     }
     sess.drain();
+    assert_eq!(
+        stream_files(&env),
+        s_parts,
+        "after the batch train, delete= and append="
+    );
 
     // The stream's whole warmup thesis: every pass-0 event (and the
     // resident build marker) happened before steady state began.
@@ -144,4 +165,5 @@ fn no_pass_zero_events_after_warmup_and_batches_beat_full_joins() {
     let stats = sess.stats();
     assert_eq!(stats.resident_builds, 1, "the build is paid exactly once");
     sess.shutdown();
+    assert!(stream_files(&env).is_empty(), "after shutdown");
 }
