@@ -17,7 +17,8 @@
 //!   lines);
 //! * [`resident`] — the resident set: build (the stream's only O(|S|)
 //!   cost), probe through the Sproc shared-buffer exchange, in-place
-//!   patch;
+//!   patch, and the rank/select live-slot index that makes each
+//!   mutation or generated row O(log |S|);
 //! * [`session`] — the ordered worker, backpressure, write-ahead
 //!   journaling, and exactly-once `--resume`.
 //!

@@ -7,17 +7,24 @@
 //! through [`Env::s_fetch_batch`]'s shared-buffer exchange. The joins
 //! are pointer-based: a batch row carries the virtual pointer of its
 //! S-object, so a probe is `MAP(sptr)` plus the exchange and needs no
-//! index; there is none. Steady-state probes charge only pass-2-style
+//! key index; there is none. Steady-state probes charge only pass-2-style
 //! work (map + hash per row plus the buffer exchanges); the
 //! differential and trace tests in this crate hold that line.
 //!
 //! Storage is authoritative: a tombstoned slot's bytes carry a key with
 //! [`DEAD_BIT`] set, so a probe discovers liveness from the fetched
 //! S-object itself, not from session-local bookkeeping. The in-memory
-//! key table exists to *generate* batches over the live set and to
-//! price the per-batch verification oracle.
+//! key table and live-slot index exist to *generate* batches over the
+//! live set and to price the per-batch verification oracle.
+//!
+//! The live-slot index (`resident/live.rs`) is a rank/select bitmap:
+//! one bit per slot plus a Fenwick tree over per-64-slot popcounts.
+//! `delete=` draws and `batch=` rows pick the `k`-th live slot and
+//! `append=` the lowest tombstoned ones, each in O(log |S|). So a
+//! mutation of `count` slots costs O(count · log |S|) plus its `count`
+//! in-place patches, a generated batch O(rows · log |S|), and the
+//! index's share of the build O(|S| / 64).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mmjoin_env::machine::MachineParams;
@@ -27,6 +34,9 @@ use mmjoin_relstore::SPTR_SIZE;
 use mmjoin_relstore::{encode_s, names, pair_digest, s_key, RelConfig};
 
 use crate::grammar::StreamHeader;
+
+mod live;
+use live::LiveSlots;
 
 /// High bit marking a tombstoned slot's stored key. Live keys (slot
 /// indices at build time, a monotone counter afterwards) never reach it.
@@ -54,8 +64,9 @@ pub struct ResidentSet<E: Env> {
     rel: RelConfig,
     /// Current key of every slot; `DEAD_BIT` marks tombstones.
     keys: Vec<u64>,
-    /// Slots currently live, kept sorted for deterministic draws.
-    live: BTreeSet<u64>,
+    /// Which slots are live, with ascending-order rank/select for
+    /// deterministic draws.
+    live: LiveSlots,
     /// Next fresh key handed to `append=`.
     next_key: u64,
     s_files: Vec<String>,
@@ -106,7 +117,7 @@ impl<E: Env> ResidentSet<E> {
             env,
             rel,
             keys: (0..rel.s_objects).collect(),
-            live: (0..rel.s_objects).collect(),
+            live: LiveSlots::full(rel.s_objects),
             next_key: rel.s_objects,
             s_files,
         })
@@ -114,7 +125,7 @@ impl<E: Env> ResidentSet<E> {
 
     /// Live (non-tombstoned) slots.
     pub fn live_count(&self) -> u64 {
-        self.live.len() as u64
+        self.live.len()
     }
 
     /// Current key of every slot (`DEAD_BIT` set on tombstones).
@@ -148,14 +159,15 @@ impl<E: Env> ResidentSet<E> {
     /// Deterministically draw a `objects`-row micro-batch over the
     /// *current* live slots: row keys and targets are pure functions of
     /// `seed` and the live set, so a resumed session that replays the
-    /// op sequence regenerates byte-identical batches.
+    /// op sequence regenerates byte-identical batches. Panics when
+    /// `objects > 0` and no slot is live.
     pub fn gen_batch(&self, objects: u64, seed: u64) -> Vec<(u64, u64)> {
-        let live: Vec<u64> = self.live.iter().copied().collect();
+        let live = self.live.len();
         let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
         let mut rows = Vec::with_capacity(objects as usize);
         for n in 0..objects {
             state = splitmix64(state.wrapping_add(n));
-            let slot = live[(state % live.len() as u64) as usize];
+            let slot = self.live.select(state % live);
             state = splitmix64(state);
             // Row keys stay clear of DEAD_BIT so digests can't collide
             // with tombstone sentinels in tests.
@@ -183,14 +195,21 @@ impl<E: Env> ResidentSet<E> {
     /// Probe one micro-batch through the Sproc shared-buffer exchange.
     /// Liveness comes from the fetched bytes (tombstones carry
     /// [`DEAD_BIT`]), so storage — not session state — is authoritative.
+    /// A row whose slot is past |S| fails the whole probe.
     pub fn probe(&self, rows: &[(u64, u64)]) -> Result<BatchOutput> {
         let d = self.rel.d as usize;
         // Group rows by target partition, preserving per-row keys.
         let mut parts: Vec<(Vec<SPtr>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); d];
         for &(r_key, slot) in rows {
             let j = (slot / self.rel.s_per_part()) as usize;
-            parts[j].0.push(self.rel.sptr_of(slot));
-            parts[j].1.push(r_key);
+            let Some((ptrs, keys)) = parts.get_mut(j) else {
+                return Err(mmjoin_env::EnvError::InvalidConfig(format!(
+                    "row targets slot {slot} but |S| = {}",
+                    self.rel.s_objects
+                )));
+            };
+            ptrs.push(self.rel.sptr_of(slot));
+            keys.push(r_key);
         }
         let req_bytes = (self.rel.r_size + SPTR_SIZE) as u64;
         let mut out = BatchOutput::default();
@@ -220,7 +239,7 @@ impl<E: Env> ResidentSet<E> {
     /// Tombstone `count` live slots drawn deterministically with
     /// `seed`. Returns the patched slots.
     pub fn delete(&mut self, count: u64, seed: u64) -> Result<Vec<u64>> {
-        if count > self.live.len() as u64 {
+        if count > self.live.len() {
             return Err(mmjoin_env::EnvError::InvalidConfig(format!(
                 "delete={count} but only {} slots live",
                 self.live.len()
@@ -229,10 +248,9 @@ impl<E: Env> ResidentSet<E> {
         let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
         let mut slots = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let live: Vec<u64> = self.live.iter().copied().collect();
             state = splitmix64(state);
-            let slot = live[(state % live.len() as u64) as usize];
-            self.live.remove(&slot);
+            let slot = self.live.select(state % self.live.len());
+            self.live.remove(slot);
             self.keys[slot as usize] = DEAD_BIT | slot;
             slots.push(slot);
         }
@@ -243,16 +261,13 @@ impl<E: Env> ResidentSet<E> {
     /// Refill the `count` lowest tombstoned slots with fresh keys from
     /// the monotone counter. Returns the patched slots.
     pub fn append(&mut self, count: u64) -> Result<Vec<u64>> {
-        let dead: Vec<u64> = (0..self.rel.s_objects)
-            .filter(|s| !self.live.contains(s))
-            .take(count as usize)
-            .collect();
-        if (dead.len() as u64) < count {
+        if count > self.live.dead() {
             return Err(mmjoin_env::EnvError::InvalidConfig(format!(
                 "append={count} but only {} slots free",
-                dead.len()
+                self.live.dead()
             )));
         }
+        let dead: Vec<u64> = (0..count).map(|k| self.live.select0(k)).collect();
         for &slot in &dead {
             self.keys[slot as usize] = self.next_key;
             self.next_key += 1;

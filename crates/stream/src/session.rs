@@ -325,24 +325,21 @@ impl<E: Env + 'static> StreamSession<E> {
                     num_disks: 1,
                     page_size: PAGE,
                 };
-                if cfg.resume {
-                    let (jenv, adopted) = MmapEnv::recover(jcfg)?;
-                    if adopted.iter().any(|n| n == JOURNAL_FILE) {
-                        let (journal, rep) = Journal::open(jenv, JOURNAL_FILE, PROC)?;
-                        journal_stats = (rep.records.len() as u64, rep.torn_bytes);
-                        replayed = Some(ReplayState::from_records(&rep.records));
-                        Some(Mutex::new(journal))
-                    } else {
-                        Some(Mutex::new(Journal::create(
-                            jenv,
-                            JOURNAL_FILE,
-                            JOURNAL_CAPACITY,
-                            PROC,
-                        )?))
-                    }
+                // The journal owns its `stream.wal` and nothing else in
+                // `dir`: a fresh stream clears that one file, so a store
+                // kept beside it (`serve --stream --env mmap` puts one in
+                // `dir/store`) survives.
+                let (jenv, adopted) = MmapEnv::recover(jcfg)?;
+                let found = adopted.iter().any(|n| n == JOURNAL_FILE);
+                if cfg.resume && found {
+                    let (journal, rep) = Journal::open(jenv, JOURNAL_FILE, PROC)?;
+                    journal_stats = (rep.records.len() as u64, rep.torn_bytes);
+                    replayed = Some(ReplayState::from_records(&rep.records));
+                    Some(Mutex::new(journal))
                 } else {
-                    let _ = std::fs::remove_dir_all(dir);
-                    let jenv = MmapEnv::new(jcfg)?;
+                    if found {
+                        jenv.delete_file(PROC, JOURNAL_FILE)?;
+                    }
                     Some(Mutex::new(Journal::create(
                         jenv,
                         JOURNAL_FILE,
@@ -475,6 +472,10 @@ impl<E: Env + 'static> StreamSession<E> {
     /// Submit one op; blocks while the queue is at the bound
     /// (backpressure). Returns the op's sequence number.
     pub fn submit(&self, op: StreamOp) -> Result<u64> {
+        // The journal line is formatted before the state lock is taken
+        // (a 4096-row `batch-rows=` line is not short); an un-journaled
+        // session formats nothing.
+        let line = self.shared.journal.is_some().then(|| op.to_line());
         let mut st = self.shared.lock();
         let mut blocked = false;
         while st.queue.len() >= self.shared.bound && !st.shutdown {
@@ -501,14 +502,13 @@ impl<E: Env + 'static> StreamSession<E> {
         let seq = st.next_seq;
         st.next_seq += 1;
         st.stats.submitted += 1;
-        if let Err(e) = self
-            .shared
-            .journal_commit(|| JournalRecord::BatchSubmitted {
-                batch: seq,
-                line: op.to_line(),
-            })
-        {
-            eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
+        if let Some(line) = line {
+            if let Err(e) = self
+                .shared
+                .journal_commit(|| JournalRecord::BatchSubmitted { batch: seq, line })
+            {
+                eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
+            }
         }
         self.shared.env.trace(
             PROC,
@@ -708,23 +708,26 @@ fn execute<E: Env>(
     match op {
         StreamOp::Batch { .. } | StreamOp::BatchRows { .. } => {
             let rows = match op {
+                StreamOp::Batch { objects, .. } if *objects > 0 && resident.live_count() == 0 => {
+                    let error = format!("batch of {objects} rows but no live slots");
+                    return (*objects, BatchOutput::default(), 0.0, Some(error));
+                }
                 StreamOp::Batch { objects, seed, .. } => resident.gen_batch(*objects, *seed),
                 StreamOp::BatchRows { rows, .. } => rows.clone(),
                 _ => unreachable!(),
             };
             let inputs = resident.batch_inputs(&shared.header, rows.len() as u64);
             let predicted = probe_cost(&shared.machine, &inputs, rows.len() as u64).total();
-            let expected = resident.expected(&rows);
+            // Probe before pricing the oracle: the probe refuses a row
+            // past |S|, which the oracle's key table cannot index.
             match resident.probe(&rows) {
-                Ok(out) if out == expected => (rows.len() as u64, out, predicted, None),
-                Ok(out) => (
-                    rows.len() as u64,
-                    out,
-                    predicted,
-                    Some(format!(
-                        "verification failed: got {out:?}, expected {expected:?}"
-                    )),
-                ),
+                Ok(out) => {
+                    let expected = resident.expected(&rows);
+                    let error = (out != expected).then(|| {
+                        format!("verification failed: got {out:?}, expected {expected:?}")
+                    });
+                    (rows.len() as u64, out, predicted, error)
+                }
                 Err(e) => (
                     rows.len() as u64,
                     BatchOutput::default(),

@@ -205,6 +205,43 @@ fn resume_after_torn_run_re_executes_only_the_incomplete_suffix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `serve --stream --env mmap --journal DIR` keeps its store in
+/// `DIR/store`, beside the journal: a fresh open may clear only the
+/// journal's own file, and a resumed one must not adopt the store.
+#[test]
+fn a_store_kept_beside_the_journal_survives_fresh_and_resumed_opens() {
+    let dir = tmp("beside");
+    let store_cfg = MmapEnvConfig {
+        root: dir.join("store"),
+        num_disks: 2,
+        page_size: 4096,
+    };
+    let store = Arc::new(MmapEnv::new(store_cfg.clone()).unwrap());
+    let marker = dir.join("store").join("disk0").join("other.bin");
+    std::fs::write(&marker, b"not the journal's").unwrap();
+
+    let want = {
+        let sess = StreamSession::open(store, header(), cfg(&dir, false)).unwrap();
+        for op in ops() {
+            sess.submit(op).unwrap();
+        }
+        sess.drain();
+        let results = sess.results();
+        assert!(results.iter().all(|r| r.ok), "{results:?}");
+        outputs(&results)
+    };
+    assert!(marker.exists(), "a fresh open removed the store");
+
+    let (store, _) = MmapEnv::recover(store_cfg).unwrap();
+    let sess = StreamSession::open(Arc::new(store), header(), cfg(&dir, true)).unwrap();
+    let results = sess.results();
+    assert!(results.iter().all(|r| r.resumed), "{results:?}");
+    assert_eq!(outputs(&results), want);
+    sess.shutdown();
+    assert!(marker.exists(), "a resumed open removed the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_refuses_a_mismatched_header() {
     let dir = tmp("mismatch");

@@ -167,3 +167,45 @@ fn no_pass_zero_events_after_warmup_and_batches_beat_full_joins() {
     sess.shutdown();
     assert!(stream_files(&env).is_empty(), "after shutdown");
 }
+
+/// An op the resident set cannot serve fails alone: the worker
+/// survives it, `drain()` returns, and later ops run normally.
+#[test]
+fn a_batch_over_no_live_slots_fails_and_the_stream_carries_on() {
+    let header = StreamHeader {
+        name: "empty".into(),
+        s_objects: 128,
+        s_size: 64,
+        d: D,
+        mem_pages: 64,
+        seed: 1,
+        modern: false,
+    };
+    let sess = StreamSession::open(
+        sim(64),
+        header,
+        StreamConfig::ephemeral(MachineParams::waterloo96()),
+    )
+    .unwrap();
+    let script = "\
+batch=b0 objects=64 seed=1
+delete=128 seed=3
+batch=b1 objects=16 seed=2
+batch-rows=bx rows=7:128
+append=32 seed=4
+batch=b2 objects=16 seed=5
+";
+    sess.submit_script(script).unwrap();
+    sess.drain();
+    let results = sess.results();
+    let ok: Vec<bool> = results.iter().map(|r| r.ok).collect();
+    assert_eq!(ok, [true, true, false, false, true, true], "{results:?}");
+    assert_eq!(results[1].live_after, 0, "delete= emptied the set");
+    let error = results[2].error.as_deref().unwrap();
+    assert!(error.contains("no live slots"), "{error}");
+    let error = results[3].error.as_deref().unwrap();
+    assert!(error.contains("slot 128"), "{error}");
+    assert_eq!((results[5].pairs, results[5].live_after), (16, 32));
+    assert_eq!(sess.stats().failed, 2);
+    sess.shutdown();
+}
