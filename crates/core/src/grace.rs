@@ -5,7 +5,8 @@
 //! The hash is a **range partition of the virtual pointer**, so "each
 //! hash bucket contains monotonically increasing locations in S_i" (§7)
 //! — which is what lets the per-bucket join passes read `S_i`
-//! (near-)sequentially with no hashing of `S` at all.
+//! (near-)sequentially with no hashing of `S` at all. It is
+//! [`hybrid::HybridHashFn`] with an empty in-memory range.
 //!
 //! Pass `1+j` loads bucket `j` into an in-memory hash table of `TSIZE`
 //! chains whose second-level hash is also range-based, then walks the
@@ -18,41 +19,8 @@ use mmjoin_model::{choose_k, choose_tsize};
 use mmjoin_relstore::{r_key, r_sptr, ChunkedFile, Relations};
 
 use crate::exec::{JoinAcc, JoinOutput, JoinSpec, SBatcher};
-use crate::repartition::{self, rs_objects, Pass, Place, RsArea};
-
-/// The two-level range hash: bucket within the partition, then chain
-/// within the bucket. Both preserve pointer (= storage) order.
-#[derive(Clone, Copy, Debug)]
-pub struct RangeHash {
-    part_bytes: u64,
-    k: u64,
-    tsize: u64,
-}
-
-impl RangeHash {
-    /// Build the hash for `k` buckets over partitions of `part_bytes`
-    /// bytes, with `tsize`-slot tables.
-    pub fn new(part_bytes: u64, k: u64, tsize: u64) -> Self {
-        RangeHash {
-            part_bytes,
-            k,
-            tsize,
-        }
-    }
-
-    /// First-level hash: which bucket of `RS_j`.
-    pub fn bucket(&self, ptr: SPtr) -> u32 {
-        let off = ptr.offset(self.part_bytes) as u128;
-        ((off * self.k as u128) / self.part_bytes as u128).min(self.k as u128 - 1) as u32
-    }
-
-    /// Second-level hash: which chain of the in-memory table.
-    pub fn chain(&self, ptr: SPtr) -> u32 {
-        let off = ptr.offset(self.part_bytes) as u128;
-        let within = (off * self.k as u128) % self.part_bytes as u128;
-        ((within * self.tsize as u128) / self.part_bytes as u128).min(self.tsize as u128 - 1) as u32
-    }
-}
+use crate::hybrid::{self, HybridPlan};
+use crate::repartition::{rs_objects, Pass};
 
 /// The `K` the implementation (and the model) uses for this spec.
 pub fn k_for(rels: &Relations, spec: &JoinSpec) -> u64 {
@@ -63,25 +31,11 @@ pub fn k_for(rels: &Relations, spec: &JoinSpec) -> u64 {
     choose_k(worst_rs, rels.rel.r_size, spec.m_rproc)
 }
 
-/// Execute the join (S catalog must be registered).
+/// Execute the join (S catalog must be registered): the hybrid router
+/// with no in-memory range.
 pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let part_bytes = rels.rel.s_part_bytes();
-    let k = k_for(rels, spec);
-    let hash = RangeHash::new(part_bytes, k, 1);
-    let area = RsArea {
-        buckets: k as u32,
-        scratch: None,
-        local_stage: "bucket-join",
-        local_join: &|i, rs, acc| {
-            bucket_join(env, rels, spec, i, rs, acc, |ptr, tsize| {
-                RangeHash::new(part_bytes, k, tsize).chain(ptr)
-            })
-        },
-    };
-    repartition::run(env, rels, spec, Some(area), |proc, ptr| {
-        env.cpu(proc, CpuOp::Hash, 1);
-        Place::Rs(hash.bucket(ptr))
-    })
+    let plan = HybridPlan::grace(k_for(rels, spec));
+    hybrid::run_plan(env, rels, spec, &plan, "bucket-join")
 }
 
 /// Pass `1+j` for every bucket of `RS_i`: build the `TSIZE`-chain table
@@ -144,14 +98,24 @@ pub(crate) fn bucket_join<E: Env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hybrid::HybridHashFn;
+
+    /// Grace's two-level range hash: `K` buckets over `part_bytes`.
+    fn grace_hash(part_bytes: u64, k: u64) -> HybridHashFn {
+        HybridHashFn::new(part_bytes, &HybridPlan::grace(k))
+    }
+
+    fn bucket(h: &HybridHashFn, ptr: SPtr) -> u32 {
+        h.route(ptr).expect("Grace spills every pointer")
+    }
 
     #[test]
     fn range_hash_buckets_are_monotone_in_pointer() {
-        let h = RangeHash::new(1 << 20, 16, 64);
+        let h = grace_hash(1 << 20, 16);
         let mut prev_bucket = 0;
         for step in 0..200u64 {
             let ptr = SPtr(step * ((1 << 20) / 200));
-            let b = h.bucket(ptr);
+            let b = bucket(&h, ptr);
             assert!(b >= prev_bucket, "bucket order broke at {ptr}");
             assert!(b < 16);
             prev_bucket = b;
@@ -160,14 +124,14 @@ mod tests {
 
     #[test]
     fn range_hash_chain_is_monotone_within_bucket() {
-        let h = RangeHash::new(1 << 20, 16, 64);
+        let h = grace_hash(1 << 20, 16);
         // Walk pointers inside bucket 3.
         let span = (1u64 << 20) / 16;
         let mut prev_chain = 0;
         for step in 0..100u64 {
             let ptr = SPtr(3 * span + step * span / 100);
-            assert_eq!(h.bucket(ptr), 3);
-            let c = h.chain(ptr);
+            assert_eq!(bucket(&h, ptr), 3);
+            let c = h.chain(ptr, 64);
             assert!(c >= prev_chain, "chain order broke at {ptr}");
             assert!(c < 64);
             prev_chain = c;
@@ -176,9 +140,9 @@ mod tests {
 
     #[test]
     fn range_hash_last_byte_stays_in_range() {
-        let h = RangeHash::new(4096, 4, 8);
+        let h = grace_hash(4096, 4);
         let ptr = SPtr(4095);
-        assert_eq!(h.bucket(ptr), 3);
-        assert!(h.chain(ptr) < 8);
+        assert_eq!(bucket(&h, ptr), 3);
+        assert!(h.chain(ptr, 8) < 8);
     }
 }

@@ -17,7 +17,9 @@
 //!
 //! That is this file's whole contribution to the shared prologue
 //! ([`crate::repartition`]): the `f₀`/`K` plan and the router that
-//! turns a pointer into "join now" or "spill bucket `b`". The phase
+//! turns a pointer into "join now" or "spill bucket `b`". With an empty
+//! `f₀` range the router is Grace's two-level range hash, and
+//! [`crate::grace::run`] is this join with that plan. The phase
 //! staggering keeps the immediate joins contention-free: in any phase,
 //! `S_j` (bucket-0 range included) is touched by exactly one Rproc.
 
@@ -39,6 +41,18 @@ pub struct HybridPlan {
     pub f0: f64,
     /// Grace buckets over the remaining range.
     pub k: u64,
+}
+
+impl HybridPlan {
+    /// No in-memory range: every pointer spills into one of `k` range
+    /// buckets, which makes [`HybridHashFn`] Grace's hash.
+    pub(crate) fn grace(k: u64) -> Self {
+        HybridPlan {
+            f0_bytes: 0,
+            f0: 0.0,
+            k,
+        }
+    }
 }
 
 /// Choose `f₀` and `K` (§7.2 style): bucket 0 covers as much of `S` as
@@ -106,12 +120,24 @@ impl HybridHashFn {
 
 /// Execute the join (S catalog must be registered).
 pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
-    let plan = plan_for(rels, spec);
-    let hash = HybridHashFn::new(rels.rel.s_part_bytes(), &plan);
+    run_plan(env, rels, spec, &plan_for(rels, spec), "spill-join")
+}
+
+/// Route every R-object with `plan`'s [`HybridHashFn`]: bucket 0 joins
+/// on sight, the `K` spill buckets join in the stage named
+/// `local_stage`.
+pub(crate) fn run_plan<E: Env>(
+    env: &E,
+    rels: &Relations,
+    spec: &JoinSpec,
+    plan: &HybridPlan,
+    local_stage: &str,
+) -> Result<JoinOutput> {
+    let hash = HybridHashFn::new(rels.rel.s_part_bytes(), plan);
     let area = RsArea {
         buckets: plan.k as u32,
         scratch: None,
-        local_stage: "spill-join",
+        local_stage,
         // Grace's per-bucket join, over the spilled buckets only.
         local_join: &|i, rs, acc| {
             bucket_join(env, rels, spec, i, rs, acc, |ptr, tsize| {
@@ -129,61 +155,72 @@ pub fn run<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOut
 mod tests {
     use super::*;
 
+    fn plan(f0_bytes: u64, k: u64) -> HybridPlan {
+        HybridPlan {
+            f0_bytes,
+            f0: 0.0,
+            k,
+        }
+    }
+
     #[test]
     fn route_splits_at_f0_and_is_monotone() {
-        let plan = HybridPlan {
-            f0_bytes: 1000,
-            f0: 0.25,
-            k: 4,
-        };
-        let h = HybridHashFn::new(4000, &plan);
-        assert_eq!(h.route(SPtr(0)), None);
-        assert_eq!(h.route(SPtr(999)), None);
-        let mut prev = -1i64;
-        for off in (1000..4000).step_by(100) {
-            let b = h.route(SPtr(off)).expect("spill range") as i64;
-            assert!(b >= prev, "monotone buckets");
-            assert!(b < 4);
-            prev = b;
+        // (part_bytes, f0_bytes, k); `f0_bytes = 0` is Grace's hash.
+        for (part_bytes, f0_bytes, k) in [(4000u64, 1000, 4u64), (1 << 20, 0, 16)] {
+            let h = HybridHashFn::new(part_bytes, &plan(f0_bytes, k));
+            if f0_bytes > 0 {
+                assert_eq!(h.route(SPtr(0)), None);
+                assert_eq!(h.route(SPtr(f0_bytes - 1)), None);
+            }
+            let mut prev = 0;
+            for step in 0..200 {
+                let off = f0_bytes + step * ((part_bytes - f0_bytes) / 200);
+                let b = h.route(SPtr(off)).expect("spill range");
+                assert!(b >= prev, "bucket order broke at off {off}");
+                assert!(b < k as u32);
+                prev = b;
+            }
+            assert_eq!(h.route(SPtr(part_bytes - 1)), Some(k as u32 - 1));
         }
-        assert_eq!(h.route(SPtr(3999)), Some(3));
     }
 
     #[test]
     fn chain_is_monotone_within_a_spill_bucket() {
-        let plan = HybridPlan {
-            f0_bytes: 1000,
-            f0: 0.25,
-            k: 3,
-        };
-        let h = HybridHashFn::new(4000, &plan);
-        // Walk pointers inside one spill bucket; chain indices must be
-        // non-decreasing.
-        let mut prev_chain = 0u32;
-        let mut bucket = None;
-        for off in (1000..2000).step_by(10) {
-            let ptr = SPtr(off);
-            let b = h.route(ptr).expect("spill");
-            if bucket != Some(b) {
-                bucket = Some(b);
-                prev_chain = 0;
+        // (part_bytes, f0_bytes, k, tsize, walked offsets): the second
+        // case walks Grace's bucket 3 of 16.
+        let span = (1u64 << 20) / 16;
+        let cases = [
+            (4000u64, 1000, 3u64, 16u64, 1000..2000, 10),
+            (1 << 20, 0, 16, 64, 3 * span..4 * span, span / 100),
+        ];
+        for (part_bytes, f0_bytes, k, tsize, offs, step) in cases {
+            let h = HybridHashFn::new(part_bytes, &plan(f0_bytes, k));
+            let mut prev_chain = 0u32;
+            let mut bucket = None;
+            for off in offs.step_by(step as usize) {
+                let ptr = SPtr(off);
+                let b = h.route(ptr).expect("spill");
+                if bucket != Some(b) {
+                    bucket = Some(b);
+                    prev_chain = 0;
+                }
+                let c = h.chain(ptr, tsize);
+                assert!(c >= prev_chain, "chain order broke at off {off}");
+                assert!(c < tsize as u32);
+                prev_chain = c;
             }
-            let c = h.chain(ptr, 16);
-            assert!(c >= prev_chain, "chain order broke at off {off}");
-            assert!(c < 16);
-            prev_chain = c;
         }
     }
 
     #[test]
     fn zero_f0_degenerates_to_grace_routing() {
-        let plan = HybridPlan {
-            f0_bytes: 0,
-            f0: 0.0,
-            k: 8,
-        };
-        let h = HybridHashFn::new(4096, &plan);
-        assert_eq!(h.route(SPtr(0)), Some(0));
-        assert_eq!(h.route(SPtr(4095)), Some(7));
+        // (part_bytes, k, tsize): the first byte opens bucket 0, the
+        // last byte lands in the last bucket and in a valid chain.
+        for (part_bytes, k, tsize) in [(4096u64, 8u64, 16u64), (4096, 4, 8)] {
+            let h = HybridHashFn::new(part_bytes, &HybridPlan::grace(k));
+            assert_eq!(h.route(SPtr(0)), Some(0));
+            assert_eq!(h.route(SPtr(part_bytes - 1)), Some(k as u32 - 1));
+            assert!(h.chain(SPtr(part_bytes - 1), tsize) < tsize as u32);
+        }
     }
 }

@@ -476,7 +476,7 @@ fn radix_gather<E: Env>(
 /// into Grace's `K` range buckets.
 fn run_grace<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinOutput> {
     let k = grace::k_for(rels, spec).max(1);
-    let hash = grace::RangeHash::new(rels.rel.s_part_bytes(), k, 1);
+    let hash = hybrid::HybridHashFn::new(rels.rel.s_part_bytes(), &hybrid::HybridPlan::grace(k));
     run_exchange(
         env,
         rels,
@@ -484,7 +484,7 @@ fn run_grace<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<JoinO
         ["scan+radix", "bucket-join"],
         |_i, _j, run, _arena, _acc| Ok(run),
         |i, runs, merged, arena| {
-            let bucket_of = |p| hash.bucket(p) as usize;
+            let bucket_of = |p| hash.route(p).unwrap_or(0) as usize;
             radix_gather(env, i, runs, k as usize, bucket_of, merged, arena)
         },
     )

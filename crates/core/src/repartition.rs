@@ -408,7 +408,7 @@ mod tests {
 
     use super::*;
     use crate::exec::ExecMode;
-    use crate::{grace, hybrid};
+    use crate::hybrid;
 
     const D: u32 = 4;
     const K: u32 = 5;
@@ -517,8 +517,10 @@ mod tests {
 
     #[test]
     fn grace_rule_fills_k_buckets_per_rs() {
-        let hash = grace::RangeHash::new(PART_BYTES, K as u64, 1);
-        check_rule(Some(K), |ptr| Place::Rs(hash.bucket(ptr)));
+        let hash = hybrid::HybridHashFn::new(PART_BYTES, &hybrid::HybridPlan::grace(K as u64));
+        check_rule(Some(K), |ptr| {
+            Place::Rs(hash.route(ptr).expect("no in-memory range"))
+        });
     }
 
     #[test]

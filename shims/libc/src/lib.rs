@@ -1,55 +1,36 @@
 //! Workspace-local stand-in for the `libc` crate.
 //!
-//! Declares exactly the memory-mapping symbols and constants the
-//! `mmjoin-mmstore` crate uses, with Linux values. The process already
-//! links the system C library through std, so plain `extern "C"`
-//! declarations resolve against it.
+//! Declares exactly the symbols and constants the workspace uses, with
+//! Linux values: the shared mappings of the `memmap2` shim and of
+//! calibrate's `MT` probe, and the CLI's SIGTERM handler. The process
+//! already links the system C library through std, so plain
+//! `extern "C"` declarations resolve against it.
 
 #![allow(non_camel_case_types)]
 
 pub use std::ffi::c_void;
 
-pub type c_char = i8;
 pub type c_int = i32;
-pub type c_long = i64;
-pub type c_uint = u32;
 pub type off_t = i64;
 pub type size_t = usize;
 
-/// Pages may not be accessed.
-pub const PROT_NONE: c_int = 0x0;
 /// Pages may be read.
 pub const PROT_READ: c_int = 0x1;
 /// Pages may be written.
 pub const PROT_WRITE: c_int = 0x2;
 
-/// Private copy-on-write mapping.
-pub const MAP_PRIVATE: c_int = 0x02;
 /// Updates are visible to other mappings of the same file.
 pub const MAP_SHARED: c_int = 0x01;
 /// Mapping is not backed by any file.
 pub const MAP_ANONYMOUS: c_int = 0x20;
-/// Do not reserve swap space for this mapping.
-pub const MAP_NORESERVE: c_int = 0x4000;
-/// Place the mapping exactly at the given address, replacing overlaps.
-pub const MAP_FIXED: c_int = 0x10;
-/// Like `MAP_FIXED`, but fail instead of replacing an existing mapping.
-pub const MAP_FIXED_NOREPLACE: c_int = 0x100000;
 /// `mmap`'s error return.
 pub const MAP_FAILED: *mut c_void = !0 as *mut c_void;
 
 /// Synchronous `msync`.
 pub const MS_SYNC: c_int = 4;
-/// Asynchronous `msync`.
-pub const MS_ASYNC: c_int = 1;
-
-/// `sysconf` selector for the VM page size (Linux value).
-pub const _SC_PAGESIZE: c_int = 30;
 
 /// Termination request (`kill -TERM`).
 pub const SIGTERM: c_int = 15;
-/// Interactive interrupt (`^C`).
-pub const SIGINT: c_int = 2;
 
 /// Signal disposition: a handler address, `SIG_DFL` (0) or `SIG_IGN`
 /// (1).
@@ -69,20 +50,12 @@ extern "C" {
     ) -> *mut c_void;
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     pub fn msync(addr: *mut c_void, len: size_t, flags: c_int) -> c_int;
-    pub fn sysconf(name: c_int) -> c_long;
     pub fn signal(signum: c_int, handler: sighandler_t) -> sighandler_t;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn page_size_is_sane() {
-        let ps = unsafe { sysconf(_SC_PAGESIZE) };
-        assert!(ps >= 4096, "page size {ps}");
-        assert_eq!(ps & (ps - 1), 0, "page size is a power of two");
-    }
 
     #[test]
     fn signal_installs_and_restores_a_handler() {
@@ -104,7 +77,7 @@ mod tests {
                 std::ptr::null_mut(),
                 len,
                 PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS,
+                MAP_SHARED | MAP_ANONYMOUS,
                 -1,
                 0,
             );
