@@ -1,6 +1,6 @@
-//! Chaos harness: the loadgen batch under injected faults.
+//! Chaos harness: a randomized job batch under injected faults.
 //!
-//! Runs the same randomized job mix as `loadgen` against a service whose
+//! Runs a seeded randomized job mix ([`random_job`]) against a service whose
 //! per-job environments inject seeded deterministic faults, then asserts
 //! the recovery invariants:
 //!

@@ -1,11 +1,12 @@
-//! Shared machinery for the service load binaries (`loadgen`, `chaos`):
-//! command-line option parsing and the randomized job mix.
+//! Command-line option parsing and the randomized job mix of the
+//! `chaos` fault-injection harness, its only service-driving user
+//! (`skew_planner` borrows [`opt`]).
 
 use mmjoin_serve::JobRequest;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// `--key value` lookup with a default (the load binaries' minimal CLI).
+/// `--key value` lookup with a default (the bench binaries' minimal CLI).
 pub fn opt<T: std::str::FromStr>(key: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -15,7 +16,7 @@ pub fn opt<T: std::str::FromStr>(key: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-/// `--machine-profile FILE` lookup for the load binaries: load a
+/// `--machine-profile FILE` lookup for `chaos`: load a
 /// calibrated [`MachineProfile`](mmjoin_calibrate::MachineProfile) and
 /// return its parameters for
 /// [`ServeConfig::with_machine`](mmjoin_serve::ServeConfig::with_machine),
@@ -36,14 +37,6 @@ pub fn machine_override(
     );
     Ok(Some(std::sync::Arc::new(profile.machine)))
 }
-
-/// The default contended mix for the `--shards` sweep: every page-level
-/// I/O has a small chance of a real 2 ms stall (`FaultKind::Delay`
-/// sleeps the worker thread). A single-queue service serializes those
-/// stalls behind one admission queue; a sharded service overlaps them
-/// across shards — which is exactly the contention the sweep measures,
-/// and it does not depend on spare CPU cores.
-pub const CONTENDED_SPEC: &str = "seed=7;delay:p=0.1:ms=4";
 
 /// One randomized job: the shapes stay small enough that a 32-job run
 /// finishes in seconds, while footprints (4–16 pages × D) still

@@ -7,8 +7,7 @@
 //! mmjoin plan  [--objects N] [--d D] [--mem-pages P] [--skew X] [--explain A]
 //!              [--machine-profile FILE]
 //! mmjoin serve [--jobs FILE] [--budget-pages N] [--workers N] [--policy fifo|spf]
-//!              [--shards N] [--placement rr|load|pred] [--modern]
-//!              [--machine-profile FILE]
+//!              [--shards N] [--modern] [--machine-profile FILE]
 //! mmjoin serve --node [--listen ADDR] [--node-name NAME] [--budget-pages N]
 //!              [--workers N] [--machine-profile FILE]
 //! mmjoin coordinator --nodes A:P,B:P [--jobs FILE] [--heartbeat-ms MS]
@@ -37,6 +36,8 @@
 //! to use a calibrated profile in place of the built-in waterloo96
 //! preset; `join --modern` / `serve --modern` select the
 //! cache-conscious kernel path with bitwise-identical join output.
+//! Every command rejects an option it does not read, so a misspelt or
+//! retired option fails instead of running with defaults.
 
 use std::process::ExitCode;
 
@@ -105,7 +106,28 @@ impl Args {
     fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Refuse any option outside `known` (lists of space-separated
+    /// option names), naming it.
+    fn only(&self, cmd: &str, known: &[&str]) -> Result<(), String> {
+        let names = known.iter().flat_map(|list| list.split_whitespace());
+        let mut given = self.pairs.iter().map(|(k, _)| k).chain(&self.flags);
+        match given.find(|k| !names.clone().any(|n| n == k.as_str())) {
+            Some(k) => Err(format!("{cmd} does not take --{k}")),
+            None => Ok(()),
+        }
+    }
 }
+
+/// The options [`workload_from`] reads.
+const WORKLOAD: &str = "objects d obj-size seed dist";
+
+/// The service options `serve` and `serve --node` both read.
+const SERVICE: &str = "budget-pages workers policy env fault-spec retries deadline-ms journal \
+                       resume trace machine-profile";
+
+/// The report options of the commands that run a job script.
+const REPORTS: &str = "jobs results-json stats-json json";
 
 fn parse_alg(s: &str) -> Result<Algo, String> {
     Algo::ALL
@@ -217,6 +239,13 @@ fn trace_sink_from(args: &Args) -> Result<Option<std::sync::Arc<JsonlSink>>, Str
 }
 
 fn cmd_join(args: &Args) -> Result<(), String> {
+    args.only(
+        "join",
+        &[
+            WORKLOAD,
+            "alg auto sample mem-pages threads modern env fault-spec retries trace machine-profile",
+        ],
+    )?;
     let w = workload_from(args)?;
     let mut pages: u64 = args.get_or("mem-pages", 160)?;
     let mode = match (args.flag("threads"), args.flag("modern")) {
@@ -352,6 +381,10 @@ fn cmd_join(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
+    args.only(
+        "plan",
+        &[WORKLOAD, "mem-pages skew sample explain machine-profile"],
+    )?;
     let w = workload_from(args)?;
     let pages: u64 = args.get_or("mem-pages", 160)?;
     let skew: f64 = args.get_or("skew", 1.0)?;
@@ -428,11 +461,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, ShardedService, PAGE,
     };
 
+    if args.flag("node") {
+        args.only("serve --node", &[SERVICE, "node listen node-name"])?;
+    } else {
+        args.only("serve", &[SERVICE, REPORTS, "shards modern"])?;
+    }
     let budget_pages: u64 = args.get_or("budget-pages", 256)?;
     let workers: usize = args.get_or("workers", 4)?;
     let shards: u32 = args.get_or("shards", 1)?;
-    let placement = PlacementKind::from_name(args.get("placement").unwrap_or("pred"))
-        .ok_or_else(|| "unknown placement (rr | load | pred)".to_string())?;
     let policy = AdmissionPolicy::from_name(args.get("policy").unwrap_or("fifo"))
         .ok_or_else(|| "unknown policy (fifo | spf)".to_string())?;
     let fault_spec = FaultSpec::parse(args.get("fault-spec").unwrap_or(""))
@@ -522,9 +558,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         cfg.deadline = Some(std::time::Duration::from_millis(deadline_ms));
     }
     if args.flag("node") {
-        if shards > 1 {
-            return Err("--node wraps a single local service (drop --shards)".to_string());
-        }
         let listen = args.get("listen").unwrap_or("127.0.0.1:0");
         let default_name = format!("node-{}", std::process::id());
         let name = args.get("node-name").unwrap_or(&default_name);
@@ -544,15 +577,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let svc = ShardedService::start(cfg, shards.max(1), placement.build())?;
+    let svc = ShardedService::start(cfg, shards.max(1), PlacementKind::default().build())?;
     let ids = svc.submit_script(&script)?;
     if shards > 1 {
         println!(
             "serving {} job(s): budget {budget_pages} pages over {shards} shard(s), \
-             {workers} worker(s)/shard, policy {}, placement {}",
+             {workers} worker(s)/shard, policy {}",
             ids.len(),
-            policy.name(),
-            placement.name()
+            policy.name()
         );
     } else {
         println!(
@@ -733,6 +765,13 @@ impl LineFeed {
 fn cmd_stream(args: &Args) -> Result<(), String> {
     use mmjoin_stream::{StreamConfig, StreamHeader};
 
+    args.only(
+        "serve --stream",
+        &[
+            REPORTS,
+            "stream queue-bound env modern journal resume trace machine-profile",
+        ],
+    )?;
     install_sigterm();
     let queue_bound: usize = args.get_or("queue-bound", 64)?;
     let journal_dir = args.get("journal").map(std::path::PathBuf::from);
@@ -1064,6 +1103,13 @@ fn json_str(s: &str) -> String {
 fn cmd_coordinator(args: &Args) -> Result<(), String> {
     use mmjoin_cluster::{ClusterConfig, Coordinator};
 
+    args.only(
+        "coordinator",
+        &[
+            REPORTS,
+            "nodes heartbeat-ms timeout-ms max-requeues journal resume trace",
+        ],
+    )?;
     let nodes: Vec<String> = args
         .get("nodes")
         .ok_or("--nodes HOST:PORT[,HOST:PORT...] is required")?
@@ -1219,6 +1265,7 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
 
 fn cmd_calibrate(args: &Args) -> Result<(), String> {
     if args.flag("sim") {
+        args.only("calibrate --sim", &["sim"])?;
         // The original behaviour: the paper's Fig. 1a procedure against
         // the *simulated* waterloo96 drive.
         let disk = DiskParams::waterloo96();
@@ -1238,6 +1285,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
+    args.only("calibrate", &["out device quick trace"])?;
     let sink = trace_sink_from(args)?;
     let mut opts = if args.flag("quick") {
         CalibrateOptions::quick()
@@ -1385,6 +1433,7 @@ fn pass_rows(
 fn cmd_validate_model(args: &Args) -> Result<(), String> {
     use mmjoin_env::{Env as _, ProcId};
 
+    args.only("validate-model", &[WORKLOAD, "mem-pages machine-profile"])?;
     let w = workload_from(args)?;
     let pages: u64 = args.get_or("mem-pages", 160)?;
     let machine = machine_from(args)?;
@@ -1581,7 +1630,7 @@ fn usage() {
     println!("                   [--skew X] [--sample [N]] [--explain A]");
     println!("                   [--machine-profile FILE]");
     println!("  mmjoin serve     [--jobs FILE] [--budget-pages N] [--workers N]");
-    println!("                   [--policy fifo|spf] [--shards N] [--placement rr|load|pred]");
+    println!("                   [--policy fifo|spf] [--shards N]");
     println!("                   [--env sim|mmap] [--modern] [--json] [--stats-json FILE]");
     println!("                   [--fault-spec SPEC] [--retries N]");
     println!("                   [--deadline-ms MS] [--trace FILE.jsonl]");
@@ -1615,9 +1664,9 @@ fn usage() {
     println!("                   [--obj-size B] [--mem-pages P] [--seed S]");
     println!();
     println!("--shards N > 1 partitions the budget across N shards, each with");
-    println!("  its own queue and N --workers threads; --placement picks the");
-    println!("  shard per job (rr round-robin, load least-reserved-bytes, pred");
-    println!("  planner-predicted backlog balance); idle shards steal queued jobs");
+    println!("  its own queue and --workers threads; each job queues on the shard");
+    println!("  with the least planner-predicted backlog, and idle shards steal");
+    println!("  queued jobs");
     println!();
     println!("calibrate measures this host (O_DIRECT disk band sweep, map setup");
     println!("  costs, memcpy rates, context switches, CPU micro-ops) and writes");
@@ -1691,6 +1740,25 @@ fn usage() {
     println!("algorithms: {}", names.join(", "));
 }
 
+fn run(cmd: &str, args: &Args) -> Result<(), String> {
+    match cmd {
+        "join" => cmd_join(args),
+        "plan" => cmd_plan(args),
+        "serve" => cmd_serve(args),
+        "coordinator" => cmd_coordinator(args),
+        "calibrate" => cmd_calibrate(args),
+        "validate-model" => cmd_validate_model(args),
+        "help" | "--help" | "-h" => {
+            usage();
+            Ok(())
+        }
+        other => Err(format!(
+            "unknown command '{other}' \
+             (join | plan | serve | coordinator | calibrate | validate-model | help)"
+        )),
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
@@ -1704,23 +1772,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "join" => cmd_join(&rest),
-        "plan" => cmd_plan(&rest),
-        "serve" => cmd_serve(&rest),
-        "coordinator" => cmd_coordinator(&rest),
-        "calibrate" => cmd_calibrate(&rest),
-        "validate-model" => cmd_validate_model(&rest),
-        "help" | "--help" | "-h" => {
-            usage();
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown command '{other}' \
-             (join | plan | serve | coordinator | calibrate | validate-model | help)"
-        )),
-    };
-    match result {
+    match run(cmd, &rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1768,6 +1820,37 @@ mod tests {
         assert!(Args::parse(&owned).is_err());
         let a = args(&["--objects", "not-a-number"]);
         assert!(a.get_or("objects", 0u64).is_err());
+    }
+
+    #[test]
+    fn every_command_rejects_an_option_it_does_not_read() {
+        for (cmd, argv, unread) in [
+            ("serve", vec!["--placement", "rr"], "placement"),
+            (
+                "serve",
+                vec!["--policy", "spf", "--placment", "rr"],
+                "placment",
+            ),
+            ("serve", vec!["--stream", "--shards", "2"], "shards"),
+            ("serve", vec!["--node", "--shards", "2"], "shards"),
+            ("serve", vec!["--node", "--jobs", "j.txt"], "jobs"),
+            (
+                "coordinator",
+                vec!["--nodes", "a:1", "--shards", "2"],
+                "shards",
+            ),
+            ("join", vec!["--objets", "10"], "objets"),
+            ("plan", vec!["--mem-pages", "8", "--modern"], "modern"),
+            ("calibrate", vec!["--quick", "--objects", "10"], "objects"),
+            ("calibrate", vec!["--sim", "--out", "p.json"], "out"),
+            ("validate-model", vec!["--env", "mmap"], "env"),
+        ] {
+            let err = run(cmd, &args(&argv)).unwrap_err();
+            assert!(
+                err.contains(&format!("does not take --{unread}")),
+                "{cmd} {argv:?}: {err}"
+            );
+        }
     }
 
     #[test]

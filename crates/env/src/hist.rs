@@ -1,8 +1,8 @@
 //! Fixed-bucket log-scale latency histograms.
 //!
-//! `loadgen`'s original p50/p95 summary kept every latency in a sorted
-//! vector — fine for a batch, wrong for a long-running service. This
-//! histogram is the standard fixed-memory alternative: a constant array
+//! Keeping every latency in a sorted vector is fine for a batch and
+//! wrong for a long-running service. This histogram is the standard
+//! fixed-memory alternative: a constant array
 //! of buckets whose bounds grow geometrically, so relative quantile
 //! error is bounded by the bucket width ratio (one factor of
 //! `10^(1/8) ≈ 1.33` here) regardless of how many samples are recorded.

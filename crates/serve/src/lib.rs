@@ -20,8 +20,8 @@
 //!
 //! There is one scheduler, [`ShardedService`]: the global budget
 //! partitioned across N shards — each with its own queue, worker pool,
-//! and counters — with pluggable cross-shard [`Placement`] policies and
-//! work stealing between shards. The single-queue [`Service`] is that
+//! and counters — with a cross-shard [`Placement`] policy and work
+//! stealing between shards. The single-queue [`Service`] is that
 //! scheduler with N = 1 (one slice holding the whole budget), kept as
 //! its own type so callers with no placement to choose need not name
 //! one. Both implement the [`JoinService`] trait.
@@ -50,7 +50,7 @@
 //! let svc = ShardedService::start(
 //!     ServeConfig::sim(32 * PAGE, 2),
 //!     4,
-//!     PlacementKind::PredictedBalanced.build(),
+//!     PlacementKind::default().build(),
 //! )
 //! .unwrap();
 //! for seed in 0..4 {
@@ -75,9 +75,7 @@ pub mod stats;
 
 pub use admission::{AdmissionPolicy, Candidate};
 pub use job::{JobId, JobRequest, JobResult, PlanMode, PAGE};
-pub use placement::{
-    LeastLoaded, Placement, PlacementKind, PredictedBalanced, RoundRobin, ShardLoad,
-};
+pub use placement::{Placement, PlacementKind, PredictedBalanced, ShardLoad};
 pub use service::{service_machine, EnvKind, JoinService, ServeConfig, Service};
 pub use shard::ShardedService;
 pub use stats::{percentile, ServiceStats};

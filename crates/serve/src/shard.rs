@@ -14,9 +14,9 @@
 //!   per-shard reservations can never exceed the global budget* — each
 //!   shard enforces its own slice locally, without a global lock;
 //! * a [`Placement`] policy picks the owning shard at submission time
-//!   (round-robin, least-reserved-bytes, or planner-predicted backlog
-//!   balance); a job no slice can ever hold is refused at submit — and
-//!   failed visibly at resume — rather than queued forever;
+//!   (the stock one balances planner-predicted backlog); a job no slice
+//!   can ever hold is refused at submit — and failed visibly at resume
+//!   — rather than queued forever;
 //! * each shard runs `cfg.workers` worker threads against its own queue
 //!   under the configured [`AdmissionPolicy`](crate::AdmissionPolicy);
 //! * an idle shard with free budget **steals** queued-but-unadmitted
@@ -685,23 +685,13 @@ mod tests {
         JobRequest::new(800, 32, 2, mem_pages, seed)
     }
 
-    fn start(
-        budget_pages: u64,
-        workers: usize,
-        shards: u32,
-        kind: PlacementKind,
-    ) -> ShardedService {
-        ShardedService::start(
-            ServeConfig::sim(budget_pages * PAGE, workers),
-            shards,
-            kind.build(),
-        )
-        .unwrap()
+    fn start(budget_pages: u64, shards: u32, placement: Box<dyn Placement>) -> ShardedService {
+        ShardedService::start(ServeConfig::sim(budget_pages * PAGE, 1), shards, placement).unwrap()
     }
 
     #[test]
     fn budget_splits_exactly_across_shards() {
-        let svc = start(10, 1, 4, PlacementKind::RoundRobin);
+        let svc = start(10, 4, PlacementKind::default().build());
         let budgets = svc.shard_budgets();
         assert_eq!(budgets.len(), 4);
         assert_eq!(budgets.iter().sum::<u64>(), 10 * PAGE);
@@ -714,7 +704,7 @@ mod tests {
     fn oversized_for_every_slice_is_rejected() {
         // Global budget 32 pages over 4 shards ⇒ 8-page slices; a
         // 16-page footprint fits the old global budget but no slice.
-        let svc = start(32, 1, 4, PlacementKind::LeastLoaded);
+        let svc = start(32, 4, PlacementKind::default().build());
         let err = svc.submit(tiny_job(1, 8)).unwrap_err();
         assert!(err.contains("every shard's budget slice"), "{err}");
         let (results, stats) = svc.finish();
@@ -725,17 +715,16 @@ mod tests {
 
     #[test]
     fn batch_completes_under_every_placement() {
-        for kind in [
-            PlacementKind::RoundRobin,
-            PlacementKind::LeastLoaded,
-            PlacementKind::PredictedBalanced,
-        ] {
-            let svc = start(64, 1, 4, kind);
+        // The stock policy, and the pathological one stealing corrects.
+        let placements: [Box<dyn Placement>; 2] =
+            [PlacementKind::default().build(), Box::new(PinFirst)];
+        for (i, placement) in placements.into_iter().enumerate() {
+            let svc = start(64, 4, placement);
             for seed in 0..8 {
                 svc.submit(tiny_job(seed, 4)).unwrap();
             }
             let (results, stats) = svc.finish();
-            assert_eq!(results.len(), 8, "{}", kind.name());
+            assert_eq!(results.len(), 8, "placement {i}");
             assert!(results.iter().all(|r| r.verified && r.error.is_none()));
             assert_eq!(stats.completed, 8);
             assert_eq!(stats.in_flight(), 0);
@@ -755,7 +744,7 @@ mod tests {
         // The stall keeps the job running while the waiter goes to sleep.
         let cfg = ServeConfig::sim(32 * PAGE, 1)
             .with_faults(mmjoin_env::FaultSpec::parse("delay:count=1:ms=50").unwrap());
-        let svc = ShardedService::start(cfg, 1, PlacementKind::RoundRobin.build()).unwrap();
+        let svc = ShardedService::start(cfg, 1, PlacementKind::default().build()).unwrap();
 
         // Nothing submitted: empty at the deadline, and not before it.
         let t = Instant::now();
@@ -788,10 +777,6 @@ mod tests {
     struct PinFirst;
 
     impl Placement for PinFirst {
-        fn name(&self) -> &str {
-            "pin0"
-        }
-
         fn place(&self, job: &Candidate, loads: &[ShardLoad]) -> Option<usize> {
             loads
                 .first()
@@ -848,7 +833,7 @@ mod tests {
         let cfg = ServeConfig::sim(64 * PAGE, 2)
             .with_faults(mmjoin_env::FaultSpec::parse("seed=5;write:p=0.001:count=2").unwrap())
             .with_retries(6);
-        let svc = ShardedService::start(cfg, 2, PlacementKind::LeastLoaded.build()).unwrap();
+        let svc = ShardedService::start(cfg, 2, PlacementKind::default().build()).unwrap();
         for seed in 0..6 {
             JoinService::submit(&svc, tiny_job(seed, 4)).unwrap();
         }
@@ -873,7 +858,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = || ServeConfig::sim(64 * PAGE, 1).with_journal(dir.clone());
         // First life: two completions on a 2-shard service.
-        let svc = ShardedService::start(cfg(), 2, PlacementKind::RoundRobin.build()).unwrap();
+        let svc = ShardedService::start(cfg(), 2, PlacementKind::default().build()).unwrap();
         svc.submit(tiny_job(1, 4)).unwrap();
         svc.submit(tiny_job(2, 4)).unwrap();
         let (mut first, _) = svc.finish();
@@ -888,7 +873,7 @@ mod tests {
             });
         }
         // Second life: resume on the sharded service.
-        let svc = ShardedService::start(cfg().with_resume(), 2, PlacementKind::LeastLoaded.build())
+        let svc = ShardedService::start(cfg().with_resume(), 2, PlacementKind::default().build())
             .unwrap();
         assert_eq!(JoinService::submit(&svc, tiny_job(9, 4)).unwrap(), 4);
         let (mut results, stats) = svc.finish();

@@ -1,16 +1,17 @@
 //! Sharded-service invariants, from two angles:
 //!
-//! * **model properties** over the budget partition and the placement
-//!   policies — for any budget, shard count, placement, and job mix,
+//! * **model properties** over the budget partition and the stock
+//!   placement — for any budget, shard count, and job mix,
 //!   per-shard admission against the shard slices can never commit more
 //!   than the global budget, and merging per-shard stats snapshots is
 //!   indistinguishable from folding every job into one snapshot
 //!   (bucket-exact on all four histograms);
-//! * **end-to-end runs** of [`ShardedService`] under every stock
-//!   placement, checking the same invariants against the real
-//!   bookkeeping (per-shard peaks within per-shard slices, slices
-//!   summing to the global budget, merged counters consistent), and of
-//!   [`Service`], which is that scheduler with one shard.
+//! * **end-to-end runs** of [`ShardedService`], checking the same
+//!   invariants against the real bookkeeping (per-shard peaks within
+//!   per-shard slices, slices summing to the global budget, merged
+//!   counters consistent) and that the shard count never changes a
+//!   job's output, and of [`Service`], which is that scheduler with one
+//!   shard.
 
 use mmjoin::Algo;
 use mmjoin_serve::{
@@ -27,12 +28,6 @@ fn slices(budget: u64, shards: u32) -> Vec<u64> {
         .map(|i| budget / n + u64::from(i < budget % n))
         .collect()
 }
-
-const KINDS: [PlacementKind; 3] = [
-    PlacementKind::RoundRobin,
-    PlacementKind::LeastLoaded,
-    PlacementKind::PredictedBalanced,
-];
 
 /// A synthetic finished job for stats-merge properties.
 fn synth_result(id: u64, queue_wait: f64, exec_wall: f64, ok: bool, degraded: u32) -> JobResult {
@@ -79,8 +74,8 @@ proptest! {
         prop_assert!(s.iter().max().unwrap() - s.iter().min().unwrap() <= 1);
     }
 
-    /// For any placement policy and job mix, driving the stock
-    /// placements over live load snapshots and admitting each shard's
+    /// For any job mix, driving the stock placement over live load
+    /// snapshots and admitting each shard's
     /// queue against its own slice never commits more than the global
     /// budget in total — and a placed job always fits its shard's
     /// slice, while a rejected job fits no slice.
@@ -88,10 +83,9 @@ proptest! {
     fn reserved_bytes_never_exceed_the_global_budget(
         budget in 1u64..100_000,
         shards in 1u32..8,
-        kind_sel in 0usize..3,
         jobs in proptest::collection::vec((1u64..50_000, 0.0f64..100.0), 1..64),
     ) {
-        let placement = KINDS[kind_sel].build();
+        let placement = PlacementKind::default().build();
         let slices = slices(budget, shards);
         let max_slice = *slices.iter().max().unwrap();
         let mut used = vec![0u64; slices.len()];
@@ -190,50 +184,93 @@ proptest! {
     }
 }
 
-/// End-to-end: a real sharded run under every stock placement keeps
-/// every shard's peak within its own slice, the slices sum to the
-/// global budget, and the merged stats agree with the per-shard ones.
+/// End-to-end: a real sharded run keeps every shard's peak within its
+/// own slice, the slices sum to the global budget, and the merged stats
+/// agree with the per-shard ones.
 #[test]
 fn sharded_runs_respect_per_shard_budgets() {
-    for kind in KINDS {
-        let global = 64 * PAGE;
-        let svc = ShardedService::start(ServeConfig::sim(global, 1), 4, kind.build()).unwrap();
-        let budgets = svc.shard_budgets();
-        assert_eq!(budgets.iter().sum::<u64>(), global, "{}", kind.name());
-        // 8 jobs of 8 pages each against 16-page slices: oversubscribed
-        // globally, so queues (and possibly steals) engage.
-        for seed in 0..8 {
-            svc.submit(JobRequest::new(1_000, 32, 2, 4, 200 + seed))
-                .unwrap();
-        }
-        svc.drain();
-        let per = svc.shard_stats();
-        assert_eq!(per.len(), 4);
-        for (i, s) in per.iter().enumerate() {
-            assert_eq!(s.budget_bytes, budgets[i], "{} shard {i}", kind.name());
-            assert!(
-                s.peak_budget_bytes <= s.budget_bytes,
-                "{} shard {i}: peak {} exceeds slice {}",
-                kind.name(),
-                s.peak_budget_bytes,
-                s.budget_bytes
-            );
-            assert_eq!(s.budget_leak_bytes, 0, "{} shard {i}", kind.name());
-        }
-        let merged = svc.stats();
-        assert_eq!(merged.completed, 8, "{}", kind.name());
-        assert_eq!(merged.failed, 0);
-        assert_eq!(merged.in_flight(), 0);
-        assert_eq!(
-            merged.completed,
-            per.iter().map(|s| s.completed).sum::<u64>()
+    let global = 64 * PAGE;
+    let svc = ShardedService::start(
+        ServeConfig::sim(global, 1),
+        4,
+        PlacementKind::default().build(),
+    )
+    .unwrap();
+    let budgets = svc.shard_budgets();
+    assert_eq!(budgets.iter().sum::<u64>(), global);
+    // 8 jobs of 8 pages each against 16-page slices: oversubscribed
+    // globally, so queues (and possibly steals) engage.
+    for seed in 0..8 {
+        svc.submit(JobRequest::new(1_000, 32, 2, 4, 200 + seed))
+            .unwrap();
+    }
+    svc.drain();
+    let per = svc.shard_stats();
+    assert_eq!(per.len(), 4);
+    for (i, s) in per.iter().enumerate() {
+        assert_eq!(s.budget_bytes, budgets[i], "shard {i}");
+        assert!(
+            s.peak_budget_bytes <= s.budget_bytes,
+            "shard {i}: peak {} exceeds slice {}",
+            s.peak_budget_bytes,
+            s.budget_bytes
         );
-        assert!(merged.peak_budget_bytes <= merged.budget_bytes);
-        let results = svc.results();
-        assert_eq!(results.len(), 8);
-        assert!(results.iter().all(|r| r.verified && r.error.is_none()));
-        // Every result names a real shard.
-        assert!(results.iter().all(|r| (r.shard as usize) < per.len()));
+        assert_eq!(s.budget_leak_bytes, 0, "shard {i}");
+    }
+    let merged = svc.stats();
+    assert_eq!(merged.completed, 8);
+    assert_eq!(merged.failed, 0);
+    assert_eq!(merged.in_flight(), 0);
+    assert_eq!(
+        merged.completed,
+        per.iter().map(|s| s.completed).sum::<u64>()
+    );
+    assert!(merged.peak_budget_bytes <= merged.budget_bytes);
+    let results = svc.results();
+    assert_eq!(results.len(), 8);
+    assert!(results.iter().all(|r| r.verified && r.error.is_none()));
+    // Every result names a real shard.
+    assert!(results.iter().all(|r| (r.shard as usize) < per.len()));
+}
+
+/// The shard count decides where a job runs, never what it computes:
+/// one seeded job list — fixed and `plan=auto` lines, uniform, zipf and
+/// cross-partition pointers — yields the same `(name, alg, pairs,
+/// checksum)` multiset through 1, 2 and 4 shards.
+#[test]
+fn results_do_not_depend_on_shard_count() {
+    const SCRIPT: &str = "\
+name=a alg=grace objects=900 obj-size=32 d=2 mem-pages=8 seed=11
+name=b alg=sort-merge objects=800 obj-size=32 d=2 mem-pages=8 seed=12 dist=zipf:0.8
+name=c objects=1000 obj-size=32 d=2 mem-pages=8 seed=13 plan=auto
+name=d alg=hybrid-hash objects=700 obj-size=32 d=2 mem-pages=8 seed=14 dist=cross
+name=e objects=800 obj-size=32 d=2 mem-pages=8 seed=15 dist=zipf:0.5 plan=auto
+name=f alg=nested-loops objects=600 obj-size=32 d=2 mem-pages=8 seed=16
+";
+    let run = |shards: u32| {
+        let svc = ShardedService::start(
+            ServeConfig::sim(128 * PAGE, 1),
+            shards,
+            PlacementKind::default().build(),
+        )
+        .unwrap();
+        svc.submit_script(SCRIPT).unwrap();
+        let (results, _) = svc.finish();
+        assert!(
+            results.iter().all(|r| r.verified && r.error.is_none()),
+            "{shards} shard(s): {results:?}"
+        );
+        let mut outputs: Vec<(String, &str, u64, u64)> = results
+            .iter()
+            .map(|r| (r.name.clone(), r.alg.name(), r.pairs, r.checksum))
+            .collect();
+        outputs.sort();
+        outputs
+    };
+    let one = run(1);
+    assert_eq!(one.len(), 6);
+    for shards in [2, 4] {
+        assert_eq!(run(shards), one, "{shards} shards");
     }
 }
 
