@@ -16,7 +16,7 @@ use mmjoin_env::{CpuOp, MoveKind};
 
 use crate::breakdown::{CostBreakdown, CostKind};
 use crate::params::{choose_k, JoinInputs};
-use crate::urn::prob_empty_at_most;
+use crate::urn::Occupancy;
 
 /// Expected number of prematurely-replaced `RS_i` bucket pages in pass
 /// 0, per the paper's epoch/urn argument.
@@ -37,6 +37,14 @@ use crate::urn::prob_empty_at_most;
 ///   survival at rate `1 − 1/K` per object).
 ///
 /// Expected premature replacements = `|R_{i,i}| · Σ_j p_j · y_j`.
+///
+/// Epoch `j` ends after `K + j` objects, one more than the last, so a
+/// single `urn::Occupancy` distribution is advanced one object per epoch
+/// instead of evaluating the occupancy CDF afresh; it is stepped only
+/// while `p_j` is in doubt (outside that band `p_j` is exactly 0 or 1).
+/// `scripts/urn_exact.py` evaluates the same sum in exact rational
+/// arithmetic, and `thrashing_matches_exact_reference` holds this
+/// function to it.
 pub fn thrash_replacements(
     ri_i: f64,
     k: u64,
@@ -53,18 +61,20 @@ pub fn thrash_replacements(
     let fill_rate = (d as f64 - 1.0) / per_page;
     let q = 1.0 - 1.0 / kf; // per-object survival (no hit on our bucket)
 
+    let mut occ = Occupancy::new(k);
     let mut sum = 0.0;
-    let mut h = 0.0; // objects hashed at epoch start (H_j)
-    let mut survival = 1.0; // q^h
+    let mut survival = 1.0; // q^(objects hashed at epoch start)
     for epoch in 0..200_000u64 {
         let alpha = if epoch == 0 { kf } else { 1.0 };
+        // Objects hashed by the epoch's end, H_j + α_j.
+        let hashed = k + epoch;
         // Probability the second hit falls inside this epoch.
         let y = survival * (1.0 - q.powf(alpha));
         // Pages accumulated since our page's last hit, evaluated at the
         // epoch's *end* (a hit inside the epoch has seen all of it; the
         // first, K-object epoch carries most of the probability mass, so
         // start-of-epoch evaluation would miss nearly all of it).
-        let fills = (h + alpha) * fill_rate;
+        let fills = hashed as f64 * fill_rate;
         // Our page is out if (fills + hit-buckets + D current) ≥ M/B,
         // i.e. the number of *empty* buckets is at most
         // K − (M/B − fills − D).
@@ -74,11 +84,11 @@ pub fn thrash_replacements(
         } else if threshold >= kf {
             1.0
         } else {
-            prob_empty_at_most(k, (h + alpha).round() as u64, threshold.floor() as u64)
+            occ.advance_to(hashed);
+            occ.at_most(threshold.floor() as u64)
         };
         sum += p * y;
         survival *= q.powf(alpha);
-        h += alpha;
         if survival < 1e-12 {
             break;
         }
@@ -311,6 +321,63 @@ mod tests {
             let t = thrash_replacements(25_600.0, 24, 4, 4096, 128, pages);
             assert!(t <= prev + 1e-6, "pages={pages}: {t} > {prev}");
             prev = t;
+        }
+    }
+
+    #[test]
+    fn thrashing_matches_exact_reference() {
+        // (|R_(i,i)|, K, D, M/B pages, exact value): `scripts/urn_exact.py`
+        // with no arguments prints these, computed in exact rationals.
+        // On the first four, an occupancy CDF taken from the closed-form
+        // alternating sum cancels to 2789.29, 9 % high, 25 600 and 5529.8.
+        const EXACT: [(f64, u64, u32, f64, f64); 7] = [
+            (6400.0, 57, 4, 48.0, 2788.6079270862606), // Fig. 5c, M = 1.5 % |R|
+            (25_600.0, 17, 2, 32.0, 2.779518527049757e-7),
+            (25_600.0, 128, 1, 128.0, 387.80664357803676),
+            (25_600.0, 64, 4, 64.0, 5410.595621770419),
+            (6400.0, 43, 4, 64.0, 81.32234397076643), // Fig. 5c, M = 2 % |R|
+            (25_600.0, 16, 4, 8.0, 25_599.99999999294),
+            // ⌊threshold⌋ reaches K − 1, where p is exactly 1, just before
+            // the 1e-12 cut-off: the loop must leave through p ≥ 1 there.
+            (25_600.0, 11, 4, 32.0, 0.0008244491779282707),
+        ];
+        for (ri_i, k, d, mem, exact) in EXACT {
+            let t = thrash_replacements(ri_i, k, d, 4096, 128, mem);
+            assert!(
+                (t - exact).abs() <= 1e-9 * exact,
+                "K={k} D={d} M/B={mem}: {t} vs exact {exact}"
+            );
+        }
+        // Here the summed p rounds to 1 an epoch before the exact p would
+        // have let the loop run to its 1e-12 cut-off, so the closed-form
+        // tail adds what the exact sum drops past the cut-off: about
+        // 1e-12 · |R_(i,i)|, well inside 1e-9 · |R_(i,i)|.
+        let (ri_i, exact) = (25_600.0, 7.52495590115898);
+        let t = thrash_replacements(ri_i, 24, 2, 4096, 128, 32.0);
+        let err = (t - exact).abs();
+        assert!(err <= 1e-9 * ri_i, "K=24 D=2 M/B=32: {t} vs exact {exact}");
+        assert!(err <= 1e-11 * ri_i, "more than one epoch's tail: {err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Across K up to 1024, where an alternating-sum CDF has no
+        /// digits left: bounded, finite and non-increasing in memory.
+        #[test]
+        fn thrashing_is_bounded_and_monotone_for_any_k(k in 1u64..=1024, d in 1u32..=8) {
+            let ri_i = 25_600.0;
+            let mut prev = f64::INFINITY;
+            for pages in [1.0, 4.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0] {
+                let t = thrash_replacements(ri_i, k, d, 4096, 128, pages);
+                proptest::prop_assert!(t.is_finite(), "K={k} D={d} pages={pages}: {t}");
+                proptest::prop_assert!((0.0..=ri_i).contains(&t), "K={k} D={d} pages={pages}: {t}");
+                proptest::prop_assert!(
+                    t <= prev + 1e-9 * ri_i,
+                    "K={k} D={d} pages={pages}: {t} > {prev}"
+                );
+                prev = t;
+            }
         }
     }
 

@@ -9,38 +9,109 @@
 //! Pr[X = k] = C(m,k) (1 − k/m)ⁿ Σ_{j=0}^{m−k−1} C(m−k, j) (−1)ʲ (1 − j/(m−k))ⁿ
 //! ```
 //!
-//! which simplifies to the standard inclusion–exclusion form
-//! `C(m,k) Σ_j (−1)ʲ C(m−k,j) ((m−k−j)/m)ⁿ`. The alternating sum is
-//! numerically treacherous for large `n`; we evaluate term-wise in log
-//! space with a shared exponent shift (signed log-sum-exp) and clamp to
-//! `[0, 1]`.
+//! That alternating sum is not evaluated here: its terms grow like
+//! `C(m, m/2)` while the result is at most one, so in doubles it cancels
+//! away digits as `m` grows — the thrashing term built on it was off in
+//! the fourth digit at `m = 57` and had no correct digit left at
+//! `m = 128`. Instead `Occupancy` carries the whole distribution and
+//! drops one ball at a time. With `e` urns empty, the next ball lands in
+//! one of them with probability `e/m`, so
+//!
+//! ```text
+//! Pr'[X = e] = Pr[X = e] · (1 − e/m) + Pr[X = e+1] · (e+1)/m
+//! ```
+//!
+//! Both terms are non-negative, so a step's rounding error stays relative
+//! to its result instead of being amplified by cancellation. The
+//! thrashing model's epochs add exactly one object each, so one
+//! distribution advanced in place serves the whole epoch loop at O(m)
+//! per epoch.
 
-/// Natural-log factorial with a thread-local memo table: the urn CDF
-/// evaluates `ln C(·,·)` inside an O(m²) loop that itself sits inside
-/// the thrashing model's epoch loop, so recomputing the O(n) sum each
-/// time made a single Grace prediction take milliseconds.
-fn ln_factorial(n: u64) -> f64 {
-    thread_local! {
-        static TABLE: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    TABLE.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.is_empty() {
-            t.push(0.0); // ln 0! = 0
-        }
-        while (t.len() as u64) <= n {
-            let i = t.len() as f64;
-            let last = *t.last().expect("seeded");
-            t.push(last + i.ln());
-        }
-        t[n as usize]
-    })
+/// The occupancy distribution of `m` urns, advanced one ball at a time.
+#[derive(Debug)]
+pub(crate) struct Occupancy {
+    /// Balls dropped so far.
+    balls: u64,
+    /// `p[e]` = Pr[exactly `e` urns empty], for `e` in `0..=m`.
+    p: Vec<f64>,
+    /// `e/m`: the chance the next ball lands in one of `e` empty urns.
+    frac: Vec<f64>,
+    /// Every `p[e]` above `top` is zero; the top of the support that
+    /// underflowed is trimmed so steps stop paying for it.
+    top: usize,
 }
 
-/// `ln C(n, k)`.
-fn ln_choose(n: u64, k: u64) -> f64 {
-    debug_assert!(k <= n);
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+impl Occupancy {
+    /// `m ≥ 1` urns and no balls yet: all `m` empty.
+    pub fn new(m: u64) -> Self {
+        debug_assert!(m > 0, "an occupancy distribution needs an urn");
+        let urns = m as usize;
+        let mut p = vec![0.0; urns + 1];
+        p[urns] = 1.0;
+        let frac = (0..=m).map(|e| e as f64 / m as f64).collect();
+        Occupancy {
+            balls: 0,
+            p,
+            frac,
+            top: urns,
+        }
+    }
+
+    /// Lowest `e` that can carry mass: `n` balls fill at most `n` urns.
+    fn bottom(&self) -> usize {
+        (self.p.len() - 1).saturating_sub(self.balls as usize)
+    }
+
+    /// Drop one more ball.
+    fn add_ball(&mut self) {
+        self.balls += 1;
+        let lo = self.bottom();
+        let top = self.top;
+        // Ascending and in place: `p[e]` reads the old `p[e + 1]`, which
+        // is overwritten only on the next iteration.
+        let (p, frac) = (&mut self.p[lo..=top], &self.frac[lo..=top]);
+        for i in 0..p.len() - 1 {
+            p[i] = p[i] * (1.0 - frac[i]) + p[i + 1] * frac[i + 1];
+        }
+        let last = p.len() - 1;
+        p[last] *= 1.0 - frac[last];
+        // Trim once the top underflows. Subnormals count: the smallest
+        // one times a factor above 1/2 rounds back to itself, so a top
+        // entry with `e < m/2` would never reach zero, and every step
+        // would keep paying slow subnormal arithmetic on it.
+        while self.top > 0 && self.p[self.top] < f64::MIN_POSITIVE {
+            self.p[self.top] = 0.0;
+            self.top -= 1;
+        }
+    }
+
+    /// Drop balls until `n` have landed (no-op if `n` already have).
+    pub fn advance_to(&mut self, n: u64) {
+        while self.balls < n {
+            self.add_ball();
+        }
+    }
+
+    /// Pr[exactly `k` urns empty].
+    pub fn exactly(&self, k: u64) -> f64 {
+        self.p.get(k as usize).copied().unwrap_or(0.0)
+    }
+
+    /// Pr[at most `k_max` urns empty].
+    pub fn at_most(&self, k_max: u64) -> f64 {
+        // Once a ball has landed at most `m − 1` urns can be empty: a
+        // bound covering that is certain, not a rounded sum of the support.
+        let most_empty = (self.p.len() - 1).saturating_sub((self.balls > 0) as usize);
+        if k_max as usize >= most_empty {
+            return 1.0;
+        }
+        let hi = (k_max as usize).min(self.top);
+        let lo = self.bottom();
+        if hi < lo {
+            return 0.0;
+        }
+        self.p[lo..=hi].iter().sum::<f64>().min(1.0)
+    }
 }
 
 /// Probability that exactly `k` of `m` urns are empty after `n` balls.
@@ -53,44 +124,12 @@ fn ln_choose(n: u64, k: u64) -> f64 {
 /// assert!((total - 1.0).abs() < 1e-9);
 /// ```
 pub fn prob_empty_exactly(m: u64, n: u64, k: u64) -> f64 {
-    if m == 0 || k > m {
+    if m == 0 {
         return 0.0;
     }
-    if n == 0 {
-        return if k == m { 1.0 } else { 0.0 };
-    }
-    if k == m {
-        // All empty is impossible once a ball has landed.
-        return 0.0;
-    }
-    let rest = m - k;
-    // Collect signed log-terms: ln C(m,k) + ln C(rest, j) + n·ln((rest−j)/m).
-    let base = ln_choose(m, k);
-    let mut terms: Vec<(f64, f64)> = Vec::with_capacity(rest as usize);
-    for j in 0..rest {
-        let frac = (rest - j) as f64 / m as f64;
-        let ln_t = base + ln_choose(rest, j) + n as f64 * frac.ln();
-        let sign = if j % 2 == 0 { 1.0 } else { -1.0 };
-        terms.push((ln_t, sign));
-    }
-    let max_ln = terms
-        .iter()
-        .map(|&(l, _)| l)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if max_ln == f64::NEG_INFINITY {
-        return 0.0;
-    }
-    // Compensated signed summation around the shared exponent.
-    let mut sum = 0.0;
-    let mut comp = 0.0;
-    for (ln_t, sign) in terms {
-        let v = sign * (ln_t - max_ln).exp();
-        let y = v - comp;
-        let t = sum + y;
-        comp = (t - sum) - y;
-        sum = t;
-    }
-    (sum * max_ln.exp()).clamp(0.0, 1.0)
+    let mut occ = Occupancy::new(m);
+    occ.advance_to(n);
+    occ.exactly(k)
 }
 
 /// Probability that **at most** `k_max` urns are empty after `n` balls
@@ -99,12 +138,9 @@ pub fn prob_empty_at_most(m: u64, n: u64, k_max: u64) -> f64 {
     if m == 0 {
         return 1.0;
     }
-    let k_max = k_max.min(m);
-    let mut acc = 0.0;
-    for k in 0..=k_max {
-        acc += prob_empty_exactly(m, n, k);
-    }
-    acc.clamp(0.0, 1.0)
+    let mut occ = Occupancy::new(m);
+    occ.advance_to(n);
+    occ.at_most(k_max)
 }
 
 /// Expected number of empty urns, `m(1 − 1/m)ⁿ` — used as a sanity
@@ -184,6 +220,27 @@ mod tests {
             assert!((0.0..=1.0).contains(&p), "k={k} p={p}");
         }
         assert!(prob_empty_at_most(24, 25_600, 24) > 0.999_999);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Up to 1024 urns, where the alternating sum has no digits
+        /// left: still a distribution, with the closed-form mean.
+        #[test]
+        fn occupancy_is_a_distribution_for_any_m(m in 1u64..=1024, n in 0u64..4096) {
+            let mut occ = Occupancy::new(m);
+            occ.advance_to(n);
+            let total: f64 = (0..=m).map(|k| occ.exactly(k)).sum();
+            let mean: f64 = (0..=m).map(|k| k as f64 * occ.exactly(k)).sum();
+            let expect = expected_empty(m, n);
+            proptest::prop_assert!((total - 1.0).abs() < 1e-9, "m={m} n={n}: total {total}");
+            proptest::prop_assert!(
+                (mean - expect).abs() < 1e-9 * expect.max(1.0),
+                "m={m} n={n}: mean {mean} vs {expect}"
+            );
+            proptest::prop_assert_eq!(occ.at_most(m), 1.0);
+        }
     }
 
     #[test]
