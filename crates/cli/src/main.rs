@@ -631,9 +631,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if shards > 1 {
         for (i, s) in svc.shard_stats().iter().enumerate() {
             println!(
-                "  shard {i}: {} done, {} stolen in, peak {} of {} pages",
+                "  shard {i}: {} done, peak {} of {} pages",
                 s.completed,
-                s.stolen,
                 s.peak_budget_bytes / PAGE,
                 s.budget_bytes / PAGE
             );
@@ -1665,8 +1664,7 @@ fn usage() {
     println!();
     println!("--shards N > 1 partitions the budget across N shards, each with");
     println!("  its own queue and --workers threads; each job queues on the shard");
-    println!("  with the least planner-predicted backlog, and idle shards steal");
-    println!("  queued jobs");
+    println!("  with the least planner-predicted backlog and runs there");
     println!();
     println!("calibrate measures this host (O_DIRECT disk band sweep, map setup");
     println!("  costs, memcpy rates, context switches, CPU micro-ops) and writes");

@@ -201,10 +201,6 @@ struct NodeState {
     terminal: bool,
     budget: u64,
     workers: u32,
-    /// Relative speed from the node's `Hello` (inverse predicted
-    /// seconds of a reference join under its calibrated profile);
-    /// 0.0 until registered. Only ratios between nodes matter.
-    speed: f64,
     reserved: u64,
     in_flight: std::collections::BTreeMap<u64, InFlight>,
     /// When the live session's reader last got a frame; the heartbeat
@@ -454,20 +450,12 @@ impl CoShared {
     }
 
     /// Register a node's `Hello` (first connect or reconnect).
-    fn register(&self, idx: usize, name: &str, budget: u64, workers: u32, speed: f64) {
+    fn register(&self, idx: usize, name: &str, budget: u64, workers: u32) {
         let mut st = self.lock();
         let node = &mut st.nodes[idx];
         node.name = name.to_string();
         node.budget = budget;
         node.workers = workers.max(1);
-        // Guard against a garbage profile on the wire: a non-finite or
-        // non-positive speed would make every comparison vacuous, so it
-        // degrades to "average" instead.
-        node.speed = if speed.is_finite() && speed > 0.0 {
-            speed
-        } else {
-            1.0
-        };
         node.registered = true;
         node.alive = true;
         node.last_heard = Some(Instant::now());
@@ -504,27 +492,6 @@ impl CoShared {
             .pending
             .iter()
             .position(|p| p.ready_at <= now && p.req.footprint() <= free)?;
-        // Host-aware placement: when a strictly faster node could run
-        // this job *right now* (alive, free worker slot, free budget),
-        // leave it in the queue — that node's dispatcher is woken by
-        // the same notify. If the faster node dies or fills up, the
-        // condition lapses (and this node is notified in turn) and this
-        // node takes the job, so nothing starves; a
-        // stalled-but-undeclared faster node delays a job by at most
-        // the failure-detection timeout.
-        let footprint = st.pending[pos].req.footprint();
-        let my_speed = st.nodes[idx].speed;
-        let faster_is_free = st.nodes.iter().enumerate().any(|(k, n)| {
-            k != idx
-                && n.alive
-                && n.speed > my_speed
-                && n.in_flight.len() < n.workers as usize
-                && n.budget.saturating_sub(n.reserved) >= footprint
-        });
-        if faster_is_free {
-            st.stats.deferred_claims += 1;
-            return None;
-        }
         let p = st.pending.remove(pos).expect("position just found");
         let node_name = st.nodes[idx].display_name().to_string();
         let line = p.req.to_line();
@@ -547,11 +514,6 @@ impl CoShared {
             job: id,
             node: node_name,
         });
-        if !st.pending.is_empty() {
-            // This node just got fuller: a slower node that deferred
-            // to it may now be the one to take the next job.
-            self.done.notify_all();
-        }
         Some((id, line))
     }
 
@@ -739,9 +701,8 @@ fn await_hello(shared: &CoShared, idx: usize, stream: &mut TcpStream) -> Result<
                 node,
                 budget_bytes,
                 workers,
-                speed,
             })) => {
-                shared.register(idx, &node, budget_bytes, workers, speed);
+                shared.register(idx, &node, budget_bytes, workers);
                 return stream.set_read_timeout(None).map_err(SessionEnd::Dropped);
             }
             Ok(Some(_)) => {}
@@ -1005,24 +966,6 @@ impl Coordinator {
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Coordinator { shared, threads })
-    }
-
-    /// The node a streaming session's micro-batches belong on: the
-    /// rendezvous home ([`crate::resident_route`]) of `stream` among
-    /// the nodes not yet declared permanently dead. The address is the
-    /// routing key, so the answer is stable across coordinator
-    /// restarts; when the home node dies only its streams re-home (the
-    /// resident set rebuilds on the survivor), every other stream
-    /// keeps its warm partitions.
-    pub fn stream_home(&self, stream: &str) -> Option<String> {
-        let st = self.shared.lock();
-        let live: Vec<String> = st
-            .nodes
-            .iter()
-            .filter(|n| !n.terminal)
-            .map(|n| n.addr.clone())
-            .collect();
-        crate::route::resident_route(stream, &live).map(|i| live[i].clone())
     }
 
     /// Enqueue one job. Rejected when its footprint exceeds every

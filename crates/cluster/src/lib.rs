@@ -7,7 +7,9 @@
 //! calibrated machine profile, and one [`Coordinator`] dispatches jobs
 //! over a small length-prefixed RPC protocol ([`wire`]).
 //!
-//! The interesting part is what happens when a node dies:
+//! On one host the tier buys no throughput over a local service (a job
+//! goes to whichever node has room for it first); it exists for its
+//! fault model, which is what happens when a node dies:
 //!
 //! * **Failure detection** — heartbeat pings with a configurable
 //!   timeout; an unanswered heartbeat, an exhausted reconnect budget,
@@ -23,23 +25,15 @@
 //!   (reusing [`mmjoin_recovery`]) makes coordinator crash-restart
 //!   resume dispatch without re-running or double-reporting finished
 //!   jobs.
-//! * **Resident-stream routing** — [`resident_route`] gives a
-//!   coordinator a shared-nothing sticky map from a streaming
-//!   session's name (`mmjoin serve --stream`) to the node holding its
-//!   resident set: rendezvous hashing, so losing a node re-homes
-//!   only that node's streams (they re-build on a survivor) while
-//!   every other stream keeps probing its warm resident set.
 //!
 //! [`Service`]: mmjoin_serve::Service
 
 mod coordinator;
 mod node;
-pub mod route;
 mod stats;
 pub mod wire;
 
 pub use coordinator::{ClusterConfig, ClusterJobResult, Coordinator, ResumeReport};
 pub use node::NodeServer;
-pub use route::resident_route;
 pub use stats::ClusterStats;
 pub use wire::Message;

@@ -84,7 +84,6 @@ struct NodeShared {
     name: String,
     budget_bytes: u64,
     workers: u32,
-    speed: f64,
     svc: Service,
     /// Cleared by `Shutdown`, `kill`, or drop. The session ends with
     /// the socket (`kill` resets it); the accept loop and the pump
@@ -248,7 +247,6 @@ impl NodeShared {
                     node: self.name.clone(),
                     budget_bytes: self.budget_bytes,
                     workers: self.workers,
-                    speed: self.speed,
                 },
             )?;
             // Everything finished so far goes out again: the
@@ -284,27 +282,6 @@ impl NodeShared {
     }
 }
 
-/// The relative speed a node advertises in its `Hello`: the inverse of
-/// its machine profile's predicted seconds for a fixed reference join.
-/// Dimensionless — the coordinator only compares ratios between nodes
-/// — so any common reference workload works, as long as every node
-/// uses the same one. A node whose profile cannot be loaded advertises
-/// 1.0 (average) rather than failing registration.
-fn advertised_speed(cfg: &ServeConfig) -> f64 {
-    let reference = JobRequest::new(20_000, 64, 4, 64, 1);
-    match cfg.machine() {
-        Ok(m) => {
-            let s = mmjoin::choose(m, &reference.planner_inputs()).predicted_seconds();
-            if s.is_finite() && s > 0.0 {
-                1.0 / s
-            } else {
-                1.0
-            }
-        }
-        Err(_) => 1.0,
-    }
-}
-
 /// A running worker node. Dropping it stops the accept loop, the
 /// completion pump, and the wrapped service's workers.
 pub struct NodeServer {
@@ -321,7 +298,6 @@ impl NodeServer {
     pub fn start(listen: &str, name: &str, cfg: ServeConfig) -> Result<NodeServer, String> {
         let budget_bytes = cfg.budget_bytes;
         let workers = cfg.workers as u32;
-        let speed = advertised_speed(&cfg);
         let svc = Service::start(cfg)?;
         let listener = TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
         let addr = listener
@@ -331,7 +307,6 @@ impl NodeServer {
             name: name.to_string(),
             budget_bytes,
             workers,
-            speed,
             svc,
             running: AtomicBool::new(true),
             conn: Mutex::new(None),

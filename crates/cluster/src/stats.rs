@@ -28,10 +28,6 @@ pub struct ClusterStats {
     pub failed: u64,
     /// Jobs re-queued off a dead node onto the pending queue.
     pub requeued: u64,
-    /// Claims a node declined because a strictly faster node had a free
-    /// worker slot and budget for the job at that moment (host-aware
-    /// placement deferring to the better home).
-    pub deferred_claims: u64,
     /// Duplicate `JobDone` deliveries dropped by id dedup (the
     /// at-least-once resend path working as designed).
     pub duplicate_completions: u64,
@@ -73,8 +69,8 @@ impl ClusterStats {
         );
         let _ = write!(
             s,
-            "\"deferred_claims\":{},\"duplicate_completions\":{},\"resumed_reported\":{},\"replayed_records\":{},",
-            self.deferred_claims, self.duplicate_completions, self.resumed_reported, self.replayed_records
+            "\"duplicate_completions\":{},\"resumed_reported\":{},\"replayed_records\":{},",
+            self.duplicate_completions, self.resumed_reported, self.replayed_records
         );
         let _ = write!(
             s,
@@ -112,7 +108,6 @@ mod tests {
             completed: 10,
             failed: 1,
             requeued: 3,
-            deferred_claims: 4,
             duplicate_completions: 2,
             ..ClusterStats::default()
         };
@@ -123,7 +118,6 @@ mod tests {
             "\"nodes_alive\":1",
             "\"node_losses\":1",
             "\"requeued\":3",
-            "\"deferred_claims\":4",
             "\"duplicate_completions\":2",
             "\"budget_leak_bytes\":0",
             "\"latency\":{",

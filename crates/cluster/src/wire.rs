@@ -49,12 +49,6 @@ pub enum Message {
         budget_bytes: u64,
         /// Worker threads the node runs.
         workers: u32,
-        /// Relative execution speed under the node's calibrated machine
-        /// profile (inverse predicted seconds of a fixed reference
-        /// join). Dimensionless: the coordinator only compares ratios
-        /// between nodes when weighting placement. Carried as IEEE-754
-        /// bits on the wire, so the round trip is exact.
-        speed: f64,
     },
     /// Dispatch one job. At-least-once: the coordinator may resend a
     /// `RunJob` it is unsure about, and the node dedups by `job` id.
@@ -117,13 +111,11 @@ impl Message {
                 node,
                 budget_bytes,
                 workers,
-                speed,
             } => {
                 body.push(T_HELLO);
                 put_str(&mut body, node);
                 body.extend_from_slice(&budget_bytes.to_le_bytes());
                 body.extend_from_slice(&workers.to_le_bytes());
-                body.extend_from_slice(&speed.to_bits().to_le_bytes());
             }
             Message::RunJob { job, line } => {
                 body.push(T_RUN_JOB);
@@ -173,7 +165,6 @@ impl Message {
                 node: cur.string()?,
                 budget_bytes: cur.u64()?,
                 workers: cur.u32()?,
-                speed: f64::from_bits(cur.u64()?),
             },
             T_RUN_JOB => Message::RunJob {
                 job: cur.u64()?,
@@ -316,14 +307,6 @@ fn parse_frame(rest: &[u8]) -> io::Result<Message> {
     }
 }
 
-/// Read one message from `r` with no cross-call state: for in-memory
-/// streams and blocking sockets. On a socket with a read timeout, use a
-/// per-connection [`FrameReader`] instead — a timeout mid-frame here
-/// would lose the bytes already consumed.
-pub fn read_msg<R: Read>(r: &mut R) -> io::Result<Option<Message>> {
-    FrameReader::new().read_msg(r)
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
@@ -371,7 +354,6 @@ mod tests {
                 node: "node-a".into(),
                 budget_bytes: 1 << 24,
                 workers: 4,
-                speed: 2.5,
             },
             Message::RunJob {
                 job: 9,
@@ -406,30 +388,15 @@ mod tests {
             write_msg(&mut buf, &msg).unwrap();
         }
         let mut r = IoCursor::new(buf);
+        let mut reader = FrameReader::new();
         for want in samples() {
-            let got = read_msg(&mut r).unwrap().expect("message present");
+            let got = reader.read_msg(&mut r).unwrap().expect("message present");
             assert_eq!(got, want);
         }
-        assert!(read_msg(&mut r).unwrap().is_none(), "clean EOF at the end");
-    }
-
-    #[test]
-    fn hello_speed_round_trips_bitwise() {
-        for speed in [0.0, 1.0 / 3.0, 1234.5678e-9, f64::MAX] {
-            let msg = Message::Hello {
-                node: "n".into(),
-                budget_bytes: 1,
-                workers: 1,
-                speed,
-            };
-            let got = read_msg(&mut IoCursor::new(msg.encode()))
-                .unwrap()
-                .expect("message present");
-            match got {
-                Message::Hello { speed: s, .. } => assert_eq!(s.to_bits(), speed.to_bits()),
-                other => panic!("decoded wrong variant: {other:?}"),
-            }
-        }
+        assert!(
+            reader.read_msg(&mut r).unwrap().is_none(),
+            "clean EOF at the end"
+        );
     }
 
     #[test]
@@ -441,7 +408,7 @@ mod tests {
         .encode();
         for cut in 1..wire.len() {
             let mut r = IoCursor::new(wire[..cut].to_vec());
-            let err = read_msg(&mut r).unwrap_err();
+            let err = FrameReader::new().read_msg(&mut r).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
     }
@@ -501,13 +468,17 @@ mod tests {
         // Flip a payload bit: checksum mismatch.
         let mut bad = wire.clone();
         bad[6] ^= 1;
-        let err = read_msg(&mut IoCursor::new(bad)).unwrap_err();
+        let err = FrameReader::new()
+            .read_msg(&mut IoCursor::new(bad))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Zero and oversized lengths are rejected before allocation.
         for len in [0u32, (MAX_FRAME as u32) + 1] {
             let mut framed = len.to_le_bytes().to_vec();
             framed.extend_from_slice(&[0u8; 16]);
-            let err = read_msg(&mut IoCursor::new(framed)).unwrap_err();
+            let err = FrameReader::new()
+                .read_msg(&mut IoCursor::new(framed))
+                .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {len}");
         }
     }
@@ -519,7 +490,9 @@ mod tests {
         let mut wire = (body.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&body);
         wire.extend_from_slice(&crc32(&body).to_le_bytes());
-        let err = read_msg(&mut IoCursor::new(wire)).unwrap_err();
+        let err = FrameReader::new()
+            .read_msg(&mut IoCursor::new(wire))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // A valid message with a trailing payload byte: also rejected.
@@ -528,7 +501,9 @@ mod tests {
         let mut wire = (body.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&body);
         wire.extend_from_slice(&crc32(&body).to_le_bytes());
-        let err = read_msg(&mut IoCursor::new(wire)).unwrap_err();
+        let err = FrameReader::new()
+            .read_msg(&mut IoCursor::new(wire))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

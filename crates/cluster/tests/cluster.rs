@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mmjoin::RetryPolicy;
-use mmjoin_cluster::wire::{read_msg, write_msg};
+use mmjoin_cluster::wire::{write_msg, FrameReader};
 use mmjoin_cluster::{ClusterConfig, ClusterJobResult, Coordinator, Message, NodeServer};
 use mmjoin_env::FaultSpec;
 use mmjoin_serve::{JobRequest, ServeConfig, Service, PAGE};
@@ -107,12 +107,12 @@ fn spawn_silent_node(claim_before_silence: usize) -> (String, Arc<AtomicUsize>) 
                 node: "black-hole".into(),
                 budget_bytes: 1 << 30,
                 workers: 4,
-                speed: 1.0,
             },
         )
         .unwrap();
+        let mut reader = FrameReader::new();
         loop {
-            match read_msg(&mut stream) {
+            match reader.read_msg(&mut stream) {
                 Ok(Some(Message::RunJob { .. })) => {
                     if count.fetch_add(1, Ordering::SeqCst) + 1 >= claim_before_silence {
                         // Silence: hold the socket open but never
@@ -194,12 +194,12 @@ fn spawn_double_done_node() -> String {
                 node: "stutter".into(),
                 budget_bytes: 1 << 30,
                 workers: 4,
-                speed: 1.0,
             },
         )
         .unwrap();
+        let mut reader = FrameReader::new();
         loop {
-            match read_msg(&mut stream) {
+            match reader.read_msg(&mut stream) {
                 Ok(Some(Message::RunJob { job, .. })) => {
                     let done = Message::JobDone {
                         job,
@@ -225,85 +225,6 @@ fn spawn_double_done_node() -> String {
     addr
 }
 
-/// A scripted node that advertises the given relative speed and
-/// completes every dispatch instantly (by formula, idempotently).
-fn spawn_completing_node(name: &'static str, speed: f64, workers: u32) -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        let Ok((mut stream, _)) = listener.accept() else {
-            return;
-        };
-        stream
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
-        write_msg(
-            &mut stream,
-            &Message::Hello {
-                node: name.into(),
-                budget_bytes: 1 << 30,
-                workers,
-                speed,
-            },
-        )
-        .unwrap();
-        loop {
-            match read_msg(&mut stream) {
-                Ok(Some(Message::RunJob { job, .. })) => {
-                    let _ = write_msg(
-                        &mut stream,
-                        &Message::JobDone {
-                            job,
-                            alg: "grace".into(),
-                            pairs: job * 100,
-                            checksum: job * 7,
-                            ok: true,
-                            error: String::new(),
-                        },
-                    );
-                }
-                Ok(Some(Message::Ping { seq })) => {
-                    let _ = write_msg(&mut stream, &Message::Pong { seq });
-                }
-                Ok(Some(Message::Shutdown)) | Ok(None) => return,
-                Ok(Some(_)) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(_) => return,
-            }
-        }
-    });
-    addr
-}
-
-/// Host-aware placement: with the whole speed table known before any
-/// job exists, every claim by the slower node must defer to the faster
-/// node while it has a free worker slot and budget — so the faster
-/// node wins every job.
-#[test]
-fn claims_defer_to_the_faster_free_node() {
-    let slow = NodeServer::start("127.0.0.1:0", "slow", ServeConfig::sim(64 * PAGE, 2)).unwrap();
-    let fast_addr = spawn_completing_node("fast", 1e12, 64);
-    let co = Coordinator::start(fast_cfg(vec![slow.local_addr().to_string(), fast_addr])).unwrap();
-    // Submit only after both nodes have registered, so the speed table
-    // is complete and placement is deterministic.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while co.stats().nodes_alive < 2 {
-        assert!(Instant::now() < deadline, "nodes did not register in time");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    for req in jobs(6) {
-        co.submit(req).unwrap();
-    }
-    let (results, stats) = co.finish();
-    assert_eq!(results.len(), 6);
-    assert!(
-        results.iter().all(|r| r.node == "fast"),
-        "every job must land on the faster node: {results:?}"
-    );
-    assert_eq!(slow.completed(), 0, "slow node must not win any claim");
-    assert_eq!(stats.budget_leak_bytes, 0);
-}
-
 /// A node whose first session swallows one dispatch and then drops the
 /// connection without a word; every later session completes jobs
 /// normally (idempotently, by formula, so redelivered dispatches are
@@ -327,15 +248,15 @@ fn spawn_flaky_then_healthy_node() -> String {
                     node: "flaky".into(),
                     budget_bytes: 1 << 30,
                     workers: 4,
-                    speed: 1.0,
                 },
             )
             .is_err()
             {
                 continue;
             }
+            let mut reader = FrameReader::new();
             loop {
-                match read_msg(&mut stream) {
+                match reader.read_msg(&mut stream) {
                     Ok(Some(Message::RunJob { job, .. })) => {
                         if first {
                             first = false;
@@ -569,47 +490,6 @@ fn wire_rejects_oversized_and_corrupt_frames_without_killing_the_node() {
     assert!(results[0].ok);
 }
 
-#[test]
-fn stream_home_is_sticky_and_rehomes_only_the_dead_nodes_streams() {
-    let a = NodeServer::start("127.0.0.1:0", "home-a", ServeConfig::sim(64 * PAGE, 2)).unwrap();
-    let b = NodeServer::start("127.0.0.1:0", "home-b", ServeConfig::sim(64 * PAGE, 2)).unwrap();
-    let addrs = vec![a.local_addr().to_string(), b.local_addr().to_string()];
-    let co = Coordinator::start(fast_cfg(addrs.clone())).unwrap();
-
-    // Find one stream homed on each node; the answer must be sticky.
-    let (mut on_a, mut on_b) = (None, None);
-    for i in 0..256 {
-        let s = format!("stream{i}");
-        let home = co.stream_home(&s).expect("two live nodes");
-        assert_eq!(co.stream_home(&s).as_ref(), Some(&home), "sticky");
-        if home == addrs[0] {
-            on_a.get_or_insert(s);
-        } else {
-            assert_eq!(home, addrs[1], "home must be a configured node");
-            on_b.get_or_insert(s);
-        }
-        if on_a.is_some() && on_b.is_some() {
-            break;
-        }
-    }
-    let (on_a, on_b) = (on_a.expect("a stream on a"), on_b.expect("a stream on b"));
-
-    // Kill a's node. Once the heartbeat declares it dead, a's stream
-    // re-homes to the survivor — and b's stream must never move, so
-    // its resident index stays warm through the membership change.
-    a.kill();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while co.stream_home(&on_a).as_ref() != Some(&addrs[1]) {
-        assert!(Instant::now() < deadline, "dead node never left the route");
-        assert_eq!(co.stream_home(&on_b), Some(addrs[1].clone()));
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(co.stream_home(&on_b), Some(addrs[1].clone()));
-    // (node_losses is not asserted: the kill may race the node's
-    // registration, and only registered nodes count as losses.)
-    let _ = co.finish();
-}
-
 /// Block until `co` has `n` registered live nodes.
 fn await_nodes(co: &Coordinator, n: u32) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -706,7 +586,6 @@ fn silent_peer_is_declared_dead_by_the_heartbeat_timer() {
                 node: "mute".into(),
                 budget_bytes: 1 << 30,
                 workers: 1,
-                speed: 1.0,
             },
         )
         .unwrap();
@@ -715,8 +594,9 @@ fn silent_peer_is_declared_dead_by_the_heartbeat_timer() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
+        let mut reader = FrameReader::new();
         loop {
-            match read_msg(&mut stream) {
+            match reader.read_msg(&mut stream) {
                 Ok(Some(_)) => {}
                 Ok(None) | Err(_) => return said_hello.elapsed(),
             }

@@ -183,19 +183,8 @@ pub enum TraceEvent {
         /// service).
         used: u64,
         /// Shard whose worker admitted the job (0 on the single-queue
-        /// service); differs from the [`TraceEvent::JobSubmitted`] shard
-        /// when the job was stolen.
+        /// service): always the [`TraceEvent::JobSubmitted`] shard.
         shard: u32,
-    },
-    /// An idle shard stole a queued-but-unadmitted job from an
-    /// overloaded sibling (sharded service only).
-    JobStolen {
-        /// Service job id.
-        job: u64,
-        /// Shard the job was queued on.
-        from: u32,
-        /// Shard that stole it.
-        to: u32,
     },
     /// A job degraded to a smaller memory grant after `DiskFull`.
     JobDegraded {
@@ -395,7 +384,6 @@ impl TraceEvent {
             TraceEvent::PlanChosen { .. } => "plan_chosen",
             TraceEvent::JobSubmitted { .. } => "job_submitted",
             TraceEvent::JobAdmitted { .. } => "job_admitted",
-            TraceEvent::JobStolen { .. } => "job_stolen",
             TraceEvent::JobDegraded { .. } => "job_degraded",
             TraceEvent::JobCompleted { .. } => "job_completed",
             TraceEvent::JournalAppend { .. } => "journal_append",
@@ -702,9 +690,6 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
                 ",\"job\":{job},\"footprint\":{footprint},\"used\":{used},\"shard\":{shard}"
             );
         }
-        TraceEvent::JobStolen { job, from, to } => {
-            let _ = write!(s, ",\"job\":{job},\"from\":{from},\"to\":{to}");
-        }
         TraceEvent::JobDegraded {
             job,
             footprint,
@@ -995,16 +980,6 @@ mod tests {
         );
         assert!(admitted.contains("\"used\":8192"));
         assert!(admitted.contains("\"shard\":1"));
-        let stolen = encode(
-            0.0,
-            &TraceEvent::JobStolen {
-                job: 3,
-                from: 2,
-                to: 1,
-            },
-        );
-        assert!(stolen.contains("\"ev\":\"job_stolen\""));
-        assert!(stolen.contains("\"from\":2") && stolen.contains("\"to\":1"));
     }
 
     #[test]

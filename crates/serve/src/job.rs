@@ -216,9 +216,8 @@ fn parse_num(key: &str, value: &str) -> Result<u64, String> {
 pub struct JobResult {
     /// Submission-order id.
     pub id: JobId,
-    /// Shard whose worker executed the job — 0 on the single-queue
-    /// service; may differ from the shard the placement policy chose
-    /// when the job was stolen by an idle sibling.
+    /// Shard the placement policy chose, whose worker executed the
+    /// job — 0 on the single-queue service.
     pub shard: u32,
     /// Client label from the request.
     pub name: String,

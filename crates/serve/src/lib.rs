@@ -20,8 +20,8 @@
 //!
 //! There is one scheduler, [`ShardedService`]: the global budget
 //! partitioned across N shards — each with its own queue, worker pool,
-//! and counters — with a cross-shard [`Placement`] policy and work
-//! stealing between shards. The single-queue [`Service`] is that
+//! and counters — with a [`Placement`] policy choosing, at submission,
+//! the one shard that runs each job. The single-queue [`Service`] is that
 //! scheduler with N = 1 (one slice holding the whole budget), kept as
 //! its own type so callers with no placement to choose need not name
 //! one. Both implement the [`JoinService`] trait.

@@ -3,8 +3,9 @@
 //! The sharded service splits the global budget into per-shard
 //! partitions (DeWitt & Gray's shared-nothing argument applied to the
 //! service itself). Placement decides, at submission time, which shard
-//! owns a job; work stealing later corrects placements that turn out
-//! unbalanced. The stock policy, [`PredictedBalanced`], balances *time*:
+//! owns and runs a job; nothing moves it afterwards, as the paper's
+//! Rproc/Sproc schedule moves no work at run time. The stock policy,
+//! [`PredictedBalanced`], balances *time*:
 //! the shard with the smallest planner-predicted backlog in seconds
 //! wins — the same cost model ([`mmjoin::choose`]) the admission
 //! controller already ranks jobs with.

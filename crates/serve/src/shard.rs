@@ -6,8 +6,8 @@
 //! applies the same move to the service: [`ShardedService`] is the only
 //! scheduler in the crate, and the single-queue
 //! [`Service`](crate::Service) is its N = 1 form (one slice holding the
-//! whole budget, placement with one choice, nobody to steal from), not
-//! a second implementation. With N > 1 it is shared-nothing:
+//! whole budget, placement with one choice), not a second
+//! implementation. With N > 1 it is shared-nothing:
 //!
 //! * the global budget is partitioned into per-shard slices (quotient
 //!   split; remainders spread over the first shards), so the *sum of
@@ -18,18 +18,8 @@
 //!   can ever hold is refused at submit — and failed visibly at resume
 //!   — rather than queued forever;
 //! * each shard runs `cfg.workers` worker threads against its own queue
-//!   under the configured [`AdmissionPolicy`](crate::AdmissionPolicy);
-//! * an idle shard with free budget **steals** queued-but-unadmitted
-//!   jobs from the sibling with the deepest queue (taking the most
-//!   recently placed job first, so the victim's FIFO head is never
-//!   overtaken), which corrects placements that turn out unbalanced.
-//!
-//! Stealing invariants: a job is only ever held by one shard (removal
-//! from the victim's queue happens under the victim's lock; admission
-//! on the thief under the thief's lock; the two are never held at
-//! once), admission is re-checked against the thief's slice at admit
-//! time, and a steal that loses its room re-queues the job on the thief
-//! — never drops it.
+//!   under the configured [`AdmissionPolicy`](crate::AdmissionPolicy),
+//!   and a job runs on the shard it was placed on.
 //!
 //! Lock order: the global lock may be held while taking one shard's
 //! lock (submit enqueues under it), never the reverse.
@@ -58,7 +48,7 @@ struct Shard {
     budget_bytes: u64,
     state: Mutex<ShardState>,
     /// Signalled when this shard's workers may be able to make progress
-    /// (new local work, freed budget anywhere, shutdown).
+    /// (new work, freed budget, shutdown).
     work: Condvar,
 }
 
@@ -150,18 +140,11 @@ impl ShardedInner {
     }
 
     /// Return `bytes` of a running job's reservation to `shard`'s slice
-    /// mid-run (graceful degradation); every shard may then admit.
+    /// mid-run (graceful degradation); that shard may then admit.
     pub(crate) fn release(&self, shard: usize, bytes: u64) {
-        self.shards[shard].lock().used_bytes -= bytes;
-        self.kick_all();
-    }
-
-    /// Wake every shard's workers: local admission and steal
-    /// opportunities both span shards.
-    fn kick_all(&self) {
-        for s in &self.shards {
-            s.work.notify_all();
-        }
+        let s = &self.shards[shard];
+        s.lock().used_bytes -= bytes;
+        s.work.notify_all();
     }
 
     fn loads(&self) -> Vec<ShardLoad> {
@@ -354,8 +337,8 @@ impl ShardedService {
     fn stop(&mut self) {
         for s in &self.inner.shards {
             s.lock().shutdown = true;
+            s.work.notify_all();
         }
-        self.inner.kick_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -414,8 +397,7 @@ impl JoinService for ShardedService {
             id
         };
         inner.trace_submitted(id, footprint, k, resolved.as_ref());
-        // Every shard wakes: the owner to admit, idle siblings to steal.
-        inner.kick_all();
+        inner.shards[k].work.notify_all();
         Ok(id)
     }
 
@@ -515,45 +497,14 @@ fn apply_resume(inner: &ShardedInner, outcome: ResumeOutcome) -> Result<(), Stri
         inner.enqueue(k, id, req, plan);
         inner.trace_submitted(id, footprint, k, resolved.as_ref());
     }
-    inner.kick_all();
     Ok(())
-}
-
-/// Pop the best steal candidate: scan siblings in descending
-/// queued-bytes order and take the *most recently placed* fitting job
-/// from the deepest queue. Locks are only ever held one at a time.
-fn steal(inner: &ShardedInner, me: usize, free_hint: u64) -> Option<(Queued, u32)> {
-    let mut order: Vec<(u64, usize)> = inner
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != me)
-        .map(|(i, s)| (s.lock().queued_bytes, i))
-        .filter(|&(qb, _)| qb > 0)
-        .collect();
-    order.sort_by_key(|&(queued_bytes, _)| std::cmp::Reverse(queued_bytes));
-    for (_, v) in order {
-        let mut st = inner.shards[v].lock();
-        if let Some(pos) = st
-            .pending
-            .iter()
-            .rposition(|q| q.req.footprint() <= free_hint)
-        {
-            let q = st.pending.remove(pos).expect("position exists under lock");
-            st.queued_bytes -= q.req.footprint();
-            st.backlog_seconds = (st.backlog_seconds - q.plan.predicted_seconds()).max(0.0);
-            return Some((q, v as u32));
-        }
-    }
-    None
 }
 
 fn shard_worker(inner: &ShardedInner, me: usize) {
     let shard = &inner.shards[me];
     loop {
         let mut st = shard.lock();
-        // Find the next job: own queue first, then stealing.
-        let (job, from) = loop {
+        let job = loop {
             if st.shutdown {
                 return;
             }
@@ -573,51 +524,14 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
                 .and_then(|idx| st.pending.remove(idx))
             {
                 st.queued_bytes -= q.req.footprint();
-                break (q, me as u32);
-            }
-            // Steal only when the local queue cannot make progress at
-            // all and this shard has room — an idle shard, not a greedy
-            // one (at most one stolen job is ever re-queued locally, so
-            // stealing cannot hoard a sibling's backlog).
-            if st.pending.is_empty() && free > 0 {
-                drop(st);
-                if let Some((q, from)) = steal(inner, me, free) {
-                    inner.trace(TraceEvent::JobStolen {
-                        job: q.id,
-                        from,
-                        to: me as u32,
-                    });
-                    st = shard.lock();
-                    let fp = q.req.footprint();
-                    if fp <= shard.budget_bytes - st.used_bytes {
-                        break (q, from);
-                    }
-                    // The room disappeared between the hint and now:
-                    // keep the job runnable at this shard's queue head.
-                    st.queued_bytes += fp;
-                    st.backlog_seconds += q.plan.predicted_seconds();
-                    st.pending.push_front(q);
-                    continue;
-                }
-                st = shard.lock();
-                // Re-check before sleeping: work may have arrived while
-                // the lock was dropped for the steal scan.
-                if !st.pending.is_empty() || st.shutdown {
-                    continue;
-                }
+                break q;
             }
             st = shard.work.wait(st).unwrap_or_else(|e| e.into_inner());
         };
         let footprint = job.req.footprint();
         let predicted = job.plan.predicted_seconds();
-        let stolen = from != me as u32;
         st.used_bytes += footprint;
         st.running += 1;
-        if stolen {
-            // A stolen job joins this shard's backlog for the duration
-            // of its run (it left the victim's at steal time).
-            st.backlog_seconds += predicted;
-        }
         st.stats.peak_budget_bytes = st.stats.peak_budget_bytes.max(st.used_bytes);
         let used = st.used_bytes;
         drop(st);
@@ -648,9 +562,6 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
         st.used_bytes -= footprint - result.released_bytes;
         st.running -= 1;
         st.backlog_seconds = (st.backlog_seconds - predicted).max(0.0);
-        if stolen {
-            st.stats.stolen += 1;
-        }
         st.stats.record(&result, folded.as_ref(), passes.as_ref());
         let ok = result.error.is_none() && result.verified;
         let degraded = result.degraded;
@@ -667,9 +578,8 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
             g.results.push(result);
             inner.done.notify_all();
         }
-        // Freed budget may admit or un-starve a queued job anywhere; a
-        // finished job may complete a drain.
-        inner.kick_all();
+        // Freed budget may admit or un-starve a job queued here.
+        shard.work.notify_all();
     }
 }
 
@@ -678,8 +588,6 @@ mod tests {
     use super::*;
     use crate::job::PAGE;
     use crate::placement::PlacementKind;
-    use mmjoin_env::{CollectingSink, TraceSink};
-    use std::sync::Arc;
 
     fn tiny_job(seed: u64, mem_pages: u64) -> JobRequest {
         JobRequest::new(800, 32, 2, mem_pages, seed)
@@ -715,7 +623,7 @@ mod tests {
 
     #[test]
     fn batch_completes_under_every_placement() {
-        // The stock policy, and the pathological one stealing corrects.
+        // The stock policy, and one that pins everything to shard 0.
         let placements: [Box<dyn Placement>; 2] =
             [PlacementKind::default().build(), Box::new(PinFirst)];
         for (i, placement) in placements.into_iter().enumerate() {
@@ -726,6 +634,14 @@ mod tests {
             let (results, stats) = svc.finish();
             assert_eq!(results.len(), 8, "placement {i}");
             assert!(results.iter().all(|r| r.verified && r.error.is_none()));
+            if i == 1 {
+                // A job runs on the shard it was placed on.
+                assert!(
+                    results.iter().all(|r| r.shard == 0),
+                    "{:?}",
+                    results.iter().map(|r| r.shard).collect::<Vec<_>>()
+                );
+            }
             assert_eq!(stats.completed, 8);
             assert_eq!(stats.in_flight(), 0);
             assert_eq!(stats.budget_leak_bytes, 0);
@@ -772,8 +688,7 @@ mod tests {
             .is_empty());
     }
 
-    /// A placement that pins everything to shard 0 — the pathological
-    /// input work stealing exists to correct.
+    /// A placement that pins everything to shard 0.
     struct PinFirst;
 
     impl Placement for PinFirst {
@@ -782,47 +697,6 @@ mod tests {
                 .first()
                 .filter(|l| l.budget_bytes >= job.footprint)
                 .map(|_| 0)
-        }
-    }
-
-    #[test]
-    fn idle_shard_steals_from_overloaded_sibling() {
-        let sink = CollectingSink::new();
-        // Every job stalls 20 ms (each gets its own injector), so shard 0
-        // is still busy with the first while the rest queue up behind it:
-        // without the stall an optimized build can finish each tiny job
-        // before the next submit lands, and nothing is ever stealable.
-        let cfg = ServeConfig::sim(32 * PAGE, 1)
-            .with_trace(sink.clone() as Arc<dyn TraceSink>)
-            .with_faults(mmjoin_env::FaultSpec::parse("delay:count=1:ms=20").unwrap());
-        let svc = ShardedService::start(cfg, 2, Box::new(PinFirst)).unwrap();
-        for seed in 0..6 {
-            svc.submit(tiny_job(seed, 4)).unwrap();
-        }
-        let (results, stats) = svc.finish();
-        assert_eq!(results.len(), 6);
-        assert!(results.iter().all(|r| r.verified));
-        // Everything was *placed* on shard 0; shard 1 must have stolen
-        // at least one queued job and run it.
-        assert!(
-            results.iter().any(|r| r.shard == 1),
-            "shard 1 never ran anything: {:?}",
-            results.iter().map(|r| r.shard).collect::<Vec<_>>()
-        );
-        assert!(stats.stolen >= 1, "no steals recorded: {stats:?}");
-        let shard_stats = &stats; // merged
-        assert_eq!(shard_stats.completed, 6);
-        let events = sink.events();
-        let stolen = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::JobStolen { .. }))
-            .count();
-        assert!(stolen >= 1, "no JobStolen trace events");
-        // Every steal goes 0 → 1 here.
-        for e in &events {
-            if let TraceEvent::JobStolen { from, to, .. } = e {
-                assert_eq!((*from, *to), (0, 1));
-            }
         }
     }
 

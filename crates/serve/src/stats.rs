@@ -17,9 +17,6 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Jobs that finished with an error or failed verification.
     pub failed: u64,
-    /// Jobs this shard's workers stole from an overloaded sibling's
-    /// queue and ran locally (always 0 on the single-queue service).
-    pub stolen: u64,
     /// Global budget the service was configured with, in bytes.
     pub budget_bytes: u64,
     /// High-water mark of reserved budget, in bytes. Never exceeds
@@ -129,13 +126,6 @@ impl ServiceStats {
     }
 
     /// Jobs still queued or running.
-    ///
-    /// On a per-shard snapshot `submitted` counts jobs *placed* on the
-    /// shard while completions land on the shard that *ran* the job, so
-    /// stealing moves a job between shards mid-flight and a single
-    /// shard's difference can be off (or negative, hence saturating).
-    /// The merged stats' in-flight is exact: every placement and every
-    /// completion is counted exactly once across shards.
     pub fn in_flight(&self) -> u64 {
         self.submitted.saturating_sub(self.completed + self.failed)
     }
@@ -149,15 +139,12 @@ impl ServiceStats {
     /// `budget_bytes` and `peak_budget_bytes` sum: shards hold disjoint
     /// partitions of the global budget, so the summed peak is an upper
     /// bound on the true global high-water mark and still never exceeds
-    /// the summed budget. `stolen` is intentionally *not* merged into
-    /// `submitted` — a stolen job was already counted submitted on the
-    /// shard that placed it.
+    /// the summed budget.
     pub fn merge(&mut self, other: &ServiceStats) {
         self.submitted += other.submitted;
         self.rejected += other.rejected;
         self.completed += other.completed;
         self.failed += other.failed;
-        self.stolen += other.stolen;
         self.budget_bytes += other.budget_bytes;
         self.peak_budget_bytes += other.peak_budget_bytes;
         self.queue_wait_seconds += other.queue_wait_seconds;
@@ -195,7 +182,7 @@ impl ServiceStats {
         format!(
             concat!(
                 "{{\"jobs\":{{\"submitted\":{},\"rejected\":{},\"completed\":{},",
-                "\"failed\":{},\"stolen\":{},\"in_flight\":{}}},",
+                "\"failed\":{},\"in_flight\":{}}},",
                 "\"budget\":{{\"bytes\":{},\"peak_bytes\":{},\"leak_bytes\":{}}},",
                 "\"seconds\":{{\"queue_wait\":{:.6},\"exec_wall\":{:.6},",
                 "\"env_elapsed\":{:.6},\"io\":{:.6}}},",
@@ -213,7 +200,6 @@ impl ServiceStats {
             self.rejected,
             self.completed,
             self.failed,
-            self.stolen,
             self.in_flight(),
             self.budget_bytes,
             self.peak_budget_bytes,

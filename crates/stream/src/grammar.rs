@@ -186,6 +186,15 @@ impl StreamOp {
             Some(k) => return Err(format!("unknown op {k:?}")),
             None => return Ok(None),
         };
+        let keys: &[&str] = match op {
+            StreamOp::Batch { .. } => &["batch", "objects", "seed"],
+            StreamOp::BatchRows { .. } => &["batch-rows", "rows"],
+            StreamOp::Append { .. } => &["append", "seed"],
+            StreamOp::Delete { .. } => &["delete", "seed"],
+        };
+        if let Some((k, _)) = kv.iter().find(|(k, _)| !keys.contains(k)) {
+            return Err(format!("{} does not take {k}=", keys[0]));
+        }
         Ok(Some(op))
     }
 
@@ -287,6 +296,10 @@ mod tests {
         assert!(StreamOp::parse_line("batch-rows=bx rows=1-2").is_err());
         assert!(StreamOp::parse_line("resume=yes").is_err());
         assert!(StreamOp::parse_line("batch=b0 objects=ten").is_err());
+        // A key the op does not read is an error, not silently ignored.
+        let err = StreamOp::parse_line("append=3 seed=1 objects=9").unwrap_err();
+        assert!(err.contains("append does not take objects="), "{err}");
+        assert!(StreamOp::parse_line("batch=b0 objects=5 rows=1:2").is_err());
         assert!(StreamOp::parse_line("").unwrap().is_none());
         assert!(StreamOp::parse_line("# nothing").unwrap().is_none());
     }

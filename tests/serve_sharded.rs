@@ -199,7 +199,7 @@ fn sharded_runs_respect_per_shard_budgets() {
     let budgets = svc.shard_budgets();
     assert_eq!(budgets.iter().sum::<u64>(), global);
     // 8 jobs of 8 pages each against 16-page slices: oversubscribed
-    // globally, so queues (and possibly steals) engage.
+    // globally, so queues engage.
     for seed in 0..8 {
         svc.submit(JobRequest::new(1_000, 32, 2, 4, 200 + seed))
             .unwrap();
