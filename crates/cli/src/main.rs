@@ -1715,9 +1715,9 @@ fn usage() {
     println!("  never double-run");
     println!();
     println!("--journal DIR gives serve a write-ahead journal (plus, under");
-    println!("  --env mmap, a persistent store at DIR/store): job admission,");
-    println!("  area lifecycle, and per-pass checkpoints are logged with CRCs");
-    println!("  and flushed before commit; --resume reopens DIR after a crash,");
+    println!("  --env mmap, a persistent store at DIR/store): each job's");
+    println!("  submission and completion are logged with CRCs and flushed");
+    println!("  before commit; --resume reopens DIR after a crash,");
     println!("  replays the journal, deletes orphaned areas, re-reports");
     println!("  completed jobs, and re-runs unfinished ones; --results-json");
     println!("  FILE writes the per-job outcome array for comparing runs");

@@ -47,36 +47,36 @@
 //! completion died with its node before reporting). Results are
 //! deduplicated by cluster job id: the first `JobDone` per id is
 //! journaled (commit-before-visibility) and reported; later duplicates
-//! increment a counter and are dropped. The write-ahead journal
-//! (`JobSubmitted`/`JobDispatched`/`NodeLost`/`JobCompleted` records,
-//! extending `crates/recovery`) makes the same invariant hold across a
-//! coordinator crash: `--resume` re-reports journaled completions
-//! without re-running them and re-dispatches only jobs with no durable
-//! completion.
+//! increment a counter and are dropped. The write-ahead journal (a
+//! `JobSubmitted` and a `JobCompleted` record per job, opened like the
+//! serve journal by [`mmjoin_serve::open_journal`]) makes the same
+//! invariant hold across a coordinator crash: `--resume` re-reports
+//! journaled completions without re-running them and re-dispatches
+//! only jobs with no durable completion. Dispatches and node deaths
+//! are not journaled: a resumed coordinator re-dispatches every job
+//! without a completion, wherever it last ran.
 //!
 //! [`EnvError::is_transient`]: mmjoin_env::EnvError::is_transient
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io;
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mmjoin::RetryPolicy;
-use mmjoin_env::{null_sink, EnvError, ProcId, TraceEvent, TraceSink};
-use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
+use mmjoin_env::{null_sink, EnvError, TraceEvent, TraceSink};
+use mmjoin_mmstore::MmapEnv;
 use mmjoin_recovery::{Journal, JournalRecord, JournalStats, ReplayState};
-use mmjoin_serve::{JobRequest, PAGE};
+use mmjoin_serve::{open_journal, JobRequest};
 
 use crate::stats::ClusterStats;
 use crate::wire::{write_msg, FrameReader, Message};
 
 /// Journal file name inside the coordinator's journal directory.
 const JOURNAL_FILE: &str = "coordinator.wal";
-const JOURNAL_CAPACITY: u64 = 4 << 20;
-const JOURNAL_PROC: ProcId = ProcId(0);
 
 /// Coordinator configuration.
 #[derive(Clone)]
@@ -339,9 +339,9 @@ impl CoShared {
         st.pending = keep;
     }
 
-    /// Declare node `idx` dead exactly once: emit `node_lost`, journal
-    /// it, zero its reservation, and re-queue (or terminally fail) its
-    /// in-flight jobs.
+    /// Declare node `idx` dead exactly once: emit `node_lost`, zero its
+    /// reservation, and re-queue (or terminally fail) its in-flight
+    /// jobs.
     fn declare_dead(&self, idx: usize, why: &str) {
         let mut st = self.lock();
         if st.nodes[idx].terminal {
@@ -366,7 +366,6 @@ impl CoShared {
                 node: name.clone(),
                 in_flight: in_flight.len() as u64,
             });
-            self.journal_commit(&JournalRecord::NodeLost { node: name.clone() });
         }
         let now = Instant::now();
         for (id, fl) in in_flight {
@@ -471,7 +470,7 @@ impl CoShared {
     }
 
     /// Claim the first ready pending job that fits node `idx`'s free
-    /// budget and worker slots. Reserves and journals the dispatch.
+    /// budget and worker slots, and reserve its footprint there.
     fn claim(&self, st: &mut CoState, idx: usize) -> Option<(u64, String)> {
         let node = &st.nodes[idx];
         if !node.alive || node.in_flight.len() >= node.workers as usize {
@@ -493,7 +492,6 @@ impl CoShared {
             .iter()
             .position(|p| p.ready_at <= now && p.req.footprint() <= free)?;
         let p = st.pending.remove(pos).expect("position just found");
-        let node_name = st.nodes[idx].display_name().to_string();
         let line = p.req.to_line();
         let footprint = p.req.footprint();
         st.nodes[idx].reserved += footprint;
@@ -509,12 +507,7 @@ impl CoShared {
                 submitted: p.submitted,
             },
         );
-        let id = p.id;
-        self.journal_commit(&JournalRecord::JobDispatched {
-            job: id,
-            node: node_name,
-        });
-        Some((id, line))
+        Some((p.id, line))
     }
 
     /// Absorb one `JobDone` from node `idx`: dedup by id, release the
@@ -913,7 +906,12 @@ impl Coordinator {
             return Err("no nodes configured".into());
         }
         let journal = match &cfg.journal_dir {
-            Some(dir) => Some(open_journal(dir, cfg.resume, Arc::clone(&cfg.trace))?),
+            Some(dir) => Some(open_journal(
+                dir,
+                JOURNAL_FILE,
+                cfg.resume,
+                Arc::clone(&cfg.trace),
+            )?),
             None => None,
         };
         let (journal, replayed) = match journal {
@@ -1122,41 +1120,6 @@ impl Drop for Coordinator {
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// Open (or resume) the coordinator journal in its own single-disk
-/// mmap store under `dir` — the same arrangement as the serve journal.
-#[allow(clippy::type_complexity)]
-fn open_journal(
-    dir: &Path,
-    resume: bool,
-    sink: Arc<dyn TraceSink>,
-) -> Result<(Journal<MmapEnv>, Option<mmjoin_recovery::Replayed>), String> {
-    let cfg = MmapEnvConfig {
-        root: dir.to_path_buf(),
-        num_disks: 1,
-        page_size: PAGE,
-    };
-    if !resume {
-        let _ = std::fs::remove_dir_all(dir);
-        let env = MmapEnv::new(cfg).map_err(|e| format!("journal env: {e}"))?;
-        env.set_trace_sink(sink);
-        let journal = Journal::create(env, JOURNAL_FILE, JOURNAL_CAPACITY, JOURNAL_PROC)
-            .map_err(|e| format!("journal create: {e}"))?;
-        return Ok((journal, None));
-    }
-    let (env, adopted) = MmapEnv::recover(cfg).map_err(|e| format!("journal env: {e}"))?;
-    env.set_trace_sink(sink);
-    if adopted.iter().any(|n| n == JOURNAL_FILE) {
-        let (journal, replayed) = Journal::open(env, JOURNAL_FILE, JOURNAL_PROC)
-            .map_err(|e| format!("journal open: {e}"))?;
-        Ok((journal, Some(replayed)))
-    } else {
-        // --resume on a first start: nothing to replay yet.
-        let journal = Journal::create(env, JOURNAL_FILE, JOURNAL_CAPACITY, JOURNAL_PROC)
-            .map_err(|e| format!("journal create: {e}"))?;
-        Ok((journal, None))
     }
 }
 

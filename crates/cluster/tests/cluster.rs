@@ -428,6 +428,10 @@ fn coordinator_crash_restart_reports_each_job_exactly_once() {
     assert_eq!(stats.resumed_reported, resumed as u64);
     assert!(stats.replayed_records > 0);
     assert_eq!(stats.budget_leak_bytes, 0);
+    // The resumed jobs were submitted in life 1, so life 2 commits one
+    // completion per job it re-dispatched and nothing else.
+    let journal = stats.journal.expect("journal configured");
+    assert_eq!(journal.commits, (8 - resumed) as u64, "{journal:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -448,6 +452,10 @@ fn resume_on_fresh_journal_is_a_plain_start() {
     assert_eq!(results.len(), 1);
     assert!(results[0].ok);
     assert_eq!(stats.resumed_reported, 0);
+    // A job costs two records and two commits: its submission and its
+    // completion.
+    let journal = stats.journal.expect("journal configured");
+    assert_eq!((journal.appended_records, journal.commits), (2, 2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -206,18 +206,10 @@ pub enum TraceEvent {
     },
     /// A record was appended to the write-ahead journal.
     JournalAppend {
-        /// Record kind tag (`area_created`, `job_completed`, ...).
+        /// Record kind tag (`job_submitted`, `job_completed`, ...).
         kind: String,
         /// Encoded record length in bytes (framing + payload + CRC).
         bytes: u64,
-    },
-    /// A pass-boundary checkpoint was made durable for a job.
-    Checkpoint {
-        /// Service job id.
-        job: u64,
-        /// The pass that completed (0 scan, 1 staggered phases, 2 local
-        /// join).
-        pass: u32,
     },
     /// A restarted service finished replaying its journal.
     RecoveryReplayed {
@@ -387,7 +379,6 @@ impl TraceEvent {
             TraceEvent::JobDegraded { .. } => "job_degraded",
             TraceEvent::JobCompleted { .. } => "job_completed",
             TraceEvent::JournalAppend { .. } => "journal_append",
-            TraceEvent::Checkpoint { .. } => "checkpoint",
             TraceEvent::RecoveryReplayed { .. } => "recovery_replayed",
             TraceEvent::NodeJoined { .. } => "node_joined",
             TraceEvent::NodeLost { .. } => "node_lost",
@@ -708,9 +699,6 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             esc(kind, &mut s);
             let _ = write!(s, "\",\"bytes\":{bytes}");
         }
-        TraceEvent::Checkpoint { job, pass } => {
-            let _ = write!(s, ",\"job\":{job},\"pass\":{pass}");
-        }
         TraceEvent::RecoveryReplayed {
             records,
             torn,
@@ -1021,15 +1009,12 @@ mod tests {
         let append = encode(
             0.0,
             &TraceEvent::JournalAppend {
-                kind: "area_created".into(),
-                bytes: 41,
+                kind: "job_completed".into(),
+                bytes: 34,
             },
         );
         assert!(append.contains("\"ev\":\"journal_append\""));
-        assert!(append.contains("\"kind\":\"area_created\"") && append.contains("\"bytes\":41"));
-        let ckpt = encode(0.0, &TraceEvent::Checkpoint { job: 4, pass: 1 });
-        assert!(ckpt.contains("\"ev\":\"checkpoint\""));
-        assert!(ckpt.contains("\"job\":4") && ckpt.contains("\"pass\":1"));
+        assert!(append.contains("\"kind\":\"job_completed\"") && append.contains("\"bytes\":34"));
         let replayed = encode(
             0.0,
             &TraceEvent::RecoveryReplayed {

@@ -31,11 +31,9 @@
 //! Records *beyond* the committed watermark that scan as CRC-valid are
 //! adopted too: they were fully written but the crash preceded their
 //! commit, and every record type is idempotent under replay (see
-//! `replay.rs`), so adopting them only recovers more truth.
+//! `replay.rs`), so adopting them only recovers more truth. Frames of a
+//! retired record type are checked like any other and then skipped.
 
-use std::sync::Arc;
-
-use mmjoin_env::trace::TraceSink;
 use mmjoin_env::{DiskId, Env, EnvError, FileOps, ProcId, Result, TraceEvent};
 
 use crate::crc::crc32;
@@ -48,8 +46,9 @@ const VERSION: u32 = 1;
 /// page keeps the record area page-aligned).
 pub const HEADER_SIZE: u64 = 4096;
 
-/// Default journal capacity when the caller does not size it.
-pub const DEFAULT_CAPACITY: u64 = 1 << 20;
+/// Capacity every tier creates its journal with: room for thousands
+/// of jobs' or tens of thousands of stream ops' records.
+pub const JOURNAL_CAPACITY: u64 = 4 << 20;
 
 /// Counters describing a journal's lifetime and its last replay,
 /// surfaced in the service stats JSON.
@@ -70,7 +69,7 @@ pub struct JournalStats {
 
 /// What [`Journal::open`] recovered.
 pub struct Replayed {
-    /// Every CRC-valid record, in append order.
+    /// Every CRC-valid record of a live type, in append order.
     pub records: Vec<JournalRecord>,
     /// Bytes of committed region lost to a torn/corrupt tail.
     pub torn_bytes: u64,
@@ -166,7 +165,7 @@ impl<E: Env> Journal<E> {
         let mut records = Vec::new();
         let mut off = 0usize;
         while let Some((rec, used)) = JournalRecord::decode(&area[off..]) {
-            records.push(rec);
+            records.extend(rec);
             off += used;
         }
         let tail = HEADER_SIZE + off as u64;
@@ -270,17 +269,13 @@ impl<E: Env> Journal<E> {
     pub fn used_bytes(&self) -> u64 {
         self.tail - HEADER_SIZE
     }
-
-    /// The trace sink of the journal's environment (for wiring tee
-    /// sinks that append checkpoints).
-    pub fn trace_sink(&self) -> Arc<dyn TraceSink> {
-        self.env.trace_sink()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::retired_frames;
+    use crate::replay::ReplayState;
     use mmjoin_env::FaultSpec;
 
     fn sim() -> mmjoin_vmsim::SimEnv {
@@ -288,6 +283,15 @@ mod tests {
     }
 
     const P: ProcId = ProcId(0);
+
+    fn done(job: u64, pairs: u64) -> JournalRecord {
+        JournalRecord::JobCompleted {
+            job,
+            pairs,
+            checksum: 0,
+            ok: true,
+        }
+    }
 
     #[test]
     fn create_append_commit_reopen() {
@@ -298,8 +302,7 @@ mod tests {
             line: "objects=1000".into(),
         })
         .unwrap();
-        j.append_commit(&JournalRecord::Checkpoint { job: 1, pass: 0 })
-            .unwrap();
+        j.append_commit(&done(1, 0)).unwrap();
         assert_eq!(j.stats().appended_records, 2);
         assert_eq!(j.stats().commits, 2);
         drop(j);
@@ -320,12 +323,10 @@ mod tests {
     fn uncommitted_but_fully_written_records_are_adopted() {
         let env = sim();
         let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
-        j.append_commit(&JournalRecord::Checkpoint { job: 1, pass: 0 })
-            .unwrap();
+        j.append_commit(&done(1, 0)).unwrap();
         // Appended, synced by the simulator's immediate durability, but
         // never committed: the crash happened before the watermark moved.
-        j.append(&JournalRecord::Checkpoint { job: 1, pass: 1 })
-            .unwrap();
+        j.append(&done(2, 0)).unwrap();
         drop(j);
         let (_, replay) = Journal::open(env, "wal", P).unwrap();
         assert_eq!(
@@ -343,8 +344,7 @@ mod tests {
         let spec = FaultSpec::parse("torn_write:after=3:frac=0.3:file=wal").unwrap();
         let env = mmjoin_env::FaultyEnv::new(base.clone(), spec);
         let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
-        j.append_commit(&JournalRecord::Checkpoint { job: 9, pass: 0 })
-            .unwrap();
+        j.append_commit(&done(9, 0)).unwrap();
         j.append_commit(&JournalRecord::JobSubmitted {
             job: 9,
             line: "name=torn objects=4000".into(),
@@ -353,10 +353,7 @@ mod tests {
         drop(j);
         let (j2, replay) = Journal::open(env, "wal", P).unwrap();
         assert_eq!(replay.records.len(), 1, "torn second record discarded");
-        assert_eq!(
-            replay.records[0],
-            JournalRecord::Checkpoint { job: 9, pass: 0 }
-        );
+        assert_eq!(replay.records[0], done(9, 0));
         assert!(replay.torn_bytes > 0, "torn bytes reported");
         assert!(j2.stats().torn_bytes > 0);
     }
@@ -369,22 +366,70 @@ mod tests {
         let spec = FaultSpec::parse("seed=4;bit_corrupt:after=3:file=wal").unwrap();
         let env = mmjoin_env::FaultyEnv::new(base, spec);
         let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
-        j.append_commit(&JournalRecord::Checkpoint { job: 2, pass: 0 })
-            .unwrap();
-        j.append_commit(&JournalRecord::Checkpoint { job: 2, pass: 1 })
-            .unwrap();
-        j.append_commit(&JournalRecord::Checkpoint { job: 2, pass: 2 })
-            .unwrap();
+        for pairs in 0..3 {
+            j.append_commit(&done(2, pairs)).unwrap();
+        }
         drop(j);
         let (_, replay) = Journal::open(env, "wal", P).unwrap();
         // The scan stops at the corrupted record; the clean prefix
         // survives. (Everything after the flip is discarded even if
         // intact — the consistent-prefix contract.)
         assert!(replay.records.len() < 3);
-        assert_eq!(
-            replay.records[0],
-            JournalRecord::Checkpoint { job: 2, pass: 0 }
+        assert_eq!(replay.records[0], done(2, 0));
+    }
+
+    /// Open a journal whose record area holds exactly `image`, written
+    /// past an empty committed watermark as a crashed writer leaves it.
+    fn open_image(image: &[u8]) -> Replayed {
+        let env = sim();
+        drop(Journal::create(env.clone(), "wal", 1 << 16, P).unwrap());
+        let file = env.open_file(P, "wal").unwrap();
+        file.write_at(P, HEADER_SIZE, image).unwrap();
+        Journal::open(env, "wal", P).unwrap().1
+    }
+
+    #[test]
+    fn retired_frames_in_an_older_journal_resume_to_the_same_jobs() {
+        let live = [
+            JournalRecord::JobSubmitted {
+                job: 3,
+                line: "name=a objects=800".into(),
+            },
+            JournalRecord::JobSubmitted {
+                job: 4,
+                line: "name=b objects=900".into(),
+            },
+            done(3, 800),
+        ];
+        let encode = |recs: &[JournalRecord]| recs.iter().flat_map(|r| r.encode()).collect();
+        let plain: Vec<u8> = encode(&live);
+        // What an older binary wrote: the same records, with one frame
+        // of every retired type between job 3's submission and its
+        // completion.
+        let mut older: Vec<u8> = encode(&live[..2]);
+        older.extend(retired_frames(false).concat());
+        older.extend(live[2].encode());
+        let (new, old) = (open_image(&plain), open_image(&older));
+        assert_eq!(old.records, live);
+        assert_eq!(old.torn_bytes, 0);
+        let (new, old) = (
+            ReplayState::from_records(&new.records),
+            ReplayState::from_records(&old.records),
         );
+        assert_eq!(old.jobs, new.jobs);
+        let ids = |jobs: Vec<(u64, _)>| jobs.into_iter().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(ids(old.completed_jobs()), [3]);
+        assert_eq!(ids(old.pending_jobs()), [4]);
+        assert_eq!(old.max_job_id(), Some(4));
+
+        // A retired frame whose payload is a field short stops the scan
+        // there, as any malformed frame does.
+        for short in retired_frames(true) {
+            let mut image: Vec<u8> = encode(&live[..2]);
+            image.extend(short);
+            image.extend(live[2].encode());
+            assert_eq!(open_image(&image).records, live[..2]);
+        }
     }
 
     #[test]

@@ -17,17 +17,26 @@
 //! little-endian fixed width. The encoding is deliberately
 //! byte-deterministic so the encode/decode proptest can assert bitwise
 //! round-trips.
+//!
+//! Each tier journals only what its resume reads: serve and the cluster
+//! coordinator a submission and a completion per job, the stream tier
+//! its header plus a submission and a completion per op. Older journals
+//! also hold frames of five retired types (area lifecycle, per-pass
+//! checkpoints, cluster dispatch and node loss). Those still decode as
+//! CRC-checked frames of their old layout, which the scan steps over;
+//! their tags stay reserved and are never reused.
 
 use crate::crc::crc32;
 
-/// Record type tags (the `type` byte).
-const T_AREA_CREATED: u8 = 1;
-const T_AREA_DELETED: u8 = 2;
+/// Record type tags (the `type` byte). Tags 1, 2, 4, 6 and 7 belong to
+/// the retired types and are reserved.
+const T_RETIRED_AREA_CREATED: u8 = 1;
+const T_RETIRED_AREA_DELETED: u8 = 2;
 const T_JOB_SUBMITTED: u8 = 3;
-const T_CHECKPOINT: u8 = 4;
+const T_RETIRED_CHECKPOINT: u8 = 4;
 const T_JOB_COMPLETED: u8 = 5;
-const T_JOB_DISPATCHED: u8 = 6;
-const T_NODE_LOST: u8 = 7;
+const T_RETIRED_JOB_DISPATCHED: u8 = 6;
+const T_RETIRED_NODE_LOST: u8 = 7;
 const T_STREAM_OPENED: u8 = 8;
 const T_BATCH_SUBMITTED: u8 = 9;
 const T_BATCH_COMPLETED: u8 = 10;
@@ -35,20 +44,6 @@ const T_BATCH_COMPLETED: u8 = 10;
 /// One durable journal record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalRecord {
-    /// A storage area (temporary or otherwise) was created.
-    AreaCreated {
-        /// Env file name.
-        name: String,
-        /// Disk holding the area.
-        disk: u32,
-        /// Logical size in bytes.
-        bytes: u64,
-    },
-    /// A storage area was deleted.
-    AreaDeleted {
-        /// Env file name.
-        name: String,
-    },
     /// A job was admitted into the service with this id; `line` is the
     /// job request re-encoded in the job-file grammar, so replay can
     /// re-submit it verbatim.
@@ -57,14 +52,6 @@ pub enum JournalRecord {
         job: u64,
         /// `key=value` job line reproducing the request.
         line: String,
-    },
-    /// A pass boundary completed for a job (the paper's staged per-disk
-    /// passes are the natural checkpoint points).
-    Checkpoint {
-        /// Service job id.
-        job: u64,
-        /// Completed pass (0 scan, 1 staggered phases, 2 local join).
-        pass: u32,
     },
     /// A job finished; its result is durable in this record, so a
     /// resumed service reports it without re-running the join.
@@ -77,21 +64,6 @@ pub enum JournalRecord {
         checksum: u64,
         /// Whether the result verified against the workload oracle.
         ok: bool,
-    },
-    /// The cluster coordinator sent a job to a worker node. Dispatch is
-    /// at-least-once, so this record can repeat for one job (each
-    /// re-queue re-dispatches); the last one wins in replay.
-    JobDispatched {
-        /// Cluster job id.
-        job: u64,
-        /// Node the job was sent to.
-        node: String,
-    },
-    /// The coordinator declared a worker node dead. Jobs dispatched to
-    /// it and not completed revert to pending in replay.
-    NodeLost {
-        /// Node name.
-        node: String,
     },
     /// A streaming session opened against a resident relation; `line`
     /// is the `resident=` header re-encoded in the stream grammar, so
@@ -128,13 +100,8 @@ impl JournalRecord {
     /// Stable snake_case kind tag (mirrors trace-event naming).
     pub fn kind(&self) -> &'static str {
         match self {
-            JournalRecord::AreaCreated { .. } => "area_created",
-            JournalRecord::AreaDeleted { .. } => "area_deleted",
             JournalRecord::JobSubmitted { .. } => "job_submitted",
-            JournalRecord::Checkpoint { .. } => "checkpoint",
             JournalRecord::JobCompleted { .. } => "job_completed",
-            JournalRecord::JobDispatched { .. } => "job_dispatched",
-            JournalRecord::NodeLost { .. } => "node_lost",
             JournalRecord::StreamOpened { .. } => "stream_opened",
             JournalRecord::BatchSubmitted { .. } => "batch_submitted",
             JournalRecord::BatchCompleted { .. } => "batch_completed",
@@ -145,25 +112,10 @@ impl JournalRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(32);
         match self {
-            JournalRecord::AreaCreated { name, disk, bytes } => {
-                body.push(T_AREA_CREATED);
-                put_str(&mut body, name);
-                body.extend_from_slice(&disk.to_le_bytes());
-                body.extend_from_slice(&bytes.to_le_bytes());
-            }
-            JournalRecord::AreaDeleted { name } => {
-                body.push(T_AREA_DELETED);
-                put_str(&mut body, name);
-            }
             JournalRecord::JobSubmitted { job, line } => {
                 body.push(T_JOB_SUBMITTED);
                 body.extend_from_slice(&job.to_le_bytes());
                 put_str(&mut body, line);
-            }
-            JournalRecord::Checkpoint { job, pass } => {
-                body.push(T_CHECKPOINT);
-                body.extend_from_slice(&job.to_le_bytes());
-                body.extend_from_slice(&pass.to_le_bytes());
             }
             JournalRecord::JobCompleted {
                 job,
@@ -176,15 +128,6 @@ impl JournalRecord {
                 body.extend_from_slice(&pairs.to_le_bytes());
                 body.extend_from_slice(&checksum.to_le_bytes());
                 body.push(*ok as u8);
-            }
-            JournalRecord::JobDispatched { job, node } => {
-                body.push(T_JOB_DISPATCHED);
-                body.extend_from_slice(&job.to_le_bytes());
-                put_str(&mut body, node);
-            }
-            JournalRecord::NodeLost { node } => {
-                body.push(T_NODE_LOST);
-                put_str(&mut body, node);
             }
             JournalRecord::StreamOpened { line } => {
                 body.push(T_STREAM_OPENED);
@@ -208,17 +151,14 @@ impl JournalRecord {
                 body.extend_from_slice(&misses.to_le_bytes());
             }
         }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out
+        frame(&body)
     }
 
-    /// Decode one record from the front of `buf`. Returns the record
+    /// Decode one frame from the front of `buf`. Returns the record
+    /// (`None` for a frame of a retired type, which the scan steps over)
     /// and the total frame bytes consumed, or `None` for anything that
-    /// is not a complete, checksum-valid record.
-    pub fn decode(buf: &[u8]) -> Option<(JournalRecord, usize)> {
+    /// is not a complete, checksum-valid frame.
+    pub fn decode(buf: &[u8]) -> Option<(Option<JournalRecord>, usize)> {
         let len = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
         // A zero body cannot hold a type byte; this also rejects the
         // zero-filled unused tail of a pre-sized journal file.
@@ -232,48 +172,50 @@ impl JournalRecord {
         }
         let mut cur = Cursor { buf: body, pos: 0 };
         let rec = match cur.u8()? {
-            T_AREA_CREATED => JournalRecord::AreaCreated {
-                name: cur.string()?,
-                disk: cur.u32()?,
-                bytes: cur.u64()?,
-            },
-            T_AREA_DELETED => JournalRecord::AreaDeleted {
-                name: cur.string()?,
-            },
-            T_JOB_SUBMITTED => JournalRecord::JobSubmitted {
+            T_JOB_SUBMITTED => Some(JournalRecord::JobSubmitted {
                 job: cur.u64()?,
                 line: cur.string()?,
-            },
-            T_CHECKPOINT => JournalRecord::Checkpoint {
-                job: cur.u64()?,
-                pass: cur.u32()?,
-            },
-            T_JOB_COMPLETED => JournalRecord::JobCompleted {
+            }),
+            T_JOB_COMPLETED => Some(JournalRecord::JobCompleted {
                 job: cur.u64()?,
                 pairs: cur.u64()?,
                 checksum: cur.u64()?,
                 ok: cur.u8()? != 0,
-            },
-            T_JOB_DISPATCHED => JournalRecord::JobDispatched {
-                job: cur.u64()?,
-                node: cur.string()?,
-            },
-            T_NODE_LOST => JournalRecord::NodeLost {
-                node: cur.string()?,
-            },
-            T_STREAM_OPENED => JournalRecord::StreamOpened {
+            }),
+            T_STREAM_OPENED => Some(JournalRecord::StreamOpened {
                 line: cur.string()?,
-            },
-            T_BATCH_SUBMITTED => JournalRecord::BatchSubmitted {
+            }),
+            T_BATCH_SUBMITTED => Some(JournalRecord::BatchSubmitted {
                 batch: cur.u64()?,
                 line: cur.string()?,
-            },
-            T_BATCH_COMPLETED => JournalRecord::BatchCompleted {
+            }),
+            T_BATCH_COMPLETED => Some(JournalRecord::BatchCompleted {
                 batch: cur.u64()?,
                 pairs: cur.u64()?,
                 checksum: cur.u64()?,
                 misses: cur.u64()?,
-            },
+            }),
+            // Retired types: check the old payload layout, keep nothing.
+            T_RETIRED_AREA_CREATED => {
+                cur.string()?;
+                cur.u32()?;
+                cur.u64()?;
+                None
+            }
+            T_RETIRED_AREA_DELETED | T_RETIRED_NODE_LOST => {
+                cur.string()?;
+                None
+            }
+            T_RETIRED_CHECKPOINT => {
+                cur.u64()?;
+                cur.u32()?;
+                None
+            }
+            T_RETIRED_JOB_DISPATCHED => {
+                cur.u64()?;
+                cur.string()?;
+                None
+            }
             _ => return None,
         };
         // The payload must be exactly consumed: a valid checksum over a
@@ -284,6 +226,15 @@ impl JournalRecord {
         }
         Some((rec, 8 + len))
     }
+}
+
+/// Frame `body` (type byte plus payload) with its length and CRC.
+fn frame(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(body.len() + 8);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -322,37 +273,62 @@ impl Cursor<'_> {
     }
 }
 
+/// Hand-built frames of the retired types in their old layout, as
+/// an older binary wrote them; `short` drops each payload's last field.
+#[cfg(test)]
+pub(crate) fn retired_frames(short: bool) -> Vec<Vec<u8>> {
+    let layouts: [(u8, &[&[u8]]); 5] = [
+        // AreaCreated { name, disk: u32, bytes: u64 }
+        (
+            T_RETIRED_AREA_CREATED,
+            &[
+                b"\x0b\0\0\0job3/w.RP_0",
+                &[1, 0, 0, 0],
+                &[0, 0, 1, 0, 0, 0, 0, 0],
+            ],
+        ),
+        // AreaDeleted { name }
+        (T_RETIRED_AREA_DELETED, &[b"\x04\0\0\0RS_2"]),
+        // Checkpoint { job: u64, pass: u32 }
+        (
+            T_RETIRED_CHECKPOINT,
+            &[&[3, 0, 0, 0, 0, 0, 0, 0], &[1, 0, 0, 0]],
+        ),
+        // JobDispatched { job: u64, node }
+        (
+            T_RETIRED_JOB_DISPATCHED,
+            &[&[3, 0, 0, 0, 0, 0, 0, 0], b"\x06\0\0\0node-1"],
+        ),
+        // NodeLost { node }
+        (T_RETIRED_NODE_LOST, &[b"\x06\0\0\0node-1"]),
+    ];
+    layouts
+        .iter()
+        .map(|(tag, fields)| {
+            let mut body = vec![*tag];
+            for field in &fields[..fields.len() - usize::from(short)] {
+                body.extend_from_slice(field);
+            }
+            frame(&body)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn samples() -> Vec<JournalRecord> {
         vec![
-            JournalRecord::AreaCreated {
-                name: "w.RP_0#t3".into(),
-                disk: 0,
-                bytes: 65_536,
-            },
-            JournalRecord::AreaDeleted {
-                name: "RS_2".into(),
-            },
             JournalRecord::JobSubmitted {
                 job: 7,
                 line: "name=q1 objects=2000 d=2 seed=9".into(),
             },
-            JournalRecord::Checkpoint { job: 7, pass: 1 },
             JournalRecord::JobCompleted {
                 job: 7,
                 pairs: 2000,
                 checksum: 0xDEAD_BEEF_CAFE,
                 ok: true,
-            },
-            JournalRecord::JobDispatched {
-                job: 7,
-                node: "node-1".into(),
-            },
-            JournalRecord::NodeLost {
-                node: "node-1".into(),
             },
             JournalRecord::StreamOpened {
                 line: "resident=s0 objects=4000 d=2 seed=5".into(),
@@ -375,6 +351,7 @@ mod tests {
         for rec in samples() {
             let wire = rec.encode();
             let (back, used) = JournalRecord::decode(&wire).unwrap();
+            let back = back.expect("a live record type");
             assert_eq!(back, rec);
             assert_eq!(used, wire.len());
             // Re-encoding is bitwise identical.
@@ -384,13 +361,17 @@ mod tests {
 
     #[test]
     fn any_truncation_is_rejected() {
-        for rec in samples() {
-            let wire = rec.encode();
+        // Frames of the retired types too: the scan steps over one only
+        // when it is whole.
+        let wires = samples()
+            .iter()
+            .map(JournalRecord::encode)
+            .collect::<Vec<_>>();
+        for wire in wires.into_iter().chain(retired_frames(false)) {
             for cut in 0..wire.len() {
                 assert!(
                     JournalRecord::decode(&wire[..cut]).is_none(),
-                    "{}: truncation to {cut} accepted",
-                    rec.kind()
+                    "{wire:?}: truncation to {cut} accepted"
                 );
             }
         }
@@ -412,7 +393,9 @@ mod tests {
                     // A flip in the length prefix may still frame a
                     // valid-looking record only if the checksum agrees —
                     // which CRC32 makes impossible for a 1-bit change.
-                    Some((got, _)) => assert_eq!(got, rec, "flip at {byte}.{bit} misdecoded"),
+                    Some((got, _)) => {
+                        assert_eq!(got, Some(rec.clone()), "flip at {byte}.{bit} misdecoded")
+                    }
                 }
             }
         }

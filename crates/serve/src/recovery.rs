@@ -6,17 +6,13 @@
 //! contract the store does), guarded by one mutex — append order in the
 //! file is the lock-acquisition order, which is all replay needs.
 //!
-//! What gets journaled, and when it commits:
+//! What gets journaled, and when it commits — two records per job,
+//! each committed before what it describes becomes visible:
 //!
-//! * `JobSubmitted` — at submission, committed immediately (a client
-//!   that got an id back will find its job after a crash);
-//! * `AreaCreated` / `AreaDeleted` — as the job's environment emits
-//!   `MapSetup`/`MapTeardown` trace events, *uncommitted* (they ride
-//!   the next commit: area records only matter if later records prove
-//!   the job progressed);
-//! * `Checkpoint` — when a pass boundary is crossed, committed (the
-//!   paper's pass structure makes these the only consistent cuts);
-//! * `JobCompleted` — after the job finishes, committed.
+//! * `JobSubmitted` — at submission, before the id is returned (a
+//!   client that got an id back will find its job after a crash);
+//! * `JobCompleted` — after the job finishes, before its result is
+//!   published.
 //!
 //! On restart with `--resume`, the replayed record prefix is folded
 //! into a [`ReplayState`]; completed jobs are re-reported from their
@@ -27,14 +23,15 @@
 //! is worth keeping (and `MmapEnv::create_file` would refuse to
 //! recreate areas over leftovers anyway).
 
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use mmjoin::choose;
-use mmjoin_env::{MapOp, ProcId, TraceEvent, TraceSink};
+use mmjoin_env::{ProcId, TraceEvent, TraceSink};
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_recovery::{gc_orphans, Journal, JournalRecord, JournalStats, ReplayState};
+use mmjoin_recovery::{
+    gc_orphans, Journal, JournalRecord, JournalStats, ReplayState, Replayed, JOURNAL_CAPACITY,
+};
 
 use crate::job::{JobId, JobRequest, JobResult, PAGE};
 use crate::service::{EnvKind, ServeConfig};
@@ -42,11 +39,49 @@ use crate::service::{EnvKind, ServeConfig};
 /// Journal file name inside the journal directory's disk 0.
 const JOURNAL_FILE: &str = "serve.wal";
 
-/// Journal capacity: generous for thousands of jobs' worth of records.
-const JOURNAL_CAPACITY: u64 = 4 << 20;
-
 /// The process identity journal operations are attributed to.
 const JOURNAL_PROC: ProcId = ProcId(0);
+
+/// Open (resuming) or create (fresh) the journal `file` in its own
+/// single-disk [`MmapEnv`] under `dir`, whose trace sink receives the
+/// journal's `journal_append` events. The serve and cluster
+/// coordinator journals are both opened here.
+///
+/// A fresh start wipes `dir` first: the directory is dedicated to the
+/// journal, and stale records from an unrelated earlier run must not
+/// leak into this one's replay. The replay is `Some` only when resuming
+/// found a journal; resuming without one is a first start.
+pub fn open_journal(
+    dir: &Path,
+    file: &str,
+    resume: bool,
+    sink: Arc<dyn TraceSink>,
+) -> Result<(Journal<MmapEnv>, Option<Replayed>), String> {
+    let cfg = MmapEnvConfig {
+        root: dir.to_path_buf(),
+        num_disks: 1,
+        page_size: PAGE,
+    };
+    let (env, found) = if resume {
+        let (env, adopted) = MmapEnv::recover(cfg).map_err(|e| format!("journal env: {e}"))?;
+        let found = adopted.iter().any(|n| n == file);
+        (env, found)
+    } else {
+        let _ = std::fs::remove_dir_all(dir);
+        let env = MmapEnv::new(cfg).map_err(|e| format!("journal env: {e}"))?;
+        (env, false)
+    };
+    env.set_trace_sink(sink);
+    if found {
+        let (journal, replayed) =
+            Journal::open(env, file, JOURNAL_PROC).map_err(|e| format!("journal open: {e}"))?;
+        Ok((journal, Some(replayed)))
+    } else {
+        let journal = Journal::create(env, file, JOURNAL_CAPACITY, JOURNAL_PROC)
+            .map_err(|e| format!("journal create: {e}"))?;
+        Ok((journal, None))
+    }
+}
 
 /// What `Journal::open` replayed, before the service interprets it.
 pub(crate) struct ResumePlan {
@@ -58,7 +93,7 @@ pub(crate) struct ResumePlan {
     pub(crate) torn_bytes: u64,
 }
 
-/// The journal shared by every worker of a service. Append failures are
+/// The journal shared by every worker of a service. Commit failures are
 /// reported to stderr but never fail the job that triggered them: the
 /// journal is a recovery aid, and a full journal must not take the
 /// service down with it.
@@ -67,78 +102,32 @@ pub(crate) struct ServiceJournal {
 }
 
 impl ServiceJournal {
-    /// Open (resuming) or create (fresh) the journal under `dir`.
-    ///
-    /// A fresh start wipes `dir` first: the directory is dedicated to
-    /// the journal, and stale records from an unrelated earlier run
-    /// must not leak into this one's replay. Returns the journal plus,
-    /// when resuming, the replayed plan.
+    /// Open (resuming) or create (fresh) the journal under `dir` (see
+    /// [`open_journal`]). Returns the journal plus, when resuming, the
+    /// replayed plan — empty when there was no journal to replay.
     pub(crate) fn open(
         dir: &Path,
         resume: bool,
         sink: Arc<dyn TraceSink>,
     ) -> Result<(Arc<ServiceJournal>, Option<ResumePlan>), String> {
-        let cfg = MmapEnvConfig {
-            root: dir.to_path_buf(),
-            num_disks: 1,
-            page_size: PAGE,
-        };
-        if !resume {
-            let _ = std::fs::remove_dir_all(dir);
-            let env = MmapEnv::new(cfg).map_err(|e| format!("journal env: {e}"))?;
-            env.set_trace_sink(sink);
-            let journal = Journal::create(env, JOURNAL_FILE, JOURNAL_CAPACITY, JOURNAL_PROC)
-                .map_err(|e| format!("journal create: {e}"))?;
-            return Ok((
-                Arc::new(ServiceJournal {
-                    inner: Mutex::new(journal),
-                }),
-                None,
-            ));
-        }
-        let (env, adopted) = MmapEnv::recover(cfg).map_err(|e| format!("journal env: {e}"))?;
-        env.set_trace_sink(sink);
-        if adopted.iter().any(|n| n == JOURNAL_FILE) {
-            let (journal, replayed) = Journal::open(env, JOURNAL_FILE, JOURNAL_PROC)
-                .map_err(|e| format!("journal open: {e}"))?;
-            let plan = ResumePlan {
-                records: replayed.records.len() as u64,
-                torn_bytes: replayed.torn_bytes,
-                state: ReplayState::from_records(&replayed.records),
-            };
-            Ok((
-                Arc::new(ServiceJournal {
-                    inner: Mutex::new(journal),
-                }),
-                Some(plan),
-            ))
-        } else {
-            // --resume with no prior journal: first start, nothing to
-            // replay.
-            let journal = Journal::create(env, JOURNAL_FILE, JOURNAL_CAPACITY, JOURNAL_PROC)
-                .map_err(|e| format!("journal create: {e}"))?;
-            Ok((
-                Arc::new(ServiceJournal {
-                    inner: Mutex::new(journal),
-                }),
-                Some(ResumePlan {
-                    state: ReplayState::default(),
-                    records: 0,
-                    torn_bytes: 0,
-                }),
-            ))
-        }
+        let (journal, replayed) = open_journal(dir, JOURNAL_FILE, resume, sink)?;
+        let plan = resume.then(|| {
+            let (records, torn_bytes) =
+                replayed.map_or((Vec::new(), 0), |r| (r.records, r.torn_bytes));
+            ResumePlan {
+                records: records.len() as u64,
+                torn_bytes,
+                state: ReplayState::from_records(&records),
+            }
+        });
+        let journal = Arc::new(ServiceJournal {
+            inner: Mutex::new(journal),
+        });
+        Ok((journal, plan))
     }
 
     fn lock(&self) -> MutexGuard<'_, Journal<MmapEnv>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Append without committing (the record rides the next commit).
-    pub(crate) fn append(&self, rec: &JournalRecord) {
-        if let Err(e) = self.lock().append(rec) {
-            eprintln!("mmjoin-serve: journal append ({}) failed: {e}", rec.kind());
-        }
     }
 
     /// Append and make durable (data sync → header write → header sync).
@@ -151,100 +140,6 @@ impl ServiceJournal {
     /// Live journal counters.
     pub(crate) fn stats(&self) -> JournalStats {
         self.lock().stats()
-    }
-}
-
-/// A trace tee installed on each job's environment when a journal is
-/// configured: forwards every event to the real sink and turns the
-/// storage-consistency-relevant ones into journal records.
-///
-/// Pass boundaries are detected from the environment's own `PassEnd`
-/// stream: the join's stages are barrier-synchronized, so the first
-/// `PassEnd` naming pass `p` proves every process finished pass `p-1`
-/// — that is the durable cut the checkpoint records.
-pub(crate) struct CheckpointSink {
-    inner: Arc<dyn TraceSink>,
-    journal: Arc<ServiceJournal>,
-    job: JobId,
-    /// Highest pass number seen in a `PassEnd`; passes below it are
-    /// checkpointed. Never decreases, so a retried join restarting at
-    /// pass 0 cannot re-checkpoint (replay's `max` fold would ignore
-    /// duplicates anyway).
-    max_pass: Mutex<u32>,
-}
-
-impl CheckpointSink {
-    pub(crate) fn new(
-        inner: Arc<dyn TraceSink>,
-        journal: Arc<ServiceJournal>,
-        job: JobId,
-    ) -> CheckpointSink {
-        CheckpointSink {
-            inner,
-            journal,
-            job,
-            max_pass: Mutex::new(0),
-        }
-    }
-
-    /// Journal-scoped name for one of this job's storage areas. Jobs
-    /// run in per-job directories, so raw area names (`R_0`, ...)
-    /// collide across jobs; the prefix keeps the journal's live-area
-    /// map per-job.
-    fn area(&self, name: &str) -> String {
-        format!("job{}/{name}", self.job)
-    }
-}
-
-impl TraceSink for CheckpointSink {
-    fn emit(&self, t: f64, event: TraceEvent) {
-        match &event {
-            TraceEvent::PassEnd { pass, .. } => {
-                let mut max = self.max_pass.lock().unwrap_or_else(|e| e.into_inner());
-                if *pass > *max {
-                    for done in *max..*pass {
-                        let rec = JournalRecord::Checkpoint {
-                            job: self.job,
-                            pass: done,
-                        };
-                        if done + 1 == *pass {
-                            self.journal.append_commit(&rec);
-                        } else {
-                            self.journal.append(&rec);
-                        }
-                    }
-                    *max = *pass;
-                }
-            }
-            TraceEvent::MapSetup {
-                op: MapOp::New,
-                name,
-                disk,
-                bytes,
-                ..
-            } => {
-                self.journal.append(&JournalRecord::AreaCreated {
-                    name: self.area(name),
-                    disk: *disk,
-                    bytes: *bytes,
-                });
-            }
-            TraceEvent::MapTeardown { name, .. } => {
-                self.journal.append(&JournalRecord::AreaDeleted {
-                    name: self.area(name),
-                });
-            }
-            _ => {}
-        }
-        if self.inner.enabled() {
-            self.inner.emit(t, event);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        // The journal needs the map/pass stream even when the real sink
-        // discards everything.
-        true
     }
 }
 
@@ -362,16 +257,11 @@ fn gc_job_stores(root: &Path) -> Result<u64, String> {
             page_size: PAGE,
         })
         .map_err(|e| format!("gc: cannot adopt {}: {e}", path.display()))?;
-        // Nothing in a dead job's store is vouched for: completed jobs
-        // tear their stores down on success, and re-run jobs rebuild
-        // from scratch.
-        let gone = gc_orphans(
-            &env,
-            JOURNAL_PROC,
-            &ReplayState::default(),
-            &BTreeSet::new(),
-        )
-        .map_err(|e| format!("gc: {}: {e}", path.display()))?;
+        // Nothing in a dead job's store is worth keeping: completed
+        // jobs tear their stores down on success, and re-run jobs
+        // rebuild from scratch.
+        let gone =
+            gc_orphans(&env, JOURNAL_PROC).map_err(|e| format!("gc: {}: {e}", path.display()))?;
         deleted += gone.len() as u64;
         let _ = std::fs::remove_dir_all(&path);
     }
@@ -432,36 +322,6 @@ mod tests {
         }
         let (_j, plan) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
         assert_eq!(plan.unwrap().records, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_sink_journals_pass_boundaries_once() {
-        let dir = tmp("ckpt");
-        let (j, _) = ServiceJournal::open(&dir, false, null_sink()).unwrap();
-        let sink = CheckpointSink::new(null_sink(), Arc::clone(&j), 3);
-        let pass_end = |pass| TraceEvent::PassEnd {
-            proc: 0,
-            pass,
-            phase: 0,
-            disk: 0,
-            area: "R".into(),
-            bytes: 0,
-            objects: 0,
-        };
-        sink.emit(0.0, pass_end(0));
-        sink.emit(0.1, pass_end(0));
-        sink.emit(0.2, pass_end(1));
-        sink.emit(0.3, pass_end(1));
-        // A retried attempt restarting at pass 0 must not re-checkpoint.
-        sink.emit(0.4, pass_end(0));
-        sink.emit(0.5, pass_end(2));
-        drop(sink);
-        drop(j);
-        let (_j, plan) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
-        let plan = plan.unwrap();
-        assert_eq!(plan.records, 2, "exactly two checkpoints journaled");
-        assert_eq!(plan.state.jobs[&3].last_pass, Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

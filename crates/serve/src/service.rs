@@ -28,7 +28,6 @@ use mmjoin_vmsim::{calibrated_params, DiskParams, SimConfig, SimEnv};
 use crate::admission::AdmissionPolicy;
 use crate::job::{JobId, JobRequest, JobResult, PAGE};
 use crate::placement::PlacementKind;
-use crate::recovery::{CheckpointSink, ServiceJournal};
 use crate::shard::{ShardedInner, ShardedService};
 use crate::stats::ServiceStats;
 
@@ -397,7 +396,7 @@ pub(crate) fn run_job(
         };
         result.alg = alg;
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            execute(cfg, inner.journal.as_ref(), &job, alg, m_rproc, m_sproc)
+            execute(cfg, &job, alg, m_rproc, m_sproc)
         }));
         let attempt = match attempt {
             Ok(a) => a,
@@ -496,14 +495,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 /// service's input, assumed to exist — the fault domain is the join
 /// itself (reads, writes, temp-file map setup), as in the paper's
 /// model. The join then runs through the [`FaultyEnv`] wrapper.
-fn execute(
-    cfg: &ServeConfig,
-    journal: Option<&Arc<ServiceJournal>>,
-    job: &Queued,
-    alg: Algo,
-    m_rproc: u64,
-    m_sproc: u64,
-) -> Attempt {
+fn execute(cfg: &ServeConfig, job: &Queued, alg: Algo, m_rproc: u64, m_sproc: u64) -> Attempt {
     let req = &job.req;
     // Tag the job's temporary areas with its id so concurrent (or
     // interrupted) jobs sharing a store can never collide — and so the
@@ -512,17 +504,6 @@ fn execute(
         .with_mode(req.mode)
         .with_tag(&format!("j{}", job.id));
     let policy = RetryPolicy::attempts(cfg.retries);
-    // When journaling, tee the env's trace stream: pass boundaries
-    // become durable checkpoints and map setup/teardown become area
-    // lifecycle records.
-    let sink: Arc<dyn TraceSink> = match journal {
-        Some(j) => Arc::new(CheckpointSink::new(
-            cfg.trace.clone(),
-            Arc::clone(j),
-            job.id,
-        )),
-        None => cfg.trace.clone(),
-    };
     let fail = |e: EnvError| Attempt {
         result: Err(e),
         report: RetryReport::default(),
@@ -539,7 +520,7 @@ fn execute(
             sim_cfg.sproc_pages = (m_sproc / PAGE).max(1) as usize;
             let env = match SimEnv::new(sim_cfg) {
                 Ok(env) => {
-                    env.set_trace_sink(sink);
+                    env.set_trace_sink(cfg.trace.clone());
                     FaultyEnv::new(env, cfg.fault_spec.clone())
                 }
                 Err(e) => return fail(e),
@@ -554,7 +535,7 @@ fn execute(
                 page_size: PAGE,
             }) {
                 Ok(env) => {
-                    env.set_trace_sink(sink);
+                    env.set_trace_sink(cfg.trace.clone());
                     FaultyEnv::new(env, cfg.fault_spec.clone())
                 }
                 Err(e) => return fail(e),
@@ -600,6 +581,7 @@ fn attempt_on<E: mmjoin_env::Env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::ServiceJournal;
     use mmjoin_recovery::JournalRecord;
 
     fn tiny_job(seed: u64, mem_pages: u64) -> JobRequest {
@@ -685,9 +667,10 @@ mod tests {
         svc.submit(tiny_job(2, 8)).unwrap();
         let (mut first, stats) = svc.finish();
         first.sort_by_key(|r| r.id);
-        assert!(stats.journal_commits >= 4, "{stats:?}");
-        // Area records ride later commits, so appends outnumber them.
-        assert!(stats.journal_appended_records >= stats.journal_commits);
+        // A job journals its submission and its completion, each
+        // committed on its own, and nothing else.
+        assert_eq!(stats.journal_appended_records, 4, "{stats:?}");
+        assert_eq!(stats.journal_commits, 4, "{stats:?}");
         // Simulate a job that was admitted but never finished before
         // the "crash": journal its submission with no completion.
         {
@@ -720,7 +703,7 @@ mod tests {
         assert_eq!(results[2].id, 3);
         assert!(results[2].verified, "{:?}", results[2].error);
         assert_eq!(stats.journal_resumed_jobs, 1);
-        assert!(stats.journal_replayed_records >= 5);
+        assert_eq!(stats.journal_replayed_records, 5);
         assert_eq!(stats.completed, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -34,16 +34,13 @@ use mmjoin::probe_cost;
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{Env, EnvError, Histogram, ProcId, Result, TraceEvent};
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_recovery::{Journal, JournalRecord, ReplayState};
+use mmjoin_recovery::{Journal, JournalRecord, ReplayState, JOURNAL_CAPACITY};
 
 use crate::grammar::{StreamHeader, StreamOp, PAGE};
 use crate::resident::{BatchOutput, ResidentSet};
 
 /// Journal file name inside the stream journal directory.
 const JOURNAL_FILE: &str = "stream.wal";
-
-/// Journal capacity: generous for tens of thousands of op records.
-const JOURNAL_CAPACITY: u64 = 4 << 20;
 
 /// Process identity journal operations are attributed to.
 const PROC: ProcId = ProcId(0);
