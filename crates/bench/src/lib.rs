@@ -11,6 +11,7 @@ use std::sync::OnceLock;
 
 use mmjoin::{inputs_for, join, verify, Algo, ExecMode, JoinSpec};
 use mmjoin_env::machine::MachineParams;
+use mmjoin_env::trace::escape;
 use mmjoin_model::predict;
 use mmjoin_relstore::{build, PointerDist, RelConfig, Relations, WorkloadSpec};
 use mmjoin_vmsim::{calibrated_params, ContentionMode, DiskParams, Policy, SimConfig, SimEnv};
@@ -175,25 +176,12 @@ pub fn fig5_json(rows: &[Fig5Row]) -> String {
             r.sim,
             r.faults_read,
             r.faults_write,
-            json_escape(&r.note),
+            escape(&r.note),
             model = model,
         ));
     }
     s.push(']');
     s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Honour the experiment binaries' `--json` flag: when present on the
@@ -366,7 +354,7 @@ mod tests {
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"model_seconds\":null"));
         assert!(j.contains("\"model_seconds\":4.5"));
-        assert!(j.contains("K=3 \\\"quoted\\\"\\u000a"));
+        assert!(j.contains("K=3 \\\"quoted\\\"\\n"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 

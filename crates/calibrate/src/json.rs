@@ -113,25 +113,9 @@ fn type_err(wanted: &str, got: &Json) -> EnvError {
     EnvError::InvalidConfig(format!("profile: expected a {wanted}, got a {kind}"))
 }
 
-/// Escape `s` into a JSON string literal body (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The workspace's one JSON string escaper, re-exported where the
+/// profile writer (and the perf harness) import it.
+pub use mmjoin_env::trace::escape;
 
 struct Parser<'a> {
     bytes: &'a [u8],

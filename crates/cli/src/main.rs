@@ -47,6 +47,7 @@ use mmjoin::{
 };
 use mmjoin_calibrate::{calibrate_host, CalibrateOptions, MachineProfile};
 use mmjoin_env::machine::MachineParams;
+use mmjoin_env::trace::escape;
 use mmjoin_env::{FaultSpec, FaultyEnv, JsonlSink, TraceSink};
 use mmjoin_relstore::{
     build, sample_relation, sample_spec_pointers, PointerDist, RelConfig, WorkloadSpec,
@@ -668,11 +669,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"id\":{},\"name\":{},\"alg\":{},\"pairs\":{},\"checksum\":{},\
+                "{{\"id\":{},\"name\":\"{}\",\"alg\":\"{}\",\"pairs\":{},\"checksum\":{},\
                  \"ok\":{},\"resumed\":{}}}",
                 r.id,
-                json_str(&r.name),
-                json_str(r.alg.name()),
+                escape(&r.name),
+                escape(r.alg.name()),
                 r.pairs,
                 r.checksum,
                 r.error.is_none() && r.verified,
@@ -768,7 +769,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         "serve --stream",
         &[
             REPORTS,
-            "stream queue-bound env modern journal resume trace machine-profile",
+            "stream queue-bound env journal resume trace machine-profile",
         ],
     )?;
     install_sigterm();
@@ -810,7 +811,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     // The first meaningful line is the resident= header. A resumed
     // stream may run purely from its journal: give it a header-only
     // script (resume refuses a mismatched header) and no ops.
-    let mut header = loop {
+    let header = loop {
         let Some(line) = feed.next() else {
             return Err("stream script ended before a 'resident=' header line".to_string());
         };
@@ -819,10 +820,6 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             None => continue,
         }
     };
-    if args.flag("modern") {
-        header.modern = true;
-    }
-
     let cfg = StreamConfig {
         queue_bound,
         machine: machine.clone(),
@@ -1077,28 +1074,6 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     Ok(())
 }
 
-/// Quote `s` as a JSON string: escape backslash, quote, and control
-/// characters; all other Unicode passes through verbatim. (`{:?}` is
-/// not JSON — it renders non-ASCII as `\u{e9}`-style escapes, which
-/// JSON parsers reject.)
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn cmd_coordinator(args: &Args) -> Result<(), String> {
     use mmjoin_cluster::{ClusterConfig, Coordinator};
 
@@ -1229,16 +1204,16 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"id\":{},\"name\":{},\"alg\":{},\"pairs\":{},\"checksum\":{},\
-                 \"ok\":{},\"resumed\":{},\"node\":{},\"requeues\":{}}}",
+                "{{\"id\":{},\"name\":\"{}\",\"alg\":\"{}\",\"pairs\":{},\"checksum\":{},\
+                 \"ok\":{},\"resumed\":{},\"node\":\"{}\",\"requeues\":{}}}",
                 r.id,
-                json_str(&r.name),
-                json_str(&r.alg),
+                escape(&r.name),
+                escape(&r.alg),
                 r.pairs,
                 r.checksum,
                 r.ok,
                 r.resumed,
-                json_str(&r.node),
+                escape(&r.node),
                 r.requeues
             ));
         }
@@ -1640,7 +1615,7 @@ fn usage() {
     println!("                   name alg objects obj-size d mem-pages seed dist");
     println!("                   mode=seq|threads|modern plan=auto|fixed)");
     println!("  mmjoin serve --stream [--jobs FILE] [--queue-bound N]");
-    println!("                   [--env sim|mmap] [--modern] [--json] [--stats-json FILE]");
+    println!("                   [--env sim|mmap] [--json] [--stats-json FILE]");
     println!("                   [--journal DIR] [--resume] [--results-json FILE]");
     println!("                   [--trace FILE.jsonl] [--machine-profile FILE]");
     println!("                   (script: first line 'resident=NAME objects=N");
@@ -1830,6 +1805,7 @@ mod tests {
                 "placment",
             ),
             ("serve", vec!["--stream", "--shards", "2"], "shards"),
+            ("serve", vec!["--stream", "--modern"], "modern"),
             ("serve", vec!["--node", "--shards", "2"], "shards"),
             ("serve", vec!["--node", "--jobs", "j.txt"], "jobs"),
             (

@@ -51,10 +51,16 @@
 //! `JobSubmitted` and a `JobCompleted` record per job, opened like the
 //! serve journal by [`mmjoin_serve::open_journal`]) makes the same
 //! invariant hold across a coordinator crash: `--resume` re-reports
-//! journaled completions without re-running them and re-dispatches
+//! journaled completions without re-running them (folded by
+//! [`mmjoin_serve::resume_jobs`], as serve's are) and re-dispatches
 //! only jobs with no durable completion. Dispatches and node deaths
 //! are not journaled: a resumed coordinator re-dispatches every job
 //! without a completion, wherever it last ran.
+//!
+//! A refused commit fails what it guards, as in serve: a submission
+//! whose record is refused returns `Err` and takes no id, and a
+//! completion whose record is refused is reported failed ("journal
+//! commit failed: …") and re-runs after a resume.
 //!
 //! [`EnvError::is_transient`]: mmjoin_env::EnvError::is_transient
 
@@ -69,8 +75,8 @@ use std::time::{Duration, Instant};
 use mmjoin::RetryPolicy;
 use mmjoin_env::{null_sink, EnvError, TraceEvent, TraceSink};
 use mmjoin_mmstore::MmapEnv;
-use mmjoin_recovery::{Journal, JournalRecord, JournalStats, ReplayState};
-use mmjoin_serve::{open_journal, JobRequest};
+use mmjoin_recovery::{JournalRecord, ReplayState, Replayed, SharedJournal};
+use mmjoin_serve::{open_journal, refused_completion, replayed_error, resume_jobs, JobRequest};
 
 use crate::stats::ClusterStats;
 use crate::wire::{write_msg, FrameReader, Message};
@@ -241,7 +247,7 @@ struct CoShared {
     /// wake-up cannot be lost.
     done: Condvar,
     start: Instant,
-    journal: Option<Mutex<Journal<MmapEnv>>>,
+    journal: SharedJournal<MmapEnv>,
 }
 
 impl CoShared {
@@ -259,26 +265,6 @@ impl CoShared {
         }
     }
 
-    /// Append and commit a journal record; failures are reported but
-    /// never take the cluster down (the journal is a recovery aid).
-    fn journal_commit(&self, rec: &JournalRecord) {
-        if let Some(j) = &self.journal {
-            let mut j = j.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = j.append_commit(rec) {
-                eprintln!(
-                    "mmjoin-cluster: journal commit ({}) failed: {e}",
-                    rec.kind()
-                );
-            }
-        }
-    }
-
-    fn journal_stats(&self) -> Option<JournalStats> {
-        self.journal
-            .as_ref()
-            .map(|j| j.lock().unwrap_or_else(|e| e.into_inner()).stats())
-    }
-
     /// Could `footprint` ever be placed, given the nodes not yet
     /// terminal? Nodes that have not registered yet count as possible
     /// homes (their budget is unknown until their `Hello`).
@@ -293,12 +279,16 @@ impl CoShared {
         if !st.completed.insert(id) {
             return;
         }
-        self.journal_commit(&JournalRecord::JobCompleted {
+        let committed = self.journal.commit(|| JournalRecord::JobCompleted {
             job: id,
             pairs: 0,
             checksum: 0,
             ok: false,
         });
+        let error = match committed {
+            Ok(()) => error,
+            Err(e) => refused_completion(Some(error), &e),
+        };
         st.stats.completed += 1;
         st.stats.failed += 1;
         st.results.push(ClusterJobResult {
@@ -571,13 +561,19 @@ impl CoShared {
             }
         };
         // Durable before visible: a crash after this commit re-reports
-        // the job instead of re-running it.
-        self.journal_commit(&JournalRecord::JobCompleted {
+        // the job instead of re-running it. A refused commit reports it
+        // failed; a resume re-runs it.
+        let error = (!error.is_empty()).then_some(error);
+        let committed = self.journal.commit(|| JournalRecord::JobCompleted {
             job,
             pairs,
             checksum,
             ok,
         });
+        let (ok, error) = match committed {
+            Ok(()) => (ok, error),
+            Err(e) => (false, Some(refused_completion(error, &e))),
+        };
         st.completed.insert(job);
         st.stats.completed += 1;
         if !ok {
@@ -597,7 +593,7 @@ impl CoShared {
             requeues,
             latency,
             resumed: false,
-            error: if error.is_empty() { None } else { Some(error) },
+            error,
         });
         self.trace(TraceEvent::JobCompleted {
             job,
@@ -878,18 +874,6 @@ fn node_loop(shared: Arc<CoShared>, idx: usize) {
     }
 }
 
-/// What `--resume` replayed, surfaced for logging and tests.
-pub struct ResumeReport {
-    /// CRC-valid records adopted.
-    pub records: u64,
-    /// Committed bytes lost to a torn tail.
-    pub torn_bytes: u64,
-    /// Completed jobs re-reported from the journal.
-    pub finished: u64,
-    /// Pending jobs re-queued for dispatch.
-    pub pending: u64,
-}
-
 /// A running cluster coordinator.
 pub struct Coordinator {
     shared: Arc<CoShared>,
@@ -905,17 +889,12 @@ impl Coordinator {
         if cfg.nodes.is_empty() {
             return Err("no nodes configured".into());
         }
-        let journal = match &cfg.journal_dir {
-            Some(dir) => Some(open_journal(
-                dir,
-                JOURNAL_FILE,
-                cfg.resume,
-                Arc::clone(&cfg.trace),
-            )?),
-            None => None,
-        };
-        let (journal, replayed) = match journal {
-            Some((j, r)) => (Some(Mutex::new(j)), r),
+        let (journal, replayed) = match &cfg.journal_dir {
+            Some(dir) => {
+                let (j, replayed) =
+                    open_journal(dir, JOURNAL_FILE, cfg.resume, Arc::clone(&cfg.trace))?;
+                (Some(j), replayed)
+            }
             None => (None, None),
         };
         let nodes: Vec<NodeState> = cfg
@@ -943,16 +922,10 @@ impl Coordinator {
             done: Condvar::new(),
             start: Instant::now(),
             cfg,
-            journal,
+            journal: SharedJournal::new(journal),
         });
         if let Some(replayed) = replayed {
-            let report = apply_resume(&shared, replayed)?;
-            shared.trace(TraceEvent::RecoveryReplayed {
-                records: report.records,
-                torn: report.torn_bytes,
-                orphans_deleted: 0,
-                resumed_jobs: report.pending,
-            });
+            apply_resume(&shared, replayed);
         }
         let threads = (0..shared.lock().nodes.len())
             .map(|idx| {
@@ -986,14 +959,18 @@ impl Coordinator {
                 "job footprint {footprint} exceeds every node's budget"
             ));
         }
-        st.next_id += 1;
-        let id = st.next_id;
+        let id = st.next_id + 1;
         // Journal-before-queue, under the id-assigning lock: a client
-        // that got an id back will find its job after a crash.
-        self.shared.journal_commit(&JournalRecord::JobSubmitted {
-            job: id,
-            line: req.to_line(),
-        });
+        // that got an id back will find its job after a crash, and a
+        // refused commit fails the submission before it takes the id.
+        self.shared
+            .journal
+            .commit(|| JournalRecord::JobSubmitted {
+                job: id,
+                line: req.to_line(),
+            })
+            .map_err(|e| format!("journal commit failed: {e}"))?;
+        st.next_id = id;
         st.stats.submitted += 1;
         self.shared.trace(TraceEvent::JobSubmitted {
             job: id,
@@ -1082,7 +1059,7 @@ impl Coordinator {
                 n.reserved.saturating_sub(backing)
             })
             .sum();
-        stats.journal = self.shared.journal_stats();
+        stats.journal = self.shared.journal.stats();
         stats
     }
 
@@ -1126,36 +1103,21 @@ impl Drop for Coordinator {
 /// Fold a replayed journal into the fresh coordinator state: re-report
 /// completed jobs exactly once, re-queue everything else under its
 /// original id, and continue id assignment above the replayed maximum.
-fn apply_resume(
-    shared: &CoShared,
-    replayed: mmjoin_recovery::Replayed,
-) -> Result<ResumeReport, String> {
-    let state = ReplayState::from_records(&replayed.records);
+fn apply_resume(shared: &CoShared, replayed: Replayed) {
+    let (jobs, next_id) = resume_jobs(&ReplayState::from_records(&replayed.records));
     let mut st = shared.lock();
-    let mut finished = 0u64;
     let mut pending = 0u64;
-    for (id, js) in &state.jobs {
-        let req = match JobRequest::parse_line(&js.line) {
-            Ok(Some(req)) => req,
-            Ok(None) | Err(_) => {
-                eprintln!(
-                    "mmjoin-cluster: journal job {id} has no usable submission line ({:?}); dropped",
-                    js.line
-                );
-                continue;
-            }
-        };
-        match js.completed {
+    for (id, req, completed) in jobs {
+        match completed {
             Some((pairs, checksum, ok)) => {
-                finished += 1;
-                st.completed.insert(*id);
+                st.completed.insert(id);
                 st.stats.completed += 1;
                 st.stats.resumed_reported += 1;
                 if !ok {
                     st.stats.failed += 1;
                 }
                 st.results.push(ClusterJobResult {
-                    id: *id,
+                    id,
                     name: req.name.clone(),
                     node: "journal".into(),
                     alg: req.alg.map_or("auto", |a| a.name()).to_string(),
@@ -1165,18 +1127,14 @@ fn apply_resume(
                     requeues: 0,
                     latency: 0.0,
                     resumed: true,
-                    error: if ok {
-                        None
-                    } else {
-                        Some("failed before restart (replayed from journal)".into())
-                    },
+                    error: replayed_error(ok),
                 });
             }
             None => {
                 pending += 1;
                 st.stats.submitted += 1;
                 st.pending.push_back(PendingJob {
-                    id: *id,
+                    id,
                     req,
                     requeues: 0,
                     ready_at: Instant::now(),
@@ -1185,12 +1143,13 @@ fn apply_resume(
             }
         }
     }
-    st.next_id = state.max_job_id().unwrap_or(0);
+    st.next_id = next_id;
     st.stats.replayed_records = replayed.records.len() as u64;
-    Ok(ResumeReport {
+    drop(st);
+    shared.trace(TraceEvent::RecoveryReplayed {
         records: replayed.records.len() as u64,
-        torn_bytes: replayed.torn_bytes,
-        finished,
-        pending,
-    })
+        torn: replayed.torn_bytes,
+        orphans_deleted: 0,
+        resumed_jobs: pending,
+    });
 }

@@ -33,7 +33,7 @@ mod node;
 mod stats;
 pub mod wire;
 
-pub use coordinator::{ClusterConfig, ClusterJobResult, Coordinator, ResumeReport};
+pub use coordinator::{ClusterConfig, ClusterJobResult, Coordinator};
 pub use node::NodeServer;
 pub use stats::ClusterStats;
 pub use wire::Message;

@@ -2,7 +2,7 @@
 //! checksummed binary encoding over TCP.
 //!
 //! The build environment has no serde, so the protocol is hand-rolled
-//! in exactly the journal-record idiom ([`mmjoin_recovery::JournalRecord`]):
+//! on the journal record's framing ([`mmjoin_recovery::record`]):
 //!
 //! ```text
 //! [len: u32 LE] [type: u8] [payload ...] [crc: u32 LE]
@@ -23,6 +23,7 @@
 use std::io::{self, Read, Write};
 
 use mmjoin_recovery::crc32;
+use mmjoin_recovery::record::{frame, put_str, Cursor};
 
 /// Upper bound on one frame's body (type byte + payload). Job lines and
 /// node names are short; anything larger is a corrupt length prefix.
@@ -148,18 +149,14 @@ impl Message {
             }
             Message::Shutdown => body.push(T_SHUTDOWN),
         }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out
+        frame(&body)
     }
 
     /// Decode one message from a complete frame body (the bytes `len`
     /// counted, checksum already verified). Total: malformed input
     /// yields `None`.
     fn decode_body(body: &[u8]) -> Option<Message> {
-        let mut cur = Cursor { buf: body, pos: 0 };
+        let mut cur = Cursor::new(body);
         let msg = match cur.u8()? {
             T_HELLO => Message::Hello {
                 node: cur.string()?,
@@ -185,7 +182,7 @@ impl Message {
         };
         // The payload must be exactly consumed; a valid checksum over a
         // longer body (a future protocol version) is not accepted.
-        if cur.pos != body.len() {
+        if !cur.at_end() {
             return None;
         }
         Some(msg)
@@ -304,42 +301,6 @@ fn parse_frame(rest: &[u8]) -> io::Result<Message> {
             io::ErrorKind::InvalidData,
             "malformed frame payload",
         )),
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
     }
 }
 

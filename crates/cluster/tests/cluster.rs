@@ -437,6 +437,58 @@ fn coordinator_crash_restart_reports_each_job_exactly_once() {
 }
 
 #[test]
+fn a_full_journal_refuses_submissions_without_taking_ids_and_resumes_each_accepted_job_once() {
+    let dir = std::env::temp_dir().join(format!("mmjoin-cluster-full-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let node = NodeServer::start("127.0.0.1:0", "worker", ServeConfig::sim(64 * PAGE, 2)).unwrap();
+    let addr = node.local_addr().to_string();
+    // ~64 KiB a submission record: the 4 MiB journal holds about 64.
+    let big = |i: u64| {
+        let mut req = JobRequest::new(600, 32, 2, 8, i + 1);
+        req.name = format!("j{i}-{}", "x".repeat(64 << 10));
+        req
+    };
+    // Default timing: committing 64 KiB records under the state lock
+    // must not read as a silent node in an unoptimized build.
+    let cfg = || ClusterConfig::new(vec![addr.clone()]).with_journal(dir.clone());
+    let co = Coordinator::start(cfg()).unwrap();
+    let mut accepted = Vec::new();
+    let mut refused = 0;
+    for i in 0..80 {
+        match co.submit(big(i)) {
+            Ok(id) => accepted.push(id),
+            Err(e) => {
+                assert!(e.contains("journal full"), "{e}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused > 0, "the journal never filled");
+    // A refusal takes no id: the accepted ids are dense.
+    let n = accepted.len() as u64;
+    assert_eq!(accepted, (1..=n).collect::<Vec<_>>());
+    assert_eq!(co.stats().submitted, n);
+    // "Crash" with jobs still queued: the resume re-dispatches those.
+    drop(co);
+
+    let co = Coordinator::start(cfg().with_resume()).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(co.finish());
+    });
+    let (results, _) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a resumed drain over a full journal must terminate");
+    let mut ids: Vec<u64> = results.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    assert_eq!(
+        ids, accepted,
+        "every accepted id exactly once, nothing else"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_on_fresh_journal_is_a_plain_start() {
     let dir = std::env::temp_dir().join(format!("mmjoin-cluster-fresh-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

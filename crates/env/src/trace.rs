@@ -533,7 +533,15 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
+/// Escape `s` into a JSON string literal body (no surrounding quotes):
+/// the one JSON string escaper every crate's hand-written JSON uses.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    esc(s, &mut out);
+    out
+}
+
+/// [`escape`], appending to `out`.
 fn esc(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {

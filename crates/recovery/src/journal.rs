@@ -33,6 +33,13 @@
 //! commit, and every record type is idempotent under replay (see
 //! `replay.rs`), so adopting them only recovers more truth. Frames of a
 //! retired record type are checked like any other and then skipped.
+//!
+//! A refused [`Journal::append_commit`] is undone before it returns:
+//! the tail rolls back to the watermark and the refused bytes are
+//! zeroed and synced, so neither the next commit nor a reopen's scan
+//! adopts the record. If that erase fails too, the journal closes.
+
+use std::sync::Mutex;
 
 use mmjoin_env::{DiskId, Env, EnvError, FileOps, ProcId, Result, TraceEvent};
 
@@ -68,6 +75,7 @@ pub struct JournalStats {
 }
 
 /// What [`Journal::open`] recovered.
+#[derive(Default)]
 pub struct Replayed {
     /// Every CRC-valid record of a live type, in append order.
     pub records: Vec<JournalRecord>,
@@ -84,6 +92,11 @@ pub struct Journal<E: Env> {
     tail: u64,
     /// Durable watermark from the last commit.
     committed: u64,
+    /// End of the furthest write attempted past `committed`: what a
+    /// refused commit must erase.
+    dirty: u64,
+    /// Why the journal closed, if a refused commit could not be erased.
+    closed: Option<String>,
     capacity: u64,
     stats: JournalStats,
 }
@@ -99,18 +112,41 @@ impl<E: Env> Journal<E> {
             )));
         }
         let file = env.create_file(proc, name, DiskId(0), capacity)?;
-        let mut j = Journal {
+        let j = Journal {
             env,
             file,
             proc,
             tail: HEADER_SIZE,
             committed: HEADER_SIZE,
+            dirty: HEADER_SIZE,
+            closed: None,
             capacity,
             stats: JournalStats::default(),
         };
-        j.write_header()?;
+        j.write_header(HEADER_SIZE)?;
         j.file.sync(proc)?;
         Ok(j)
+    }
+
+    /// Open a tier's journal `name` in `env`: when `resume` finds the
+    /// file, open and replay it (the replay is `Some`); otherwise delete
+    /// any stale file of that name and create a fresh one of
+    /// [`JOURNAL_CAPACITY`] bytes. The tier only builds `env`.
+    pub fn open_or_create(
+        env: E,
+        name: &str,
+        resume: bool,
+        proc: ProcId,
+    ) -> Result<(Journal<E>, Option<Replayed>)> {
+        let found = env.list_files().iter().any(|n| n == name);
+        if resume && found {
+            let (journal, replayed) = Self::open(env, name, proc)?;
+            return Ok((journal, Some(replayed)));
+        }
+        if found {
+            env.delete_file(proc, name)?;
+        }
+        Ok((Self::create(env, name, JOURNAL_CAPACITY, proc)?, None))
     }
 
     /// Open an existing journal and replay it: validate the header,
@@ -175,20 +211,23 @@ impl<E: Env> Journal<E> {
             torn_bytes,
             ..JournalStats::default()
         };
-        let mut j = Journal {
+        // Records adopted past the watermark have been replayed, so they
+        // count as committed: a refused commit must not erase them.
+        let j = Journal {
             env,
             file,
             proc,
             tail,
-            committed: tail.min(committed),
+            committed: tail,
+            dirty: tail,
+            closed: None,
             capacity,
             stats,
         };
         // Re-commit at the scan stop so the watermark no longer points
         // into the discarded torn region.
         if torn_bytes > 0 {
-            j.committed = tail;
-            j.write_header()?;
+            j.write_header(tail)?;
             j.file.sync(proc)?;
         }
         Ok((
@@ -200,11 +239,11 @@ impl<E: Env> Journal<E> {
         ))
     }
 
-    fn write_header(&mut self) -> Result<()> {
+    fn write_header(&self, committed: u64) -> Result<()> {
         let mut header = [0u8; 24];
         header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
         header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        header[12..20].copy_from_slice(&self.committed.to_le_bytes());
+        header[12..20].copy_from_slice(&committed.to_le_bytes());
         let crc = crc32(&header[0..20]);
         header[20..24].copy_from_slice(&crc.to_le_bytes());
         self.file.write_at(self.proc, 0, &header)
@@ -213,6 +252,11 @@ impl<E: Env> Journal<E> {
     /// Append one record (not yet durable — call [`Journal::commit`]).
     /// Emits a `journal_append` trace event through the environment.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<()> {
+        if let Some(why) = &self.closed {
+            return Err(EnvError::InvalidConfig(format!(
+                "journal closed: a refused commit could not be erased ({why})"
+            )));
+        }
         let wire = rec.encode();
         let end = self.tail + wire.len() as u64;
         if end > self.capacity {
@@ -223,6 +267,8 @@ impl<E: Env> Journal<E> {
                 wire.len()
             )));
         }
+        // A failed write may still land some bytes.
+        self.dirty = self.dirty.max(end);
         self.file.write_at(self.proc, self.tail, &wire)?;
         self.tail = end;
         self.stats.appended_records += 1;
@@ -246,18 +292,42 @@ impl<E: Env> Journal<E> {
         // 1. Data durable first.
         self.file.sync(self.proc)?;
         // 2. Then the watermark...
-        self.committed = self.tail;
-        self.write_header()?;
+        self.write_header(self.tail)?;
         // 3. ...made durable itself.
         self.file.sync(self.proc)?;
+        self.committed = self.tail;
+        self.dirty = self.tail;
         self.stats.commits += 1;
         Ok(())
     }
 
-    /// Append and immediately commit.
+    /// Append and immediately commit; the one commit every tier makes.
+    /// On `Err` the refused record is erased (or, if that fails, the
+    /// journal closes), so it never replays.
     pub fn append_commit(&mut self, rec: &JournalRecord) -> Result<()> {
-        self.append(rec)?;
-        self.commit()
+        let result = self.append(rec).and_then(|()| self.commit());
+        if result.is_err() && self.dirty > self.committed {
+            self.roll_back();
+        }
+        result
+    }
+
+    /// Undo a refused commit: zero every byte written past the
+    /// watermark, re-write the watermark, and sync, so that neither the
+    /// next commit nor a reopen's scan adopts the refused record. If
+    /// the erase fails as well, close the journal.
+    fn roll_back(&mut self) {
+        let zeros = vec![0u8; (self.dirty - self.committed) as usize];
+        let erased = self
+            .file
+            .write_at(self.proc, self.committed, &zeros)
+            .and_then(|()| self.write_header(self.committed))
+            .and_then(|()| self.file.sync(self.proc));
+        self.tail = self.committed;
+        match erased {
+            Ok(()) => self.dirty = self.committed,
+            Err(e) => self.closed = Some(e.to_string()),
+        }
     }
 
     /// Counter snapshot.
@@ -271,12 +341,47 @@ impl<E: Env> Journal<E> {
     }
 }
 
+/// A tier's journal as its threads share it (append order is lock
+/// order), or none when the tier runs unjournaled.
+pub struct SharedJournal<E: Env>(Option<Mutex<Journal<E>>>);
+
+impl<E: Env> SharedJournal<E> {
+    /// Share `journal`; `None` disables journaling.
+    pub fn new(journal: Option<Journal<E>>) -> SharedJournal<E> {
+        SharedJournal(journal.map(Mutex::new))
+    }
+
+    /// Whether there is a journal to commit to.
+    pub fn is_enabled(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// [`Journal::append_commit`] the record `make` builds; without a
+    /// journal, build nothing and succeed. The caller propagates an
+    /// error: what the refused record guards must not become visible.
+    pub fn commit(&self, make: impl FnOnce() -> JournalRecord) -> Result<()> {
+        match &self.0 {
+            Some(j) => j
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .append_commit(&make()),
+            None => Ok(()),
+        }
+    }
+
+    /// Live counters; `None` without a journal.
+    pub fn stats(&self) -> Option<JournalStats> {
+        let j = self.0.as_ref()?;
+        Some(j.lock().unwrap_or_else(|e| e.into_inner()).stats())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::retired_frames;
     use crate::replay::ReplayState;
-    use mmjoin_env::FaultSpec;
+    use mmjoin_env::{FaultSpec, FaultyEnv};
 
     fn sim() -> mmjoin_vmsim::SimEnv {
         mmjoin_vmsim::SimEnv::new(mmjoin_vmsim::SimConfig::waterloo96(1)).unwrap()
@@ -430,6 +535,77 @@ mod tests {
             image.extend(live[2].encode());
             assert_eq!(open_image(&image).records, live[..2]);
         }
+    }
+
+    #[test]
+    fn a_refused_commit_after_a_reopen_keeps_the_adopted_records() {
+        let env = sim();
+        let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
+        j.append_commit(&done(1, 0)).unwrap();
+        j.append(&done(2, 0)).unwrap();
+        drop(j);
+        // Record 2 is adopted past the watermark and replayed: already
+        // visible, so the rollback of a refused commit must keep it.
+        let (mut j, replay) = Journal::open(env.clone(), "wal", P).unwrap();
+        assert_eq!(replay.records, [done(1, 0), done(2, 0)]);
+        let too_big = JournalRecord::JobSubmitted {
+            job: 3,
+            line: "x".repeat(1 << 16),
+        };
+        assert!(j.append_commit(&too_big).is_err(), "journal full");
+        drop(j);
+        let (_, replay) = Journal::open(env, "wal", P).unwrap();
+        assert_eq!(replay.records, [done(1, 0), done(2, 0)]);
+    }
+
+    /// A journal whose second `append_commit` was refused at its header
+    /// write, after its record had landed: a `write` fault on the
+    /// `after`+1-th write (the create's header, then a record and a
+    /// header per commit), `count` times in a row.
+    fn refused_second_commit(
+        count: u32,
+    ) -> (
+        FaultyEnv<mmjoin_vmsim::SimEnv>,
+        Journal<FaultyEnv<mmjoin_vmsim::SimEnv>>,
+    ) {
+        let spec = FaultSpec::parse(&format!("write:file=wal:after=4:count={count}")).unwrap();
+        let env = FaultyEnv::new(sim(), spec);
+        let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
+        j.append_commit(&done(1, 0)).unwrap();
+        assert!(
+            j.append_commit(&done(2, 0)).is_err(),
+            "header write refused"
+        );
+        (env, j)
+    }
+
+    #[test]
+    fn a_refused_commit_is_not_carried_by_the_next_one() {
+        let (env, mut j) = refused_second_commit(1);
+        j.append_commit(&done(3, 0)).unwrap();
+        drop(j);
+        let (_, replay) = Journal::open(env, "wal", P).unwrap();
+        assert_eq!(replay.records, [done(1, 0), done(3, 0)]);
+    }
+
+    #[test]
+    fn a_refused_commit_does_not_replay_after_a_reopen() {
+        let (env, j) = refused_second_commit(1);
+        drop(j);
+        let (_, replay) = Journal::open(env, "wal", P).unwrap();
+        assert_eq!(replay.records, [done(1, 0)]);
+    }
+
+    #[test]
+    fn a_refused_commit_that_cannot_be_erased_closes_the_journal() {
+        // The erase's zero write is refused too.
+        let (env, mut j) = refused_second_commit(2);
+        let err = j.append_commit(&done(3, 0)).unwrap_err();
+        assert!(err.to_string().contains("journal closed"), "{err}");
+        drop(j);
+        let (_, replay) = Journal::open(env, "wal", P).unwrap();
+        assert_eq!(replay.records[0], done(1, 0));
+        assert!(!replay.records.contains(&done(3, 0)));
     }
 
     #[test]

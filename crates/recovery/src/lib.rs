@@ -12,7 +12,8 @@
 //!   framed, checksummed, total-decode wire format;
 //! * [`Journal`] — an append-only write-ahead log over one [`Env`]
 //!   file, committing with the flush-before-commit ordering
-//!   (data `sync` → header write → header `sync`);
+//!   (data `sync` → header write → header `sync`), and
+//!   [`SharedJournal`], the form every tier's threads share;
 //! * [`ReplayState`] / [`gc_orphans`] — folding a replayed record
 //!   prefix into recovered state and deleting a dead job's leftover
 //!   storage areas.
@@ -20,7 +21,10 @@
 //! Each tier journals only what its resume reads. A join that did not
 //! complete re-runs from scratch, so a job costs two records, each
 //! committed before it becomes visible: its submission and its
-//! completion.
+//! completion. Every tier opens its journal with
+//! [`Journal::open_or_create`] and propagates a refused commit as an
+//! error; a refused record is erased before the error returns, so it
+//! never replays.
 //!
 //! [`Env`]: mmjoin_env::Env
 
@@ -30,7 +34,7 @@ pub mod record;
 pub mod replay;
 
 pub use crc::crc32;
-pub use journal::{Journal, JournalStats, Replayed, HEADER_SIZE, JOURNAL_CAPACITY};
+pub use journal::{Journal, JournalStats, Replayed, SharedJournal, HEADER_SIZE, JOURNAL_CAPACITY};
 pub use record::JournalRecord;
 pub use replay::{gc_orphans, BatchState, JobState, ReplayState};
 

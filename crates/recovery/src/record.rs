@@ -170,7 +170,7 @@ impl JournalRecord {
         if crc32(body) != crc {
             return None;
         }
-        let mut cur = Cursor { buf: body, pos: 0 };
+        let mut cur = Cursor::new(body);
         let rec = match cur.u8()? {
             T_JOB_SUBMITTED => Some(JournalRecord::JobSubmitted {
                 job: cur.u64()?,
@@ -221,15 +221,16 @@ impl JournalRecord {
         // The payload must be exactly consumed: a valid checksum over a
         // malformed body (e.g. from a future record version) is not
         // accepted.
-        if cur.pos != body.len() {
+        if !cur.at_end() {
             return None;
         }
         Some((rec, 8 + len))
     }
 }
 
-/// Frame `body` (type byte plus payload) with its length and CRC.
-fn frame(body: &[u8]) -> Vec<u8> {
+/// Frame `body` (type byte plus payload) with its length and CRC. The
+/// cluster wire protocol frames its messages with this too.
+pub fn frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 8);
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(body);
@@ -237,36 +238,54 @@ fn frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Append `s` as a `u32 LE` length plus its UTF-8 bytes.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
-struct Cursor<'a> {
+/// A total reader over a frame body: every accessor returns `None`
+/// instead of reading past the end.
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor { buf, pos: 0 }
+    }
+
+    /// Whether every byte has been read: a body must be consumed
+    /// exactly to be accepted.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
     fn take(&mut self, n: usize) -> Option<&[u8]> {
         let s = self.buf.get(self.pos..self.pos + n)?;
         self.pos += n;
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    /// One byte.
+    pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    /// A `u32 LE`.
+    pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    /// A `u64 LE`.
+    pub fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn string(&mut self) -> Option<String> {
+    /// A string written by [`put_str`]; `None` if it is not UTF-8.
+    pub fn string(&mut self) -> Option<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()

@@ -76,7 +76,7 @@ pub mod stats;
 pub use admission::{AdmissionPolicy, Candidate};
 pub use job::{JobId, JobRequest, JobResult, PlanMode, PAGE};
 pub use placement::{Placement, PlacementKind, PredictedBalanced, ShardLoad};
-pub use recovery::open_journal;
+pub use recovery::{open_journal, refused_completion, replayed_error, resume_jobs, ResumedJob};
 pub use service::{service_machine, EnvKind, JoinService, ServeConfig, Service};
 pub use shard::ShardedService;
 pub use stats::{percentile, ServiceStats};

@@ -1,51 +1,52 @@
-//! Service-side crash consistency: the write-ahead journal the serve
-//! loop appends to, and the restart path that replays it.
+//! Service-side crash consistency: opening the write-ahead journal the
+//! serve loop and the cluster coordinator append to, and the one resume
+//! fold both replay it with.
 //!
 //! The journal lives in its own single-disk [`MmapEnv`] (so it is
 //! durable across restarts and exercises the same `FileOps::sync`
-//! contract the store does), guarded by one mutex — append order in the
-//! file is the lock-acquisition order, which is all replay needs.
+//! contract the store does), shared by every worker as a
+//! [`SharedJournal`](mmjoin_recovery::SharedJournal) — append order in
+//! the file is the lock-acquisition order, which is all replay needs.
 //!
 //! What gets journaled, and when it commits — two records per job,
-//! each committed before what it describes becomes visible:
+//! each committed before what it describes becomes visible, and a
+//! refused commit fails what it guards:
 //!
 //! * `JobSubmitted` — at submission, before the id is returned (a
-//!   client that got an id back will find its job after a crash);
+//!   client that got an id back will find its job after a crash); a
+//!   refused commit fails the submission, which takes no id;
 //! * `JobCompleted` — after the job finishes, before its result is
-//!   published.
+//!   published; a refused commit publishes the job as failed
+//!   ("journal commit failed: …"), and a resume re-runs it.
 //!
-//! On restart with `--resume`, the replayed record prefix is folded
-//! into a [`ReplayState`]; completed jobs are re-reported from their
-//! journaled results, in-flight jobs are re-submitted under their
-//! original ids, and every leftover per-job store directory is
+//! On restart with `--resume`, [`resume_jobs`] folds the replayed
+//! records into the jobs they describe; completed jobs are re-reported
+//! from their journaled results, in-flight jobs are re-submitted under
+//! their original ids, and every leftover per-job store directory is
 //! garbage-collected through `Env::list_files`/`delete_file` — a job
 //! that re-runs starts from scratch, so nothing in its old directory
 //! is worth keeping (and `MmapEnv::create_file` would refuse to
 //! recreate areas over leftovers anyway).
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use mmjoin::choose;
-use mmjoin_env::{ProcId, TraceEvent, TraceSink};
+use mmjoin_env::{EnvError, ProcId, TraceSink};
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_recovery::{
-    gc_orphans, Journal, JournalRecord, JournalStats, ReplayState, Replayed, JOURNAL_CAPACITY,
-};
+use mmjoin_recovery::{gc_orphans, Journal, ReplayState, Replayed};
 
-use crate::job::{JobId, JobRequest, JobResult, PAGE};
-use crate::service::{EnvKind, ServeConfig};
+use crate::job::{JobId, JobRequest, PAGE};
 
-/// Journal file name inside the journal directory's disk 0.
-const JOURNAL_FILE: &str = "serve.wal";
+/// Journal file name inside the serve journal directory's disk 0.
+pub(crate) const JOURNAL_FILE: &str = "serve.wal";
 
 /// The process identity journal operations are attributed to.
 const JOURNAL_PROC: ProcId = ProcId(0);
 
-/// Open (resuming) or create (fresh) the journal `file` in its own
-/// single-disk [`MmapEnv`] under `dir`, whose trace sink receives the
-/// journal's `journal_append` events. The serve and cluster
-/// coordinator journals are both opened here.
+/// Open the journal `file` in its own single-disk [`MmapEnv`] under
+/// `dir` ([`Journal::open_or_create`]), whose trace sink receives the
+/// journal's `journal_append` events. The serve and cluster coordinator
+/// journals are both opened here.
 ///
 /// A fresh start wipes `dir` first: the directory is dedicated to the
 /// journal, and stale records from an unrelated earlier run must not
@@ -62,172 +63,65 @@ pub fn open_journal(
         num_disks: 1,
         page_size: PAGE,
     };
-    let (env, found) = if resume {
-        let (env, adopted) = MmapEnv::recover(cfg).map_err(|e| format!("journal env: {e}"))?;
-        let found = adopted.iter().any(|n| n == file);
-        (env, found)
+    let env = if resume {
+        MmapEnv::recover(cfg).map(|(env, _)| env)
     } else {
         let _ = std::fs::remove_dir_all(dir);
-        let env = MmapEnv::new(cfg).map_err(|e| format!("journal env: {e}"))?;
-        (env, false)
-    };
+        MmapEnv::new(cfg)
+    }
+    .map_err(|e| format!("journal env: {e}"))?;
     env.set_trace_sink(sink);
-    if found {
-        let (journal, replayed) =
-            Journal::open(env, file, JOURNAL_PROC).map_err(|e| format!("journal open: {e}"))?;
-        Ok((journal, Some(replayed)))
-    } else {
-        let journal = Journal::create(env, file, JOURNAL_CAPACITY, JOURNAL_PROC)
-            .map_err(|e| format!("journal create: {e}"))?;
-        Ok((journal, None))
-    }
+    Journal::open_or_create(env, file, resume, JOURNAL_PROC).map_err(|e| format!("journal: {e}"))
 }
 
-/// What `Journal::open` replayed, before the service interprets it.
-pub(crate) struct ResumePlan {
-    /// Folded journal state.
-    pub(crate) state: ReplayState,
-    /// CRC-valid records adopted.
-    pub(crate) records: u64,
-    /// Committed bytes lost to a torn or corrupted tail.
-    pub(crate) torn_bytes: u64,
-}
+/// One job a replayed journal knows: its id, its request, and its
+/// journaled result `(pairs, checksum, ok)` if it completed.
+pub type ResumedJob = (JobId, JobRequest, Option<(u64, u64, bool)>);
 
-/// The journal shared by every worker of a service. Commit failures are
-/// reported to stderr but never fail the job that triggered them: the
-/// journal is a recovery aid, and a full journal must not take the
-/// service down with it.
-pub(crate) struct ServiceJournal {
-    inner: Mutex<Journal<MmapEnv>>,
-}
-
-impl ServiceJournal {
-    /// Open (resuming) or create (fresh) the journal under `dir` (see
-    /// [`open_journal`]). Returns the journal plus, when resuming, the
-    /// replayed plan — empty when there was no journal to replay.
-    pub(crate) fn open(
-        dir: &Path,
-        resume: bool,
-        sink: Arc<dyn TraceSink>,
-    ) -> Result<(Arc<ServiceJournal>, Option<ResumePlan>), String> {
-        let (journal, replayed) = open_journal(dir, JOURNAL_FILE, resume, sink)?;
-        let plan = resume.then(|| {
-            let (records, torn_bytes) =
-                replayed.map_or((Vec::new(), 0), |r| (r.records, r.torn_bytes));
-            ResumePlan {
-                records: records.len() as u64,
-                torn_bytes,
-                state: ReplayState::from_records(&records),
-            }
-        });
-        let journal = Arc::new(ServiceJournal {
-            inner: Mutex::new(journal),
-        });
-        Ok((journal, plan))
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Journal<MmapEnv>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Append and make durable (data sync → header write → header sync).
-    pub(crate) fn append_commit(&self, rec: &JournalRecord) {
-        if let Err(e) = self.lock().append_commit(rec) {
-            eprintln!("mmjoin-serve: journal commit ({}) failed: {e}", rec.kind());
-        }
-    }
-
-    /// Live journal counters.
-    pub(crate) fn stats(&self) -> JournalStats {
-        self.lock().stats()
-    }
-}
-
-/// Everything a restarted service must do with a replayed journal,
-/// computed before the scheduler exists so `apply_resume` only installs it.
-pub(crate) struct ResumeOutcome {
-    /// Completed jobs re-reported from their journaled results.
-    pub(crate) finished: Vec<JobResult>,
-    /// In-flight jobs to re-submit, with their original ids.
-    pub(crate) pending: Vec<(JobId, JobRequest)>,
-    /// Highest id the journal has seen; id assignment continues above.
-    pub(crate) next_id: JobId,
-    /// Orphaned store areas deleted during garbage collection.
-    pub(crate) orphans_deleted: u64,
-    /// CRC-valid records replayed.
-    pub(crate) records: u64,
-    /// Committed bytes lost to a torn tail.
-    pub(crate) torn_bytes: u64,
-}
-
-impl ResumeOutcome {
-    /// The `RecoveryReplayed` lifecycle event describing this outcome.
-    pub(crate) fn trace_event(&self) -> TraceEvent {
-        TraceEvent::RecoveryReplayed {
-            records: self.records,
-            torn: self.torn_bytes,
-            orphans_deleted: self.orphans_deleted,
-            resumed_jobs: self.pending.len() as u64,
-        }
-    }
-}
-
-/// Interpret a replayed journal against the service configuration:
-/// garbage-collect leftover per-job stores, synthesize results for
-/// completed jobs, and list the in-flight jobs to re-run.
-pub(crate) fn plan_resume(cfg: &ServeConfig, plan: ResumePlan) -> Result<ResumeOutcome, String> {
-    let orphans_deleted = match &cfg.env {
-        EnvKind::Mmap { root } => gc_job_stores(root)?,
-        EnvKind::Sim => 0,
-    };
-    let mut finished = Vec::new();
-    let mut pending = Vec::new();
-    for (id, js) in &plan.state.jobs {
-        let req = match JobRequest::parse_line(&js.line) {
-            Ok(Some(req)) => req,
+/// Fold a replayed job journal into its jobs, in id order, plus the
+/// highest id it has seen (id assignment continues above it). A job
+/// whose submission line does not parse is dropped with a warning: a
+/// completion commits only after its submission, so that takes a
+/// tampered journal, and guessing a workload would be worse.
+pub fn resume_jobs(state: &ReplayState) -> (Vec<ResumedJob>, JobId) {
+    let jobs = state
+        .jobs
+        .iter()
+        .filter_map(|(&id, js)| match JobRequest::parse_line(&js.line) {
+            Ok(Some(req)) => Some((id, req, js.completed)),
             Ok(None) | Err(_) => {
-                // A torn tail can leave a completion without its
-                // submission line only if the journal was tampered with
-                // (completion commits after submission); treat an
-                // unparseable line as unrecoverable rather than
-                // guessing a workload.
                 eprintln!(
                     "mmjoin-serve: journal job {id} has no usable submission line ({:?}); dropped",
                     js.line
                 );
-                continue;
+                None
             }
-        };
-        match js.completed {
-            Some((pairs, checksum, ok)) => {
-                let plan = choose(cfg.machine()?, &req.planner_inputs());
-                finished.push(JobResult {
-                    pairs,
-                    checksum,
-                    verified: ok,
-                    resumed: true,
-                    error: (!ok).then(|| "failed before restart (replayed from journal)".into()),
-                    ..JobResult::new(*id, &req, &plan)
-                });
-            }
-            None => pending.push((*id, req)),
-        }
+        })
+        .collect();
+    (jobs, state.max_job_id().unwrap_or(0))
+}
+
+/// The error a job re-reported from the journal carries: none for a
+/// journaled success.
+pub fn replayed_error(ok: bool) -> Option<String> {
+    (!ok).then(|| "failed before restart (replayed from journal)".to_string())
+}
+
+/// The error a job reports when the journal refused its completion
+/// record: its own error, if it had one, then the refusal.
+pub fn refused_completion(error: Option<String>, refusal: &EnvError) -> String {
+    let refused = format!("journal commit failed: {refusal}");
+    match error {
+        Some(err) => format!("{err}; {refused}"),
+        None => refused,
     }
-    Ok(ResumeOutcome {
-        next_id: plan.state.max_job_id().unwrap_or(0),
-        finished,
-        pending,
-        orphans_deleted,
-        records: plan.records,
-        torn_bytes: plan.torn_bytes,
-    })
 }
 
 /// Delete every leftover per-job store under `root` through the
 /// environment's own file table (`Env::list_files` → `delete_file`),
 /// then drop the emptied directories. Returns the number of orphaned
 /// areas deleted.
-fn gc_job_stores(root: &Path) -> Result<u64, String> {
+pub(crate) fn gc_job_stores(root: &Path) -> Result<u64, String> {
     let mut deleted = 0u64;
     let entries = match std::fs::read_dir(root) {
         Ok(entries) => entries,
@@ -272,6 +166,7 @@ fn gc_job_stores(root: &Path) -> Result<u64, String> {
 mod tests {
     use super::*;
     use mmjoin_env::{null_sink, Env};
+    use mmjoin_recovery::JournalRecord;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir =
@@ -284,25 +179,34 @@ mod tests {
     fn fresh_journal_then_resume_round_trips_records() {
         let dir = tmp("roundtrip");
         {
-            let (j, plan) = ServiceJournal::open(&dir, false, null_sink()).unwrap();
-            assert!(plan.is_none());
+            let (mut j, replayed) = open_journal(&dir, "serve.wal", false, null_sink()).unwrap();
+            assert!(replayed.is_none());
             j.append_commit(&JournalRecord::JobSubmitted {
                 job: 1,
                 line: "objects=800 d=2".into(),
-            });
+            })
+            .unwrap();
             j.append_commit(&JournalRecord::JobCompleted {
                 job: 1,
                 pairs: 7,
                 checksum: 9,
-                ok: true,
-            });
+                ok: false,
+            })
+            .unwrap();
             assert_eq!(j.stats().commits, 2);
         }
-        let (_j, plan) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
-        let plan = plan.expect("resume sees the journal");
-        assert_eq!(plan.records, 2);
-        assert_eq!(plan.torn_bytes, 0);
-        assert_eq!(plan.state.completed_jobs().len(), 1);
+        let (_j, replayed) = open_journal(&dir, "serve.wal", true, null_sink()).unwrap();
+        let replayed = replayed.expect("resume sees the journal");
+        assert_eq!(replayed.records.len(), 2);
+        assert_eq!(replayed.torn_bytes, 0);
+        let (jobs, next_id) = resume_jobs(&ReplayState::from_records(&replayed.records));
+        assert_eq!(next_id, 1);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!((jobs[0].0, jobs[0].2), (1, Some((7, 9, false))));
+        assert!(replayed_error(false)
+            .unwrap()
+            .contains("replayed from journal"));
+        assert_eq!(replayed_error(true), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -310,19 +214,37 @@ mod tests {
     fn fresh_start_wipes_a_prior_journal() {
         let dir = tmp("wipe");
         {
-            let (j, _) = ServiceJournal::open(&dir, false, null_sink()).unwrap();
+            let (mut j, _) = open_journal(&dir, "serve.wal", false, null_sink()).unwrap();
             j.append_commit(&JournalRecord::JobSubmitted {
                 job: 1,
                 line: "objects=800 d=2".into(),
-            });
+            })
+            .unwrap();
         }
         {
-            let (_j, plan) = ServiceJournal::open(&dir, false, null_sink()).unwrap();
-            assert!(plan.is_none());
+            let (_j, replayed) = open_journal(&dir, "serve.wal", false, null_sink()).unwrap();
+            assert!(replayed.is_none());
         }
-        let (_j, plan) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
-        assert_eq!(plan.unwrap().records, 0);
+        let (_j, replayed) = open_journal(&dir, "serve.wal", true, null_sink()).unwrap();
+        assert!(replayed.unwrap().records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unusable_submission_line_is_dropped_but_keeps_its_id() {
+        let state = ReplayState::from_records(&[
+            JournalRecord::JobSubmitted {
+                job: 1,
+                line: "objects=800 d=2".into(),
+            },
+            JournalRecord::JobSubmitted {
+                job: 2,
+                line: "alg=bogus".into(),
+            },
+        ]);
+        let (jobs, next_id) = resume_jobs(&state);
+        assert_eq!(jobs.iter().map(|j| j.0).collect::<Vec<_>>(), [1]);
+        assert_eq!(next_id, 2, "a dropped job's id is never reused");
     }
 
     #[test]

@@ -581,7 +581,7 @@ fn attempt_on<E: mmjoin_env::Env>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::ServiceJournal;
+    use crate::recovery::{open_journal, JOURNAL_FILE};
     use mmjoin_recovery::JournalRecord;
 
     fn tiny_job(seed: u64, mem_pages: u64) -> JobRequest {
@@ -674,11 +674,12 @@ mod tests {
         // Simulate a job that was admitted but never finished before
         // the "crash": journal its submission with no completion.
         {
-            let (j, _) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
+            let (mut j, _) = open_journal(&dir, JOURNAL_FILE, true, null_sink()).unwrap();
             j.append_commit(&JournalRecord::JobSubmitted {
                 job: 3,
                 line: tiny_job(5, 8).to_line(),
-            });
+            })
+            .unwrap();
         }
         // Second life: resume.
         let svc = Service::start(
@@ -719,12 +720,13 @@ mod tests {
         svc.submit(tiny_job(1, 8)).unwrap();
         svc.finish();
         {
-            let (j, _) = ServiceJournal::open(&dir, true, null_sink()).unwrap();
+            let (mut j, _) = open_journal(&dir, JOURNAL_FILE, true, null_sink()).unwrap();
             for (job, mem_pages) in [(2, 16), (3, 8)] {
                 j.append_commit(&JournalRecord::JobSubmitted {
                     job,
                     line: tiny_job(job, mem_pages).to_line(),
-                });
+                })
+                .unwrap();
             }
         }
         // Second life with a quarter of the budget: job 2 can never be
@@ -752,6 +754,54 @@ mod tests {
         assert_eq!((stats.completed, stats.failed), (2, 1));
         assert_eq!(stats.in_flight(), 0);
         assert_eq!(stats.budget_leak_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_journal_refuses_submissions_without_taking_ids_and_resumes_each_accepted_job_once() {
+        let dir = std::env::temp_dir().join(format!("mmjoin-full-serve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // ~64 KiB a submission record: the 4 MiB journal holds about 64.
+        let big = |seed: u64| JobRequest {
+            name: format!("j{seed}-{}", "x".repeat(64 << 10)),
+            ..tiny_job(seed, 8)
+        };
+        let svc = Service::start(ServeConfig::sim(64 * PAGE, 2).with_journal(dir.clone())).unwrap();
+        let mut accepted = Vec::new();
+        let mut refused = 0;
+        for seed in 0..80 {
+            match svc.submit(big(seed)) {
+                Ok(id) => accepted.push(id),
+                Err(e) => {
+                    assert!(e.contains("journal full"), "{e}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(refused > 0, "the journal never filled");
+        // A refusal takes no id: the accepted ids are dense.
+        let n = accepted.len() as u64;
+        assert_eq!(accepted, (1..=n).collect::<Vec<_>>());
+        assert_eq!(svc.stats().submitted, n);
+        // "Crash" with jobs still queued: the resume re-runs those.
+        drop(svc);
+
+        let cfg = ServeConfig::sim(64 * PAGE, 2)
+            .with_journal(dir.clone())
+            .with_resume();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(Service::start(cfg).unwrap().finish());
+        });
+        let (results, _) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a resumed drain over a full journal must terminate");
+        let mut ids: Vec<JobId> = results.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids, accepted,
+            "every accepted id exactly once, nothing else"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,19 +28,20 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use mmjoin::{choose, PlanChoice};
 use mmjoin_env::TraceEvent;
+use mmjoin_mmstore::MmapEnv;
+use mmjoin_recovery::{JournalRecord, ReplayState, Replayed, SharedJournal};
 
 use crate::admission::Candidate;
 use crate::job::{JobId, JobRequest, JobResult};
 use crate::placement::{Placement, ShardLoad};
 use crate::plan::{resolve_auto, ResolvedPlan};
-use crate::recovery::{plan_resume, ResumeOutcome, ServiceJournal};
-use crate::service::{run_job, JoinService, Queued, ServeConfig};
+use crate::recovery::{
+    gc_job_stores, open_journal, refused_completion, replayed_error, resume_jobs, JOURNAL_FILE,
+};
+use crate::service::{run_job, EnvKind, JoinService, Queued, ServeConfig};
 use crate::stats::ServiceStats;
-
-use mmjoin::{choose, PlanChoice};
-use mmjoin_recovery::JournalRecord;
-use std::sync::Arc;
 
 /// One budget slice with its queue and counters.
 struct Shard {
@@ -116,7 +117,7 @@ pub(crate) struct ShardedInner {
     placement: Box<dyn Placement>,
     shards: Vec<Shard>,
     /// Write-ahead journal shared by every shard, when configured.
-    pub(crate) journal: Option<Arc<ServiceJournal>>,
+    journal: SharedJournal<MmapEnv>,
     global: Mutex<Global>,
     /// Signalled under `global` when a job completes (for `drain` and
     /// `wait_results`).
@@ -241,28 +242,26 @@ impl ShardedService {
                 work: Condvar::new(),
             })
             .collect();
-        let (journal, resume_plan) = match &cfg.journal_dir {
+        let (journal, replayed) = match &cfg.journal_dir {
             Some(dir) => {
-                let (j, plan) = ServiceJournal::open(dir, cfg.resume, cfg.trace.clone())?;
-                (Some(j), plan)
+                let (j, replayed) = open_journal(dir, JOURNAL_FILE, cfg.resume, cfg.trace.clone())?;
+                // Resuming without a journal to replay is a first start
+                // that still garbage-collects the store.
+                (Some(j), cfg.resume.then(|| replayed.unwrap_or_default()))
             }
             None => (None, None),
-        };
-        let outcome = match resume_plan {
-            Some(plan) => Some(plan_resume(&cfg, plan)?),
-            None => None,
         };
         let inner = std::sync::Arc::new(ShardedInner {
             cfg,
             placement,
             shards,
-            journal,
+            journal: SharedJournal::new(journal),
             global: Mutex::new(Global::default()),
             done: Condvar::new(),
             origin: Instant::now(),
         });
-        if let Some(outcome) = outcome {
-            apply_resume(&inner, outcome)?;
+        if let Some(replayed) = replayed {
+            apply_resume(&inner, replayed)?;
         }
         let mut handles = Vec::with_capacity(n * workers_per_shard);
         for shard in 0..n {
@@ -380,19 +379,21 @@ impl JoinService for ShardedService {
         };
         let id = {
             let mut g = inner.global_lock();
-            g.next_id += 1;
-            g.placed += 1;
-            let id = g.next_id;
+            let id = g.next_id + 1;
             // Journal-before-queue, and both under the id-assigning
             // lock: a client that got an id back will find its job
             // after a crash, and journal order and every shard's queue
-            // order match id order.
-            if let Some(j) = &inner.journal {
-                j.append_commit(&JournalRecord::JobSubmitted {
+            // order match id order. A refused commit fails the
+            // submission before it takes the id.
+            inner
+                .journal
+                .commit(|| JournalRecord::JobSubmitted {
                     job: id,
                     line: original_line,
-                });
-            }
+                })
+                .map_err(|e| format!("journal commit failed: {e}"))?;
+            g.next_id = id;
+            g.placed += 1;
             inner.enqueue(k, id, req, plan);
             id
         };
@@ -427,8 +428,7 @@ impl JoinService for ShardedService {
             merged.journal_orphans_deleted = g.journal_orphans_deleted;
             merged.journal_resumed_jobs = g.journal_resumed_jobs;
         }
-        if let Some(j) = &self.inner.journal {
-            let js = j.stats();
+        if let Some(js) = self.inner.journal.stats() {
             merged.journal_appended_records = js.appended_records;
             merged.journal_commits = js.commits;
         }
@@ -448,20 +448,32 @@ impl JoinService for ShardedService {
     }
 }
 
-/// Install a replayed journal's outcome into a freshly-built service
-/// (before its workers start). Completed jobs are re-reported through
-/// shard 0's counters; in-flight jobs are re-placed under their
-/// original ids by the configured placement policy, and id assignment
-/// continues past everything the journal has seen.
-fn apply_resume(inner: &ShardedInner, outcome: ResumeOutcome) -> Result<(), String> {
-    inner.trace(outcome.trace_event());
+/// Install a replayed journal into a freshly-built service (before its
+/// workers start): garbage-collect leftover per-job stores, re-report
+/// completed jobs through shard 0's counters, re-place in-flight jobs
+/// under their original ids with the configured placement policy, and
+/// continue id assignment past everything the journal has seen.
+fn apply_resume(inner: &ShardedInner, replayed: Replayed) -> Result<(), String> {
+    let orphans_deleted = match &inner.cfg.env {
+        EnvKind::Mmap { root } => gc_job_stores(root)?,
+        EnvKind::Sim => 0,
+    };
+    let (jobs, next_id) = resume_jobs(&ReplayState::from_records(&replayed.records));
+    let resumed_jobs = jobs.iter().filter(|(_, _, done)| done.is_none()).count() as u64;
+    let records = replayed.records.len() as u64;
+    inner.trace(TraceEvent::RecoveryReplayed {
+        records,
+        torn: replayed.torn_bytes,
+        orphans_deleted,
+        resumed_jobs,
+    });
     {
         let mut g = inner.global_lock();
-        g.next_id = g.next_id.max(outcome.next_id);
-        g.journal_replayed_records = outcome.records;
-        g.journal_torn_bytes = outcome.torn_bytes;
-        g.journal_orphans_deleted = outcome.orphans_deleted;
-        g.journal_resumed_jobs = outcome.pending.len() as u64;
+        g.next_id = g.next_id.max(next_id);
+        g.journal_replayed_records = records;
+        g.journal_torn_bytes = replayed.torn_bytes;
+        g.journal_orphans_deleted = orphans_deleted;
+        g.journal_resumed_jobs = resumed_jobs;
     }
     let finish = |r: JobResult| {
         {
@@ -474,10 +486,19 @@ fn apply_resume(inner: &ShardedInner, outcome: ResumeOutcome) -> Result<(), Stri
         g.finished += 1;
         g.results.push(r);
     };
-    for r in outcome.finished {
-        finish(r);
-    }
-    for (id, mut req) in outcome.pending {
+    for (id, mut req, completed) in jobs {
+        if let Some((pairs, checksum, ok)) = completed {
+            let plan = choose(inner.cfg.machine()?, &req.planner_inputs());
+            finish(JobResult {
+                pairs,
+                checksum,
+                verified: ok,
+                resumed: true,
+                error: replayed_error(ok),
+                ..JobResult::new(id, &req, &plan)
+            });
+            continue;
+        }
         let (resolved, plan, shard) = inner.plan_and_place(&mut req)?;
         let footprint = req.footprint();
         let Some(k) = shard else {
@@ -542,17 +563,18 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
             shard: me as u32,
         });
 
-        let (result, folded, passes) = run_job(inner, job, me);
+        let (mut result, folded, passes) = run_job(inner, job, me);
 
         // Journal the terminal result before it becomes visible in
         // memory: a crash after this commit re-reports, never re-runs.
-        if let Some(j) = &inner.journal {
-            j.append_commit(&JournalRecord::JobCompleted {
-                job: result.id,
-                pairs: result.pairs,
-                checksum: result.checksum,
-                ok: result.error.is_none() && result.verified,
-            });
+        // A refused commit publishes the job failed; a resume re-runs it.
+        if let Err(e) = inner.journal.commit(|| JournalRecord::JobCompleted {
+            job: result.id,
+            pairs: result.pairs,
+            checksum: result.checksum,
+            ok: result.error.is_none() && result.verified,
+        }) {
+            result.error = Some(refused_completion(result.error.take(), &e));
         }
 
         let mut st = shard.lock();
@@ -739,12 +761,13 @@ mod tests {
         first.sort_by_key(|r| r.id);
         // An in-flight job at "crash" time.
         {
-            let (j, _) =
-                crate::recovery::ServiceJournal::open(&dir, true, mmjoin_env::null_sink()).unwrap();
+            let (mut j, _) =
+                open_journal(&dir, JOURNAL_FILE, true, mmjoin_env::null_sink()).unwrap();
             j.append_commit(&JournalRecord::JobSubmitted {
                 job: 3,
                 line: tiny_job(7, 4).to_line(),
-            });
+            })
+            .unwrap();
         }
         // Second life: resume on the sharded service.
         let svc = ShardedService::start(cfg().with_resume(), 2, PlacementKind::default().build())

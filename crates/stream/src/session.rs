@@ -11,7 +11,9 @@
 //! their journaled outputs (exactly once, no re-execution), and
 //! re-executes only the suffix that never completed.
 //!
-//! The journal commit points mirror the serve tier:
+//! The journal is opened like every tier's
+//! ([`Journal::open_or_create`]), and its commit points mirror the
+//! serve tier:
 //!
 //! * `StreamOpened` — at open, committed (pins the header line so a
 //!   resume with a different shape is refused);
@@ -20,10 +22,11 @@
 //! * `BatchCompleted` — before the result is visible, committed, and
 //!   only for ops that verified clean (a failed op re-runs on resume).
 //!
-//! A failed `StreamOpened` commit fails `open`, and an op whose
-//! completion cannot be committed is reported failed. A failed
-//! `BatchSubmitted` commit is still only logged to stderr: the op runs,
-//! and is not durable (ROADMAP, "Vestigial stream surface").
+//! A refused commit fails what it guards, as in every tier: a refused
+//! `StreamOpened` fails `open`, and an op whose completion is refused
+//! is reported failed. The one exception left is a refused
+//! `BatchSubmitted`, which is only logged to stderr: the op runs, and
+//! is not durable (ROADMAP 1(a)).
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -32,9 +35,10 @@ use std::time::Instant;
 
 use mmjoin::probe_cost;
 use mmjoin_env::machine::MachineParams;
+use mmjoin_env::trace::escape;
 use mmjoin_env::{Env, EnvError, Histogram, ProcId, Result, TraceEvent};
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_recovery::{Journal, JournalRecord, ReplayState, JOURNAL_CAPACITY};
+use mmjoin_recovery::{Journal, JournalRecord, ReplayState, SharedJournal};
 
 use crate::grammar::{StreamHeader, StreamOp, PAGE};
 use crate::resident::{BatchOutput, ResidentSet};
@@ -112,14 +116,8 @@ impl BatchResult {
         self.queue_wait + self.exec_wall
     }
 
-    /// One JSON object (names come from the `key=value` grammar, so the
-    /// only escaping needed is defensive).
+    /// One JSON object.
     pub fn to_json(&self) -> String {
-        let esc: String = self
-            .name
-            .chars()
-            .filter(|c| !matches!(c, '"' | '\\'))
-            .collect();
         format!(
             concat!(
                 "{{\"seq\":{},\"name\":\"{}\",\"kind\":\"{}\",\"rows\":{},",
@@ -129,7 +127,7 @@ impl BatchResult {
                 "\"resumed\":{}}}"
             ),
             self.seq,
-            esc,
+            escape(&self.name),
             self.kind,
             self.rows,
             self.pairs,
@@ -217,43 +215,6 @@ impl StreamStats {
         }
         self.queue_hist.record(r.queue_wait);
     }
-
-    /// Snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"ops\":{{\"submitted\":{},\"completed\":{},\"failed\":{},",
-                "\"mutations\":{},\"resumed\":{}}},",
-                "\"probe\":{{\"pairs\":{},\"misses\":{},\"predicted_seconds\":{:.6},",
-                "\"exec_seconds\":{:.6}}},",
-                "\"resident\":{{\"objects\":{},\"live\":{},\"builds\":{},\"patched\":{}}},",
-                "\"flow\":{{\"backpressure\":{}}},",
-                "\"journal\":{{\"appended_records\":{},\"commits\":{},",
-                "\"replayed_records\":{},\"torn_bytes\":{}}},",
-                "\"batch\":{},\"queue\":{}}}"
-            ),
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.mutations,
-            self.resumed_batches,
-            self.pairs,
-            self.misses,
-            self.predicted_seconds,
-            self.exec_seconds,
-            self.resident_objects,
-            self.live_objects,
-            self.resident_builds,
-            self.patched_objects,
-            self.backpressure,
-            self.journal_appended_records,
-            self.journal_commits,
-            self.journal_replayed_records,
-            self.journal_torn_bytes,
-            self.batch_hist.to_json(),
-            self.queue_hist.to_json(),
-        )
-    }
 }
 
 struct QueuedOp {
@@ -276,7 +237,7 @@ struct Shared<E: Env> {
     env: Arc<E>,
     header: StreamHeader,
     machine: MachineParams,
-    journal: Option<Mutex<Journal<MmapEnv>>>,
+    journal: SharedJournal<MmapEnv>,
     state: Mutex<SessState>,
     not_full: Condvar,
     not_empty: Condvar,
@@ -287,17 +248,6 @@ struct Shared<E: Env> {
 impl<E: Env> Shared<E> {
     fn lock(&self) -> MutexGuard<'_, SessState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Append and commit the record `make` builds. A session without
-    /// a journal builds nothing.
-    fn journal_commit(&self, make: impl FnOnce() -> JournalRecord) -> Result<()> {
-        let Some(j) = &self.journal else {
-            return Ok(());
-        };
-        j.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .append_commit(&make())
     }
 }
 
@@ -312,40 +262,28 @@ impl<E: Env + 'static> StreamSession<E> {
     /// resident set, re-apply any replayed ops, and start the worker.
     pub fn open(env: Arc<E>, header: StreamHeader, cfg: StreamConfig) -> Result<StreamSession<E>> {
         header.rel().validate()?;
-        let mut replayed: Option<ReplayState> = None;
-        let mut journal_stats = (0u64, 0u64); // (replayed records, torn bytes)
-        let journal = match &cfg.journal_dir {
-            None => None,
+        let (journal, replayed) = match &cfg.journal_dir {
+            None => (None, None),
             Some(dir) => {
-                let jcfg = MmapEnvConfig {
+                // The journal owns its `stream.wal` and nothing else in
+                // `dir`: recovering (not wiping) the directory keeps a
+                // store beside it (`serve --stream --env mmap` puts one
+                // in `dir/store`), and a fresh stream clears only the
+                // journal file.
+                let (jenv, _) = MmapEnv::recover(MmapEnvConfig {
                     root: dir.clone(),
                     num_disks: 1,
                     page_size: PAGE,
-                };
-                // The journal owns its `stream.wal` and nothing else in
-                // `dir`: a fresh stream clears that one file, so a store
-                // kept beside it (`serve --stream --env mmap` puts one in
-                // `dir/store`) survives.
-                let (jenv, adopted) = MmapEnv::recover(jcfg)?;
-                let found = adopted.iter().any(|n| n == JOURNAL_FILE);
-                if cfg.resume && found {
-                    let (journal, rep) = Journal::open(jenv, JOURNAL_FILE, PROC)?;
-                    journal_stats = (rep.records.len() as u64, rep.torn_bytes);
-                    replayed = Some(ReplayState::from_records(&rep.records));
-                    Some(Mutex::new(journal))
-                } else {
-                    if found {
-                        jenv.delete_file(PROC, JOURNAL_FILE)?;
-                    }
-                    Some(Mutex::new(Journal::create(
-                        jenv,
-                        JOURNAL_FILE,
-                        JOURNAL_CAPACITY,
-                        PROC,
-                    )?))
-                }
+                })?;
+                let (journal, replayed) =
+                    Journal::open_or_create(jenv, JOURNAL_FILE, cfg.resume, PROC)?;
+                (Some(journal), replayed)
             }
         };
+        let journal_stats = replayed
+            .as_ref()
+            .map_or((0, 0), |r| (r.records.len() as u64, r.torn_bytes));
+        let replayed = replayed.map(|r| ReplayState::from_records(&r.records));
 
         // A resumed stream must be the same stream: the journaled
         // header line pins the resident shape.
@@ -376,7 +314,7 @@ impl<E: Env + 'static> StreamSession<E> {
             env: Arc::clone(&env),
             header: header.clone(),
             machine: cfg.machine,
-            journal,
+            journal: SharedJournal::new(journal),
             state: Mutex::new(SessState::default()),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -394,7 +332,7 @@ impl<E: Env + 'static> StreamSession<E> {
         }
 
         if replayed.is_none() {
-            shared.journal_commit(|| JournalRecord::StreamOpened {
+            shared.journal.commit(|| JournalRecord::StreamOpened {
                 line: header.to_line(),
             })?;
         }
@@ -472,7 +410,7 @@ impl<E: Env + 'static> StreamSession<E> {
         // The journal line is formatted before the state lock is taken
         // (a 4096-row `batch-rows=` line is not short); an un-journaled
         // session formats nothing.
-        let line = self.shared.journal.is_some().then(|| op.to_line());
+        let line = self.shared.journal.is_enabled().then(|| op.to_line());
         let mut st = self.shared.lock();
         let mut blocked = false;
         while st.queue.len() >= self.shared.bound && !st.shutdown {
@@ -500,9 +438,13 @@ impl<E: Env + 'static> StreamSession<E> {
         st.next_seq += 1;
         st.stats.submitted += 1;
         if let Some(line) = line {
+            // The one refused commit that is only logged, not
+            // propagated: the op still runs, and is not durable
+            // (ROADMAP 1(a)).
             if let Err(e) = self
                 .shared
-                .journal_commit(|| JournalRecord::BatchSubmitted { batch: seq, line })
+                .journal
+                .commit(|| JournalRecord::BatchSubmitted { batch: seq, line })
             {
                 eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
             }
@@ -552,8 +494,7 @@ impl<E: Env + 'static> StreamSession<E> {
     /// Counter snapshot (journal counters folded in live).
     pub fn stats(&self) -> StreamStats {
         let mut s = self.shared.lock().stats.clone();
-        if let Some(j) = &self.shared.journal {
-            let js = j.lock().unwrap_or_else(|e| e.into_inner()).stats();
+        if let Some(js) = self.shared.journal.stats() {
             s.journal_appended_records = js.appended_records;
             s.journal_commits = js.commits;
         }
@@ -643,7 +584,8 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
         // does one whose completion could not be committed.
         let error = error.or_else(|| {
             shared
-                .journal_commit(|| JournalRecord::BatchCompleted {
+                .journal
+                .commit(|| JournalRecord::BatchCompleted {
                     batch: item.seq,
                     pairs: output.pairs,
                     checksum: output.checksum,
