@@ -19,8 +19,8 @@
 //!     --jobs 16 --seed 1996 --fault-spec 'seed=7;read:p=1:after=60:count=2' [--json]
 //! ```
 
-use mmjoin_bench::load::{machine_override, opt, random_job};
-use mmjoin_env::FaultSpec;
+use mmjoin_bench::load::{machine_override, random_job};
+use mmjoin_env::{FaultSpec, Options};
 use mmjoin_serve::{AdmissionPolicy, ServeConfig, Service, PAGE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,47 +37,45 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let jobs: u64 = opt("--jobs", 16);
-    let budget_pages: u64 = opt("--budget-pages", 128);
-    let workers: usize = opt("--workers", 4);
-    let seed: u64 = opt("--seed", 1996);
-    let spec_text: String = opt("--fault-spec", DEFAULT_SPEC.to_string());
-    let retries: u32 = opt("--retries", 4);
-    let journal: String = opt("--journal", String::new());
-    let fault_spec = match FaultSpec::parse(&spec_text) {
-        Ok(s) if !s.is_empty() => s,
-        Ok(_) => {
-            eprintln!("--fault-spec: chaos needs a nonzero spec");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("--fault-spec: {e}");
-            std::process::exit(2);
-        }
-    };
+    // Exit 2 on a bad command line (a misspelt option or a value that
+    // does not parse is an error, never a silent default) or a service
+    // that cannot start; exit 1 only when an invariant breaks.
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let opts = Options::argv(&argv)?;
+    let jobs: u64 = opts.parse_or("jobs", 16)?;
+    let budget_pages: u64 = opts.parse_or("budget-pages", 128)?;
+    let workers = opts.parse_or("workers", 4)?;
+    let seed = opts.parse_or("seed", 1996)?;
+    let fault_spec = FaultSpec::parse(opts.get("fault-spec")?.unwrap_or(DEFAULT_SPEC))
+        .map_err(|e| format!("--fault-spec: {e}"))?;
+    let retries = opts.parse_or("retries", 4)?;
+    let journal = opts.get("journal")?;
+    let machine = machine_override(opts.get("machine-profile")?)
+        .map_err(|e| format!("--machine-profile: {e}"))?;
+    let json = opts.flag("json")?;
+    opts.finish("chaos")?;
+    if fault_spec.is_empty() {
+        return Err("--fault-spec: chaos needs a nonzero spec".to_string());
+    }
 
     let mut cfg = ServeConfig::sim(budget_pages * PAGE, workers)
         .with_policy(AdmissionPolicy::Fifo)
         .with_faults(fault_spec.clone())
         .with_retries(retries);
-    if !journal.is_empty() {
-        cfg = cfg.with_journal(journal.clone().into());
+    if let Some(dir) = journal {
+        cfg = cfg.with_journal(dir.into());
     }
-    match machine_override() {
-        Ok(Some(m)) => cfg = cfg.with_machine(m),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("--machine-profile: {e}");
-            std::process::exit(2);
-        }
+    if let Some(m) = machine {
+        cfg = cfg.with_machine(m);
     }
-    let svc = match Service::start(cfg) {
-        Ok(svc) => svc,
-        Err(e) => {
-            eprintln!("cannot start service: {e}");
-            std::process::exit(2);
-        }
-    };
+    let svc = Service::start(cfg).map_err(|e| format!("cannot start service: {e}"))?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut accepted = 0u64;
@@ -102,13 +100,15 @@ fn main() {
         stats.cleaned_files,
     );
 
-    mmjoin_bench::maybe_write_json(
-        "chaos",
-        &format!(
-            "{{\"jobs\":{jobs},\"accepted\":{accepted},\"fault_spec\":\"{fault_spec}\",\"service\":{}}}",
-            stats.to_json()
-        ),
-    );
+    if json {
+        mmjoin_bench::write_json(
+            "chaos",
+            &format!(
+                "{{\"jobs\":{jobs},\"accepted\":{accepted},\"fault_spec\":\"{fault_spec}\",\"service\":{}}}",
+                stats.to_json()
+            ),
+        );
+    }
 
     // Invariant 1: every completed job verified against the oracle.
     for r in &results {
@@ -133,7 +133,7 @@ fn main() {
     // Invariant 4 (with --journal): every admission and completion was
     // durably committed — one record and one commit per submit and per
     // finish, and nothing else.
-    if !journal.is_empty() {
+    if journal.is_some() {
         if stats.journal_commits != stats.submitted + stats.completed + stats.failed {
             fail(&format!(
                 "journal committed {} times for {} submits and {} finishes",
@@ -147,4 +147,5 @@ fn main() {
         }
     }
     println!("chaos: all invariants held");
+    Ok(())
 }

@@ -27,8 +27,8 @@ use mmjoin::{
     choose, choose_auto, join, verify, Algo, ExecMode, JoinSpec, SampleSummary, HISTOGRAM_BUCKETS,
     SAMPLE_CAP,
 };
-use mmjoin_bench::load::opt;
 use mmjoin_bench::{calibrated_machine, sim_env, PAGE};
+use mmjoin_env::Options;
 use mmjoin_model::choose_k;
 use mmjoin_relstore::{
     build, sample_spec_pointers, PointerDist, RelConfig, WorkloadSpec, SPTR_SIZE,
@@ -58,14 +58,27 @@ fn execute(w: &WorkloadSpec, alg: Algo, m_rproc: u64) -> f64 {
 }
 
 fn main() {
-    let objects: u64 = opt("--objects", 40_000);
-    let obj_size: u32 = opt("--obj-size", 128);
-    let d: u32 = opt("--d", 4);
-    let pages: u64 = opt("--mem-pages", 32);
-    let seed: u64 = opt("--seed", 1996);
-    let theta: f64 = opt("--theta", 2.0);
-    let tolerance: f64 = opt("--tolerance", 0.10);
-    let assert_gates = std::env::args().any(|a| a == "--assert");
+    // A misspelt option or a value that does not parse is an error,
+    // never a silent default.
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let opts = Options::argv(&argv)?;
+    let objects: u64 = opts.parse_or("objects", 40_000)?;
+    let obj_size: u32 = opts.parse_or("obj-size", 128)?;
+    let d: u32 = opts.parse_or("d", 4)?;
+    let pages: u64 = opts.parse_or("mem-pages", 32)?;
+    let seed: u64 = opts.parse_or("seed", 1996)?;
+    let theta: f64 = opts.parse_or("theta", 2.0)?;
+    let tolerance: f64 = opts.parse_or("tolerance", 0.10)?;
+    let assert_gates = opts.flag("assert")?;
+    let write_json = opts.flag("json")?;
+    opts.finish("skew_planner")?;
 
     let machine = calibrated_machine();
     let grant = pages * PAGE;
@@ -212,7 +225,9 @@ fn main() {
         }
     }
     json.push_str("]\n");
-    mmjoin_bench::maybe_write_json("skew_planner", &json);
+    if write_json {
+        mmjoin_bench::write_json("skew_planner", &json);
+    }
 
     if !gate_failures.is_empty() {
         for f in &gate_failures {
@@ -226,4 +241,5 @@ fn main() {
             tolerance * 100.0
         );
     }
+    Ok(())
 }

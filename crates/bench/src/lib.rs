@@ -185,11 +185,15 @@ pub fn fig5_json(rows: &[Fig5Row]) -> String {
 }
 
 /// Honour the experiment binaries' `--json` flag: when present on the
-/// command line, write `json` to `results/<name>.json` and announce it.
+/// command line, write through [`write_json`].
 pub fn maybe_write_json(name: &str, json: &str) {
-    if !std::env::args().any(|a| a == "--json") {
-        return;
+    if std::env::args().any(|a| a == "--json") {
+        write_json(name, json);
     }
+}
+
+/// Write `json` to `results/<name>.json` and announce it.
+pub fn write_json(name: &str, json: &str) {
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {}: {e}", dir.display());

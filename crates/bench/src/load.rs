@@ -1,35 +1,23 @@
-//! Command-line option parsing and the randomized job mix of the
-//! `chaos` fault-injection harness, its only service-driving user
-//! (`skew_planner` borrows [`opt`]).
+//! The randomized job mix of the `chaos` fault-injection harness, and
+//! the `--machine-profile` override it reads.
 
 use mmjoin_serve::JobRequest;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// `--key value` lookup with a default (the bench binaries' minimal CLI).
-pub fn opt<T: std::str::FromStr>(key: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// `--machine-profile FILE` lookup for `chaos`: load a
-/// calibrated [`MachineProfile`](mmjoin_calibrate::MachineProfile) and
-/// return its parameters for
+/// The `--machine-profile FILE` override for `chaos`: load a calibrated
+/// [`MachineProfile`](mmjoin_calibrate::MachineProfile) and return its
+/// parameters for
 /// [`ServeConfig::with_machine`](mmjoin_serve::ServeConfig::with_machine),
-/// or `None`
-/// when the flag is absent (the service then uses the built-in
+/// or `None` when no file is given (the service then uses the built-in
 /// waterloo96-derived default).
 pub fn machine_override(
+    path: Option<&str>,
 ) -> Result<Option<std::sync::Arc<mmjoin_env::machine::MachineParams>>, String> {
-    let path: String = opt("--machine-profile", String::new());
-    if path.is_empty() {
+    let Some(path) = path else {
         return Ok(None);
-    }
-    let profile = mmjoin_calibrate::MachineProfile::load(std::path::Path::new(&path))
+    };
+    let profile = mmjoin_calibrate::MachineProfile::load(std::path::Path::new(path))
         .map_err(|e| e.to_string())?;
     eprintln!(
         "machine profile: {} (host {}, quick={})",

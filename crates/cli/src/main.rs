@@ -1,22 +1,5 @@
-//! `mmjoin` — command-line driver for the reproduction.
-//!
-//! ```text
-//! mmjoin join  [--alg A] [--objects N] [--d D] [--mem-pages P] [--seed S]
-//!              [--dist uniform|zipf:T|cross] [--env sim|mmap]
-//!              [--threads | --modern] [--machine-profile FILE]
-//! mmjoin plan  [--objects N] [--d D] [--mem-pages P] [--skew X] [--explain A]
-//!              [--machine-profile FILE]
-//! mmjoin serve [--jobs FILE] [--budget-pages N] [--workers N] [--policy fifo|spf]
-//!              [--shards N] [--modern] [--machine-profile FILE]
-//! mmjoin serve --node [--listen ADDR] [--node-name NAME] [--budget-pages N]
-//!              [--workers N] [--machine-profile FILE]
-//! mmjoin coordinator --nodes A:P,B:P [--jobs FILE] [--heartbeat-ms MS]
-//!              [--timeout-ms MS] [--max-requeues N] [--journal DIR] [--resume]
-//! mmjoin calibrate      [--out FILE] [--device PATH] [--quick] [--sim]
-//! mmjoin validate-model [--machine-profile FILE] [--objects N] [--d D]
-//!                       [--mem-pages P]
-//! mmjoin help
-//! ```
+//! `mmjoin` — command-line driver for the reproduction (`mmjoin help`
+//! prints every command's options).
 //!
 //! `join` runs one parallel pointer-based join and verifies it against
 //! the workload oracle; `plan` queries the analytical model the way a
@@ -34,12 +17,18 @@
 //! modern kernels to record their unmodelled constant-factor win.
 //! Every planning/simulating command accepts `--machine-profile FILE`
 //! to use a calibrated profile in place of the built-in waterloo96
-//! preset; `join --modern` / `serve --modern` select the
-//! cache-conscious kernel path with bitwise-identical join output.
-//! Every command rejects an option it does not read, so a misspelt or
-//! retired option fails instead of running with defaults.
+//! preset; `join --modern` (and `mode=modern` on a job line) selects
+//! the cache-conscious kernel path with bitwise-identical join output.
+//!
+//! Every command reads its options through [`Options`], the reader job
+//! and stream lines use too: a `join` command line is a job line, a
+//! repeated option is an error, and every command rejects an option it
+//! does not read, so a misspelt or retired option fails instead of
+//! running with defaults.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use mmjoin::{
     choose, choose_auto, explain, join_with_retry, verify, Algo, ExecMode, JoinSpec, RetryPolicy,
@@ -48,120 +37,27 @@ use mmjoin::{
 use mmjoin_calibrate::{calibrate_host, CalibrateOptions, MachineProfile};
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::trace::escape;
-use mmjoin_env::{FaultSpec, FaultyEnv, JsonlSink, TraceSink};
-use mmjoin_relstore::{
-    build, sample_relation, sample_spec_pointers, PointerDist, RelConfig, WorkloadSpec,
-};
+use mmjoin_env::{FaultSpec, FaultyEnv, JsonlSink, Options, TraceSink};
+use mmjoin_relstore::{build, sample_relation, sample_spec_pointers, WorkloadSpec};
+use mmjoin_serve::{JobRequest, PAGE};
 use mmjoin_vmsim::{
     calibrated_params, measure_dtt, CalibrationSpec, DiskParams, SimConfig, SimEnv,
 };
 
-/// Minimal `--key value` / `--flag` parser (keeps the dependency set to
-/// the workspace crates).
-#[derive(Debug)]
-struct Args {
-    pairs: Vec<(String, String)>,
-    flags: Vec<String>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        let mut flags: Vec<String> = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            let name = a
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected an option, got '{a}'"))?;
-            if pairs.iter().any(|(k, _)| k == name) || flags.iter().any(|f| f == name) {
-                return Err(format!("--{name} given more than once"));
-            }
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                pairs.push((name.to_string(), argv[i + 1].clone()));
-                i += 2;
-            } else {
-                flags.push(name.to_string());
-                i += 1;
-            }
-        }
-        Ok(Args { pairs, flags })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
-    }
-
-    fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
-
-    /// Refuse any option outside `known` (lists of space-separated
-    /// option names), naming it.
-    fn only(&self, cmd: &str, known: &[&str]) -> Result<(), String> {
-        let names = known.iter().flat_map(|list| list.split_whitespace());
-        let mut given = self.pairs.iter().map(|(k, _)| k).chain(&self.flags);
-        match given.find(|k| !names.clone().any(|n| n == k.as_str())) {
-            Some(k) => Err(format!("{cmd} does not take --{k}")),
-            None => Ok(()),
-        }
-    }
-}
-
-/// The options [`workload_from`] reads.
-const WORKLOAD: &str = "objects d obj-size seed dist";
-
-/// The service options `serve` and `serve --node` both read.
-const SERVICE: &str = "budget-pages workers policy env fault-spec retries deadline-ms journal \
-                       resume trace machine-profile";
-
-/// The report options of the commands that run a job script.
-const REPORTS: &str = "jobs results-json stats-json json";
-
 fn parse_alg(s: &str) -> Result<Algo, String> {
-    Algo::ALL
-        .into_iter()
-        .find(|a| a.name() == s)
-        .ok_or_else(|| {
-            let names: Vec<&str> = Algo::ALL.iter().map(|a| a.name()).collect();
-            format!("unknown algorithm '{s}' (one of: {})", names.join(", "))
-        })
-}
-
-fn parse_dist(s: &str) -> Result<PointerDist, String> {
-    s.parse()
-}
-
-fn workload_from(args: &Args) -> Result<WorkloadSpec, String> {
-    let objects: u64 = args.get_or("objects", 40_000)?;
-    let d: u32 = args.get_or("d", 4)?;
-    let obj_size: u32 = args.get_or("obj-size", 128)?;
-    let seed: u64 = args.get_or("seed", 1996)?;
-    let dist = parse_dist(args.get("dist").unwrap_or("uniform"))?;
-    Ok(WorkloadSpec {
-        rel: RelConfig {
-            r_size: obj_size,
-            s_size: obj_size,
-            d,
-            r_objects: objects,
-            s_objects: objects,
-        },
-        dist,
-        seed,
-        prefix: String::new(),
+    Algo::from_name(s).ok_or_else(|| {
+        let names: Vec<&str> = Algo::ALL.iter().map(|a| a.name()).collect();
+        format!("unknown algorithm '{s}' (one of: {})", names.join(", "))
     })
+}
+
+/// A `join`/`plan`/`validate-model` command line read as the job line
+/// it is: the job grammar's workload keys (`--objects`, `--obj-size`,
+/// `--d`, `--mem-pages`, `--seed`, `--dist`) under the CLI's defaults.
+fn job_from(opts: &Options) -> Result<JobRequest, String> {
+    let mut req = JobRequest::new(40_000, 128, 4, 160, 1996);
+    req.read_workload(opts)?;
+    Ok(req)
 }
 
 /// The default machine when no profile is supplied: the waterloo96
@@ -174,8 +70,8 @@ fn default_machine() -> Result<MachineParams, String> {
 
 /// The machine a command should plan/simulate against: the profile
 /// named by `--machine-profile`, else [`default_machine`].
-fn machine_from(args: &Args) -> Result<MachineParams, String> {
-    match args.get("machine-profile") {
+fn machine_from(profile: Option<&str>) -> Result<MachineParams, String> {
+    match profile {
         None => default_machine(),
         Some(path) => {
             let profile = MachineProfile::load(std::path::Path::new(path))
@@ -197,21 +93,14 @@ fn machine_from(args: &Args) -> Result<MachineParams, String> {
 /// The pointer budget requested with `--sample`: bare `--sample` means
 /// the planner's default cap, `--sample N` draws exactly `N`, absent
 /// means no sampling.
-fn sample_cap_from(args: &Args) -> Result<Option<usize>, String> {
-    if args.flag("sample") {
-        return Ok(Some(SAMPLE_CAP));
-    }
-    match args.get("sample") {
+fn sample_cap_from(opts: &Options) -> Result<Option<usize>, String> {
+    match opts.lookup("sample") {
         None => Ok(None),
-        Some(v) => {
-            let cap: usize = v
-                .parse()
-                .map_err(|_| format!("--sample: cannot parse '{v}'"))?;
-            if cap == 0 {
-                return Err("--sample: must draw at least one pointer".to_string());
-            }
-            Ok(Some(cap))
-        }
+        Some(None) => Ok(Some(SAMPLE_CAP)),
+        Some(Some(_)) => match opts.parse("sample")? {
+            Some(0) => Err("--sample: must draw at least one pointer".to_string()),
+            cap => Ok(cap),
+        },
     }
 }
 
@@ -230,69 +119,212 @@ fn summarize_spec(w: &WorkloadSpec, cap: usize) -> SampleSummary {
 }
 
 /// Open the JSONL trace sink requested with `--trace`, if any.
-fn trace_sink_from(args: &Args) -> Result<Option<std::sync::Arc<JsonlSink>>, String> {
-    match args.get("trace") {
+fn trace_sink(path: Option<&str>) -> Result<Option<Arc<JsonlSink>>, String> {
+    match path {
         None => Ok(None),
         Some(path) => JsonlSink::create(path)
-            .map(|s| Some(std::sync::Arc::new(s)))
+            .map(|s| Some(Arc::new(s)))
             .map_err(|e| format!("--trace: cannot create '{path}': {e}")),
     }
 }
 
-fn cmd_join(args: &Args) -> Result<(), String> {
-    args.only(
-        "join",
-        &[
-            WORKLOAD,
-            "alg auto sample mem-pages threads modern env fault-spec retries trace machine-profile",
-        ],
-    )?;
-    let w = workload_from(args)?;
-    let mut pages: u64 = args.get_or("mem-pages", 160)?;
-    let mode = match (args.flag("threads"), args.flag("modern")) {
+/// Flush the `--trace` sink, if any, before the command returns.
+fn flush_trace(sink: &Option<Arc<JsonlSink>>) -> Result<(), String> {
+    match sink {
+        Some(s) => s.flush().map_err(|e| format!("--trace: flush failed: {e}")),
+        None => Ok(()),
+    }
+}
+
+/// `--journal DIR` and `--resume`, which the job-running commands read
+/// alike: resuming needs a journal to resume from.
+fn journal_from(opts: &Options) -> Result<(Option<PathBuf>, bool), String> {
+    let dir = opts.get("journal")?.map(PathBuf::from);
+    let resume = opts.flag("resume")?;
+    if resume && dir.is_none() {
+        return Err("--resume requires --journal DIR".to_string());
+    }
+    Ok((dir, resume))
+}
+
+/// Where `--env mmap` keeps its store: next to the journal, so a
+/// restarted run finds (and recovers or garbage-collects) the previous
+/// life's files, else in a per-process temp dir.
+fn store_root(journal_dir: &Option<PathBuf>, tier: &str) -> PathBuf {
+    match journal_dir {
+        Some(dir) => dir.join("store"),
+        None => std::env::temp_dir().join(format!("mmjoin-{tier}-{}", std::process::id())),
+    }
+}
+
+/// The script intake and the reports `serve`, `serve --stream` and
+/// `coordinator` share: `--jobs FILE`, `--results-json FILE`,
+/// `--stats-json FILE` and `--json`.
+struct Reports<'a> {
+    jobs: Option<&'a str>,
+    results_json: Option<&'a str>,
+    stats_json: Option<&'a str>,
+    json: bool,
+}
+
+impl<'a> Reports<'a> {
+    fn read(opts: &Options<'a>) -> Result<Reports<'a>, String> {
+        Ok(Reports {
+            jobs: opts.get("jobs")?,
+            results_json: opts.get("results-json")?,
+            stats_json: opts.get("stats-json")?,
+            json: opts.flag("json")?,
+        })
+    }
+
+    /// The script, a line at a time: the `--jobs` file, else stdin —
+    /// or nothing when `journal_only` (a resumed serve or coordinator
+    /// may run purely from its journal).
+    fn intake(&self, journal_only: bool) -> Result<LineFeed, String> {
+        match self.jobs {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read '{path}': {e}"))?;
+                let lines: Vec<String> = text.lines().map(str::to_string).collect();
+                Ok(LineFeed::Fixed(lines.into_iter()))
+            }
+            None if journal_only => Ok(LineFeed::Fixed(Vec::new().into_iter())),
+            None => {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    use std::io::BufRead as _;
+                    for line in std::io::stdin().lock().lines() {
+                        let Ok(line) = line else { break };
+                        if tx.send(line).is_err() {
+                            break;
+                        }
+                    }
+                });
+                Ok(LineFeed::Live(rx))
+            }
+        }
+    }
+
+    /// Write `rows`, one JSON object per result, as the
+    /// `--results-json` array.
+    fn write_results(&self, rows: impl IntoIterator<Item = String>) -> Result<(), String> {
+        let Some(path) = self.results_json else {
+            return Ok(());
+        };
+        let rows: Vec<String> = rows.into_iter().collect();
+        let out = format!("[{}]\n", rows.join(","));
+        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
+        println!("results written to {path}");
+        Ok(())
+    }
+
+    /// Write the stats snapshot to `--stats-json FILE`, or print it
+    /// with `--json`.
+    fn write_stats(&self, json: &str) -> Result<(), String> {
+        if let Some(path) = self.stats_json {
+            std::fs::write(path, json).map_err(|e| format!("cannot write '{path}': {e}"))?;
+            println!("stats written to {path}");
+        } else if self.json {
+            println!("{json}");
+        }
+        Ok(())
+    }
+}
+
+/// The keys every `--results-json` row starts with, so outcome sets
+/// from serve and coordinator runs compare directly. Unclosed: the
+/// caller appends its own keys and the closing brace.
+fn result_row(
+    id: u64,
+    name: &str,
+    alg: &str,
+    pairs: u64,
+    checksum: u64,
+    ok: bool,
+    resumed: bool,
+) -> String {
+    format!(
+        "{{\"id\":{id},\"name\":\"{}\",\"alg\":\"{}\",\"pairs\":{pairs},\"checksum\":{checksum},\
+         \"ok\":{ok},\"resumed\":{resumed}",
+        escape(name),
+        escape(alg),
+    )
+}
+
+/// The status column of a results table.
+fn status(error: &Option<String>, resumed: bool) -> String {
+    let mut status = match error {
+        None => "ok".to_string(),
+        Some(e) => format!("FAILED: {e}"),
+    };
+    if resumed {
+        status.push_str(" (resumed)");
+    }
+    status
+}
+
+/// A results table's name column: `-` for an unnamed job or op.
+fn label(name: &str) -> &str {
+    if name.is_empty() {
+        "-"
+    } else {
+        name
+    }
+}
+
+/// A `join` command line as a job request: the workload keys, plus
+/// `--alg A | --auto` (no algorithm: the planner picks) and
+/// `--threads | --modern`.
+fn join_request(opts: &Options) -> Result<JobRequest, String> {
+    let mut req = job_from(opts)?;
+    req.mode = match (opts.flag("threads")?, opts.flag("modern")?) {
         (true, true) => return Err("--threads and --modern are mutually exclusive".to_string()),
         (_, true) => ExecMode::Modern,
         (true, _) => ExecMode::Threaded,
         _ => ExecMode::Sequential,
     };
-    let machine = machine_from(args)?;
+    req.alg = match (opts.flag("auto")?, opts.get("alg")?) {
+        (true, Some(_)) => return Err("--alg and --auto are mutually exclusive".to_string()),
+        (true, None) => None,
+        (false, alg) => Some(parse_alg(alg.unwrap_or("grace"))?),
+    };
+    Ok(req)
+}
+
+fn cmd_join(opts: &Options) -> Result<(), String> {
+    let req = join_request(opts)?;
+    let sample_cap = sample_cap_from(opts)?;
+    let fault_spec = FaultSpec::parse(opts.get("fault-spec")?.unwrap_or(""))
+        .map_err(|e| format!("--fault-spec: {e}"))?;
+    let policy = RetryPolicy::attempts(opts.parse_or("retries", 3)?);
+    let env_kind = opts.get("env")?.unwrap_or("sim");
+    let trace = opts.get("trace")?;
+    let machine = machine_from(opts.get("machine-profile")?)?;
+    opts.finish("join")?;
+
+    let w = &req.workload;
+    let mut pages = req.m_rproc / PAGE;
     // `--auto` hands algorithm and memory grant to the data-aware
     // planner: sample the workload's pointers, estimate skew from the
     // histogram, and take the plan — exactly what a `plan=auto` job
     // line gets under serve.
-    let (alg, auto_plan) = if args.flag("auto") {
-        if args.get("alg").is_some() {
-            return Err("--alg and --auto are mutually exclusive".to_string());
+    let (alg, auto_plan) = match req.alg {
+        Some(alg) => (alg, None),
+        None => {
+            let summary = summarize_spec(w, sample_cap.unwrap_or(SAMPLE_CAP));
+            let auto = choose_auto(&machine, &req.planner_inputs(), Some(&summary));
+            pages = (auto.m_rproc / PAGE).max(1);
+            (Algo::from(auto.choice.algorithm), Some(auto))
         }
-        let inputs = mmjoin_model::JoinInputs {
-            r_objects: w.rel.r_objects,
-            s_objects: w.rel.s_objects,
-            r_size: w.rel.r_size,
-            s_size: w.rel.s_size,
-            sptr_size: mmjoin_relstore::SPTR_SIZE,
-            d: w.rel.d,
-            skew: 1.0,
-            m_rproc: pages * 4096,
-            m_sproc: pages * 4096,
-            g_buffer: 4096,
-        };
-        let summary = summarize_spec(&w, sample_cap_from(args)?.unwrap_or(SAMPLE_CAP));
-        let auto = choose_auto(&machine, &inputs, Some(&summary));
-        pages = (auto.m_rproc / 4096).max(1);
-        (Algo::from(auto.choice.algorithm), Some(auto))
-    } else {
-        (parse_alg(args.get("alg").unwrap_or("grace"))?, None)
     };
-    let fault_spec = FaultSpec::parse(args.get("fault-spec").unwrap_or(""))
-        .map_err(|e| format!("--fault-spec: {e}"))?;
-    let retries: u32 = args.get_or("retries", 3)?;
-    let policy = RetryPolicy::attempts(retries);
-    let spec = JoinSpec::new(pages * 4096, pages * 4096).with_mode(mode);
-    let env_kind = args.get("env").unwrap_or("sim");
-    let sink = trace_sink_from(args)?;
+    let spec = JoinSpec::new(pages * PAGE, pages * PAGE).with_mode(req.mode);
+    let sink = trace_sink(trace)?;
 
-    // The workload is built on the inner env (setup is not in the fault
-    // domain); the join runs through the injecting wrapper.
+    let attach = |set: &dyn Fn(Arc<dyn TraceSink>)| {
+        if let Some(s) = &sink {
+            set(s.clone());
+        }
+    };
     let (out, report, faults) = match env_kind {
         "sim" => {
             let mut cfg = SimConfig::waterloo96(w.rel.d);
@@ -300,18 +332,17 @@ fn cmd_join(args: &Args) -> Result<(), String> {
             cfg.rproc_pages = pages as usize;
             cfg.sproc_pages = pages as usize;
             let env = SimEnv::new(cfg).map_err(|e| e.to_string())?;
-            let env = FaultyEnv::new(env, fault_spec.clone());
-            let rels = build(env.inner(), &w).map_err(|e| e.to_string())?;
-            if let Some(s) = &sink {
-                // Attach after the workload build so the trace covers
-                // the join itself, not relation generation.
-                env.inner().set_trace_sink(s.clone());
-            }
-            let (out, report) =
-                join_with_retry(&env, &rels, alg, &spec, &policy).map_err(|e| e.to_string())?;
-            verify(&out, &rels).map_err(|e| format!("verification failed: {e}"))?;
+            let ran = join_on(
+                env,
+                |e| attach(&|s| e.set_trace_sink(s)),
+                w,
+                alg,
+                &spec,
+                &policy,
+                &fault_spec,
+            )?;
             println!("environment: simulator (virtual 1996-like machine)");
-            (out, report, env.fault_stats())
+            ran
         }
         "mmap" => {
             let root = std::env::temp_dir().join(format!("mmjoin-cli-{}", std::process::id()));
@@ -322,17 +353,18 @@ fn cmd_join(args: &Args) -> Result<(), String> {
                 page_size: 4096,
             })
             .map_err(|e| e.to_string())?;
-            let env = FaultyEnv::new(env, fault_spec.clone());
-            let rels = build(env.inner(), &w).map_err(|e| e.to_string())?;
-            if let Some(s) = &sink {
-                env.inner().set_trace_sink(s.clone());
-            }
-            let (out, report) =
-                join_with_retry(&env, &rels, alg, &spec, &policy).map_err(|e| e.to_string())?;
-            verify(&out, &rels).map_err(|e| format!("verification failed: {e}"))?;
+            let ran = join_on(
+                env,
+                |e| attach(&|s| e.set_trace_sink(s)),
+                w,
+                alg,
+                &spec,
+                &policy,
+                &fault_spec,
+            )?;
             let _ = std::fs::remove_dir_all(&root);
             println!("environment: real memory-mapped store ({})", root.display());
-            (out, report, env.fault_stats())
+            ran
         }
         other => return Err(format!("unknown env '{other}' (sim | mmap)")),
     };
@@ -370,39 +402,54 @@ fn cmd_join(args: &Args) -> Result<(), String> {
     for (name, t) in &out.stage_times {
         println!("  stage {name:<16} done at {t:>9.3} s");
     }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-        println!(
-            "trace:       {} (structured JSONL events)",
-            args.get("trace").unwrap_or("?")
-        );
+    flush_trace(&sink)?;
+    if let Some(path) = trace {
+        println!("trace:       {path} (structured JSONL events)");
     }
     Ok(())
 }
 
-fn cmd_plan(args: &Args) -> Result<(), String> {
-    args.only(
-        "plan",
-        &[WORKLOAD, "mem-pages skew sample explain machine-profile"],
-    )?;
-    let w = workload_from(args)?;
-    let pages: u64 = args.get_or("mem-pages", 160)?;
-    let skew: f64 = args.get_or("skew", 1.0)?;
-    let machine = machine_from(args)?;
+/// Build the workload on `env` itself (setup is not in the fault
+/// domain), `attach` the trace sink so the trace covers the join rather
+/// than relation generation, then join through a fault injector around
+/// `env` and verify the output against the workload oracle.
+fn join_on<E: mmjoin_env::Env>(
+    env: E,
+    attach: impl FnOnce(&E),
+    w: &WorkloadSpec,
+    alg: Algo,
+    spec: &JoinSpec,
+    policy: &RetryPolicy,
+    faults: &FaultSpec,
+) -> Result<
+    (
+        mmjoin::JoinOutput,
+        mmjoin::RetryReport,
+        mmjoin_env::FaultStats,
+    ),
+    String,
+> {
+    let env = FaultyEnv::new(env, faults.clone());
+    let rels = build(env.inner(), w).map_err(|e| e.to_string())?;
+    attach(env.inner());
+    let (out, report) =
+        join_with_retry(&env, &rels, alg, spec, policy).map_err(|e| e.to_string())?;
+    verify(&out, &rels).map_err(|e| format!("verification failed: {e}"))?;
+    Ok((out, report, env.fault_stats()))
+}
+
+fn cmd_plan(opts: &Options) -> Result<(), String> {
+    let req = job_from(opts)?;
+    let skew: f64 = opts.parse_or("skew", 1.0)?;
+    let sample_cap = sample_cap_from(opts)?;
+    let explain_alg = opts.get("explain")?;
+    let machine = machine_from(opts.get("machine-profile")?)?;
+    opts.finish("plan")?;
+    let w = &req.workload;
+    let pages = req.m_rproc / PAGE;
     // Plan from statistics alone — no data is generated.
-    let inputs = mmjoin_model::JoinInputs {
-        r_objects: w.rel.r_objects,
-        s_objects: w.rel.s_objects,
-        r_size: w.rel.r_size,
-        s_size: w.rel.s_size,
-        sptr_size: mmjoin_relstore::SPTR_SIZE,
-        d: w.rel.d,
-        skew,
-        m_rproc: pages * 4096,
-        m_sproc: pages * 4096,
-        g_buffer: 4096,
-    };
+    let mut inputs = req.planner_inputs();
+    inputs.skew = skew;
     let plan = choose(&machine, &inputs);
     println!(
         "plan for |R| = |S| = {} x {} B, D = {}, {} pages/proc, skew {skew}",
@@ -416,10 +463,10 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         };
         println!("  {:<14} {t:>10.1} s{marker}", alg.name());
     }
-    if let Some(cap) = sample_cap_from(args)? {
+    if let Some(cap) = sample_cap {
         // The data-aware path: draw pointers, estimate skew from the
         // histogram, and re-rank at the planner's chosen grant.
-        let summary = summarize_spec(&w, cap);
+        let summary = summarize_spec(w, cap);
         let auto = choose_auto(&machine, &inputs, Some(&summary));
         println!();
         println!(
@@ -441,7 +488,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             println!("  {:<14} {t:>10.1} s{marker}", alg.name());
         }
     }
-    if let Some(name) = args.get("explain") {
+    if let Some(name) = explain_alg {
         let alg = mmjoin_model::Algorithm::ALL
             .into_iter()
             .find(|a| a.name() == name)
@@ -452,117 +499,71 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    if args.flag("stream") {
+fn cmd_serve(opts: &Options) -> Result<(), String> {
+    if opts.flag("stream")? {
         // The streaming tier shares the serve front door but has its
         // own session machinery (resident S, micro-batch ops).
-        return cmd_stream(args);
+        return cmd_stream(opts);
     }
     use mmjoin_serve::{
-        AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, ShardedService, PAGE,
+        AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, ShardedService,
     };
 
-    if args.flag("node") {
-        args.only("serve --node", &[SERVICE, "node listen node-name"])?;
-    } else {
-        args.only("serve", &[SERVICE, REPORTS, "shards modern"])?;
-    }
-    let budget_pages: u64 = args.get_or("budget-pages", 256)?;
-    let workers: usize = args.get_or("workers", 4)?;
-    let shards: u32 = args.get_or("shards", 1)?;
-    let policy = AdmissionPolicy::from_name(args.get("policy").unwrap_or("fifo"))
+    let node = opts.flag("node")?;
+    let budget_pages: u64 = opts.parse_or("budget-pages", 256)?;
+    let workers: usize = opts.parse_or("workers", 4)?;
+    let policy = AdmissionPolicy::from_name(opts.get("policy")?.unwrap_or("fifo"))
         .ok_or_else(|| "unknown policy (fifo | spf)".to_string())?;
-    let fault_spec = FaultSpec::parse(args.get("fault-spec").unwrap_or(""))
+    let fault_spec = FaultSpec::parse(opts.get("fault-spec")?.unwrap_or(""))
         .map_err(|e| format!("--fault-spec: {e}"))?;
-    let retries: u32 = args.get_or("retries", 3)?;
-    let deadline_ms: u64 = args.get_or("deadline-ms", 0)?;
-    let journal_dir = args.get("journal").map(std::path::PathBuf::from);
-    let resume = args.flag("resume");
-    if resume && journal_dir.is_none() {
-        return Err("--resume requires --journal DIR".to_string());
-    }
-    let env = match args.get("env").unwrap_or("sim") {
+    let retries: u32 = opts.parse_or("retries", 3)?;
+    let (journal_dir, resume) = journal_from(opts)?;
+    let env_name = opts.get("env")?.unwrap_or("sim");
+    let trace = opts.get("trace")?;
+    let profile = opts.get("machine-profile")?;
+    // A cluster node takes jobs from its coordinator, never a script.
+    let (listen, node_name, shards, reports) = if node {
+        let listen = opts.get("listen")?.unwrap_or("127.0.0.1:0");
+        let name = opts.get("node-name")?.map(str::to_string);
+        (listen, name, 1, None)
+    } else {
+        let shards: u32 = opts.parse_or("shards", 1)?;
+        ("", None, shards.max(1), Some(Reports::read(opts)?))
+    };
+    opts.finish(if node { "serve --node" } else { "serve" })?;
+
+    let env = match env_name {
         "sim" => EnvKind::Sim,
         "mmap" => EnvKind::Mmap {
-            root: match &journal_dir {
-                // Pin the store next to the journal so a restarted serve
-                // finds (and garbage-collects) the previous life's areas.
-                Some(dir) => dir.join("store"),
-                None => std::env::temp_dir().join(format!("mmjoin-serve-{}", std::process::id())),
-            },
+            root: store_root(&journal_dir, "serve"),
         },
         other => return Err(format!("unknown env '{other}' (sim | mmap)")),
     };
-
-    // Job script: a file via --jobs, or stdin. A resumed serve may run
-    // purely from the journal, so only fall back to stdin when fresh.
-    // A cluster node takes jobs from its coordinator, never a script.
-    let script = match args.get("jobs") {
-        _ if args.flag("node") => String::new(),
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?
-        }
-        None if resume => String::new(),
-        None => {
-            use std::io::Read as _;
-            let mut s = String::new();
-            std::io::stdin()
-                .read_to_string(&mut s)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            s
-        }
-    };
-
-    // `serve --modern` makes the cache-conscious kernels the default:
-    // every job line that does not pick a `mode=` itself runs modern.
-    let script = if args.flag("modern") {
-        script
-            .lines()
-            .map(|l| {
-                let t = l.trim();
-                if t.is_empty() || t.starts_with('#') || t.contains("mode=") {
-                    l.to_string()
-                } else {
-                    format!("{l} mode=modern")
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    } else {
-        script
-    };
-
-    let sink = trace_sink_from(args)?;
+    let sink = trace_sink(trace)?;
     // Only an explicit profile becomes a config override; without one
     // the service keeps its own process-wide calibrated default.
-    let machine = match args.get("machine-profile") {
-        Some(_) => Some(std::sync::Arc::new(machine_from(args)?)),
+    let machine = match profile {
+        Some(_) => Some(Arc::new(machine_from(profile)?)),
         None => None,
     };
-    let mut cfg = ServeConfig {
+    let cfg = ServeConfig {
         budget_bytes: budget_pages * PAGE,
         workers,
         policy,
         env,
         fault_spec,
         retries: retries.max(1),
-        deadline: None,
         trace: match &sink {
-            Some(s) => s.clone() as std::sync::Arc<dyn TraceSink>,
+            Some(s) => s.clone() as Arc<dyn TraceSink>,
             None => mmjoin_env::null_sink(),
         },
         machine,
         journal_dir,
         resume,
     };
-    if deadline_ms > 0 {
-        cfg.deadline = Some(std::time::Duration::from_millis(deadline_ms));
-    }
-    if args.flag("node") {
-        let listen = args.get("listen").unwrap_or("127.0.0.1:0");
-        let default_name = format!("node-{}", std::process::id());
-        let name = args.get("node-name").unwrap_or(&default_name);
-        let node = mmjoin_cluster::NodeServer::start(listen, name, cfg)?;
+    let Some(reports) = reports else {
+        let name = node_name.unwrap_or_else(|| format!("node-{}", std::process::id()));
+        let node = mmjoin_cluster::NodeServer::start(listen, &name, cfg)?;
         // The chaos harness and CI smoke parse this line for the
         // resolved ephemeral port; keep its shape stable.
         println!(
@@ -572,28 +573,21 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
         node.wait();
         println!("node stopped");
-        if let Some(s) = &sink {
-            s.flush()
-                .map_err(|e| format!("--trace: flush failed: {e}"))?;
-        }
-        return Ok(());
-    }
-    let svc = ShardedService::start(cfg, shards.max(1), PlacementKind::default().build())?;
+        return flush_trace(&sink);
+    };
+    let script = reports.intake(resume)?.text();
+    let svc = ShardedService::start(cfg, shards, PlacementKind::default().build())?;
     let ids = svc.submit_script(&script)?;
-    if shards > 1 {
-        println!(
-            "serving {} job(s): budget {budget_pages} pages over {shards} shard(s), \
-             {workers} worker(s)/shard, policy {}",
-            ids.len(),
-            policy.name()
-        );
+    let layout = if shards > 1 {
+        format!(" over {shards} shard(s), {workers} worker(s)/shard")
     } else {
-        println!(
-            "serving {} job(s): budget {budget_pages} pages, {workers} worker(s), policy {}",
-            ids.len(),
-            policy.name()
-        );
-    }
+        format!(", {workers} worker(s)")
+    };
+    println!(
+        "serving {} job(s): budget {budget_pages} pages{layout}, policy {}",
+        ids.len(),
+        policy.name()
+    );
     svc.drain();
     let mut results = svc.results();
     let stats = svc.stats();
@@ -603,23 +597,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "id", "shard", "name", "algorithm", "pairs", "pred(s)", "wait(s)", "exec(s)"
     );
     for r in &results {
-        let mut status = match &r.error {
-            None => "ok".to_string(),
-            Some(e) => format!("FAILED: {e}"),
-        };
-        if r.resumed {
-            status.push_str(" (resumed)");
-        }
         println!(
-            "{:>4} {:>5}  {:<12} {:<14} {:>10} {:>9.2} {:>9.3} {:>9.3}  {status}",
+            "{:>4} {:>5}  {:<12} {:<14} {:>10} {:>9.2} {:>9.3} {:>9.3}  {}",
             r.id,
             r.shard,
-            if r.name.is_empty() { "-" } else { &r.name },
+            label(&r.name),
             r.alg.name(),
             r.pairs,
             r.predicted_seconds,
             r.queue_wait,
-            r.exec_wall
+            r.exec_wall,
+            status(&r.error, r.resumed)
         );
     }
     println!(
@@ -642,12 +630,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if stats.faults_injected > 0 {
         println!(
             "recovery: {} fault(s) injected, {} retried, {} degraded, \
-             {} deadline(s) exceeded, {} orphan file(s) cleaned",
-            stats.faults_injected,
-            stats.retries,
-            stats.degraded,
-            stats.deadline_exceeded,
-            stats.cleaned_files
+             {} orphan file(s) cleaned",
+            stats.faults_injected, stats.retries, stats.degraded, stats.cleaned_files
         );
     }
     if stats.journal_appended_records + stats.journal_replayed_records > 0 {
@@ -662,38 +646,21 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             stats.journal_resumed_jobs
         );
     }
-    if let Some(path) = args.get("results-json") {
-        let mut out = String::from("[");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"name\":\"{}\",\"alg\":\"{}\",\"pairs\":{},\"checksum\":{},\
-                 \"ok\":{},\"resumed\":{}}}",
-                r.id,
-                escape(&r.name),
-                escape(r.alg.name()),
-                r.pairs,
-                r.checksum,
-                r.error.is_none() && r.verified,
-                r.resumed
-            ));
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("results written to {path}");
-    }
-    if let Some(path) = args.get("stats-json") {
-        std::fs::write(path, stats.to_json()).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("stats written to {path}");
-    } else if args.flag("json") {
-        println!("{}", stats.to_json());
-    }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+    reports.write_results(results.iter().map(|r| {
+        let ok = r.error.is_none() && r.verified;
+        let row = result_row(
+            r.id,
+            &r.name,
+            r.alg.name(),
+            r.pairs,
+            r.checksum,
+            ok,
+            r.resumed,
+        );
+        row + "}"
+    }))?;
+    reports.write_stats(&stats.to_json())?;
+    flush_trace(&sink)?;
     if stats.failed > 0 {
         return Err(format!("{} job(s) failed", stats.failed));
     }
@@ -720,8 +687,8 @@ fn term_requested() -> bool {
     TERM_REQUESTED.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// Where a stream's script lines come from: a finite `--jobs` file, or
-/// live stdin via a reader thread. Both stop yielding once SIGTERM is
+/// Where a script's lines come from: a finite `--jobs` file, or live
+/// stdin via a reader thread. Both stop yielding once SIGTERM is
 /// requested — the channel indirection exists precisely so an idle
 /// stream blocked "between lines" still notices the signal within one
 /// poll interval instead of sitting in an uninterruptible read.
@@ -751,6 +718,16 @@ impl LineFeed {
             },
         }
     }
+
+    /// Every remaining line, as one script (serve and coordinator read
+    /// the whole script before submitting it).
+    fn text(mut self) -> String {
+        let mut lines = Vec::new();
+        while let Some(line) = self.next() {
+            lines.push(line);
+        }
+        lines.join("\n")
+    }
 }
 
 /// `serve --stream`: the streaming join tier. The inner relation S is
@@ -762,55 +739,24 @@ impl LineFeed {
 /// stdin until EOF or SIGTERM. SIGTERM stops intake and drains every
 /// accepted op before exiting, so a supervisor's `kill -TERM` never
 /// loses a batch the stream already acknowledged.
-fn cmd_stream(args: &Args) -> Result<(), String> {
+fn cmd_stream(opts: &Options) -> Result<(), String> {
     use mmjoin_stream::{StreamConfig, StreamHeader};
 
-    args.only(
-        "serve --stream",
-        &[
-            REPORTS,
-            "stream queue-bound env journal resume trace machine-profile",
-        ],
-    )?;
+    let queue_bound: usize = opts.parse_or("queue-bound", 64)?;
+    let (journal_dir, resume) = journal_from(opts)?;
+    let env_name = opts.get("env")?.unwrap_or("sim");
+    let trace = opts.get("trace")?;
+    let profile = opts.get("machine-profile")?;
+    let reports = Reports::read(opts)?;
+    opts.finish("serve --stream")?;
     install_sigterm();
-    let queue_bound: usize = args.get_or("queue-bound", 64)?;
-    let journal_dir = args.get("journal").map(std::path::PathBuf::from);
-    let resume = args.flag("resume");
-    if resume && journal_dir.is_none() {
-        return Err("--resume requires --journal DIR".to_string());
-    }
-    let machine = machine_from(args)?;
-    let sink = trace_sink_from(args)?;
+    let machine = machine_from(profile)?;
+    let sink = trace_sink(trace)?;
 
-    let mut feed = match args.get("jobs") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-            LineFeed::Fixed(
-                text.lines()
-                    .map(|l| l.to_string())
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            )
-        }
-        None => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                use std::io::BufRead as _;
-                for line in std::io::stdin().lock().lines() {
-                    let Ok(line) = line else { break };
-                    if tx.send(line).is_err() {
-                        break;
-                    }
-                }
-            });
-            LineFeed::Live(rx)
-        }
-    };
-
-    // The first meaningful line is the resident= header. A resumed
-    // stream may run purely from its journal: give it a header-only
-    // script (resume refuses a mismatched header) and no ops.
+    // The first meaningful line is the resident= header, so even a
+    // resumed stream reads its script: give it a header-only script
+    // (resume refuses a mismatched header) and no ops.
+    let mut feed = reports.intake(false)?;
     let header = loop {
         let Some(line) = feed.next() else {
             return Err("stream script ended before a 'resident=' header line".to_string());
@@ -826,7 +772,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         journal_dir: journal_dir.clone(),
         resume,
     };
-    match args.get("env").unwrap_or("sim") {
+    match env_name {
         "sim" => {
             let mut sim = SimConfig::waterloo96(header.d);
             sim.machine = machine;
@@ -837,15 +783,10 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 env.set_trace_sink(s.clone());
             }
             println!("environment: simulator (virtual 1996-like machine)");
-            run_stream(std::sync::Arc::new(env), header, cfg, feed, args, &sink)
+            run_stream(Arc::new(env), header, cfg, feed, &reports, &sink)
         }
         "mmap" => {
-            let root = match &journal_dir {
-                // Pin the store next to the journal so a restarted
-                // stream recovers the previous life's segments.
-                Some(dir) => dir.join("store"),
-                None => std::env::temp_dir().join(format!("mmjoin-stream-{}", std::process::id())),
-            };
+            let root = store_root(&journal_dir, "stream");
             let mm_cfg = mmjoin_mmstore::MmapEnvConfig {
                 root: root.clone(),
                 num_disks: header.d,
@@ -863,7 +804,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 env.set_trace_sink(s.clone());
             }
             println!("environment: real memory-mapped store ({})", root.display());
-            run_stream(std::sync::Arc::new(env), header, cfg, feed, args, &sink)
+            run_stream(Arc::new(env), header, cfg, feed, &reports, &sink)
         }
         other => Err(format!("unknown env '{other}' (sim | mmap)")),
     }
@@ -872,16 +813,16 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
 /// Drive an open stream session: submit ops from `feed`, report each
 /// completion on stdout as it lands, drain, and summarize.
 fn run_stream<E: mmjoin_env::Env + 'static>(
-    env: std::sync::Arc<E>,
+    env: Arc<E>,
     header: mmjoin_stream::StreamHeader,
     cfg: mmjoin_stream::StreamConfig,
     mut feed: LineFeed,
-    args: &Args,
-    sink: &Option<std::sync::Arc<JsonlSink>>,
+    reports: &Reports,
+    sink: &Option<Arc<JsonlSink>>,
 ) -> Result<(), String> {
     use mmjoin_stream::{StreamOp, StreamSession};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     let budget_pages = header.mem_pages;
     let sess = Arc::new(StreamSession::open(env, header.clone(), cfg).map_err(|e| e.to_string())?);
@@ -898,9 +839,14 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     // Per-op progress lines go out as results land, not at the end: a
     // supervisor tailing stdout sees exactly which ops are durable
     // (the line prints only after the journal commit), which is what
-    // the kill/resume smoke counts before delivering its SIGKILL.
+    // the kill/resume smoke counts before delivering its SIGKILL. The
+    // printer sleeps on the session until a result lands; its wait is
+    // bounded only so it notices the end of the run. Live stdin is
+    // reported as it arrives; a finite `--jobs` script is accepted
+    // whole first, so by the first progress line every op is journaled
+    // and a header-only `--resume` recovers all of them.
     let done = Arc::new(AtomicBool::new(false));
-    let reporter = {
+    let report = || {
         let sess = Arc::clone(&sess);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
@@ -909,13 +855,18 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
                 // Order matters: read the flag *before* the results so
                 // the post-drain sweep cannot miss a late completion.
                 let finishing = done.load(Ordering::SeqCst);
-                let results = sess.results();
-                for r in &results[printed..] {
+                let wait = if finishing {
+                    Duration::ZERO
+                } else {
+                    Duration::from_millis(50)
+                };
+                let fresh = sess.wait_results(printed, Instant::now() + wait);
+                for r in &fresh {
                     println!(
                         "done seq={} kind={} name={} rows={} pairs={} misses={} ok={}{}",
                         r.seq,
                         r.kind,
-                        if r.name.is_empty() { "-" } else { &r.name },
+                        label(&r.name),
                         r.rows,
                         r.pairs,
                         r.misses,
@@ -923,14 +874,15 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
                         if r.resumed { " resumed" } else { "" }
                     );
                 }
-                printed = results.len();
+                printed += fresh.len();
                 if finishing {
                     break;
                 }
-                std::thread::sleep(std::time::Duration::from_millis(10));
             }
         })
     };
+    let live = matches!(feed, LineFeed::Live(_));
+    let reporter = live.then(report);
 
     let mut intake_error = None;
     while let Some(line) = feed.next() {
@@ -952,6 +904,7 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     if terminated {
         println!("SIGTERM: stopping intake, draining accepted op(s)");
     }
+    let reporter = reporter.unwrap_or_else(report);
     sess.drain();
     done.store(true, Ordering::SeqCst);
     let _ = reporter.join();
@@ -973,24 +926,18 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
         "seq", "name", "kind", "rows", "pairs", "misses", "pred(s)", "wait(s)", "exec(s)"
     );
     for r in &results {
-        let mut status = match &r.error {
-            None => "ok".to_string(),
-            Some(e) => format!("FAILED: {e}"),
-        };
-        if r.resumed {
-            status.push_str(" (resumed)");
-        }
         println!(
-            "{:>4} {:<10} {:<7} {:>8} {:>10} {:>8} {:>9.2} {:>9.3} {:>9.3}  {status}",
+            "{:>4} {:<10} {:<7} {:>8} {:>10} {:>8} {:>9.2} {:>9.3} {:>9.3}  {}",
             r.seq,
-            if r.name.is_empty() { "-" } else { &r.name },
+            label(&r.name),
             r.kind,
             r.rows,
             r.pairs,
             r.misses,
             r.predicted_seconds,
             r.queue_wait,
-            r.exec_wall
+            r.exec_wall,
+            status(&r.error, r.resumed)
         );
     }
     println!(
@@ -1016,76 +963,47 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
             stats.resumed_batches
         );
     }
-    if let Some(path) = args.get("results-json") {
-        let mut out = String::from("[");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("results written to {path}");
-    }
-    if args.get("stats-json").is_some() || args.flag("json") {
-        // Streaming runs report through the same ServiceStats JSON as
-        // the batch service, so dashboards and the schema goldens see
-        // one shape: the stream section carries the tier's counters.
-        let svc = mmjoin_serve::ServiceStats {
-            submitted: stats.submitted,
-            completed: stats.completed + stats.mutations,
-            failed: stats.failed,
-            budget_bytes: header.budget_bytes(),
-            peak_budget_bytes: header.budget_bytes(),
-            queue_wait_seconds: results.iter().map(|r| r.queue_wait).sum(),
-            exec_wall_seconds: stats.exec_seconds,
-            env_elapsed_seconds: results.iter().map(|r| r.env_elapsed).sum(),
-            journal_appended_records: stats.journal_appended_records,
-            journal_commits: stats.journal_commits,
-            journal_replayed_records: stats.journal_replayed_records,
-            journal_torn_bytes: stats.journal_torn_bytes,
-            journal_resumed_jobs: stats.resumed_batches,
-            stream_batches: stats.completed,
-            stream_mutations: stats.mutations,
-            stream_misses: stats.misses,
-            stream_backpressure: stats.backpressure,
-            stream_resumed: stats.resumed_batches,
-            latency_hist: stats.batch_hist.clone(),
-            batch_hist: stats.batch_hist.clone(),
-            queue_hist: stats.queue_hist.clone(),
-            ..Default::default()
-        };
-        if let Some(path) = args.get("stats-json") {
-            std::fs::write(path, svc.to_json())
-                .map_err(|e| format!("cannot write '{path}': {e}"))?;
-            println!("stats written to {path}");
-        } else {
-            println!("{}", svc.to_json());
-        }
-    }
-    if let Some(s) = sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+    reports.write_results(results.iter().map(|r| r.to_json()))?;
+    // Streaming runs report through the same ServiceStats JSON as the
+    // batch service, so dashboards and the schema goldens see one
+    // shape: the stream section carries the tier's counters.
+    let svc = mmjoin_serve::ServiceStats {
+        submitted: stats.submitted,
+        completed: stats.completed + stats.mutations,
+        failed: stats.failed,
+        budget_bytes: header.budget_bytes(),
+        peak_budget_bytes: header.budget_bytes(),
+        queue_wait_seconds: results.iter().map(|r| r.queue_wait).sum(),
+        exec_wall_seconds: stats.exec_seconds,
+        env_elapsed_seconds: results.iter().map(|r| r.env_elapsed).sum(),
+        journal_appended_records: stats.journal_appended_records,
+        journal_commits: stats.journal_commits,
+        journal_replayed_records: stats.journal_replayed_records,
+        journal_torn_bytes: stats.journal_torn_bytes,
+        journal_resumed_jobs: stats.resumed_batches,
+        stream_batches: stats.completed,
+        stream_mutations: stats.mutations,
+        stream_misses: stats.misses,
+        stream_backpressure: stats.backpressure,
+        stream_resumed: stats.resumed_batches,
+        latency_hist: stats.batch_hist.clone(),
+        batch_hist: stats.batch_hist.clone(),
+        queue_hist: stats.queue_hist.clone(),
+        ..Default::default()
+    };
+    reports.write_stats(&svc.to_json())?;
+    flush_trace(sink)?;
     if stats.failed > 0 {
         return Err(format!("{} op(s) failed", stats.failed));
     }
     Ok(())
 }
 
-fn cmd_coordinator(args: &Args) -> Result<(), String> {
+fn cmd_coordinator(opts: &Options) -> Result<(), String> {
     use mmjoin_cluster::{ClusterConfig, Coordinator};
 
-    args.only(
-        "coordinator",
-        &[
-            REPORTS,
-            "nodes heartbeat-ms timeout-ms max-requeues journal resume trace",
-        ],
-    )?;
-    let nodes: Vec<String> = args
-        .get("nodes")
+    let nodes: Vec<String> = opts
+        .get("nodes")?
         .ok_or("--nodes HOST:PORT[,HOST:PORT...] is required")?
         .split(',')
         .map(|s| s.trim().to_string())
@@ -1094,15 +1012,14 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
     if nodes.is_empty() {
         return Err("--nodes lists no addresses".to_string());
     }
-    let heartbeat_ms: u64 = args.get_or("heartbeat-ms", 100)?;
-    let timeout_ms: u64 = args.get_or("timeout-ms", 1500)?;
-    let max_requeues: u32 = args.get_or("max-requeues", 3)?;
-    let journal_dir = args.get("journal").map(std::path::PathBuf::from);
-    let resume = args.flag("resume");
-    if resume && journal_dir.is_none() {
-        return Err("--resume requires --journal DIR".to_string());
-    }
-    let sink = trace_sink_from(args)?;
+    let heartbeat_ms: u64 = opts.parse_or("heartbeat-ms", 100)?;
+    let timeout_ms: u64 = opts.parse_or("timeout-ms", 1500)?;
+    let max_requeues: u32 = opts.parse_or("max-requeues", 3)?;
+    let (journal_dir, resume) = journal_from(opts)?;
+    let trace = opts.get("trace")?;
+    let reports = Reports::read(opts)?;
+    opts.finish("coordinator")?;
+    let sink = trace_sink(trace)?;
 
     let mut cfg = ClusterConfig::new(nodes.clone())
         .with_heartbeat(std::time::Duration::from_millis(heartbeat_ms.max(1)))
@@ -1117,26 +1034,10 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
         cfg = cfg.with_resume();
     }
     if let Some(s) = &sink {
-        cfg = cfg.with_trace(s.clone() as std::sync::Arc<dyn TraceSink>);
+        cfg = cfg.with_trace(s.clone() as Arc<dyn TraceSink>);
     }
 
-    // Job script: a file via --jobs, or stdin; a resumed coordinator
-    // may run purely from its journal.
-    let script = match args.get("jobs") {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?
-        }
-        None if resume => String::new(),
-        None => {
-            use std::io::Read as _;
-            let mut s = String::new();
-            std::io::stdin()
-                .read_to_string(&mut s)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            s
-        }
-    };
-
+    let script = reports.intake(resume)?.text();
     let co = Coordinator::start(cfg)?;
     let ids = co.submit_script(&script)?;
     println!(
@@ -1153,22 +1054,16 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
         "id", "name", "node", "algorithm", "pairs", "requeues", "exec(s)"
     );
     for r in &results {
-        let mut status = match &r.error {
-            None => "ok".to_string(),
-            Some(e) => format!("FAILED: {e}"),
-        };
-        if r.resumed {
-            status.push_str(" (resumed)");
-        }
         println!(
-            "{:>4}  {:<12} {:<14} {:<14} {:>10} {:>8} {:>9.3}  {status}",
+            "{:>4}  {:<12} {:<14} {:<14} {:>10} {:>8} {:>9.3}  {}",
             r.id,
-            if r.name.is_empty() { "-" } else { &r.name },
+            label(&r.name),
             r.node,
             r.alg,
             r.pairs,
             r.requeues,
-            r.latency
+            r.latency,
+            status(&r.error, r.resumed)
         );
     }
     println!(
@@ -1194,52 +1089,25 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
             j.appended_records, j.commits, j.replayed_records, j.torn_bytes
         );
     }
-
-    if let Some(path) = args.get("results-json") {
-        // Leading keys match serve's --results-json so outcome sets
-        // from single-node and cluster runs compare directly.
-        let mut out = String::from("[");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"name\":\"{}\",\"alg\":\"{}\",\"pairs\":{},\"checksum\":{},\
-                 \"ok\":{},\"resumed\":{},\"node\":\"{}\",\"requeues\":{}}}",
-                r.id,
-                escape(&r.name),
-                escape(&r.alg),
-                r.pairs,
-                r.checksum,
-                r.ok,
-                r.resumed,
-                escape(&r.node),
-                r.requeues
-            ));
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("results written to {path}");
-    }
-    if let Some(path) = args.get("stats-json") {
-        std::fs::write(path, stats.to_json()).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("stats written to {path}");
-    } else if args.flag("json") {
-        println!("{}", stats.to_json());
-    }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+    reports.write_results(results.iter().map(|r| {
+        let row = result_row(r.id, &r.name, &r.alg, r.pairs, r.checksum, r.ok, r.resumed);
+        format!(
+            "{row},\"node\":\"{}\",\"requeues\":{}}}",
+            escape(&r.node),
+            r.requeues
+        )
+    }))?;
+    reports.write_stats(&stats.to_json())?;
+    flush_trace(&sink)?;
     if stats.failed > 0 {
         return Err(format!("{} job(s) failed", stats.failed));
     }
     Ok(())
 }
 
-fn cmd_calibrate(args: &Args) -> Result<(), String> {
-    if args.flag("sim") {
-        args.only("calibrate --sim", &["sim"])?;
+fn cmd_calibrate(opts: &Options) -> Result<(), String> {
+    if opts.flag("sim")? {
+        opts.finish("calibrate --sim")?;
         // The original behaviour: the paper's Fig. 1a procedure against
         // the *simulated* waterloo96 drive.
         let disk = DiskParams::waterloo96();
@@ -1259,16 +1127,20 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    args.only("calibrate", &["out device quick trace"])?;
-    let sink = trace_sink_from(args)?;
-    let mut opts = if args.flag("quick") {
+    let quick = opts.flag("quick")?;
+    let device = opts.get("device")?.map(PathBuf::from);
+    let out = opts.get("out")?;
+    let trace = opts.get("trace")?;
+    opts.finish("calibrate")?;
+    let sink = trace_sink(trace)?;
+    let mut opts = if quick {
         CalibrateOptions::quick()
     } else {
         CalibrateOptions::full()
     };
-    opts.device = args.get("device").map(std::path::PathBuf::from);
+    opts.device = device;
     if let Some(s) = &sink {
-        opts.trace = s.clone() as std::sync::Arc<dyn TraceSink>;
+        opts.trace = s.clone() as Arc<dyn TraceSink>;
     }
     println!(
         "calibrating this host ({} probes, {} reps each){}",
@@ -1329,17 +1201,13 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
     );
     println!("CS: {:.2} us", m.cs * 1e6);
 
-    if let Some(path) = args.get("out") {
+    if let Some(path) = out {
         profile
             .save(std::path::Path::new(path))
             .map_err(|e| format!("--out: {e}"))?;
         println!("profile written to {path}");
     }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
-    Ok(())
+    flush_trace(&sink)
 }
 
 /// One row of the validate-model comparison: a named group of passes
@@ -1404,13 +1272,23 @@ fn pass_rows(
     rows
 }
 
-fn cmd_validate_model(args: &Args) -> Result<(), String> {
+/// The measured/predicted column of the validate-model tables.
+fn ratio(measured: f64, predicted: f64) -> String {
+    if predicted > 0.0 {
+        format!("{:>9.3}", measured / predicted)
+    } else {
+        format!("{:>9}", "-")
+    }
+}
+
+fn cmd_validate_model(opts: &Options) -> Result<(), String> {
     use mmjoin_env::{Env as _, ProcId};
 
-    args.only("validate-model", &[WORKLOAD, "mem-pages machine-profile"])?;
-    let w = workload_from(args)?;
-    let pages: u64 = args.get_or("mem-pages", 160)?;
-    let machine = machine_from(args)?;
+    let req = job_from(opts)?;
+    let machine = machine_from(opts.get("machine-profile")?)?;
+    opts.finish("validate-model")?;
+    let w = &req.workload;
+    let pages = req.m_rproc / PAGE;
 
     let root = std::env::temp_dir().join(format!("mmjoin-validate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -1420,7 +1298,7 @@ fn cmd_validate_model(args: &Args) -> Result<(), String> {
         page_size: 4096,
     })
     .map_err(|e| e.to_string())?;
-    let rels = build(&env, &w).map_err(|e| e.to_string())?;
+    let rels = build(&env, w).map_err(|e| e.to_string())?;
 
     // Predictions below are priced with the histogram skew estimated
     // from the *stored* relation — the same sampler serve's `plan=auto`
@@ -1433,18 +1311,8 @@ fn cmd_validate_model(args: &Args) -> Result<(), String> {
         w.rel.d,
         HISTOGRAM_BUCKETS,
     );
-    let inputs = mmjoin_model::JoinInputs {
-        r_objects: w.rel.r_objects,
-        s_objects: w.rel.s_objects,
-        r_size: w.rel.r_size,
-        s_size: w.rel.s_size,
-        sptr_size: mmjoin_relstore::SPTR_SIZE,
-        d: w.rel.d,
-        skew: summary.estimated_skew(),
-        m_rproc: pages * 4096,
-        m_sproc: pages * 4096,
-        g_buffer: 4096,
-    };
+    let mut inputs = req.planner_inputs();
+    inputs.skew = summary.estimated_skew();
 
     println!(
         "model validation on the memory-mapped store: |R| = |S| = {} x {} B, \
@@ -1460,11 +1328,8 @@ fn cmd_validate_model(args: &Args) -> Result<(), String> {
         "{:<14} {:<12} {:>12} {:>12} {:>9}",
         "algorithm", "pass", "measured(s)", "predicted(s)", "ratio"
     );
-    for (alg, model_alg) in [
-        (Algo::NestedLoops, mmjoin_model::Algorithm::NestedLoops),
-        (Algo::SortMerge, mmjoin_model::Algorithm::SortMerge),
-        (Algo::Grace, mmjoin_model::Algorithm::Grace),
-    ] {
+    for model_alg in mmjoin_model::Algorithm::PAPER {
+        let alg = Algo::from(model_alg);
         let mut spec =
             JoinSpec::new(pages * 4096, pages * 4096).with_tag(&format!("val-{}", alg.name()));
         // Synchronized phases give nested loops the same stage
@@ -1488,30 +1353,22 @@ fn cmd_validate_model(args: &Args) -> Result<(), String> {
         for row in pass_rows(&durations, &breakdown) {
             measured_total += row.measured;
             predicted_total += row.predicted;
-            let ratio = if row.predicted > 0.0 {
-                format!("{:>9.3}", row.measured / row.predicted)
-            } else {
-                format!("{:>9}", "-")
-            };
             println!(
-                "{:<14} {:<12} {:>12.3} {:>12.3} {ratio}",
+                "{:<14} {:<12} {:>12.3} {:>12.3} {}",
                 alg.name(),
                 row.group,
                 row.measured,
-                row.predicted
+                row.predicted,
+                ratio(row.measured, row.predicted)
             );
         }
-        let ratio = if predicted_total > 0.0 {
-            format!("{:>9.3}", measured_total / predicted_total)
-        } else {
-            format!("{:>9}", "-")
-        };
         println!(
-            "{:<14} {:<12} {:>12.3} {:>12.3} {ratio}",
+            "{:<14} {:<12} {:>12.3} {:>12.3} {}",
             alg.name(),
             "TOTAL",
             measured_total,
-            predicted_total
+            predicted_total,
+            ratio(measured_total, predicted_total)
         );
     }
 
@@ -1528,12 +1385,8 @@ fn cmd_validate_model(args: &Args) -> Result<(), String> {
         "{:<14} {:>12} {:>12} {:>9}",
         "algorithm", "measured(s)", "predicted(s)", "ratio"
     );
-    for (alg, model_alg) in [
-        (Algo::NestedLoops, mmjoin_model::Algorithm::NestedLoops),
-        (Algo::SortMerge, mmjoin_model::Algorithm::SortMerge),
-        (Algo::Grace, mmjoin_model::Algorithm::Grace),
-        (Algo::HybridHash, mmjoin_model::Algorithm::HybridHash),
-    ] {
+    for model_alg in mmjoin_model::Algorithm::ALL {
+        let alg = Algo::from(model_alg);
         let spec = JoinSpec::new(pages * 4096, pages * 4096)
             .with_mode(ExecMode::Modern)
             .with_tag(&format!("valm-{}", alg.name()));
@@ -1546,16 +1399,12 @@ fn cmd_validate_model(args: &Args) -> Result<(), String> {
             .map(|(_, t)| (t - start).max(0.0))
             .unwrap_or(out.elapsed);
         let predicted = explain(&machine, &mmjoin::inputs_for(&rels, &spec), model_alg).total();
-        let ratio = if predicted > 0.0 {
-            format!("{:>9.3}", measured / predicted)
-        } else {
-            format!("{:>9}", "-")
-        };
         println!(
-            "{:<14} {:>12.3} {:>12.3} {ratio}",
+            "{:<14} {:>12.3} {:>12.3} {}",
             alg.name(),
             measured,
-            predicted
+            predicted,
+            ratio(measured, predicted)
         );
     }
     // What the skew term is worth: the uniform assumption, the
@@ -1605,9 +1454,8 @@ fn usage() {
     println!("                   [--machine-profile FILE]");
     println!("  mmjoin serve     [--jobs FILE] [--budget-pages N] [--workers N]");
     println!("                   [--policy fifo|spf] [--shards N]");
-    println!("                   [--env sim|mmap] [--modern] [--json] [--stats-json FILE]");
-    println!("                   [--fault-spec SPEC] [--retries N]");
-    println!("                   [--deadline-ms MS] [--trace FILE.jsonl]");
+    println!("                   [--env sim|mmap] [--json] [--stats-json FILE]");
+    println!("                   [--fault-spec SPEC] [--retries N] [--trace FILE.jsonl]");
     println!("                   [--machine-profile FILE]");
     println!("                   [--journal DIR] [--resume] [--results-json FILE]");
     println!("                   (reads job lines from stdin");
@@ -1663,8 +1511,8 @@ fn usage() {
     println!("  radix-partitioned scans, pre-sorted run exchange with one");
     println!("  sequential merge-scan per owner, and batched pointer probes;");
     println!("  the join output is bitwise-identical to the faithful loops");
-    println!("  (join --modern runs one join; serve --modern makes modern the");
-    println!("  default mode for job lines that carry no mode= of their own)");
+    println!("  (join --modern runs one join; a serve job line opts in with");
+    println!("  mode=modern)");
     println!();
     println!("serve --stream keeps the inner relation S resident: the header's");
     println!("  relation is loaded once into D mapped partitions, then every");
@@ -1705,6 +1553,10 @@ fn usage() {
     println!("  torn_write persists a 'frac' prefix of one write, bit_corrupt");
     println!("  flips a byte, crash aborts the process (hard=1) or errors");
     println!();
+    println!("options: each given at most once, and every command refuses an");
+    println!("  option it does not read; join/plan/validate-model name the");
+    println!("  workload with a job line's keys (--objects N is objects=N)");
+    println!();
     println!("--trace FILE.jsonl writes one structured trace event per line:");
     println!("  pass/phase boundaries, map setup/teardown, fault injections,");
     println!("  retries, and (under serve) job lifecycle events");
@@ -1713,14 +1565,18 @@ fn usage() {
     println!("algorithms: {}", names.join(", "));
 }
 
-fn run(cmd: &str, args: &Args) -> Result<(), String> {
-    match cmd {
-        "join" => cmd_join(args),
-        "plan" => cmd_plan(args),
-        "serve" => cmd_serve(args),
-        "coordinator" => cmd_coordinator(args),
-        "calibrate" => cmd_calibrate(args),
-        "validate-model" => cmd_validate_model(args),
+/// Run one `mmjoin` command line (the arguments after the program
+/// name).
+fn run(argv: &[String]) -> Result<(), String> {
+    let (cmd, rest) = argv.split_first().ok_or("no command (try 'mmjoin help')")?;
+    let opts = Options::argv(rest)?;
+    match cmd.as_str() {
+        "join" => cmd_join(&opts),
+        "plan" => cmd_plan(&opts),
+        "serve" => cmd_serve(&opts),
+        "coordinator" => cmd_coordinator(&opts),
+        "calibrate" => cmd_calibrate(&opts),
+        "validate-model" => cmd_validate_model(&opts),
         "help" | "--help" | "-h" => {
             usage();
             Ok(())
@@ -1734,18 +1590,11 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first() else {
+    if argv.is_empty() {
         usage();
         return ExitCode::FAILURE;
-    };
-    let rest = match Args::parse(&argv[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run(cmd, &rest) {
+    }
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1757,72 +1606,82 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_relstore::PointerDist;
 
-    fn args(v: &[&str]) -> Args {
-        let owned: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-        Args::parse(&owned).expect("parse")
+    fn argv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Call `f` with the options of command-line arguments `v`.
+    fn with_opts<T>(v: &[&str], f: impl FnOnce(&Options) -> T) -> T {
+        let owned = argv(v);
+        f(&Options::argv(&owned).expect("parse"))
     }
 
     #[test]
     fn parses_pairs_and_flags() {
-        let a = args(&["--alg", "grace", "--threads", "--objects", "100"]);
-        assert_eq!(a.get("alg"), Some("grace"));
-        assert!(a.flag("threads"));
-        assert_eq!(a.get_or("objects", 0u64).unwrap(), 100);
-        assert_eq!(a.get_or("missing", 7u64).unwrap(), 7);
+        let req = with_opts(
+            &["--alg", "grace", "--threads", "--objects", "100"],
+            join_request,
+        )
+        .unwrap();
+        assert_eq!(req.alg, Some(Algo::Grace));
+        assert_eq!(req.mode, ExecMode::Threaded);
+        assert_eq!(req.workload.rel.r_objects, 100);
+        assert_eq!(req.m_rproc, 160 * PAGE, "the CLI's default grant");
+        let req = with_opts(&["--auto", "--modern"], join_request).unwrap();
+        assert_eq!((req.alg, req.mode), (None, ExecMode::Modern));
     }
 
     #[test]
     fn rejects_duplicate_options_naming_the_flag() {
-        for argv in [
-            vec!["--alg", "grace", "--alg", "naive"],
-            vec!["--threads", "--threads"],
-            vec!["--alg", "grace", "--alg"],
+        for v in [
+            ["join", "--alg", "grace", "--alg", "naive"].as_slice(),
+            &["join", "--threads", "--threads"],
+            &["join", "--alg", "grace", "--alg"],
         ] {
-            let owned: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            let err = Args::parse(&owned).unwrap_err();
+            let err = run(&argv(v)).unwrap_err();
             assert!(err.contains("given more than once"), "{err}");
-            let flag = argv[0].trim_start_matches('-');
-            assert!(err.contains(flag), "error must name --{flag}: {err}");
+            assert!(err.contains(v[1]), "error must name {}: {err}", v[1]);
         }
     }
 
     #[test]
     fn rejects_positional_and_bad_numbers() {
-        let owned: Vec<String> = vec!["oops".into()];
-        assert!(Args::parse(&owned).is_err());
-        let a = args(&["--objects", "not-a-number"]);
-        assert!(a.get_or("objects", 0u64).is_err());
+        let err = run(&argv(&["join", "oops"])).unwrap_err();
+        assert!(err.contains("'oops'"), "{err}");
+        let err = run(&argv(&["join", "--objects", "not-a-number"])).unwrap_err();
+        assert!(err.contains("--objects not-a-number"), "{err}");
     }
 
     #[test]
     fn every_command_rejects_an_option_it_does_not_read() {
-        for (cmd, argv, unread) in [
-            ("serve", vec!["--placement", "rr"], "placement"),
+        for (v, unread) in [
+            (["serve", "--placement", "rr"].as_slice(), "placement"),
             (
-                "serve",
-                vec!["--policy", "spf", "--placment", "rr"],
+                &["serve", "--policy", "spf", "--placment", "rr"],
                 "placment",
             ),
-            ("serve", vec!["--stream", "--shards", "2"], "shards"),
-            ("serve", vec!["--stream", "--modern"], "modern"),
-            ("serve", vec!["--node", "--shards", "2"], "shards"),
-            ("serve", vec!["--node", "--jobs", "j.txt"], "jobs"),
+            (&["serve", "--modern"], "modern"),
+            (&["serve", "--deadline-ms", "5"], "deadline-ms"),
+            (&["serve", "--stream", "--shards", "2"], "shards"),
+            (&["serve", "--stream", "--modern"], "modern"),
+            (&["serve", "--node", "--shards", "2"], "shards"),
+            (&["serve", "--node", "--jobs", "j.txt"], "jobs"),
             (
-                "coordinator",
-                vec!["--nodes", "a:1", "--shards", "2"],
+                &["coordinator", "--nodes", "a:1", "--shards", "2"],
                 "shards",
             ),
-            ("join", vec!["--objets", "10"], "objets"),
-            ("plan", vec!["--mem-pages", "8", "--modern"], "modern"),
-            ("calibrate", vec!["--quick", "--objects", "10"], "objects"),
-            ("calibrate", vec!["--sim", "--out", "p.json"], "out"),
-            ("validate-model", vec!["--env", "mmap"], "env"),
+            (&["join", "--objets", "10"], "objets"),
+            (&["plan", "--mem-pages", "8", "--modern"], "modern"),
+            (&["calibrate", "--quick", "--objects", "10"], "objects"),
+            (&["calibrate", "--sim", "--out", "p.json"], "out"),
+            (&["validate-model", "--env", "mmap"], "env"),
         ] {
-            let err = run(cmd, &args(&argv)).unwrap_err();
+            let err = run(&argv(v)).unwrap_err();
             assert!(
                 err.contains(&format!("does not take --{unread}")),
-                "{cmd} {argv:?}: {err}"
+                "{v:?}: {err}"
             );
         }
     }
@@ -1837,59 +1696,60 @@ mod tests {
 
     #[test]
     fn parses_distributions() {
-        assert_eq!(parse_dist("uniform").unwrap(), PointerDist::Uniform);
-        assert_eq!(parse_dist("cross").unwrap(), PointerDist::CrossPartition);
-        match parse_dist("zipf:0.8").unwrap() {
+        let dist = |d: &str| with_opts(&["--dist", d], job_from).map(|r| r.workload.dist);
+        assert_eq!(dist("uniform").unwrap(), PointerDist::Uniform);
+        assert_eq!(dist("cross").unwrap(), PointerDist::CrossPartition);
+        match dist("zipf:0.8").unwrap() {
             PointerDist::Zipf { theta } => assert!((theta - 0.8).abs() < 1e-12),
             other => panic!("{other:?}"),
         }
-        assert!(parse_dist("zipf:x").is_err());
-        assert!(parse_dist("normal").is_err());
+        assert!(dist("zipf:x").is_err());
+        assert!(dist("normal").is_err());
     }
 
     #[test]
     fn sample_cap_is_flag_or_value() {
-        assert_eq!(sample_cap_from(&args(&[])).unwrap(), None);
+        assert_eq!(with_opts(&[], sample_cap_from).unwrap(), None);
         assert_eq!(
-            sample_cap_from(&args(&["--sample"])).unwrap(),
+            with_opts(&["--sample"], sample_cap_from).unwrap(),
             Some(SAMPLE_CAP)
         );
         assert_eq!(
-            sample_cap_from(&args(&["--sample", "128"])).unwrap(),
+            with_opts(&["--sample", "128"], sample_cap_from).unwrap(),
             Some(128)
         );
-        assert!(sample_cap_from(&args(&["--sample", "0"])).is_err());
-        assert!(sample_cap_from(&args(&["--sample", "lots"])).is_err());
+        assert!(with_opts(&["--sample", "0"], sample_cap_from).is_err());
+        assert!(with_opts(&["--sample", "lots"], sample_cap_from).is_err());
     }
 
     #[test]
     fn join_rejects_alg_combined_with_auto() {
-        let err = cmd_join(&args(&["--auto", "--alg", "grace"])).unwrap_err();
+        let err = run(&argv(&["join", "--auto", "--alg", "grace"])).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
     }
 
     #[test]
     fn workload_defaults_are_valid() {
-        let w = workload_from(&args(&[])).unwrap();
-        w.rel.validate().unwrap();
-        let w = workload_from(&args(&["--d", "2", "--objects", "1000"])).unwrap();
-        assert_eq!(w.rel.d, 2);
-        assert_eq!(w.rel.r_objects, 1000);
+        let req = with_opts(&[], job_from).unwrap();
+        req.workload.rel.validate().unwrap();
+        let req = with_opts(&["--d", "2", "--objects", "1000"], job_from).unwrap();
+        assert_eq!(req.workload.rel.d, 2);
+        assert_eq!(req.workload.rel.r_objects, 1000);
     }
 
     #[test]
     fn machine_from_without_profile_is_the_shared_default() {
-        let m = machine_from(&args(&[])).unwrap();
+        let m = machine_from(None).unwrap();
         assert_eq!(m, default_machine().unwrap());
     }
 
     #[test]
     fn machine_from_rejects_missing_and_malformed_profiles() {
-        let err = machine_from(&args(&["--machine-profile", "/no/such/profile.json"])).unwrap_err();
+        let err = machine_from(Some("/no/such/profile.json")).unwrap_err();
         assert!(err.contains("machine-profile"), "{err}");
         let path = std::env::temp_dir().join(format!("mmjoin-cli-bad-{}.json", std::process::id()));
         std::fs::write(&path, "{\"format\": \"bogus\"}").unwrap();
-        let err = machine_from(&args(&["--machine-profile", path.to_str().unwrap()])).unwrap_err();
+        let err = machine_from(path.to_str()).unwrap_err();
         std::fs::remove_file(&path).unwrap();
         assert!(err.contains("not a machine profile"), "{err}");
     }
@@ -1913,7 +1773,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("mmjoin-cli-prof-{}.json", std::process::id()));
         profile.save(&path).unwrap();
-        let m = machine_from(&args(&["--machine-profile", path.to_str().unwrap()])).unwrap();
+        let m = machine_from(path.to_str()).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(m, profile.machine);
     }

@@ -29,6 +29,7 @@ pub mod hist;
 pub mod ids;
 pub mod layout;
 pub mod machine;
+pub mod options;
 pub mod stats;
 pub mod trace;
 pub mod traits;
@@ -38,6 +39,7 @@ pub use error::{EnvError, Result};
 pub use faults::{FaultKind, FaultSpec, FaultStats, FaultyEnv, FaultyFile, Outcome};
 pub use hist::Histogram;
 pub use ids::{DiskId, ProcId, SPtr};
+pub use options::Options;
 pub use stats::{EnvStats, ProcStats};
 pub use trace::{
     null_sink, CollectingSink, JsonlSink, MapOp, NullSink, TraceEvent, TraceRecord, TraceSink,

@@ -1,6 +1,7 @@
 //! Job descriptions: what a client submits, and what comes back.
 
 use mmjoin::{Algo, ExecMode, PlanChoice};
+use mmjoin_env::Options;
 use mmjoin_model::JoinInputs;
 use mmjoin_relstore::{PointerDist, RelConfig, WorkloadSpec, SPTR_SIZE};
 
@@ -95,72 +96,75 @@ impl JobRequest {
         }
     }
 
-    /// Parse one newline-delimited job line: whitespace-separated
-    /// `key=value` tokens. Recognized keys: `name`, `alg` (an algorithm
-    /// name or `auto`), `objects`, `obj-size`, `d`, `mem-pages`,
-    /// `seed`, `dist` (`uniform` | `zipf:T` | `cross`), `mode`
-    /// (`seq` | `threads` | `modern`), `plan` (`fixed` | `auto`).
-    /// Blank lines and `#` comments yield `None`.
-    pub fn parse_line(line: &str) -> Result<Option<JobRequest>, String> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(None);
+    /// Overwrite the workload shape from the keys `opts` carries —
+    /// `objects` (|R| = |S|), `obj-size`, `d`, `mem-pages`, `seed` and
+    /// `dist` (`uniform` | `zipf:T` | `cross`) — keeping this request's
+    /// value for each absent key. A job line and a `join` command line
+    /// name the workload with the same keys.
+    pub fn read_workload(&mut self, opts: &Options) -> Result<(), String> {
+        let rel = &mut self.workload.rel;
+        if let Some(n) = opts.parse("objects")? {
+            rel.r_objects = n;
+            rel.s_objects = n;
         }
+        if let Some(n) = opts.parse("obj-size")? {
+            rel.r_size = n;
+            rel.s_size = n;
+        }
+        if let Some(d) = opts.parse("d")? {
+            rel.d = d;
+        }
+        if let Some(pages) = opts.parse::<u64>("mem-pages")? {
+            self.m_rproc = pages * PAGE;
+            self.m_sproc = pages * PAGE;
+        }
+        if let Some(seed) = opts.parse("seed")? {
+            self.workload.seed = seed;
+        }
+        if let Some(dist) = opts.get("dist")? {
+            self.workload.dist = dist.parse()?;
+        }
+        Ok(())
+    }
+
+    /// Parse one newline-delimited job line: whitespace-separated
+    /// `key=value` tokens. Recognized keys: the workload keys of
+    /// [`JobRequest::read_workload`], `name`, `alg` (an algorithm name
+    /// or `auto`), `mode` (`seq` | `threads` | `modern`) and `plan`
+    /// (`fixed` | `auto`). Blank lines and `#` comments yield `None`.
+    pub fn parse_line(line: &str) -> Result<Option<JobRequest>, String> {
+        let Some(opts) = Options::line(line)? else {
+            return Ok(None);
+        };
         let mut req = JobRequest::new(10_000, 128, 4, 64, 1);
-        for tok in line.split_whitespace() {
-            let (key, value) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got '{tok}'"))?;
-            match key {
-                "name" => req.name = value.to_string(),
-                "alg" => {
-                    req.alg = if value == "auto" {
-                        None
-                    } else {
-                        Some(
-                            Algo::from_name(value)
-                                .ok_or_else(|| format!("unknown algorithm '{value}'"))?,
-                        )
-                    }
-                }
-                "objects" => {
-                    let n = parse_num(key, value)?;
-                    req.workload.rel.r_objects = n;
-                    req.workload.rel.s_objects = n;
-                }
-                "obj-size" => {
-                    let n = parse_num(key, value)? as u32;
-                    req.workload.rel.r_size = n;
-                    req.workload.rel.s_size = n;
-                }
-                "d" => req.workload.rel.d = parse_num(key, value)? as u32,
-                "mem-pages" => {
-                    let pages = parse_num(key, value)?;
-                    req.m_rproc = pages * PAGE;
-                    req.m_sproc = pages * PAGE;
-                }
-                "seed" => req.workload.seed = parse_num(key, value)?,
-                "dist" => req.workload.dist = value.parse()?,
-                "mode" => {
-                    req.mode = match value {
-                        "seq" => ExecMode::Sequential,
-                        "threads" => ExecMode::Threaded,
-                        "modern" => ExecMode::Modern,
-                        other => {
-                            return Err(format!("unknown mode '{other}' (seq | threads | modern)"))
-                        }
-                    }
-                }
-                "plan" => {
-                    req.plan = match value {
-                        "fixed" => PlanMode::Fixed,
-                        "auto" => PlanMode::Auto,
-                        other => return Err(format!("unknown plan '{other}' (fixed | auto)")),
-                    }
-                }
-                other => return Err(format!("unknown job key '{other}'")),
+        req.read_workload(&opts)?;
+        if let Some(name) = opts.get("name")? {
+            req.name = name.to_string();
+        }
+        match opts.get("alg")? {
+            None => {}
+            Some("auto") => req.alg = None,
+            Some(v) => {
+                req.alg =
+                    Some(Algo::from_name(v).ok_or_else(|| format!("unknown algorithm '{v}'"))?)
             }
         }
+        if let Some(v) = opts.get("mode")? {
+            req.mode = match v {
+                "seq" => ExecMode::Sequential,
+                "threads" => ExecMode::Threaded,
+                "modern" => ExecMode::Modern,
+                other => return Err(format!("unknown mode '{other}' (seq | threads | modern)")),
+            }
+        }
+        if let Some(v) = opts.get("plan")? {
+            req.plan = match v {
+                "fixed" => PlanMode::Fixed,
+                "auto" => PlanMode::Auto,
+                other => return Err(format!("unknown plan '{other}' (fixed | auto)")),
+            }
+        }
+        opts.finish("a job line")?;
         req.workload.rel.validate().map_err(|e| e.to_string())?;
         Ok(Some(req))
     }
@@ -203,12 +207,6 @@ impl JobRequest {
             self.workload.seed,
         )
     }
-}
-
-fn parse_num(key: &str, value: &str) -> Result<u64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{key}: cannot parse '{value}'"))
 }
 
 /// Everything the service reports about one finished job.
@@ -256,8 +254,6 @@ pub struct JobResult {
     pub released_bytes: u64,
     /// Orphaned temporary files deleted by recovery.
     pub cleaned_files: u64,
-    /// The job stopped because it exceeded its wall-clock deadline.
-    pub deadline_hit: bool,
     /// The job's executor panicked (isolated by `catch_unwind`).
     pub panicked: bool,
     /// The result was reconstructed from the write-ahead journal by a
@@ -292,7 +288,6 @@ impl JobResult {
             degraded: 0,
             released_bytes: 0,
             cleaned_files: 0,
-            deadline_hit: false,
             panicked: false,
             resumed: false,
             error: None,
@@ -379,6 +374,9 @@ mod tests {
         assert!(JobRequest::parse_line("alg=quantum").is_err());
         assert!(JobRequest::parse_line("mode=fast").is_err());
         assert!(JobRequest::parse_line("frobnicate=1").is_err());
+        // A repeated key is an error naming it, not "last value wins".
+        let err = JobRequest::parse_line("objects=800 d=2 objects=400").unwrap_err();
+        assert!(err.contains("objects= given more than once"), "{err}");
         // d must divide the object counts (RelConfig::validate).
         assert!(JobRequest::parse_line("objects=1001 d=4").is_err());
     }

@@ -11,7 +11,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mmjoin::{
     choose, join_with_retry_report, verify, Algo, JoinOutput, JoinSpec, PlanChoice, RetryPolicy,
@@ -65,9 +65,6 @@ pub struct ServeConfig {
     /// included. Transient failures within this budget are retried with
     /// bounded exponential backoff.
     pub retries: u32,
-    /// Per-job wall-clock deadline, checked between attempts; `None`
-    /// means unlimited.
-    pub deadline: Option<Duration>,
     /// Structured trace sink. Job lifecycle events (submission,
     /// admission, degradation, completion) are emitted here with
     /// service wall-clock timestamps; the sink is also installed on
@@ -100,7 +97,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("env", &self.env)
             .field("fault_spec", &self.fault_spec)
             .field("retries", &self.retries)
-            .field("deadline", &self.deadline)
             .field("trace_enabled", &self.trace.enabled())
             .field("machine_override", &self.machine.is_some())
             .field("journal_dir", &self.journal_dir)
@@ -123,7 +119,6 @@ impl ServeConfig {
             env: EnvKind::Sim,
             fault_spec: FaultSpec::none(),
             retries: 3,
-            deadline: None,
             trace: null_sink(),
             machine: None,
             journal_dir: None,
@@ -146,12 +141,6 @@ impl ServeConfig {
     /// Same config with a per-job retry budget.
     pub fn with_retries(mut self, attempts: u32) -> Self {
         self.retries = attempts.max(1);
-        self
-    }
-
-    /// Same config with a per-job deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -359,8 +348,6 @@ struct Attempt {
 /// and per-job environments are torn down afterwards either way.
 ///
 /// Failure handling, outermost first:
-/// * **deadline** — checked between plan-level attempts (a running join
-///   cannot be interrupted); exceeding it stops the job;
 /// * **`DiskFull`** — non-transient: re-plan with halved `m_rproc`/
 ///   `m_sproc` (graceful degradation), up to [`MAX_DEGRADE`] times;
 /// * **transient faults** — absorbed inside `join_with_retry` with
@@ -380,13 +367,6 @@ pub(crate) fn run_job(
         ..JobResult::new(job.id, &job.req, &job.plan)
     };
     let outcome: Result<(JoinOutput, bool), String> = loop {
-        if cfg.deadline.is_some_and(|d| started.elapsed() >= d) {
-            result.deadline_hit = true;
-            break Err(format!(
-                "deadline exceeded after {} attempt(s)",
-                result.attempts
-            ));
-        }
         // Re-plan under the (possibly degraded) budgets. Jobs that
         // pinned an algorithm keep it; `auto` jobs ask the planner what
         // is cheapest at this footprint.
@@ -583,6 +563,7 @@ mod tests {
     use super::*;
     use crate::recovery::{open_journal, JOURNAL_FILE};
     use mmjoin_recovery::JournalRecord;
+    use std::time::Duration;
 
     fn tiny_job(seed: u64, mem_pages: u64) -> JobRequest {
         JobRequest::new(800, 32, 2, mem_pages, seed)

@@ -35,8 +35,6 @@ pub struct ServiceStats {
     /// `DiskFull` degradations: times a job was re-planned with a
     /// halved memory footprint instead of failing.
     pub degraded: u64,
-    /// Jobs stopped at their wall-clock deadline.
-    pub deadline_exceeded: u64,
     /// Worker panics isolated by `catch_unwind`.
     pub panics: u64,
     /// Orphaned temporary files deleted by recovery.
@@ -108,9 +106,6 @@ impl ServiceStats {
         self.retries += result.retries;
         self.degraded += result.degraded as u64;
         self.cleaned_files += result.cleaned_files;
-        if result.deadline_hit {
-            self.deadline_exceeded += 1;
-        }
         if result.panicked {
             self.panics += 1;
         }
@@ -153,7 +148,6 @@ impl ServiceStats {
         self.faults_injected += other.faults_injected;
         self.retries += other.retries;
         self.degraded += other.degraded;
-        self.deadline_exceeded += other.deadline_exceeded;
         self.panics += other.panics;
         self.cleaned_files += other.cleaned_files;
         self.budget_leak_bytes += other.budget_leak_bytes;
@@ -188,7 +182,7 @@ impl ServiceStats {
                 "\"env_elapsed\":{:.6},\"io\":{:.6}}},",
                 "\"faults\":{{\"read_blocks\":{},\"write_blocks\":{},\"page_hits\":{}}},",
                 "\"recovery\":{{\"faults_injected\":{},\"retries\":{},\"degraded\":{},",
-                "\"deadline_exceeded\":{},\"panics\":{},\"cleaned_files\":{}}},",
+                "\"panics\":{},\"cleaned_files\":{}}},",
                 "\"journal\":{{\"appended_records\":{},\"commits\":{},",
                 "\"replayed_records\":{},\"torn_bytes\":{},\"orphans_deleted\":{},",
                 "\"resumed_jobs\":{}}},",
@@ -214,7 +208,6 @@ impl ServiceStats {
             self.faults_injected,
             self.retries,
             self.degraded,
-            self.deadline_exceeded,
             self.panics,
             self.cleaned_files,
             self.journal_appended_records,
@@ -275,7 +268,6 @@ mod tests {
             degraded: 0,
             released_bytes: 0,
             cleaned_files: if ok { 0 } else { 4 },
-            deadline_hit: false,
             panicked: false,
             resumed: false,
             error: if ok { None } else { Some("boom".into()) },
@@ -303,7 +295,6 @@ mod tests {
         assert_eq!(s.faults_injected, 2);
         assert_eq!(s.retries, 2);
         assert_eq!(s.cleaned_files, 4);
-        assert_eq!(s.deadline_exceeded, 0);
         assert_eq!(s.panics, 0);
         // Both jobs land in the latency histograms either way.
         assert_eq!(s.latency_hist.count(), 2);

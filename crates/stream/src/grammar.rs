@@ -17,6 +17,7 @@
 //! through [`StreamHeader::to_line`] / [`StreamOp::to_line`], which is
 //! what the journal stores and replays on `--resume`.
 
+use mmjoin_env::Options;
 use mmjoin_relstore::{RelConfig, MIN_R_SIZE};
 
 /// Page size used to convert `mem-pages=` into byte budgets (matches
@@ -68,38 +69,23 @@ impl StreamHeader {
 
     /// Parse a header line. Returns `Ok(None)` for blank/comment lines.
     pub fn parse_line(line: &str) -> Result<Option<StreamHeader>, String> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let Some(opts) = Options::line(line)? else {
             return Ok(None);
-        }
-        let mut h = StreamHeader {
-            name: String::new(),
-            s_objects: 0,
-            s_size: 64,
-            d: 2,
-            mem_pages: 64,
-            seed: 42,
-            modern: false,
         };
-        for tok in line.split_whitespace() {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("bad token {tok:?} (expected key=value)"))?;
-            match k {
-                "resident" => h.name = v.to_string(),
-                "objects" => h.s_objects = num(k, v)?,
-                "obj-size" => h.s_size = num(k, v)? as u32,
-                "d" => h.d = num(k, v)? as u32,
-                "mem-pages" => h.mem_pages = num(k, v)?,
-                "seed" => h.seed = num(k, v)?,
-                "mode" => match v {
-                    "modern" => h.modern = true,
-                    "faithful" => h.modern = false,
-                    _ => return Err(format!("unknown mode {v:?}")),
-                },
-                _ => return Err(format!("unknown header key {k:?}")),
-            }
-        }
+        let h = StreamHeader {
+            name: opts.get("resident")?.unwrap_or_default().to_string(),
+            s_objects: opts.parse_or("objects", 0)?,
+            s_size: opts.parse_or("obj-size", 64)?,
+            d: opts.parse_or("d", 2)?,
+            mem_pages: opts.parse_or("mem-pages", 64)?,
+            seed: opts.parse_or("seed", 42)?,
+            modern: match opts.get("mode")? {
+                None | Some("faithful") => false,
+                Some("modern") => true,
+                Some(v) => return Err(format!("unknown mode {v:?}")),
+            },
+        };
+        opts.finish("a stream header")?;
         if h.name.is_empty() {
             return Err("header needs resident=NAME".into());
         }
@@ -142,27 +128,28 @@ pub enum StreamOp {
 
 impl StreamOp {
     /// Parse an op line. Returns `Ok(None)` for blank/comment lines.
+    /// The op is named by its `batch=`, `batch-rows=`, `append=` or
+    /// `delete=` key; a key that op does not read is an error.
     pub fn parse_line(line: &str) -> Result<Option<StreamOp>, String> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let Some(opts) = Options::line(line)? else {
             return Ok(None);
-        }
-        let mut kv = Vec::new();
-        for tok in line.split_whitespace() {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("bad token {tok:?} (expected key=value)"))?;
-            kv.push((k, v));
-        }
-        let get = |key: &str| kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let op = match kv.first().map(|(k, _)| *k) {
-            Some("batch") => StreamOp::Batch {
-                name: get("batch").unwrap().to_string(),
-                objects: num("objects", get("objects").ok_or("batch needs objects=")?)?,
-                seed: num("seed", get("seed").unwrap_or("0"))?,
+        };
+        let Some(kind) = ["batch", "batch-rows", "append", "delete"]
+            .into_iter()
+            .find(|k| opts.lookup(k).is_some())
+        else {
+            // No op key, so every key is unread: this names the first.
+            return opts.finish("an op line").map(|()| None);
+        };
+        let seed = || opts.parse_or("seed", 0);
+        let op = match kind {
+            "batch" => StreamOp::Batch {
+                name: opts.get("batch")?.unwrap_or_default().to_string(),
+                objects: opts.parse("objects")?.ok_or("batch needs objects=")?,
+                seed: seed()?,
             },
-            Some("batch-rows") => {
-                let raw = get("rows").ok_or("batch-rows needs rows=")?;
+            "batch-rows" => {
+                let raw = opts.get("rows")?.ok_or("batch-rows needs rows=")?;
                 let mut rows = Vec::new();
                 for pair in raw.split(',').filter(|p| !p.is_empty()) {
                     let (k, s) = pair
@@ -171,30 +158,20 @@ impl StreamOp {
                     rows.push((num("key", k)?, num("slot", s)?));
                 }
                 StreamOp::BatchRows {
-                    name: get("batch-rows").unwrap().to_string(),
+                    name: opts.get("batch-rows")?.unwrap_or_default().to_string(),
                     rows,
                 }
             }
-            Some("append") => StreamOp::Append {
-                count: num("append", get("append").unwrap())?,
-                seed: num("seed", get("seed").unwrap_or("0"))?,
+            "append" => StreamOp::Append {
+                count: opts.parse("append")?.unwrap_or_default(),
+                seed: seed()?,
             },
-            Some("delete") => StreamOp::Delete {
-                count: num("delete", get("delete").unwrap())?,
-                seed: num("seed", get("seed").unwrap_or("0"))?,
+            _ => StreamOp::Delete {
+                count: opts.parse("delete")?.unwrap_or_default(),
+                seed: seed()?,
             },
-            Some(k) => return Err(format!("unknown op {k:?}")),
-            None => return Ok(None),
         };
-        let keys: &[&str] = match op {
-            StreamOp::Batch { .. } => &["batch", "objects", "seed"],
-            StreamOp::BatchRows { .. } => &["batch-rows", "rows"],
-            StreamOp::Append { .. } => &["append", "seed"],
-            StreamOp::Delete { .. } => &["delete", "seed"],
-        };
-        if let Some((k, _)) = kv.iter().find(|(k, _)| !keys.contains(k)) {
-            return Err(format!("{} does not take {k}=", keys[0]));
-        }
+        opts.finish(kind)?;
         Ok(Some(op))
     }
 
@@ -264,6 +241,8 @@ mod tests {
         );
         assert!(StreamHeader::parse_line("resident=x objects=100 d=2 mode=warp").is_err());
         assert!(StreamHeader::parse_line("resident=x frobnicate=1").is_err());
+        let err = StreamHeader::parse_line("resident=x objects=100 d=2 objects=200").unwrap_err();
+        assert!(err.contains("objects= given more than once"), "{err}");
         assert!(StreamHeader::parse_line("# comment").unwrap().is_none());
         assert!(StreamHeader::parse_line("   ").unwrap().is_none());
     }
@@ -300,6 +279,8 @@ mod tests {
         let err = StreamOp::parse_line("append=3 seed=1 objects=9").unwrap_err();
         assert!(err.contains("append does not take objects="), "{err}");
         assert!(StreamOp::parse_line("batch=b0 objects=5 rows=1:2").is_err());
+        let err = StreamOp::parse_line("delete=4 seed=1 seed=2").unwrap_err();
+        assert!(err.contains("seed= given more than once"), "{err}");
         assert!(StreamOp::parse_line("").unwrap().is_none());
         assert!(StreamOp::parse_line("# nothing").unwrap().is_none());
     }

@@ -228,6 +228,52 @@ batch=b2 objects=128 seed=5
     }
 
     #[test]
+    fn wait_results_returns_the_suffix_blocks_for_a_completion_and_times_out() {
+        use std::time::{Duration, Instant};
+        let far = || Instant::now() + Duration::from_secs(30);
+        let sess = Arc::new(
+            StreamSession::open(sim(2), header(2, 128), StreamConfig::ephemeral(machine()))
+                .unwrap(),
+        );
+        let batch = |seed| StreamOp::Batch {
+            name: format!("b{seed}"),
+            objects: 16,
+            seed,
+        };
+
+        // Nothing submitted: empty at the deadline, and not before it.
+        let t = Instant::now();
+        assert!(sess
+            .wait_results(0, t + Duration::from_millis(30))
+            .is_empty());
+        assert!(t.elapsed() >= Duration::from_millis(30));
+
+        // Blocks until an op completes, far short of the deadline: the
+        // op is submitted no sooner than 50 ms after `t`.
+        let t = Instant::now();
+        let late = {
+            let sess = Arc::clone(&sess);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                sess.submit(batch(1)).unwrap()
+            })
+        };
+        let got = sess.wait_results(0, far());
+        let first = late.join().unwrap();
+        assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), [first]);
+        assert!(t.elapsed() >= Duration::from_millis(50), "returned early");
+        assert!(t.elapsed() < Duration::from_secs(10));
+
+        // Suffix semantics: `from` skips what the caller already holds.
+        let second = sess.submit(batch(2)).unwrap();
+        let got = sess.wait_results(1, far());
+        assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), [second]);
+        assert_eq!(sess.wait_results(0, far()).len(), 2);
+        // Past the end waits out the deadline.
+        assert!(sess.wait_results(2, Instant::now()).is_empty());
+    }
+
+    #[test]
     fn explicit_rows_probe_exact_targets() {
         let env = sim(2);
         let sess = StreamSession::open(

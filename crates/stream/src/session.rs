@@ -491,6 +491,30 @@ impl<E: Env + 'static> StreamSession<E> {
         r
     }
 
+    /// Block until more than `from` results exist, then return
+    /// `results[from..]` in completion order; an empty vector means
+    /// `deadline` passed first. A consumer that remembers how many
+    /// results it has seen gets each one once, woken by the completion
+    /// itself.
+    pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<BatchResult> {
+        let mut st = self.shared.lock();
+        loop {
+            if let Some(fresh) = st.results.get(from..).filter(|s| !s.is_empty()) {
+                return fresh.to_vec();
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Vec::new();
+            }
+            st = self
+                .shared
+                .idle
+                .wait_timeout(st, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
     /// Counter snapshot (journal counters folded in live).
     pub fn stats(&self) -> StreamStats {
         let mut s = self.shared.lock().stats.clone();

@@ -33,7 +33,7 @@ use mmjoin_env::{
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::disk::{Disk, DiskParams, DiskStats};
+use crate::disk::{Disk, DiskParams};
 use crate::pager::{Access, PageKey, Pager, Policy};
 use crate::trace::{TraceEvent, TraceKind};
 
@@ -287,19 +287,6 @@ impl SimEnv {
         &self.inner.cfg
     }
 
-    /// Flush every disk's pending write queue, charging the given
-    /// process. Join drivers call this at the end of a run so deferred
-    /// write-back is not silently dropped from the measurement.
-    pub fn drain_disks(&self, proc: ProcId) {
-        let mut total = 0.0;
-        for disk in &self.inner.disks {
-            total += disk.lock().disk.flush();
-        }
-        let mut ps = self.inner.procs[proc.0 as usize].lock();
-        ps.stats.io_time += total;
-        ps.stats.clock += total;
-    }
-
     /// Drain the recorded access trace (empty unless
     /// `SimConfig::trace` was set).
     pub fn take_trace(&self) -> Vec<TraceEvent> {
@@ -312,15 +299,6 @@ impl SimEnv {
     /// process's virtual clock.
     pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) {
         *self.inner.sink.write() = sink;
-    }
-
-    /// Per-disk counters.
-    pub fn disk_stats(&self) -> Vec<DiskStats> {
-        self.inner
-            .disks
-            .iter()
-            .map(|d| d.lock().disk.stats().clone())
-            .collect()
     }
 
     /// Direct read of file contents without paging charges (test and

@@ -51,7 +51,6 @@ fn synth_result(id: u64, queue_wait: f64, exec_wall: f64, ok: bool, degraded: u3
         degraded,
         released_bytes: 0,
         cleaned_files: 0,
-        deadline_hit: false,
         panicked: false,
         resumed: false,
         error: if ok { None } else { Some("synthetic".into()) },
