@@ -20,6 +20,7 @@
 //! ```
 
 use mmjoin_bench::load::{machine_override, random_job};
+use mmjoin_env::trace::escape;
 use mmjoin_env::{FaultSpec, Options};
 use mmjoin_serve::{AdmissionPolicy, ServeConfig, Service, PAGE};
 use rand::rngs::StdRng;
@@ -103,10 +104,7 @@ fn run() -> Result<(), String> {
     if json {
         mmjoin_bench::write_json(
             "chaos",
-            &format!(
-                "{{\"jobs\":{jobs},\"accepted\":{accepted},\"fault_spec\":\"{fault_spec}\",\"service\":{}}}",
-                stats.to_json()
-            ),
+            &document(jobs, accepted, &fault_spec, &stats.to_json()),
         );
     }
 
@@ -148,4 +146,32 @@ fn run() -> Result<(), String> {
     }
     println!("chaos: all invariants held");
     Ok(())
+}
+
+/// The one-line `results/chaos.json` document; `service` is the service
+/// stats object, already JSON.
+fn document(jobs: u64, accepted: u64, fault_spec: &FaultSpec, service: &str) -> String {
+    format!(
+        "{{\"jobs\":{jobs},\"accepted\":{accepted},\"fault_spec\":\"{}\",\"service\":{service}}}",
+        escape(&fault_spec.to_string())
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmjoin_calibrate::json::Json;
+
+    #[test]
+    fn document_escapes_a_fault_spec_that_quotes_a_file_name() {
+        let spec = FaultSpec::parse(r#"seed=7;read:p=1:count=2:file=R"\_0"#).unwrap();
+        let doc = document(16, 15, &spec, "{\"completed\":15}");
+        let json = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        assert_eq!(
+            json.req("fault_spec").unwrap().as_str().unwrap(),
+            spec.to_string()
+        );
+        assert!(spec.to_string().contains(r#"R"\_0"#));
+        assert_eq!(json.req("accepted").unwrap().as_u64().unwrap(), 15);
+    }
 }

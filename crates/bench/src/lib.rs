@@ -7,30 +7,26 @@
 //! model-vs-experiment sweep runner, and plain-text table/plot
 //! rendering.
 
-use std::sync::OnceLock;
-
 use mmjoin::{inputs_for, join, verify, Algo, ExecMode, JoinSpec};
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::trace::escape;
 use mmjoin_model::predict;
 use mmjoin_relstore::{build, PointerDist, RelConfig, Relations, WorkloadSpec};
-use mmjoin_vmsim::{calibrated_params, ContentionMode, DiskParams, Policy, SimConfig, SimEnv};
+use mmjoin_serve::service_machine;
+use mmjoin_vmsim::{ContentionMode, Policy, SimConfig, SimEnv};
 
 /// Page size used throughout the experiments (the paper's 4 KB).
 pub const PAGE: u64 = 4096;
 
 pub mod load;
 
-/// The machine every experiment runs on: Waterloo-96-like CPU constants
-/// with `dttr`/`dttw` curves **measured from the simulated disk** using
-/// the paper's banding procedure — the same coupling the paper had
-/// between its model and its Fujitsu drives.
+/// The machine every experiment runs on: the shared default
+/// [`service_machine`], Waterloo-96-like CPU constants with `dttr`/`dttw`
+/// curves **measured from the simulated disk** using the paper's banding
+/// procedure — the same coupling the paper had between its model and its
+/// Fujitsu drives.
 pub fn calibrated_machine() -> &'static MachineParams {
-    static MACHINE: OnceLock<MachineParams> = OnceLock::new();
-    MACHINE.get_or_init(|| {
-        calibrated_params(&DiskParams::waterloo96())
-            .expect("calibration of the default disk cannot fail")
-    })
+    service_machine().expect("calibration of the default disk cannot fail")
 }
 
 /// The §8 validation workload: |R| = |S| = 102 400 × 128-byte objects

@@ -10,8 +10,7 @@
 //! dead-node re-queue, and an optional crash-recovery journal;
 //! `calibrate` measures the paper's §3
 //! machine parameters on this host and persists them as a versioned
-//! JSON machine profile (or, with `--sim`, prints the simulated drive's
-//! `dttr`/`dttw` curves); `validate-model` runs the paper's three
+//! JSON machine profile; `validate-model` runs the paper's three
 //! algorithms on the real memory-mapped store and prints per-pass
 //! measured-vs-predicted times, then re-runs every algorithm under the
 //! modern kernels to record their unmodelled constant-factor win.
@@ -39,10 +38,8 @@ use mmjoin_env::machine::MachineParams;
 use mmjoin_env::trace::escape;
 use mmjoin_env::{FaultSpec, FaultyEnv, JsonlSink, Options, TraceSink};
 use mmjoin_relstore::{build, sample_relation, sample_spec_pointers, WorkloadSpec};
-use mmjoin_serve::{JobRequest, PAGE};
-use mmjoin_vmsim::{
-    calibrated_params, measure_dtt, CalibrationSpec, DiskParams, SimConfig, SimEnv,
-};
+use mmjoin_serve::{service_machine, JobRequest, PAGE};
+use mmjoin_vmsim::{SimConfig, SimEnv};
 
 fn parse_alg(s: &str) -> Result<Algo, String> {
     Algo::from_name(s).ok_or_else(|| {
@@ -60,19 +57,12 @@ fn job_from(opts: &Options) -> Result<JobRequest, String> {
     Ok(req)
 }
 
-/// The default machine when no profile is supplied: the waterloo96
-/// preset with its `dtt` curves re-measured from the simulated drive —
-/// the single place the preset is named, so every command degrades to
-/// the same machine.
-fn default_machine() -> Result<MachineParams, String> {
-    calibrated_params(&DiskParams::waterloo96()).map_err(|e| e.to_string())
-}
-
 /// The machine a command should plan/simulate against: the profile
-/// named by `--machine-profile`, else [`default_machine`].
+/// named by `--machine-profile`, else the shared default
+/// [`service_machine`].
 fn machine_from(profile: Option<&str>) -> Result<MachineParams, String> {
     match profile {
-        None => default_machine(),
+        None => service_machine().cloned(),
         Some(path) => {
             let profile = MachineProfile::load(std::path::Path::new(path))
                 .map_err(|e| format!("--machine-profile: {e}"))?;
@@ -1106,27 +1096,6 @@ fn cmd_coordinator(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_calibrate(opts: &Options) -> Result<(), String> {
-    if opts.flag("sim")? {
-        opts.finish("calibrate --sim")?;
-        // The original behaviour: the paper's Fig. 1a procedure against
-        // the *simulated* waterloo96 drive.
-        let disk = DiskParams::waterloo96();
-        println!("measuring dtt curves from the simulated drive (Fig. 1a procedure)");
-        println!(
-            "{:>12} {:>14} {:>14}",
-            "band (blks)", "dttr (ms/blk)", "dttw (ms/blk)"
-        );
-        for s in measure_dtt(&disk, &CalibrationSpec::default()) {
-            println!(
-                "{:>12} {:>14.2} {:>14.2}",
-                s.band,
-                s.read * 1e3,
-                s.write * 1e3
-            );
-        }
-        return Ok(());
-    }
-
     let quick = opts.flag("quick")?;
     let device = opts.get("device")?.map(PathBuf::from);
     let out = opts.get("out")?;
@@ -1480,7 +1449,7 @@ fn usage() {
     println!("                   [--max-requeues N] [--journal DIR] [--resume]");
     println!("                   [--results-json FILE] [--stats-json FILE] [--json]");
     println!("                   [--trace FILE.jsonl]");
-    println!("  mmjoin calibrate [--out FILE] [--device PATH] [--quick] [--sim]");
+    println!("  mmjoin calibrate [--out FILE] [--device PATH] [--quick]");
     println!("                   [--trace FILE.jsonl]");
     println!("  mmjoin validate-model [--machine-profile FILE] [--objects N] [--d D]");
     println!("                   [--obj-size B] [--mem-pages P] [--seed S]");
@@ -1493,8 +1462,7 @@ fn usage() {
     println!("  costs, memcpy rates, context switches, CPU micro-ops) and writes");
     println!("  a versioned JSON machine profile with --out; --quick shrinks the");
     println!("  sweeps to CI scale, --device aims the disk sweep at a file or");
-    println!("  block device (contents overwritten!), --sim instead prints the");
-    println!("  simulated drive's dtt curves (the old behaviour)");
+    println!("  block device (contents overwritten!)");
     println!();
     println!("--machine-profile FILE makes join/plan/serve/validate-model use a");
     println!("  calibrated profile instead of the built-in waterloo96 preset");
@@ -1675,7 +1643,7 @@ mod tests {
             (&["join", "--objets", "10"], "objets"),
             (&["plan", "--mem-pages", "8", "--modern"], "modern"),
             (&["calibrate", "--quick", "--objects", "10"], "objects"),
-            (&["calibrate", "--sim", "--out", "p.json"], "out"),
+            (&["calibrate", "--sim"], "sim"),
             (&["validate-model", "--env", "mmap"], "env"),
         ] {
             let err = run(&argv(v)).unwrap_err();
@@ -1740,7 +1708,7 @@ mod tests {
     #[test]
     fn machine_from_without_profile_is_the_shared_default() {
         let m = machine_from(None).unwrap();
-        assert_eq!(m, default_machine().unwrap());
+        assert_eq!(m, *service_machine().unwrap());
     }
 
     #[test]

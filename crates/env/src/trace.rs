@@ -11,6 +11,10 @@
 //! `tests/trace_schedule.rs`); the [`JsonlSink`] backs the `--trace`
 //! CLI flag.
 //!
+//! Each variant is declared once, in the `trace_events!` list below,
+//! which also fixes its `ev` tag and its JSONL fields; that list is the
+//! trace schema.
+//!
 //! Events carry no timestamps themselves; the emitting environment
 //! stamps each one with the emitting process's clock (virtual seconds in
 //! the simulator, wall seconds in the real store) into a
@@ -18,7 +22,7 @@
 //! therefore exact: strip the `t` fields and the remaining payloads must
 //! be identical (asserted in `tests/cross_env_equivalence.rs`).
 
-use std::fmt;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -44,357 +48,379 @@ impl MapOp {
     }
 }
 
-/// One structured event. Variants cover the join passes (the schedule),
-/// mapping setup/teardown (Fig. 1b operations), fault injections, retry
-/// attempts, and service job lifecycle transitions.
-///
-/// Field conventions: `proc` is the emitting [`ProcId`](crate::ProcId)
-/// index; `pass` is 0 (scan/scatter), 1 (staggered phases), or 2 (the
-/// algorithm-specific local join pass); `phase` is the paper's `t`
-/// (0 for passes without phases); `disk` is the disk the pass touches;
-/// `area` names the storage area in the paper's notation (`R_i`,
-/// `R(i,j)` for the sub-partition `R_{i,j}` held in `RP_i`, `RS_i`).
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A join pass (or one phase of pass 1) begins on `proc`.
-    PassStart {
-        /// Emitting process.
-        proc: u32,
-        /// Pass id: 0 scan, 1 staggered phases, 2 local join.
-        pass: u32,
-        /// Phase `t` within pass 1 (0 elsewhere).
-        phase: u32,
-        /// Disk this pass touches.
-        disk: u32,
-        /// Storage area in paper notation (`R_i`, `R(i,j)`, `RS_i`).
-        area: String,
-    },
-    /// The matching end of a [`TraceEvent::PassStart`].
-    PassEnd {
-        /// Emitting process.
-        proc: u32,
-        /// Pass id: 0 scan, 1 staggered phases, 2 local join.
-        pass: u32,
-        /// Phase `t` within pass 1 (0 elsewhere).
-        phase: u32,
-        /// Disk this pass touched.
-        disk: u32,
-        /// Storage area in paper notation.
-        area: String,
-        /// Bytes of R-objects processed by the pass.
-        bytes: u64,
-        /// R-objects processed by the pass.
-        objects: u64,
-    },
-    /// A mapping was established (`newMap`/`openMap`).
-    MapSetup {
-        /// Process performing the operation.
-        proc: u32,
-        /// Whether the file was created or re-opened.
-        op: MapOp,
-        /// File name.
-        name: String,
-        /// Disk holding the file.
-        disk: u32,
-        /// Logical file size in bytes.
-        bytes: u64,
-    },
-    /// A mapping was destroyed (`deleteMap`).
-    MapTeardown {
-        /// Process performing the operation.
-        proc: u32,
-        /// File name.
-        name: String,
-        /// Disk that held the file.
-        disk: u32,
-    },
-    /// The fault injector fired a rule.
-    FaultInjected {
-        /// Process whose operation was faulted.
-        proc: u32,
-        /// Operation label (`read`, `write`, `create`, ...).
-        op: String,
-        /// What was injected: the op label for transient errors,
-        /// `diskfull`, or `delay`.
-        kind: String,
-        /// File (or `S_fetch` partition) the operation targeted.
-        name: String,
-        /// Disk, when the operation names one.
-        disk: Option<u32>,
-    },
-    /// `join_with_retry` starts attempt `attempt` (1-based).
-    RetryAttempt {
-        /// Attempt number, starting at 1.
-        attempt: u32,
-    },
-    /// A transient failure was caught; sleeping before the next attempt.
-    RetryBackoff {
-        /// The attempt that just failed.
-        attempt: u32,
-        /// Backoff sleep in milliseconds.
-        millis: u64,
-    },
-    /// The planner sampled a job's join pointers at submit time
-    /// (`plan=auto`).
-    PlanSampled {
-        /// Service job id.
-        job: u64,
-        /// Pointers sampled.
-        sampled: u64,
-        /// Histogram-derived skew factor.
-        skew: f64,
-        /// Pointer duplication factor (`sampled / distinct`).
-        duplication: f64,
-    },
-    /// The planner chose a job's plan from statistics (`plan=auto`).
-    PlanChosen {
-        /// Service job id.
-        job: u64,
-        /// Chosen algorithm name.
-        algorithm: String,
-        /// Chosen `M_Rproc_i` in bytes.
-        m_rproc: u64,
-        /// Plan-level partition count for the local join pass.
-        partitions: u32,
-        /// Skew factor the plan was priced with.
-        skew: f64,
-        /// Where the skew came from (`assumed` | `estimated` |
-        /// `sampled`).
-        source: String,
-    },
-    /// A job entered the service queue.
-    JobSubmitted {
-        /// Service job id.
-        job: u64,
-        /// Reserved footprint `m_rproc × D` in bytes.
-        footprint: u64,
-        /// Shard the placement policy assigned the job to (0 on the
-        /// single-queue service).
-        shard: u32,
-    },
-    /// The admission controller dispatched a queued job to a worker.
-    JobAdmitted {
-        /// Service job id.
-        job: u64,
-        /// Reserved footprint in bytes.
-        footprint: u64,
-        /// Budget bytes in use on the admitting shard after this
-        /// admission (the whole global budget on the single-queue
-        /// service).
-        used: u64,
-        /// Shard whose worker admitted the job (0 on the single-queue
-        /// service): always the [`TraceEvent::JobSubmitted`] shard.
-        shard: u32,
-    },
-    /// A job degraded to a smaller memory grant after `DiskFull`.
-    JobDegraded {
-        /// Service job id.
-        job: u64,
-        /// New (reduced) footprint in bytes.
-        footprint: u64,
-        /// Bytes returned to the global budget.
-        released: u64,
-    },
-    /// A job left the service (successfully or not).
-    JobCompleted {
-        /// Service job id.
-        job: u64,
-        /// Whether the job produced a verified result.
-        ok: bool,
-        /// How many times the job degraded.
-        degraded: u32,
-    },
-    /// A record was appended to the write-ahead journal.
-    JournalAppend {
-        /// Record kind tag (`job_submitted`, `job_completed`, ...).
-        kind: String,
-        /// Encoded record length in bytes (framing + payload + CRC).
-        bytes: u64,
-    },
-    /// A restarted service finished replaying its journal.
-    RecoveryReplayed {
-        /// CRC-valid records replayed.
-        records: u64,
-        /// Bytes of torn tail discarded after the last valid record.
-        torn: u64,
-        /// Orphaned areas deleted during garbage collection.
-        orphans_deleted: u64,
-        /// In-flight jobs re-submitted for execution.
-        resumed_jobs: u64,
-    },
-    /// A worker node registered with the cluster coordinator.
-    NodeJoined {
-        /// Node name (as registered in its hello).
-        node: String,
-        /// Budget bytes the node advertises for admission control.
-        budget: u64,
-        /// Worker threads the node runs.
-        workers: u32,
-    },
-    /// A worker node was declared dead (heartbeat timeout or connection
-    /// loss); its jobs are about to be re-queued.
-    NodeLost {
-        /// Node name.
-        node: String,
-        /// Jobs that were in flight on the node when it died.
-        in_flight: u64,
-    },
-    /// A job lost with its node was re-queued for dispatch to a
-    /// surviving node.
-    JobRequeued {
-        /// Cluster job id.
-        job: u64,
-        /// Node the job was dispatched to when it was lost.
-        from: String,
-        /// How many times this job has now been re-queued.
-        attempt: u32,
-    },
-    /// A modern-mode radix partitioning kernel ran (histogram + scatter
-    /// of one block scan's `(ptr, key)` pairs into per-owner buckets).
-    KernelRadix {
-        /// Emitting process.
-        proc: u32,
-        /// Storage area the scan covered (`R_i`).
-        area: String,
-        /// Radix buckets scattered into (the fan-out `D`, or the
-        /// second-level bucket count `K` in Grace/Hybrid local joins).
-        buckets: u32,
-        /// `(ptr, key)` pairs partitioned.
-        objects: u64,
-    },
-    /// A modern-mode multi-way merge-scan kernel ran (MPSM-style: one
-    /// owner sequentially merging the sorted private runs every worker
-    /// published for its partition).
-    KernelMerge {
-        /// Emitting (owning) process.
-        proc: u32,
-        /// Area the merged output joins against (`RS_i`).
-        area: String,
-        /// Sorted runs merged.
-        runs: u32,
-        /// Total `(ptr, key)` pairs across all runs.
-        objects: u64,
-    },
-    /// A modern-mode batched S-probe kernel ran (fixed-width key
-    /// fetch + compare over `s_fetch_batch`).
-    KernelProbe {
-        /// Emitting process.
-        proc: u32,
-        /// S partition probed.
-        spart: u32,
-        /// `s_fetch_batch` round trips issued.
-        batches: u64,
-        /// Pointers probed.
-        objects: u64,
-    },
-    /// A host-calibration probe began (mmjoin-calibrate).
-    ProbeStart {
-        /// Probe name (`dtt`, `map`, `mt`, `cs`, `cpu`).
-        probe: String,
-        /// Repetitions the probe will run (median-of-k).
-        reps: u32,
-    },
-    /// The matching end of a [`TraceEvent::ProbeStart`].
-    ProbeEnd {
-        /// Probe name.
-        probe: String,
-        /// Repetitions actually run.
-        reps: u32,
-        /// Wall seconds the whole probe took.
-        seconds: f64,
-    },
-    /// A least-squares fit of probe samples into a model coefficient
-    /// pair (mmjoin-calibrate: the Fig. 1b `base + slope·blocks` fits).
-    ProbeFit {
-        /// Fit name (`map_new`, `map_open`, `map_delete`).
-        fit: String,
-        /// Fitted fixed cost in seconds.
-        base: f64,
-        /// Fitted per-block slope in seconds/block.
-        slope: f64,
-        /// RMS residual of the fit in seconds.
-        residual: f64,
-    },
-    /// A resident S set finished loading (streaming tier warmup — the
-    /// only point the stream pays an O(|S|) cost).
-    ResidentBuilt {
-        /// Resident partitions loaded (one per disk).
-        parts: u32,
-        /// S objects loaded, all live.
-        objects: u64,
-    },
-    /// An `append=`/`delete=` mutation patched the resident set in
-    /// place (no rebuild).
-    ResidentPatched {
-        /// `"append"` or `"delete"`.
-        op: String,
-        /// Objects appended or tombstoned by this mutation.
-        objects: u64,
-        /// Live objects after the patch.
-        live: u64,
-    },
-    /// An R micro-batch entered the stream queue.
-    BatchSubmitted {
-        /// Stream sequence number.
-        batch: u64,
-        /// R rows in the batch.
-        rows: u64,
-    },
-    /// An R micro-batch finished probing the resident set.
-    BatchCompleted {
-        /// Stream sequence number.
-        batch: u64,
-        /// Join pairs produced.
-        pairs: u64,
-        /// Rows whose target was not live at probe time.
-        misses: u64,
-        /// Whether the batch completed without error.
-        ok: bool,
-    },
-    /// The stream queue exceeded its bound; the submitter blocked until
-    /// the worker drained below it.
-    StreamBackpressure {
-        /// Ops queued when the submitter blocked.
-        queued: u64,
-        /// The configured queue bound.
-        bound: u64,
-    },
+/// Declares [`TraceEvent`] once. Each variant lists its docs, its name,
+/// its `ev` tag and its fields in JSONL order; from that one list come
+/// the enum, [`TraceEvent::tag`] and the field writer [`encode`] calls.
+/// A field typed `f64 [N decimals]` prints with `N` fixed decimals; every
+/// other field prints through its `Field` impl.
+macro_rules! trace_events {
+    (@field $out:ident, $field:ident) => {
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        Field::put($field, $out);
+    };
+    (@field $out:ident, $field:ident, $decimals:literal) => {
+        let _ = write!($out, ",\"{}\":{:.*}", stringify!($field), $decimals, $field);
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $enum:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal {
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty $([$decimals:literal decimals])?
+                    ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum $enum {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $( $(#[$fmeta])* $field: $ty, )*
+                },
+            )*
+        }
+
+        impl $enum {
+            /// Stable snake_case tag used as the `"ev"` field in JSONL.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( $enum::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Append `,"field":value` for each field, in declaration order.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $( $enum::$variant { $($field),* } => {
+                        $( trace_events!(@field out, $field $(, $decimals)?); )*
+                    } )*
+                }
+            }
+        }
+    };
 }
 
-impl TraceEvent {
-    /// Stable snake_case tag used as the `"ev"` field in JSONL.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::PassStart { .. } => "pass_start",
-            TraceEvent::PassEnd { .. } => "pass_end",
-            TraceEvent::MapSetup { .. } => "map_setup",
-            TraceEvent::MapTeardown { .. } => "map_teardown",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::RetryAttempt { .. } => "retry_attempt",
-            TraceEvent::RetryBackoff { .. } => "retry_backoff",
-            TraceEvent::PlanSampled { .. } => "plan_sampled",
-            TraceEvent::PlanChosen { .. } => "plan_chosen",
-            TraceEvent::JobSubmitted { .. } => "job_submitted",
-            TraceEvent::JobAdmitted { .. } => "job_admitted",
-            TraceEvent::JobDegraded { .. } => "job_degraded",
-            TraceEvent::JobCompleted { .. } => "job_completed",
-            TraceEvent::JournalAppend { .. } => "journal_append",
-            TraceEvent::RecoveryReplayed { .. } => "recovery_replayed",
-            TraceEvent::NodeJoined { .. } => "node_joined",
-            TraceEvent::NodeLost { .. } => "node_lost",
-            TraceEvent::JobRequeued { .. } => "job_requeued",
-            TraceEvent::KernelRadix { .. } => "kernel_radix",
-            TraceEvent::KernelMerge { .. } => "kernel_merge",
-            TraceEvent::KernelProbe { .. } => "kernel_probe",
-            TraceEvent::ProbeStart { .. } => "probe_start",
-            TraceEvent::ProbeEnd { .. } => "probe_end",
-            TraceEvent::ProbeFit { .. } => "probe_fit",
-            TraceEvent::ResidentBuilt { .. } => "resident_built",
-            TraceEvent::ResidentPatched { .. } => "resident_patched",
-            TraceEvent::BatchSubmitted { .. } => "batch_submitted",
-            TraceEvent::BatchCompleted { .. } => "batch_completed",
-            TraceEvent::StreamBackpressure { .. } => "stream_backpressure",
-        }
+trace_events! {
+    /// One structured event. Variants cover the join passes (the schedule),
+    /// mapping setup/teardown (Fig. 1b operations), fault injections, retry
+    /// attempts, and service job lifecycle transitions.
+    ///
+    /// Field conventions: `proc` is the emitting [`ProcId`](crate::ProcId)
+    /// index; `pass` is 0 (scan/scatter), 1 (staggered phases), or 2 (the
+    /// algorithm-specific local join pass); `phase` is the paper's `t`
+    /// (0 for passes without phases); `disk` is the disk the pass touches;
+    /// `area` names the storage area in the paper's notation (`R_i`,
+    /// `R(i,j)` for the sub-partition `R_{i,j}` held in `RP_i`, `RS_i`).
+    pub enum TraceEvent {
+        /// A join pass (or one phase of pass 1) begins on `proc`.
+        PassStart = "pass_start" {
+            /// Emitting process.
+            proc: u32,
+            /// Pass id: 0 scan, 1 staggered phases, 2 local join.
+            pass: u32,
+            /// Phase `t` within pass 1 (0 elsewhere).
+            phase: u32,
+            /// Disk this pass touches.
+            disk: u32,
+            /// Storage area in paper notation (`R_i`, `R(i,j)`, `RS_i`).
+            area: String,
+        },
+        /// The matching end of a [`TraceEvent::PassStart`].
+        PassEnd = "pass_end" {
+            /// Emitting process.
+            proc: u32,
+            /// Pass id: 0 scan, 1 staggered phases, 2 local join.
+            pass: u32,
+            /// Phase `t` within pass 1 (0 elsewhere).
+            phase: u32,
+            /// Disk this pass touched.
+            disk: u32,
+            /// Storage area in paper notation.
+            area: String,
+            /// Bytes of R-objects processed by the pass.
+            bytes: u64,
+            /// R-objects processed by the pass.
+            objects: u64,
+        },
+        /// A mapping was established (`newMap`/`openMap`).
+        MapSetup = "map_setup" {
+            /// Process performing the operation.
+            proc: u32,
+            /// Whether the file was created or re-opened.
+            op: MapOp,
+            /// File name.
+            name: String,
+            /// Disk holding the file.
+            disk: u32,
+            /// Logical file size in bytes.
+            bytes: u64,
+        },
+        /// A mapping was destroyed (`deleteMap`).
+        MapTeardown = "map_teardown" {
+            /// Process performing the operation.
+            proc: u32,
+            /// File name.
+            name: String,
+            /// Disk that held the file.
+            disk: u32,
+        },
+        /// The fault injector fired a rule.
+        FaultInjected = "fault_injected" {
+            /// Process whose operation was faulted.
+            proc: u32,
+            /// Operation label (`read`, `write`, `create`, ...).
+            op: String,
+            /// What was injected: the op label for transient errors,
+            /// `diskfull`, or `delay`.
+            kind: String,
+            /// File (or `S_fetch` partition) the operation targeted.
+            name: String,
+            /// Disk, when the operation names one.
+            disk: Option<u32>,
+        },
+        /// `join_with_retry` starts attempt `attempt` (1-based).
+        RetryAttempt = "retry_attempt" {
+            /// Attempt number, starting at 1.
+            attempt: u32,
+        },
+        /// A transient failure was caught; sleeping before the next attempt.
+        RetryBackoff = "retry_backoff" {
+            /// The attempt that just failed.
+            attempt: u32,
+            /// Backoff sleep in milliseconds.
+            millis: u64,
+        },
+        /// The planner sampled a job's join pointers at submit time
+        /// (`plan=auto`).
+        PlanSampled = "plan_sampled" {
+            /// Service job id.
+            job: u64,
+            /// Pointers sampled.
+            sampled: u64,
+            /// Histogram-derived skew factor.
+            skew: f64,
+            /// Pointer duplication factor (`sampled / distinct`).
+            duplication: f64,
+        },
+        /// The planner chose a job's plan from statistics (`plan=auto`).
+        PlanChosen = "plan_chosen" {
+            /// Service job id.
+            job: u64,
+            /// Chosen algorithm name.
+            algorithm: String,
+            /// Chosen `M_Rproc_i` in bytes.
+            m_rproc: u64,
+            /// Plan-level partition count for the local join pass.
+            partitions: u32,
+            /// Skew factor the plan was priced with.
+            skew: f64,
+            /// Where the skew came from (`assumed` | `estimated` |
+            /// `sampled`).
+            source: String,
+        },
+        /// A job entered the service queue.
+        JobSubmitted = "job_submitted" {
+            /// Service job id.
+            job: u64,
+            /// Reserved footprint `m_rproc × D` in bytes.
+            footprint: u64,
+            /// Shard the placement policy assigned the job to (0 on the
+            /// single-queue service).
+            shard: u32,
+        },
+        /// The admission controller dispatched a queued job to a worker.
+        JobAdmitted = "job_admitted" {
+            /// Service job id.
+            job: u64,
+            /// Reserved footprint in bytes.
+            footprint: u64,
+            /// Budget bytes in use on the admitting shard after this
+            /// admission (the whole global budget on the single-queue
+            /// service).
+            used: u64,
+            /// Shard whose worker admitted the job (0 on the single-queue
+            /// service): always the [`TraceEvent::JobSubmitted`] shard.
+            shard: u32,
+        },
+        /// A job degraded to a smaller memory grant after `DiskFull`.
+        JobDegraded = "job_degraded" {
+            /// Service job id.
+            job: u64,
+            /// New (reduced) footprint in bytes.
+            footprint: u64,
+            /// Bytes returned to the global budget.
+            released: u64,
+        },
+        /// A job left the service (successfully or not).
+        JobCompleted = "job_completed" {
+            /// Service job id.
+            job: u64,
+            /// Whether the job produced a verified result.
+            ok: bool,
+            /// How many times the job degraded.
+            degraded: u32,
+        },
+        /// A record was appended to the write-ahead journal.
+        JournalAppend = "journal_append" {
+            /// Record kind tag (`job_submitted`, `job_completed`, ...).
+            kind: String,
+            /// Encoded record length in bytes (framing + payload + CRC).
+            bytes: u64,
+        },
+        /// A restarted service finished replaying its journal.
+        RecoveryReplayed = "recovery_replayed" {
+            /// CRC-valid records replayed.
+            records: u64,
+            /// Bytes of torn tail discarded after the last valid record.
+            torn: u64,
+            /// Orphaned areas deleted during garbage collection.
+            orphans_deleted: u64,
+            /// In-flight jobs re-submitted for execution.
+            resumed_jobs: u64,
+        },
+        /// A worker node registered with the cluster coordinator.
+        NodeJoined = "node_joined" {
+            /// Node name (as registered in its hello).
+            node: String,
+            /// Budget bytes the node advertises for admission control.
+            budget: u64,
+            /// Worker threads the node runs.
+            workers: u32,
+        },
+        /// A worker node was declared dead (heartbeat timeout or connection
+        /// loss); its jobs are about to be re-queued.
+        NodeLost = "node_lost" {
+            /// Node name.
+            node: String,
+            /// Jobs that were in flight on the node when it died.
+            in_flight: u64,
+        },
+        /// A job lost with its node was re-queued for dispatch to a
+        /// surviving node.
+        JobRequeued = "job_requeued" {
+            /// Cluster job id.
+            job: u64,
+            /// Node the job was dispatched to when it was lost.
+            from: String,
+            /// How many times this job has now been re-queued.
+            attempt: u32,
+        },
+        /// A modern-mode radix partitioning kernel ran (histogram + scatter
+        /// of one block scan's `(ptr, key)` pairs into per-owner buckets).
+        KernelRadix = "kernel_radix" {
+            /// Emitting process.
+            proc: u32,
+            /// Storage area the scan covered (`R_i`).
+            area: String,
+            /// Radix buckets scattered into (the fan-out `D`, or the
+            /// second-level bucket count `K` in Grace/Hybrid local joins).
+            buckets: u32,
+            /// `(ptr, key)` pairs partitioned.
+            objects: u64,
+        },
+        /// A modern-mode multi-way merge-scan kernel ran (MPSM-style: one
+        /// owner sequentially merging the sorted private runs every worker
+        /// published for its partition).
+        KernelMerge = "kernel_merge" {
+            /// Emitting (owning) process.
+            proc: u32,
+            /// Area the merged output joins against (`RS_i`).
+            area: String,
+            /// Sorted runs merged.
+            runs: u32,
+            /// Total `(ptr, key)` pairs across all runs.
+            objects: u64,
+        },
+        /// A modern-mode batched S-probe kernel ran (fixed-width key
+        /// fetch + compare over `s_fetch_batch`).
+        KernelProbe = "kernel_probe" {
+            /// Emitting process.
+            proc: u32,
+            /// S partition probed.
+            spart: u32,
+            /// `s_fetch_batch` round trips issued.
+            batches: u64,
+            /// Pointers probed.
+            objects: u64,
+        },
+        /// A host-calibration probe began (mmjoin-calibrate).
+        ProbeStart = "probe_start" {
+            /// Probe name (`dtt`, `map`, `mt`, `cs`, `cpu`).
+            probe: String,
+            /// Repetitions the probe will run (median-of-k).
+            reps: u32,
+        },
+        /// The matching end of a [`TraceEvent::ProbeStart`].
+        ProbeEnd = "probe_end" {
+            /// Probe name.
+            probe: String,
+            /// Repetitions actually run.
+            reps: u32,
+            /// Wall seconds the whole probe took.
+            seconds: f64 [9 decimals],
+        },
+        /// A least-squares fit of probe samples into a model coefficient
+        /// pair (mmjoin-calibrate: the Fig. 1b `base + slope·blocks` fits).
+        ProbeFit = "probe_fit" {
+            /// Fit name (`map_new`, `map_open`, `map_delete`).
+            fit: String,
+            /// Fitted fixed cost in seconds.
+            base: f64 [12 decimals],
+            /// Fitted per-block slope in seconds/block.
+            slope: f64 [12 decimals],
+            /// RMS residual of the fit in seconds.
+            residual: f64 [12 decimals],
+        },
+        /// A resident S set finished loading (streaming tier warmup — the
+        /// only point the stream pays an O(|S|) cost).
+        ResidentBuilt = "resident_built" {
+            /// Resident partitions loaded (one per disk).
+            parts: u32,
+            /// S objects loaded, all live.
+            objects: u64,
+        },
+        /// An `append=`/`delete=` mutation patched the resident set in
+        /// place (no rebuild).
+        ResidentPatched = "resident_patched" {
+            /// `"append"` or `"delete"`.
+            op: String,
+            /// Objects appended or tombstoned by this mutation.
+            objects: u64,
+            /// Live objects after the patch.
+            live: u64,
+        },
+        /// An R micro-batch entered the stream queue.
+        BatchSubmitted = "batch_submitted" {
+            /// Stream sequence number.
+            batch: u64,
+            /// R rows in the batch.
+            rows: u64,
+        },
+        /// An R micro-batch finished probing the resident set.
+        BatchCompleted = "batch_completed" {
+            /// Stream sequence number.
+            batch: u64,
+            /// Join pairs produced.
+            pairs: u64,
+            /// Rows whose target was not live at probe time.
+            misses: u64,
+            /// Whether the batch completed without error.
+            ok: bool,
+        },
+        /// The stream queue exceeded its bound; the submitter blocked until
+        /// the worker drained below it.
+        StreamBackpressure = "stream_backpressure" {
+            /// Ops queued when the submitter blocked.
+            queued: u64,
+            /// The configured queue bound.
+            bound: u64,
+        },
     }
 }
 
@@ -551,7 +577,6 @@ fn esc(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -561,268 +586,52 @@ fn esc(s: &str, out: &mut String) {
 
 /// Encode one record as a JSON object (no trailing newline).
 pub fn encode(t: f64, event: &TraceEvent) -> String {
-    use fmt::Write as _;
     let mut s = String::with_capacity(96);
     let _ = write!(s, "{{\"t\":{t:.9},\"ev\":\"{}\"", event.tag());
-    match event {
-        TraceEvent::PassStart {
-            proc,
-            pass,
-            phase,
-            disk,
-            area,
-        } => {
-            let _ = write!(
-                s,
-                ",\"proc\":{proc},\"pass\":{pass},\"phase\":{phase},\"disk\":{disk},\"area\":\""
-            );
-            esc(area, &mut s);
-            s.push('"');
-        }
-        TraceEvent::PassEnd {
-            proc,
-            pass,
-            phase,
-            disk,
-            area,
-            bytes,
-            objects,
-        } => {
-            let _ = write!(
-                s,
-                ",\"proc\":{proc},\"pass\":{pass},\"phase\":{phase},\"disk\":{disk},\"area\":\""
-            );
-            esc(area, &mut s);
-            let _ = write!(s, "\",\"bytes\":{bytes},\"objects\":{objects}");
-        }
-        TraceEvent::MapSetup {
-            proc,
-            op,
-            name,
-            disk,
-            bytes,
-        } => {
-            let _ = write!(s, ",\"proc\":{proc},\"op\":\"{}\",\"name\":\"", op.as_str());
-            esc(name, &mut s);
-            let _ = write!(s, "\",\"disk\":{disk},\"bytes\":{bytes}");
-        }
-        TraceEvent::MapTeardown { proc, name, disk } => {
-            let _ = write!(s, ",\"proc\":{proc},\"name\":\"");
-            esc(name, &mut s);
-            let _ = write!(s, "\",\"disk\":{disk}");
-        }
-        TraceEvent::FaultInjected {
-            proc,
-            op,
-            kind,
-            name,
-            disk,
-        } => {
-            let _ = write!(s, ",\"proc\":{proc},\"op\":\"");
-            esc(op, &mut s);
-            s.push_str("\",\"kind\":\"");
-            esc(kind, &mut s);
-            s.push_str("\",\"name\":\"");
-            esc(name, &mut s);
-            s.push('"');
-            match disk {
-                Some(d) => {
-                    let _ = write!(s, ",\"disk\":{d}");
-                }
-                None => s.push_str(",\"disk\":null"),
-            }
-        }
-        TraceEvent::RetryAttempt { attempt } => {
-            let _ = write!(s, ",\"attempt\":{attempt}");
-        }
-        TraceEvent::RetryBackoff { attempt, millis } => {
-            let _ = write!(s, ",\"attempt\":{attempt},\"millis\":{millis}");
-        }
-        TraceEvent::PlanSampled {
-            job,
-            sampled,
-            skew,
-            duplication,
-        } => {
-            // Plain Display keeps the floats' shortest round-trip
-            // representation, so replayed plans re-read identical bits.
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"sampled\":{sampled},\"skew\":{skew},\"duplication\":{duplication}"
-            );
-        }
-        TraceEvent::PlanChosen {
-            job,
-            algorithm,
-            m_rproc,
-            partitions,
-            skew,
-            source,
-        } => {
-            let _ = write!(s, ",\"job\":{job},\"algorithm\":\"");
-            esc(algorithm, &mut s);
-            let _ = write!(
-                s,
-                "\",\"m_rproc\":{m_rproc},\"partitions\":{partitions},\"skew\":{skew},\"source\":\""
-            );
-            esc(source, &mut s);
-            s.push('"');
-        }
-        TraceEvent::JobSubmitted {
-            job,
-            footprint,
-            shard,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"footprint\":{footprint},\"shard\":{shard}"
-            );
-        }
-        TraceEvent::JobAdmitted {
-            job,
-            footprint,
-            used,
-            shard,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"footprint\":{footprint},\"used\":{used},\"shard\":{shard}"
-            );
-        }
-        TraceEvent::JobDegraded {
-            job,
-            footprint,
-            released,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"footprint\":{footprint},\"released\":{released}"
-            );
-        }
-        TraceEvent::JobCompleted { job, ok, degraded } => {
-            let _ = write!(s, ",\"job\":{job},\"ok\":{ok},\"degraded\":{degraded}");
-        }
-        TraceEvent::JournalAppend { kind, bytes } => {
-            s.push_str(",\"kind\":\"");
-            esc(kind, &mut s);
-            let _ = write!(s, "\",\"bytes\":{bytes}");
-        }
-        TraceEvent::RecoveryReplayed {
-            records,
-            torn,
-            orphans_deleted,
-            resumed_jobs,
-        } => {
-            let _ = write!(
-                s,
-                ",\"records\":{records},\"torn\":{torn},\"orphans_deleted\":{orphans_deleted},\"resumed_jobs\":{resumed_jobs}"
-            );
-        }
-        TraceEvent::NodeJoined {
-            node,
-            budget,
-            workers,
-        } => {
-            s.push_str(",\"node\":\"");
-            esc(node, &mut s);
-            let _ = write!(s, "\",\"budget\":{budget},\"workers\":{workers}");
-        }
-        TraceEvent::NodeLost { node, in_flight } => {
-            s.push_str(",\"node\":\"");
-            esc(node, &mut s);
-            let _ = write!(s, "\",\"in_flight\":{in_flight}");
-        }
-        TraceEvent::JobRequeued { job, from, attempt } => {
-            let _ = write!(s, ",\"job\":{job},\"from\":\"");
-            esc(from, &mut s);
-            let _ = write!(s, "\",\"attempt\":{attempt}");
-        }
-        TraceEvent::KernelRadix {
-            proc,
-            area,
-            buckets,
-            objects,
-        } => {
-            let _ = write!(s, ",\"proc\":{proc},\"area\":\"");
-            esc(area, &mut s);
-            let _ = write!(s, "\",\"buckets\":{buckets},\"objects\":{objects}");
-        }
-        TraceEvent::KernelMerge {
-            proc,
-            area,
-            runs,
-            objects,
-        } => {
-            let _ = write!(s, ",\"proc\":{proc},\"area\":\"");
-            esc(area, &mut s);
-            let _ = write!(s, "\",\"runs\":{runs},\"objects\":{objects}");
-        }
-        TraceEvent::KernelProbe {
-            proc,
-            spart,
-            batches,
-            objects,
-        } => {
-            let _ = write!(
-                s,
-                ",\"proc\":{proc},\"spart\":{spart},\"batches\":{batches},\"objects\":{objects}"
-            );
-        }
-        TraceEvent::ProbeStart { probe, reps } => {
-            s.push_str(",\"probe\":\"");
-            esc(probe, &mut s);
-            let _ = write!(s, "\",\"reps\":{reps}");
-        }
-        TraceEvent::ProbeEnd {
-            probe,
-            reps,
-            seconds,
-        } => {
-            s.push_str(",\"probe\":\"");
-            esc(probe, &mut s);
-            let _ = write!(s, "\",\"reps\":{reps},\"seconds\":{seconds:.9}");
-        }
-        TraceEvent::ProbeFit {
-            fit,
-            base,
-            slope,
-            residual,
-        } => {
-            s.push_str(",\"fit\":\"");
-            esc(fit, &mut s);
-            let _ = write!(
-                s,
-                "\",\"base\":{base:.12},\"slope\":{slope:.12},\"residual\":{residual:.12}"
-            );
-        }
-        TraceEvent::ResidentBuilt { parts, objects } => {
-            let _ = write!(s, ",\"parts\":{parts},\"objects\":{objects}");
-        }
-        TraceEvent::ResidentPatched { op, objects, live } => {
-            s.push_str(",\"op\":\"");
-            esc(op, &mut s);
-            let _ = write!(s, "\",\"objects\":{objects},\"live\":{live}");
-        }
-        TraceEvent::BatchSubmitted { batch, rows } => {
-            let _ = write!(s, ",\"batch\":{batch},\"rows\":{rows}");
-        }
-        TraceEvent::BatchCompleted {
-            batch,
-            pairs,
-            misses,
-            ok,
-        } => {
-            let _ = write!(
-                s,
-                ",\"batch\":{batch},\"pairs\":{pairs},\"misses\":{misses},\"ok\":{ok}"
-            );
-        }
-        TraceEvent::StreamBackpressure { queued, bound } => {
-            let _ = write!(s, ",\"queued\":{queued},\"bound\":{bound}");
-        }
-    }
+    event.write_fields(&mut s);
     s.push('}');
     s
+}
+
+/// How an event field prints as a JSON value.
+trait Field {
+    fn put(&self, out: &mut String);
+}
+
+// Plain `Display`: for floats that is the shortest round-trip form, so a
+// replayed plan re-reads identical bits.
+macro_rules! display_field {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_field!(u32, u64, bool, f64);
+
+impl Field for String {
+    fn put(&self, out: &mut String) {
+        out.push('"');
+        esc(self, out);
+        out.push('"');
+    }
+}
+
+impl Field for MapOp {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.as_str());
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut String) {
+        match self {
+            Some(v) => v.put(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -180,10 +180,11 @@ impl ServeConfig {
     }
 }
 
-/// The machine every served job is planned and simulated against:
-/// calibrated once per process, like the bench harness does. The
-/// calibration outcome (success or failure) is computed once and
-/// replayed; it never panics.
+/// The one default machine: the waterloo96 preset with its `dtt` curves
+/// re-measured from the simulated drive. Served jobs, the experiment
+/// bins and every CLI command without `--machine-profile` read it. It is
+/// calibrated once per process; the outcome (success or failure) is
+/// replayed and never panics.
 pub fn service_machine() -> Result<&'static MachineParams, String> {
     static MACHINE: OnceLock<Result<MachineParams, String>> = OnceLock::new();
     MACHINE

@@ -69,9 +69,6 @@ pub struct SimConfig {
     pub policy: Policy,
     /// Disk arbitration.
     pub contention: ContentionMode,
-    /// Charge mapping setup ×D (serial mapping manipulation). On by
-    /// default to match the model.
-    pub serial_maps: bool,
     /// Record every disk access for [`crate::trace`] analysis (off by
     /// default: tracing a full paper-scale join collects ~10⁵ events).
     pub trace: bool,
@@ -88,7 +85,6 @@ impl SimConfig {
             sproc_pages: 1024,
             policy: Policy::Lru,
             contention: ContentionMode::Independent,
-            serial_maps: true,
             trace: false,
         }
     }
@@ -322,12 +318,10 @@ impl SimEnv {
             .ok_or_else(|| EnvError::NotFound(name.into()))
     }
 
+    /// Charge a mapping operation ×D: mapping manipulation is serial
+    /// across the `D` processes (paper Fig. 1b), as the model prices it.
     fn charge_map_op(&self, proc: ProcId, seconds: f64) {
-        let factor = if self.inner.cfg.serial_maps {
-            self.inner.cfg.num_disks as f64
-        } else {
-            1.0
-        };
+        let factor = self.inner.cfg.num_disks as f64;
         let mut ps = self.inner.procs[proc.0 as usize].lock();
         ps.stats.map_ops += 1;
         ps.stats.map_time += seconds * factor;
@@ -925,16 +919,13 @@ mod tests {
 
     #[test]
     fn serial_maps_charge_d_times() {
-        let mut cfg = SimConfig::waterloo96(4);
-        cfg.serial_maps = true;
-        let env = SimEnv::new(cfg.clone()).unwrap();
+        let cfg = SimConfig::waterloo96(4);
+        let priced = cfg.machine.map_cost.new_map(100);
+        let env = SimEnv::new(cfg).unwrap();
         env.create_file(R0, "t", DiskId(0), 4096 * 100).unwrap();
-        let serial = env.stats().procs[0].map_time;
-        cfg.serial_maps = false;
-        let env2 = SimEnv::new(cfg).unwrap();
-        env2.create_file(R0, "t", DiskId(0), 4096 * 100).unwrap();
-        let unserial = env2.stats().procs[0].map_time;
-        assert!((serial - 4.0 * unserial).abs() < 1e-12);
+        let st = env.stats();
+        assert_eq!(st.procs[0].map_ops, 1);
+        assert!((st.procs[0].map_time - 4.0 * priced).abs() < 1e-12);
     }
 
     #[test]
