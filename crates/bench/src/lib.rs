@@ -1,7 +1,8 @@
 //! # mmjoin-bench — the experiment harness
 //!
-//! One binary per figure of the paper (see DESIGN.md §5), plus the
-//! extension experiments. This library holds the shared machinery: the
+//! The `mmjoin-bench` binary runs every figure of the paper (see
+//! DESIGN.md §5) and the extension experiments from one table
+//! (`src/main.rs`). This library holds the shared machinery: the
 //! calibrated machine (dtt curves measured from the simulated disk by
 //! the paper's own band procedure), the §8 validation workload, the
 //! model-vs-experiment sweep runner, and plain-text table/plot
@@ -180,26 +181,15 @@ pub fn fig5_json(rows: &[Fig5Row]) -> String {
     s
 }
 
-/// Honour the experiment binaries' `--json` flag: when present on the
-/// command line, write through [`write_json`].
-pub fn maybe_write_json(name: &str, json: &str) {
-    if std::env::args().any(|a| a == "--json") {
-        write_json(name, json);
-    }
-}
-
-/// Write `json` to `results/<name>.json` and announce it.
-pub fn write_json(name: &str, json: &str) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("json written to {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+/// Write `json` to `results/<name>.json` and announce it on stderr
+/// (stdout is the experiment's table, which `results/<name>.txt` holds).
+pub fn write_json(name: &str, json: &str) -> Result<(), String> {
+    let path = std::path::Path::new("results").join(format!("{name}.json"));
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("json written to {}", path.display());
+    Ok(())
 }
 
 /// A small ASCII rendering of the two series (model `o`, experiment

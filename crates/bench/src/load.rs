@@ -1,30 +1,8 @@
-//! The randomized job mix of the `chaos` fault-injection harness, and
-//! the `--machine-profile` override it reads.
+//! The randomized job mix of the `chaos` fault-injection harness.
 
 use mmjoin_serve::JobRequest;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// The `--machine-profile FILE` override for `chaos`: load a calibrated
-/// [`MachineProfile`](mmjoin_calibrate::MachineProfile) and return its
-/// parameters for
-/// [`ServeConfig::with_machine`](mmjoin_serve::ServeConfig::with_machine),
-/// or `None` when no file is given (the service then uses the built-in
-/// waterloo96-derived default).
-pub fn machine_override(
-    path: Option<&str>,
-) -> Result<Option<std::sync::Arc<mmjoin_env::machine::MachineParams>>, String> {
-    let Some(path) = path else {
-        return Ok(None);
-    };
-    let profile = mmjoin_calibrate::MachineProfile::load(std::path::Path::new(path))
-        .map_err(|e| e.to_string())?;
-    eprintln!(
-        "machine profile: {} (host {}, quick={})",
-        path, profile.provenance.host, profile.provenance.quick
-    );
-    Ok(Some(std::sync::Arc::new(profile.machine)))
-}
 
 /// One randomized job: the shapes stay small enough that a 32-job run
 /// finishes in seconds, while footprints (4–16 pages × D) still

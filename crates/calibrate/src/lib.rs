@@ -50,4 +50,4 @@ pub use probes::{
     probe_context_switch, probe_cpu, probe_dtt, probe_map_costs, probe_memcpy, DttProbe, MapProbe,
     ProbeSpec,
 };
-pub use profile::{MachineProfile, Provenance, PROFILE_FORMAT, PROFILE_VERSION};
+pub use profile::{machine_override, MachineProfile, Provenance, PROFILE_FORMAT, PROFILE_VERSION};

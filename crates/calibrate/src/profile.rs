@@ -275,6 +275,22 @@ impl MachineProfile {
     }
 }
 
+/// The `--machine-profile FILE` option of the CLI and the bench tools:
+/// `None` without a file (the caller keeps its default machine), else
+/// the profile's parameters, with its provenance announced on stderr.
+pub fn machine_override(path: Option<&str>) -> std::result::Result<Option<MachineParams>, String> {
+    let Some(path) = path else { return Ok(None) };
+    let profile =
+        MachineProfile::load(Path::new(path)).map_err(|e| format!("--machine-profile: {e}"))?;
+    let p = &profile.provenance;
+    let quick = if p.quick { ", quick" } else { "" };
+    eprintln!(
+        "machine profile: {path} (host {}, device {}, direct_io {}, reps {}{quick})",
+        p.host, p.device, p.direct_io, p.reps
+    );
+    Ok(Some(profile.machine))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

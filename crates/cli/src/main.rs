@@ -33,7 +33,7 @@ use mmjoin::{
     choose, choose_auto, explain, join_with_retry, verify, Algo, ExecMode, JoinSpec, RetryPolicy,
     SampleSummary, HISTOGRAM_BUCKETS, SAMPLE_CAP,
 };
-use mmjoin_calibrate::{calibrate_host, CalibrateOptions, MachineProfile};
+use mmjoin_calibrate::{calibrate_host, machine_override, CalibrateOptions};
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::trace::escape;
 use mmjoin_env::{FaultSpec, FaultyEnv, JsonlSink, Options, TraceSink};
@@ -61,23 +61,7 @@ fn job_from(opts: &Options) -> Result<JobRequest, String> {
 /// named by `--machine-profile`, else the shared default
 /// [`service_machine`].
 fn machine_from(profile: Option<&str>) -> Result<MachineParams, String> {
-    match profile {
-        None => service_machine().cloned(),
-        Some(path) => {
-            let profile = MachineProfile::load(std::path::Path::new(path))
-                .map_err(|e| format!("--machine-profile: {e}"))?;
-            let p = &profile.provenance;
-            eprintln!(
-                "machine profile: {path} (host {}, device {}, direct_io {}, reps {}{})",
-                p.host,
-                p.device,
-                p.direct_io,
-                p.reps,
-                if p.quick { ", quick" } else { "" }
-            );
-            Ok(profile.machine)
-        }
-    }
+    machine_override(profile)?.map_or_else(|| service_machine().cloned(), Ok)
 }
 
 /// The pointer budget requested with `--sample`: bare `--sample` means
@@ -430,19 +414,19 @@ fn join_on<E: mmjoin_env::Env>(
 
 fn cmd_plan(opts: &Options) -> Result<(), String> {
     let req = job_from(opts)?;
-    let skew: f64 = opts.parse_or("skew", 1.0)?;
     let sample_cap = sample_cap_from(opts)?;
     let explain_alg = opts.get("explain")?;
     let machine = machine_from(opts.get("machine-profile")?)?;
     opts.finish("plan")?;
     let w = &req.workload;
     let pages = req.m_rproc / PAGE;
-    // Plan from statistics alone — no data is generated.
+    // Plan from statistics alone — no data is generated — under the
+    // paper's uniform assumption; `--sample` measures the real skew.
     let mut inputs = req.planner_inputs();
-    inputs.skew = skew;
+    inputs.skew = 1.0;
     let plan = choose(&machine, &inputs);
     println!(
-        "plan for |R| = |S| = {} x {} B, D = {}, {} pages/proc, skew {skew}",
+        "plan for |R| = |S| = {} x {} B, D = {}, {} pages/proc, skew 1",
         w.rel.r_objects, w.rel.r_size, w.rel.d, pages
     );
     for (alg, t) in &plan.ranking {
@@ -532,10 +516,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let sink = trace_sink(trace)?;
     // Only an explicit profile becomes a config override; without one
     // the service keeps its own process-wide calibrated default.
-    let machine = match profile {
-        Some(_) => Some(Arc::new(machine_from(profile)?)),
-        None => None,
-    };
+    let machine = machine_override(profile)?.map(Arc::new);
     let cfg = ServeConfig {
         budget_bytes: budget_pages * PAGE,
         workers,
@@ -1419,7 +1400,7 @@ fn usage() {
     println!("                   [--fault-spec SPEC] [--retries N] [--trace FILE.jsonl]");
     println!("                   [--machine-profile FILE]");
     println!("  mmjoin plan      [--objects N] [--d D] [--obj-size B] [--mem-pages P]");
-    println!("                   [--skew X] [--sample [N]] [--explain A]");
+    println!("                   [--sample [N]] [--explain A]");
     println!("                   [--machine-profile FILE]");
     println!("  mmjoin serve     [--jobs FILE] [--budget-pages N] [--workers N]");
     println!("                   [--policy fifo|spf] [--shards N]");
@@ -1574,6 +1555,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_calibrate::MachineProfile;
     use mmjoin_relstore::PointerDist;
 
     fn argv(v: &[&str]) -> Vec<String> {
@@ -1642,6 +1624,7 @@ mod tests {
             ),
             (&["join", "--objets", "10"], "objets"),
             (&["plan", "--mem-pages", "8", "--modern"], "modern"),
+            (&["plan", "--skew", "4"], "skew"),
             (&["calibrate", "--quick", "--objects", "10"], "objects"),
             (&["calibrate", "--sim"], "sim"),
             (&["validate-model", "--env", "mmap"], "env"),

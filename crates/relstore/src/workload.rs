@@ -278,8 +278,6 @@ pub fn sample_relation<E: Env>(env: &E, rels: &Relations, cap: usize) -> Result<
 pub fn build<E: Env>(env: &E, spec: &WorkloadSpec) -> Result<Relations> {
     spec.rel.validate()?;
     let rel = spec.rel;
-    let d = rel.d;
-    let proc = ProcId(0);
 
     // Generate all pointer targets first so the checksum oracle and skew
     // are known before any I/O.
@@ -288,79 +286,14 @@ pub fn build<E: Env>(env: &E, spec: &WorkloadSpec) -> Result<Relations> {
         PointerDist::Zipf { theta } => Some(Zipf::new(rel.s_objects, theta)),
         _ => None,
     };
-    let targets: Vec<Vec<u64>> = (0..d)
+    let targets: Vec<Vec<u64>> = (0..rel.d)
         .map(|i| draw_targets(&rel, &spec.dist, i, &mut rng, zipf.as_ref()))
         .collect();
-
-    let mut sub_counts = vec![vec![0u64; d as usize]; d as usize];
-    let mut checksum = 0u64;
-    for (i, parts) in targets.iter().enumerate() {
-        for (k, &s_idx) in parts.iter().enumerate() {
-            let r_key = i as u64 * rel.r_per_part() + k as u64;
-            // S-object keys equal their storage index by construction.
-            checksum = checksum.wrapping_add(pair_digest(r_key, s_idx));
-            let j = (s_idx / rel.s_per_part()) as usize;
-            sub_counts[i][j] += 1;
-        }
-    }
-    let per = rel.r_per_part() as f64 / d as f64;
-    let skew = sub_counts
-        .iter()
-        .flatten()
-        .map(|&c| c as f64 / per)
-        .fold(0.0, f64::max);
-
-    // Materialize S then R on each disk.
-    let mut r_files = Vec::with_capacity(d as usize);
-    let mut s_files = Vec::with_capacity(d as usize);
-    for i in 0..d {
-        let r_name = names::scoped(&spec.prefix, &names::r_part(i));
-        let s_name = names::scoped(&spec.prefix, &names::s_part(i));
-        env.create_file(proc, &r_name, DiskId(i), rel.r_part_bytes())?;
-        env.create_file(proc, &s_name, DiskId(i), rel.s_part_bytes())?;
-
-        let mut s_data = vec![0u8; rel.s_part_bytes() as usize];
-        for k in 0..rel.s_per_part() {
-            let key = i as u64 * rel.s_per_part() + k;
-            let off = (k * rel.s_size as u64) as usize;
-            encode_s(&mut s_data[off..off + rel.s_size as usize], key);
-        }
-        env.preload(&s_name, 0, &s_data)?;
-
-        let mut r_data = vec![0u8; rel.r_part_bytes() as usize];
-        for (k, &s_idx) in targets[i as usize].iter().enumerate() {
-            let key = i as u64 * rel.r_per_part() + k as u64;
-            let off = k * rel.r_size as usize;
-            encode_r(
-                &mut r_data[off..off + rel.r_size as usize],
-                key,
-                rel.sptr_of(s_idx),
-            );
-        }
-        env.preload(&r_name, 0, &r_data)?;
-
-        r_files.push(r_name);
-        s_files.push(s_name);
-    }
-
-    let catalog = SCatalog {
-        part_files: s_files.clone(),
-        part_bytes: rel.s_part_bytes(),
-        s_obj_size: rel.s_size,
-    };
-    env.reset_stats();
-
-    Ok(Relations {
-        rel,
-        r_files,
-        s_files,
-        catalog,
-        expected_pairs: rel.r_objects,
-        expected_checksum: checksum,
-        sub_counts,
-        skew,
-        prefix: spec.prefix.clone(),
-    })
+    // S-object keys equal their storage index by construction, and R
+    // row `n` has key `n`.
+    let per = rel.r_per_part();
+    let row = |n: u64| (n, targets[(n / per) as usize][(n % per) as usize]);
+    materialize(env, rel, &spec.prefix, |idx| idx, row)
 }
 
 /// Build relations from *explicit* content: a key for every S slot and
@@ -381,35 +314,44 @@ pub fn build_explicit<E: Env>(
     r_rows: &[(u64, u64)],
 ) -> Result<Relations> {
     rel.validate()?;
-    if s_keys.len() as u64 != rel.s_objects {
-        return Err(mmjoin_env::EnvError::InvalidConfig(format!(
-            "build_explicit: {} S keys for {} slots",
-            s_keys.len(),
-            rel.s_objects
-        )));
-    }
-    if r_rows.len() as u64 != rel.r_objects {
-        return Err(mmjoin_env::EnvError::InvalidConfig(format!(
-            "build_explicit: {} R rows for |R| = {}",
-            r_rows.len(),
-            rel.r_objects
-        )));
-    }
+    let (s_len, r_len) = (s_keys.len() as u64, r_rows.len() as u64);
+    let (s_objects, r_objects) = (rel.s_objects, rel.r_objects);
+    let problem = if s_len != s_objects {
+        format!("{s_len} S keys for {s_objects} slots")
+    } else if r_len != r_objects {
+        format!("{r_len} R rows for |R| = {r_objects}")
+    } else if let Some(n) = r_rows.iter().position(|&(_, s)| s >= s_objects) {
+        format!("row {n} targets S-index {} >= {s_objects}", r_rows[n].1)
+    } else {
+        let s_key = |idx: u64| s_keys[idx as usize];
+        return materialize(env, rel, prefix, s_key, |n| r_rows[n as usize]);
+    };
+    let invalid = mmjoin_env::EnvError::InvalidConfig;
+    Err(invalid(format!("build_explicit: {problem}")))
+}
+
+/// Write a validated relation pair into `env`: S slot `idx` holds key
+/// `s_key(idx)`, and R row `n` (of partition `n / |R_i|`) is
+/// `r_row(n) = (key, target S-index)`. Computes the checksum oracle and
+/// the partition-pair counts first, creates and preloads S then R on
+/// each disk (cost-free), and resets the environment's counters.
+fn materialize<E: Env>(
+    env: &E,
+    rel: RelConfig,
+    prefix: &str,
+    s_key: impl Fn(u64) -> u64,
+    r_row: impl Fn(u64) -> (u64, u64),
+) -> Result<Relations> {
     let d = rel.d;
     let proc = ProcId(0);
 
     let mut sub_counts = vec![vec![0u64; d as usize]; d as usize];
     let mut checksum = 0u64;
-    for (n, &(r_key, s_idx)) in r_rows.iter().enumerate() {
-        if s_idx >= rel.s_objects {
-            return Err(mmjoin_env::EnvError::InvalidConfig(format!(
-                "build_explicit: row {n} targets S-index {s_idx} >= {}",
-                rel.s_objects
-            )));
-        }
-        checksum = checksum.wrapping_add(pair_digest(r_key, s_keys[s_idx as usize]));
-        let i = n as u64 / rel.r_per_part();
-        sub_counts[i as usize][(s_idx / rel.s_per_part()) as usize] += 1;
+    for n in 0..rel.r_objects {
+        let (r_key, s_idx) = r_row(n);
+        checksum = checksum.wrapping_add(pair_digest(r_key, s_key(s_idx)));
+        let (i, j) = (n / rel.r_per_part(), s_idx / rel.s_per_part());
+        sub_counts[i as usize][j as usize] += 1;
     }
     let per = rel.r_per_part() as f64 / d as f64;
     let skew = sub_counts
@@ -427,23 +369,15 @@ pub fn build_explicit<E: Env>(
         env.create_file(proc, &s_name, DiskId(i), rel.s_part_bytes())?;
 
         let mut s_data = vec![0u8; rel.s_part_bytes() as usize];
-        for k in 0..rel.s_per_part() {
-            let idx = (i as u64 * rel.s_per_part() + k) as usize;
-            let off = (k * rel.s_size as u64) as usize;
-            encode_s(&mut s_data[off..off + rel.s_size as usize], s_keys[idx]);
+        for (k, obj) in s_data.chunks_exact_mut(rel.s_size as usize).enumerate() {
+            encode_s(obj, s_key(i as u64 * rel.s_per_part() + k as u64));
         }
         env.preload(&s_name, 0, &s_data)?;
 
         let mut r_data = vec![0u8; rel.r_part_bytes() as usize];
-        let base = (i as u64 * rel.r_per_part()) as usize;
-        for k in 0..rel.r_per_part() as usize {
-            let (key, s_idx) = r_rows[base + k];
-            let off = k * rel.r_size as usize;
-            encode_r(
-                &mut r_data[off..off + rel.r_size as usize],
-                key,
-                rel.sptr_of(s_idx),
-            );
+        for (k, obj) in r_data.chunks_exact_mut(rel.r_size as usize).enumerate() {
+            let (key, s_idx) = r_row(i as u64 * rel.r_per_part() + k as u64);
+            encode_r(obj, key, rel.sptr_of(s_idx));
         }
         env.preload(&r_name, 0, &r_data)?;
 

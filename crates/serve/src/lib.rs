@@ -79,4 +79,4 @@ pub use placement::{Placement, PlacementKind, PredictedBalanced, ShardLoad};
 pub use recovery::{open_journal, refused_completion, replayed_error, resume_jobs, ResumedJob};
 pub use service::{service_machine, EnvKind, JoinService, ServeConfig, Service};
 pub use shard::ShardedService;
-pub use stats::{percentile, ServiceStats};
+pub use stats::ServiceStats;

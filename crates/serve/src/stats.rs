@@ -230,18 +230,6 @@ impl ServiceStats {
     }
 }
 
-/// The `p`-th percentile (0–100) of a set of samples, by the
-/// nearest-rank method. Returns 0.0 for an empty set.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,15 +351,5 @@ mod tests {
         assert_eq!(merged.latency_hist.count(), whole.latency_hist.count());
         assert_eq!(merged.latency_hist.min(), whole.latency_hist.min());
         assert_eq!(merged.latency_hist.max(), whole.latency_hist.max());
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 50.0), 50.0);
-        assert_eq!(percentile(&xs, 95.0), 95.0);
-        assert_eq!(percentile(&xs, 100.0), 100.0);
-        assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }
