@@ -93,14 +93,19 @@ impl HybridHashFn {
         }
     }
 
+    /// Whether `ptr` lands in bucket 0 (`route` would say `None`).
+    pub fn in_f0(&self, ptr: SPtr) -> bool {
+        ptr.offset(self.part_bytes) < self.f0_bytes
+    }
+
     /// `None` = bucket 0 (join immediately); `Some(b)` = spill bucket.
     /// Spill buckets, like Grace's, hold monotonically increasing `S`
     /// locations.
     pub fn route(&self, ptr: SPtr) -> Option<u32> {
-        let off = ptr.offset(self.part_bytes);
-        if off < self.f0_bytes {
+        if self.in_f0(ptr) {
             return None;
         }
+        let off = ptr.offset(self.part_bytes);
         let span = self.part_bytes - self.f0_bytes;
         let within = (off - self.f0_bytes) as u128;
         Some(((within * self.k as u128) / span as u128).min(self.k as u128 - 1) as u32)

@@ -25,6 +25,11 @@
 //!   ([`PROBE_REQ_BYTES`]) instead of whole R-objects, in ascending
 //!   pointer order so each `S` page is touched once while hot
 //!   ([`TraceEvent::KernelProbe`]).
+//! * **Radix-sorted runs**: runs sort by an LSD radix sort over the
+//!   pointer bits that vary across the run ([`DIGIT_BITS`]-bit digits),
+//!   sorted runs merge pairwise with a branch-free two-way merge, and
+//!   the owner side of Grace/hybrid sorts its gathered runs once and
+//!   finds the range-bucket boundaries by binary search.
 //! * **Reusable scratch arenas**: every worker owns an `Arena` of
 //!   buffers reused across blocks and batches; arenas are constructed
 //!   fresh per join attempt, so a retried join can never observe stale
@@ -63,6 +68,13 @@ pub const PROBE_BATCH: usize = 2048;
 /// batcher ships.
 pub const PROBE_REQ_BYTES: u64 = 16;
 
+/// Runs shorter than this sort with `sort_unstable`; from here on the
+/// radix sort's histogram sweep pays for itself.
+const RADIX_CUTOFF: usize = 256;
+
+/// Widest radix digit: 2048 counters, which stay in L1.
+const DIGIT_BITS: u32 = 11;
+
 /// A sorted (or to-be-sorted) private run of `(ptr, key)` pairs,
 /// published through [`SharedSlots`] for its owning partition.
 type Run = Arc<Vec<(u64, u64)>>;
@@ -85,8 +97,17 @@ struct Arena {
     ptrs: Vec<SPtr>,
     /// Fetched S-objects for the current batch.
     fetch: Vec<u8>,
+    /// Radix-sort scratch.
+    radix: RadixScratch,
     /// Batched cost declarations.
     ops: KernelOps,
+}
+
+/// The radix sort's ping-pong buffer and digit histograms.
+#[derive(Default)]
+struct RadixScratch {
+    tmp: PairVec,
+    counts: Vec<usize>,
 }
 
 impl Arena {
@@ -98,6 +119,7 @@ impl Arena {
             gathered: Vec::new(),
             ptrs: Vec::with_capacity(PROBE_BATCH),
             fetch: Vec::new(),
+            radix: RadixScratch::default(),
             ops: KernelOps::new(),
         }
     }
@@ -177,11 +199,8 @@ fn scan_radix<E: Env>(env: &E, rels: &Relations, i: u32, arena: &mut Arena) -> R
     Ok(n)
 }
 
-/// Sort a run of `(ptr, key)` pairs in place (pointer order == `S`
-/// storage order), declaring an `n·log n` comparison/swap estimate.
-fn sort_pairs(run: &mut [(u64, u64)], ops: &mut KernelOps) {
-    let n = run.len() as u64;
-    run.sort_unstable();
+/// Declare the `n·log n` comparison/swap estimate of sorting `n` pairs.
+fn declare_sort(n: u64, ops: &mut KernelOps) {
     if n > 1 {
         let logn = (64 - (n - 1).leading_zeros()) as u64;
         ops.op(CpuOp::Compare, n * logn);
@@ -189,33 +208,137 @@ fn sort_pairs(run: &mut [(u64, u64)], ops: &mut KernelOps) {
     }
 }
 
-/// Sequential multi-way merge-scan of sorted runs (MPSM): a linear
-/// min-pick over ≤ `D` cursors, output fully sorted by pointer.
-fn merge_runs(runs: &[Run], out: &mut Vec<(u64, u64)>, ops: &mut KernelOps) {
-    out.clear();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    out.reserve(total);
-    let mut cursors = vec![0usize; runs.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if cursors[r] < run.len() {
-                best = match best {
-                    Some(b) if runs[b][cursors[b]] <= run[cursors[r]] => Some(b),
-                    _ => Some(r),
-                };
-            }
-        }
-        match best {
-            Some(b) => {
-                out.push(runs[b][cursors[b]]);
-                cursors[b] += 1;
-            }
-            None => break,
+/// Sort a run of `(ptr, key)` pairs in place (pointer order == `S`
+/// storage order), declaring an `n·log n` comparison/swap estimate.
+fn sort_pairs(run: &mut [(u64, u64)], scratch: &mut RadixScratch, ops: &mut KernelOps) {
+    sort_by_ptr(run, scratch);
+    declare_sort(run.len() as u64, ops);
+}
+
+/// Sort `run` ascending by pointer: an LSD radix sort over the pointer
+/// bits that vary across the run, in at most [`DIGIT_BITS`]-bit digits
+/// (a run inside one 64 MiB partition of 128-byte objects varies in 19
+/// bits: two passes). Equal pointers keep no particular order. Runs
+/// under [`RADIX_CUTOFF`] fall back to `sort_unstable`.
+fn sort_by_ptr(run: &mut [(u64, u64)], scratch: &mut RadixScratch) {
+    let n = run.len();
+    if n < RADIX_CUTOFF {
+        run.sort_unstable();
+        return;
+    }
+    let first = run[0].0;
+    let varying = run.iter().fold(0, |acc, &(p, _)| acc | (p ^ first));
+    if varying == 0 {
+        return;
+    }
+    let lo = varying.trailing_zeros();
+    let bits = 64 - varying.leading_zeros() - lo;
+    let passes = bits.div_ceil(DIGIT_BITS) as usize;
+    let width = bits.div_ceil(passes as u32);
+    let radix = 1usize << width;
+    let mask = radix as u64 - 1;
+    // One read sweep builds every pass's histogram.
+    let counts = &mut scratch.counts;
+    counts.clear();
+    counts.resize(passes * radix, 0);
+    for &(p, _) in run.iter() {
+        let v = p >> lo;
+        for (q, hist) in counts.chunks_exact_mut(radix).enumerate() {
+            hist[((v >> (q as u32 * width)) & mask) as usize] += 1;
         }
     }
-    ops.op(CpuOp::Compare, total as u64 * runs.len().max(1) as u64);
-    ops.op(CpuOp::HeapTransfer, total as u64);
+    if scratch.tmp.len() < n {
+        scratch.tmp.resize(n, (0, 0));
+    }
+    let tmp = &mut scratch.tmp[..n];
+    for (q, offsets) in counts.chunks_exact_mut(radix).enumerate() {
+        let mut sum = 0;
+        for c in offsets.iter_mut() {
+            sum += std::mem::replace(c, sum);
+        }
+        let shift = lo + q as u32 * width;
+        if q % 2 == 0 {
+            radix_scatter(run, tmp, shift, mask, offsets);
+        } else {
+            radix_scatter(tmp, run, shift, mask, offsets);
+        }
+    }
+    if passes % 2 == 1 {
+        run.copy_from_slice(tmp);
+    }
+}
+
+/// One stable LSD pass: move each pair of `src` to its digit's next
+/// slot in `dst`.
+fn radix_scatter(
+    src: &[(u64, u64)],
+    dst: &mut [(u64, u64)],
+    shift: u32,
+    mask: u64,
+    offsets: &mut [usize],
+) {
+    for &pair in src {
+        let slot = &mut offsets[((pair.0 >> shift) & mask) as usize];
+        dst[*slot] = pair;
+        *slot += 1;
+    }
+}
+
+/// Sequential merge-scan of sorted runs (MPSM), output fully sorted by
+/// pointer: runs merge pairwise, two at a time, with a branch-free
+/// two-way merge.
+fn merge_runs(runs: &[Run], out: &mut Vec<(u64, u64)>, ops: &mut KernelOps) {
+    out.clear();
+    let slices: Vec<&[(u64, u64)]> = runs.iter().map(|r| r.as_slice()).collect();
+    merge_tree(&slices, out);
+    let total = out.len() as u64;
+    ops.op(CpuOp::Compare, total * runs.len().max(1) as u64);
+    ops.op(CpuOp::HeapTransfer, total);
+}
+
+/// Append the merge of `runs` to `out`: split in halves, merge each
+/// half, then merge the two.
+fn merge_tree(runs: &[&[(u64, u64)]], out: &mut Vec<(u64, u64)>) {
+    match runs {
+        [] => {}
+        [a] => out.extend_from_slice(a),
+        [a, b] => merge2(a, b, out),
+        _ => {
+            let (left, right) = runs.split_at(runs.len() / 2);
+            let (mut l, mut r) = (Vec::new(), Vec::new());
+            merge2(merged_half(left, &mut l), merged_half(right, &mut r), out);
+        }
+    }
+}
+
+/// One half of a [`merge_tree`] split: a lone run as it is, or more
+/// runs merged into `buf`.
+fn merged_half<'a>(runs: &[&'a [(u64, u64)]], buf: &'a mut Vec<(u64, u64)>) -> &'a [(u64, u64)] {
+    if let [one] = runs {
+        return one;
+    }
+    buf.reserve(runs.iter().map(|r| r.len()).sum());
+    merge_tree(runs, buf);
+    buf
+}
+
+/// Branch-free two-way merge of the pointer-sorted `a` and `b`,
+/// appended to `out`: each step selects one head and advances one
+/// cursor by the comparison's outcome.
+fn merge2(a: &[(u64, u64)], b: &[(u64, u64)], out: &mut Vec<(u64, u64)>) {
+    let start = out.len();
+    out.resize(start + a.len() + b.len(), (0, 0));
+    let dst = &mut out[start..];
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let take_b = b[j].0 < a[i].0;
+        dst[k] = if take_b { b[j] } else { a[i] };
+        j += take_b as usize;
+        i += !take_b as usize;
+        k += 1;
+    }
+    let rest = if i < a.len() { &a[i..] } else { &b[j..] };
+    dst[k..].copy_from_slice(rest);
 }
 
 /// Batched probe kernel: fetch S-objects [`PROBE_BATCH`] pointers at a
@@ -316,7 +439,7 @@ fn run_nested<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<Join
         pass.start(env);
         let n = scan_radix(env, rels, i, arena)?;
         let mut own = std::mem::take(&mut arena.parts[i as usize]);
-        sort_pairs(&mut own, &mut arena.ops);
+        sort_pairs(&mut own, &mut arena.radix, &mut arena.ops);
         probe(env, i, i, rels, &own, arena, &mut state.acc)?;
         pass.end(env, n, r_size);
         for t in 1..d {
@@ -324,7 +447,7 @@ fn run_nested<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<Join
             let mut rn = std::mem::take(&mut arena.parts[j as usize]);
             let pass = Pass::phase(i, t, j);
             pass.start(env);
-            sort_pairs(&mut rn, &mut arena.ops);
+            sort_pairs(&mut rn, &mut arena.radix, &mut arena.ops);
             probe(env, i, j, rels, &rn, arena, &mut state.acc)?;
             pass.end(env, rn.len() as u64, r_size);
         }
@@ -386,6 +509,10 @@ fn run_exchange<E: Env>(
             let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
             let mut merged = std::mem::take(&mut arena.gathered);
             gather(i, &runs, &mut merged, arena);
+            // Nothing sorts after the gather: free the radix scratch
+            // rather than keep it resident beside the S pages the
+            // probe faults in.
+            arena.radix = RadixScratch::default();
             probe(env, i, i, rels, &merged, arena, acc)?;
             arena.gathered = merged;
             pass.end(env, total, r_size);
@@ -403,7 +530,7 @@ fn run_sort_merge<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<
         spec,
         ["scan+sort", "merge+join"],
         |i, _j, mut run, arena, _acc| {
-            sort_pairs(&mut run, &mut arena.ops);
+            sort_pairs(&mut run, &mut arena.radix, &mut arena.ops);
             arena.ops.charge(env, ProcId::rproc(i));
             Ok(run)
         },
@@ -425,10 +552,9 @@ fn run_sort_merge<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<
     )
 }
 
-/// Second-level radix shared by modern Grace and hybrid: histogram +
-/// scatter the gathered runs into `k` range buckets, sort each
-/// cache-sized bucket, and concatenate — fully ascending because the
-/// buckets are range-partitioned.
+/// Second-level radix shared by modern Grace and hybrid: order the
+/// gathered runs into `merged` fully ascending, declaring the work of
+/// Grace's `k` range buckets (see [`sort_into_buckets`]).
 fn radix_gather<E: Env>(
     env: &E,
     i: u32,
@@ -439,37 +565,49 @@ fn radix_gather<E: Env>(
     arena: &mut Arena,
 ) {
     let proc = ProcId::rproc(i);
-    let mut hist = vec![0usize; k];
-    for run in runs {
-        for &(p, _) in run.iter() {
-            hist[bucket_of(SPtr(p))] += 1;
-        }
-    }
-    let total: usize = hist.iter().sum();
-    let mut buckets: Vec<PairVec> = hist.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for run in runs {
-        for &(p, key) in run.iter() {
-            buckets[bucket_of(SPtr(p))].push((p, key));
-        }
-    }
-    arena.ops.op(CpuOp::Hash, 2 * total as u64);
-    arena.ops.moved(MoveKind::SP, total as u64 * 16);
+    sort_into_buckets(runs, k, bucket_of, merged, &mut arena.radix, &mut arena.ops);
     env.trace(
         proc,
         TraceEvent::KernelRadix {
             proc: i,
             area: format!("RS_{i}"),
             buckets: k as u32,
-            objects: total as u64,
+            objects: merged.len() as u64,
         },
     );
-    merged.clear();
-    merged.reserve(total);
-    for bucket in buckets.iter_mut() {
-        sort_pairs(bucket, &mut arena.ops);
-        merged.extend_from_slice(bucket);
-    }
     arena.ops.charge(env, proc);
+}
+
+/// Concatenate `runs` into `merged` and sort it once. The runs all
+/// point into one partition, where `bucket_of` is monotone in the
+/// pointer, so the sorted pairs fall into the `k` range buckets in
+/// order and each boundary is one binary search. The
+/// declared work is the bucket-then-sort kernel's: a histogram and a
+/// scatter sweep of `bucket_of`, a 16-byte move per pair, and an
+/// `n·log n` sort of each bucket.
+fn sort_into_buckets(
+    runs: &[Run],
+    k: usize,
+    bucket_of: impl Fn(SPtr) -> usize,
+    merged: &mut PairVec,
+    scratch: &mut RadixScratch,
+    ops: &mut KernelOps,
+) {
+    merged.clear();
+    merged.reserve(runs.iter().map(|r| r.len()).sum());
+    for run in runs {
+        merged.extend_from_slice(run);
+    }
+    sort_by_ptr(merged, scratch);
+    let total = merged.len() as u64;
+    ops.op(CpuOp::Hash, 2 * total);
+    ops.moved(MoveKind::SP, total * 16);
+    let mut start = 0;
+    for b in 0..k {
+        let len = merged[start..].partition_point(|&(p, _)| bucket_of(SPtr(p)) <= b);
+        declare_sort(len as u64, ops);
+        start += len;
+    }
 }
 
 /// Modern Grace: runs ship *unsorted*; the owner radix-partitions them
@@ -505,7 +643,7 @@ fn run_hybrid<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<Join
         ["scan+f0-join", "spill-join"],
         |i, j, run, arena, acc| {
             let (mut f0, spill) = split_f0(&hash, run, &mut arena.ops);
-            sort_pairs(&mut f0, &mut arena.ops);
+            sort_pairs(&mut f0, &mut arena.radix, &mut arena.ops);
             probe(env, i, j, rels, &f0, arena, acc)?;
             Ok(spill)
         },
@@ -516,16 +654,198 @@ fn run_hybrid<E: Env>(env: &E, rels: &Relations, spec: &JoinSpec) -> Result<Join
     )
 }
 
-/// Split a run into (bucket-0, spill) halves per the hybrid router.
+/// Split a run into (bucket-0, spill) halves per the hybrid router:
+/// count the bucket-0 pairs, then fill two exact-size vectors.
 fn split_f0(hash: &hybrid::HybridHashFn, run: PairVec, ops: &mut KernelOps) -> (PairVec, PairVec) {
     ops.op(CpuOp::Hash, run.len() as u64);
-    run.into_iter()
-        .partition(|&(p, _)| hash.route(SPtr(p)).is_none())
+    let f0_len = run.iter().filter(|&&(p, _)| hash.in_f0(SPtr(p))).count();
+    let mut f0 = Vec::with_capacity(f0_len);
+    let mut spill = Vec::with_capacity(run.len() - f0_len);
+    for pair in run {
+        if hash.in_f0(SPtr(pair.0)) {
+            f0.push(pair);
+        } else {
+            spill.push(pair);
+        }
+    }
+    (f0, spill)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// 64 MiB partitions, as in a 1 M × 128 B join over `D = 2`.
+    const PART: u64 = 64 << 20;
+
+    /// Deterministic pair generator: `n` pairs whose pointers follow
+    /// `shape` — 0 full-range `u64`s, 1 a handful of duplicated
+    /// pointers, 2 128-byte objects over four partitions, 3 objects of
+    /// one partition — keyed by position.
+    fn pairs(n: usize, shape: usize, seed: u64) -> PairVec {
+        let mut x = seed;
+        (0..n as u64)
+            .map(|k| {
+                // splitmix64
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                let r = z ^ (z >> 31);
+                let ptr = match shape {
+                    0 => r,
+                    1 => PART + r % 7 * 128,
+                    2 => r % 4 * PART + (r >> 2) % (PART / 128) * 128,
+                    _ => 3 * PART + r % (PART / 128) * 128,
+                };
+                (ptr, k)
+            })
+            .collect()
+    }
+
+    fn ptrs_of(run: &[(u64, u64)]) -> Vec<u64> {
+        run.iter().map(|&(p, _)| p).collect()
+    }
+
+    fn sorted(mut run: PairVec) -> PairVec {
+        run.sort_unstable();
+        run
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The radix sort orders pointers exactly as `sort_unstable`
+        /// does and keeps the same pair multiset, across the cutoff,
+        /// with duplicates, several partitions, and full-range pointers
+        /// (one to six passes, odd and even).
+        #[test]
+        fn radix_sort_matches_sort_unstable(
+            size in 0usize..3,
+            len in 0usize..4_000,
+            shape in 0usize..4,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let n = match size {
+                0 => RADIX_CUTOFF - 3 + len % 6,
+                1 => len % RADIX_CUTOFF,
+                _ => len,
+            };
+            let mut scratch = RadixScratch::default();
+            let reference = sorted(pairs(n, shape, seed));
+            let mut run = pairs(n, shape, seed);
+            // A dirty, too-short scratch from an earlier run must not leak.
+            scratch.tmp = vec![(7, 7); n / 2];
+            sort_by_ptr(&mut run, &mut scratch);
+            prop_assert_eq!(ptrs_of(&run), ptrs_of(&reference));
+            prop_assert_eq!(sorted(run), reference);
+        }
+
+        /// The pairwise branch-free merge of `D` = 1..5 sorted runs is
+        /// the sorted union, and declares the linear merge's work.
+        #[test]
+        fn merge_runs_is_the_sorted_union(
+            d in 1usize..=5,
+            len in 0usize..700,
+            shape in 1usize..4,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let runs: Vec<Run> = (0..d)
+                .map(|r| {
+                    let n = (len * (r + 1) / d) % 700;
+                    Arc::new(sorted(pairs(n, shape, seed ^ r as u64)))
+                })
+                .collect();
+            let union: PairVec = runs.iter().flat_map(|r| r.iter().copied()).collect();
+            let total = union.len() as u64;
+            let reference = sorted(union);
+            let mut out = vec![(1, 1)];
+            let mut ops = KernelOps::new();
+            merge_runs(&runs, &mut out, &mut ops);
+            prop_assert_eq!(ptrs_of(&out), ptrs_of(&reference));
+            prop_assert_eq!(sorted(out), reference);
+            prop_assert_eq!(ops.cpu[CpuOp::Compare.index()], total * d as u64);
+            prop_assert_eq!(ops.cpu[CpuOp::HeapTransfer.index()], total);
+        }
+
+        /// One sort plus binary-searched bucket boundaries hands the
+        /// probe the pointer sequence of the bucket-then-sort kernel
+        /// and declares exactly its `KernelOps`, for Grace's router and
+        /// a hybrid spill router.
+        #[test]
+        fn sort_into_buckets_tallies_the_bucket_then_sort_kernel(
+            d in 1usize..=4,
+            len in 0usize..1_500,
+            k in 1u64..40,
+            f0_quarters in 0u64..3,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let plan = hybrid::HybridPlan {
+                f0_bytes: f0_quarters * (PART / 4),
+                f0: 0.0,
+                k,
+            };
+            let hash = hybrid::HybridHashFn::new(PART, &plan);
+            // The owner's runs: partition 3 only, spill pairs only.
+            let runs: Vec<Run> = (0..d)
+                .map(|r| {
+                    let run = pairs(len * (r + 1) / d, 3, seed ^ r as u64);
+                    Arc::new(run.into_iter().filter(|&(p, _)| !hash.in_f0(SPtr(p))).collect())
+                })
+                .collect();
+            let bucket_of = |p| hash.route(p).unwrap_or(0) as usize;
+
+            // The bucket-then-sort kernel this replaces.
+            let mut want_ops = KernelOps::new();
+            let mut buckets: Vec<PairVec> = vec![Vec::new(); k as usize];
+            for run in &runs {
+                for &(p, key) in run.iter() {
+                    buckets[bucket_of(SPtr(p))].push((p, key));
+                }
+            }
+            let total: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+            want_ops.op(CpuOp::Hash, 2 * total);
+            want_ops.moved(MoveKind::SP, total * 16);
+            let mut want = Vec::new();
+            for mut bucket in buckets {
+                let n = bucket.len() as u64;
+                bucket.sort_unstable();
+                if n > 1 {
+                    let logn = (64 - (n - 1).leading_zeros()) as u64;
+                    want_ops.op(CpuOp::Compare, n * logn);
+                    want_ops.op(CpuOp::Swap, n * logn / 2);
+                }
+                want.extend(bucket);
+            }
+
+            let mut got = Vec::new();
+            let mut ops = KernelOps::new();
+            let mut scratch = RadixScratch::default();
+            sort_into_buckets(&runs, k as usize, bucket_of, &mut got, &mut scratch, &mut ops);
+            prop_assert_eq!(ops, want_ops);
+            prop_assert_eq!(ptrs_of(&got), ptrs_of(&want));
+            prop_assert_eq!(sorted(got), want);
+        }
+    }
+
+    #[test]
+    fn split_f0_routes_like_the_router() {
+        let plan = hybrid::HybridPlan {
+            f0_bytes: PART / 2,
+            f0: 0.5,
+            k: 3,
+        };
+        let hash = hybrid::HybridHashFn::new(PART, &plan);
+        let run = pairs(1_000, 2, 5);
+        let mut ops = KernelOps::new();
+        let (f0, spill) = split_f0(&hash, run.clone(), &mut ops);
+        let (want_f0, want_spill): (PairVec, PairVec) = run
+            .into_iter()
+            .partition(|&(p, _)| hash.route(SPtr(p)).is_none());
+        assert_eq!((f0, spill), (want_f0, want_spill));
+        assert_eq!(ops.cpu[CpuOp::Hash.index()], 1_000);
+    }
 
     #[test]
     fn merge_runs_produces_sorted_union() {
@@ -547,10 +867,11 @@ mod tests {
     #[test]
     fn sort_pairs_charges_nothing_for_singletons() {
         let mut ops = KernelOps::new();
-        sort_pairs(&mut [(3, 3)], &mut ops);
+        let mut scratch = RadixScratch::default();
+        sort_pairs(&mut [(3, 3)], &mut scratch, &mut ops);
         assert!(ops.is_empty());
         let mut run = [(9u64, 1u64), (2, 2), (7, 3)];
-        sort_pairs(&mut run, &mut ops);
+        sort_pairs(&mut run, &mut scratch, &mut ops);
         assert_eq!(run[0].0, 2);
         assert!(!ops.is_empty());
     }

@@ -146,6 +146,10 @@ pub trait Env: Send + Sync {
     /// `sptr`), so the environment can charge the private→shared
     /// transfers of §5.3: per joined object, `(r + sptr + s)` bytes move
     /// through shared memory and the batch costs two context switches.
+    ///
+    /// Appends on success; on `Err`, `out` and the counters are
+    /// unchanged — a batch with any pointer outside `spart` or past the
+    /// end of its file is refused whole.
     fn s_fetch_batch(
         &self,
         proc: ProcId,

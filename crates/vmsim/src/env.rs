@@ -727,6 +727,15 @@ impl Env for SimEnv {
         let part_bytes = s.catalog.part_bytes;
         let d = self.inner.cfg.num_disks;
         let sproc = ProcId::sproc(spart, d);
+        // Refuse the whole batch before charging anything.
+        for ptr in ptrs {
+            if ptr.partition(part_bytes) != spart {
+                return Err(EnvError::BadSRequest(format!(
+                    "{ptr} is not in partition {spart}"
+                )));
+            }
+            entry.check_range(ptr.offset(part_bytes), obj)?;
+        }
         // One shared-buffer exchange: two context switches, and
         // (req + s) bytes per object through shared memory (§5.3).
         self.context_switches(proc, 2);
@@ -738,16 +747,16 @@ impl Env for SimEnv {
         let start = out.len();
         out.resize(start + ptrs.len() * obj as usize, 0);
         for (i, ptr) in ptrs.iter().enumerate() {
-            if ptr.partition(part_bytes) != spart {
-                return Err(EnvError::BadSRequest(format!(
-                    "{ptr} is not in partition {spart}"
-                )));
-            }
             let off = ptr.offset(part_bytes);
             // Fault through the owning Sproc's pager; the requesting
             // Rproc waits, so the time lands on its clock.
-            self.inner
-                .page_range(sproc, proc, entry, *idx, off, obj, false)?;
+            if let Err(e) = self
+                .inner
+                .page_range(sproc, proc, entry, *idx, off, obj, false)
+            {
+                out.truncate(start);
+                return Err(e);
+            }
             let body = entry.body.lock();
             out[start + i * obj as usize..start + (i + 1) * obj as usize]
                 .copy_from_slice(&body.data[off as usize..(off + obj) as usize]);

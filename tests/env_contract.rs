@@ -100,10 +100,39 @@ fn contract<E: Env>(env: &E) {
     assert_eq!(out.len(), 128);
     assert_eq!((out[0], out[1]), ((d - 1) as u8, 2));
     assert_eq!((out[64], out[65]), ((d - 1) as u8, 0));
+    // A batch appends after what `out` already holds.
+    env.s_fetch_batch(P, d - 1, &[SPtr::new(d - 1, 64, part_bytes)], 72, &mut out)
+        .unwrap();
+    assert_eq!(out.len(), 192);
+    assert_eq!((out[0], out[1]), ((d - 1) as u8, 2));
+    assert_eq!((out[64], out[65]), ((d - 1) as u8, 0));
+    assert_eq!((out[128], out[129]), ((d - 1) as u8, 1));
     // Wrong-partition pointers are rejected.
     assert!(env
         .s_fetch_batch(P, 0, &[SPtr::new(d - 1, 0, part_bytes)], 8, &mut out)
         .is_err());
+    // A refused batch is refused whole: a bad *last* pointer (in the
+    // wrong partition, or in the partition but with its object running
+    // past the end of the file) leaves `out` byte-identical and charges
+    // nothing.
+    let held = out.clone();
+    let before = env.stats().procs[0].clone();
+    let good = SPtr::new(d - 1, 3 * 64, part_bytes);
+    assert!(d > 1, "the battery needs a second partition");
+    for bad in [
+        SPtr::new(0, 0, part_bytes),
+        SPtr::new(d - 1, part_bytes - 32, part_bytes),
+    ] {
+        assert!(env
+            .s_fetch_batch(P, d - 1, &[good, good, bad], 72, &mut out)
+            .is_err());
+        assert_eq!(out, held, "{bad}: out changed on a refused batch");
+        let after = env.stats().procs[0].clone();
+        assert_eq!(after.s_batches, before.s_batches, "{bad}");
+        assert_eq!(after.s_objects, before.s_objects, "{bad}");
+        assert_eq!(after.ctx_switches, before.ctx_switches, "{bad}");
+        assert_eq!(after.move_bytes, before.move_bytes, "{bad}");
+    }
     // Empty batch is a no-op.
     let before = env.stats().procs[0].s_batches;
     env.s_fetch_batch(P, 0, &[], 8, &mut out).unwrap();

@@ -154,6 +154,29 @@ fn modern_survives_zipf_skew_on_sim() {
     }
 }
 
+/// Above the kernels' radix cutoff: ~20 000 skewed objects over an odd
+/// `D` give runs of thousands of pairs, so the radix sort, the
+/// three-run pairwise merge and the sorted bucket boundaries all run,
+/// on both environments.
+#[test]
+fn modern_equals_faithful_above_the_radix_cutoff() {
+    let d = 3;
+    let w = workload(6_700, d, 23, PointerDist::Zipf { theta: 1.1 });
+    for alg in DIFF_ALGOS {
+        let faithful = run_mode(&sim(d, 16), &w, alg, 16, ExecMode::Sequential);
+        let modern = run_mode(&sim(d, 16), &w, alg, 16, ExecMode::Modern);
+        assert_eq!(faithful, modern, "{} on sim", alg.name());
+
+        let (fe, froot) = mmap_env(d, &format!("rf-{}", alg.name()));
+        let faithful = run_mode(&fe, &w, alg, 24, ExecMode::Threaded);
+        std::fs::remove_dir_all(&froot).expect("cleanup");
+        let (me, mroot) = mmap_env(d, &format!("rm-{}", alg.name()));
+        let modern = run_mode(&me, &w, alg, 24, ExecMode::Modern);
+        std::fs::remove_dir_all(&mroot).expect("cleanup");
+        assert_eq!(faithful, modern, "{} on mmap", alg.name());
+    }
+}
+
 /// Modern traces keep the paper's schedule invariants: every
 /// `PassStart` has a matching `PassEnd`, and within each `(pass,
 /// phase)` label every disk is owned by exactly one proc. The kernel
