@@ -44,27 +44,21 @@
 //! # Exactly-once results over at-least-once dispatch
 //!
 //! Dispatch is at-least-once (re-queue can re-run a job whose first
-//! completion died with its node before reporting). Results are
-//! deduplicated by cluster job id: the first `JobDone` per id is
-//! journaled (commit-before-visibility) and reported; later duplicates
-//! increment a counter and are dropped. The write-ahead journal (a
-//! `JobSubmitted` and a `JobCompleted` record per job, opened like the
-//! serve journal by [`mmjoin_serve::open_journal`]) makes the same
-//! invariant hold across a coordinator crash: `--resume` re-reports
-//! journaled completions without re-running them (folded by
-//! [`mmjoin_serve::resume_jobs`], as serve's are) and re-dispatches
-//! only jobs with no durable completion. Dispatches and node deaths
-//! are not journaled: a resumed coordinator re-dispatches every job
-//! without a completion, wherever it last ran.
+//! completion died with its node before reporting). Ids, the journal
+//! (opened like serve's by [`mmjoin_serve::open_journal`]) and the
+//! results go through the lifecycle every tier shares ([`JobLog`]),
+//! which publishes the first `JobDone` per id and drops the rest; a
+//! dropped one counts as a duplicate. Across a coordinator crash
+//! `--resume` re-reports journaled completions without re-running them
+//! (folded by [`mmjoin_serve::resume_jobs`], as serve's are) and
+//! re-dispatches every job with no durable completion, wherever it
+//! last ran: dispatches and node deaths are not journaled.
 //!
-//! A refused commit fails what it guards, as in serve: a submission
-//! whose record is refused returns `Err` and takes no id, and a
-//! completion whose record is refused is reported failed ("journal
-//! commit failed: …") and re-runs after a resume.
+//! Lock order: the coordinator's lock, then the log's.
 //!
 //! [`EnvError::is_transient`]: mmjoin_env::EnvError::is_transient
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -75,7 +69,7 @@ use std::time::{Duration, Instant};
 use mmjoin::RetryPolicy;
 use mmjoin_env::{null_sink, EnvError, TraceEvent, TraceSink};
 use mmjoin_mmstore::MmapEnv;
-use mmjoin_recovery::{JournalRecord, ReplayState, Replayed, SharedJournal};
+use mmjoin_recovery::{JobLog, JournalRecord, ReplayState, Replayed};
 use mmjoin_serve::{open_journal, refused_completion, replayed_error, resume_jobs, JobRequest};
 
 use crate::stats::ClusterStats;
@@ -229,10 +223,7 @@ impl NodeState {
 struct CoState {
     pending: VecDeque<PendingJob>,
     nodes: Vec<NodeState>,
-    results: Vec<ClusterJobResult>,
-    completed: BTreeSet<u64>,
     stats: ClusterStats,
-    next_id: u64,
     /// Finish was requested: stop dispatching once drained and send
     /// each node a `Shutdown`.
     halt: bool,
@@ -247,7 +238,7 @@ struct CoShared {
     /// wake-up cannot be lost.
     done: Condvar,
     start: Instant,
-    journal: SharedJournal<MmapEnv>,
+    log: JobLog<ClusterJobResult, MmapEnv>,
 }
 
 impl CoShared {
@@ -274,40 +265,39 @@ impl CoShared {
             .any(|n| !n.terminal && (!n.registered || n.budget >= footprint))
     }
 
-    /// Fail one job terminally (journaled, deduped, visible).
+    /// Fail one job terminally, unless it already has a result.
     fn fail_job(&self, st: &mut CoState, id: u64, req: &JobRequest, requeues: u32, error: String) {
-        if !st.completed.insert(id) {
-            return;
-        }
-        let committed = self.journal.commit(|| JournalRecord::JobCompleted {
+        let failed = JournalRecord::JobCompleted {
             job: id,
             pairs: 0,
             checksum: 0,
             ok: false,
-        });
-        let error = match committed {
-            Ok(()) => error,
-            Err(e) => refused_completion(Some(error), &e),
         };
-        st.stats.completed += 1;
-        st.stats.failed += 1;
-        st.results.push(ClusterJobResult {
-            id,
-            name: req.name.clone(),
-            node: "coordinator".into(),
-            alg: req.alg.map_or("auto", |a| a.name()).to_string(),
-            pairs: 0,
-            checksum: 0,
-            ok: false,
-            requeues,
-            latency: 0.0,
-            resumed: false,
-            error: Some(error),
-        });
-        self.trace(TraceEvent::JobCompleted {
-            job: id,
-            ok: false,
-            degraded: 0,
+        self.log.publish(id, Some(failed), |committed| {
+            let error = match committed {
+                Ok(()) => error,
+                Err(e) => refused_completion(Some(error), &e),
+            };
+            st.stats.completed += 1;
+            st.stats.failed += 1;
+            self.trace(TraceEvent::JobCompleted {
+                job: id,
+                ok: false,
+                degraded: 0,
+            });
+            ClusterJobResult {
+                id,
+                name: req.name.clone(),
+                node: "coordinator".into(),
+                alg: req.alg.map_or("auto", |a| a.name()).to_string(),
+                pairs: 0,
+                checksum: 0,
+                ok: false,
+                requeues,
+                latency: 0.0,
+                resumed: false,
+                error: Some(error),
+            }
         });
     }
 
@@ -470,12 +460,7 @@ impl CoShared {
         // A completion can land while its job still sits in pending
         // (a node replaying its result cache ahead of re-dispatch);
         // never hand out a job that already has a terminal result.
-        {
-            let CoState {
-                pending, completed, ..
-            } = &mut *st;
-            pending.retain(|p| !completed.contains(&p.id));
-        }
+        st.pending.retain(|p| !self.log.is_published(p.id));
         let now = Instant::now();
         let pos = st
             .pending
@@ -500,9 +485,10 @@ impl CoShared {
         Some((p.id, line))
     }
 
-    /// Absorb one `JobDone` from node `idx`: dedup by id, release the
-    /// reservation if this node holds the in-flight entry, journal
-    /// (commit-before-visibility), then publish the result.
+    /// Absorb one `JobDone` from node `idx`: release the reservation if
+    /// this node holds the in-flight entry, then publish the result. An
+    /// id already published (the at-least-once resend path: a previous
+    /// connection, or a re-run after re-queue) only counts a duplicate.
     #[allow(clippy::too_many_arguments)]
     fn complete(
         &self,
@@ -516,90 +502,76 @@ impl CoShared {
     ) {
         let mut st = self.lock();
         st.nodes[idx].last_heard = Some(Instant::now());
-        if st.completed.contains(&job) {
-            // The at-least-once resend path: this completion was
-            // already recorded (possibly from a previous connection or
-            // a re-run after re-queue). Drop it — and if this node
-            // still carries an in-flight entry for it, settle that
-            // reservation too (take-the-entry-or-do-nothing keeps the
-            // release single-shot).
-            st.stats.duplicate_completions += 1;
-            if let Some(fl) = st.nodes[idx].in_flight.remove(&job) {
-                let node = &mut st.nodes[idx];
-                node.reserved = node.reserved.saturating_sub(fl.req.footprint());
-                // A worker slot came free.
-                drop(st);
-                self.done.notify_all();
-            }
-            return;
+        // Take-the-entry-or-do-nothing keeps the release single-shot.
+        let owned = st.nodes[idx].in_flight.remove(&job);
+        if let Some(fl) = &owned {
+            let footprint = fl.req.footprint();
+            let node = &mut st.nodes[idx];
+            debug_assert!(node.reserved >= footprint, "reservation underflow");
+            node.reserved = node.reserved.saturating_sub(footprint);
         }
-        let (name, requeues, submitted) = match st.nodes[idx].in_flight.remove(&job) {
-            Some(fl) => {
-                let footprint = fl.req.footprint();
-                let node = &mut st.nodes[idx];
-                debug_assert!(node.reserved >= footprint, "reservation underflow");
-                node.reserved = node.reserved.saturating_sub(footprint);
-                (fl.req.name.clone(), fl.requeues, Some(fl.submitted))
-            }
-            // A completion for a job this node no longer owns — it was
-            // re-queued off this node after a connection drop and is
-            // either still pending or already re-dispatched elsewhere.
-            // Still a valid result; settle the queued copy so it is not
-            // dispatched again.
-            None => {
-                if let Some(pos) = st.pending.iter().position(|p| p.id == job) {
-                    let p = st.pending.remove(pos).expect("position just found");
-                    (p.req.name.clone(), p.requeues, Some(p.submitted))
-                } else if let Some(fl) = st.nodes.iter().find_map(|n| n.in_flight.get(&job)) {
-                    // In flight on another node: that node's own
-                    // completion (a duplicate by then) releases its
-                    // reservation.
-                    (fl.req.name.clone(), fl.requeues, Some(fl.submitted))
-                } else {
-                    (String::new(), 0, None)
+        let node = st.nodes[idx].display_name().to_string();
+        let completed = JournalRecord::JobCompleted {
+            job,
+            pairs,
+            checksum,
+            ok,
+        };
+        let published = self.log.publish(job, Some(completed), |committed| {
+            let (name, requeues, submitted) = match owned {
+                Some(fl) => (fl.req.name, fl.requeues, Some(fl.submitted)),
+                // A completion for a job this node no longer owns — it
+                // was re-queued off this node after a connection drop
+                // and is either still pending or already re-dispatched
+                // elsewhere. Still a valid result; settle the queued
+                // copy so it is not dispatched again.
+                None => {
+                    if let Some(pos) = st.pending.iter().position(|p| p.id == job) {
+                        let p = st.pending.remove(pos).expect("position just found");
+                        (p.req.name, p.requeues, Some(p.submitted))
+                    } else if let Some(fl) = st.nodes.iter().find_map(|n| n.in_flight.get(&job)) {
+                        // In flight on another node: that node's own
+                        // completion (a duplicate by then) releases its
+                        // reservation.
+                        (fl.req.name.clone(), fl.requeues, Some(fl.submitted))
+                    } else {
+                        (String::new(), 0, None)
+                    }
                 }
+            };
+            let error = (!error.is_empty()).then_some(error);
+            let (ok, error) = match committed {
+                Ok(()) => (ok, error),
+                Err(e) => (false, Some(refused_completion(error, &e))),
+            };
+            st.stats.completed += 1;
+            if !ok {
+                st.stats.failed += 1;
             }
-        };
-        // Durable before visible: a crash after this commit re-reports
-        // the job instead of re-running it. A refused commit reports it
-        // failed; a resume re-runs it.
-        let error = (!error.is_empty()).then_some(error);
-        let committed = self.journal.commit(|| JournalRecord::JobCompleted {
-            job,
-            pairs,
-            checksum,
-            ok,
+            let latency = submitted.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            st.stats.latency.record(latency);
+            self.trace(TraceEvent::JobCompleted {
+                job,
+                ok,
+                degraded: 0,
+            });
+            ClusterJobResult {
+                id: job,
+                name,
+                node,
+                alg,
+                pairs,
+                checksum,
+                ok,
+                requeues,
+                latency,
+                resumed: false,
+                error,
+            }
         });
-        let (ok, error) = match committed {
-            Ok(()) => (ok, error),
-            Err(e) => (false, Some(refused_completion(error, &e))),
-        };
-        st.completed.insert(job);
-        st.stats.completed += 1;
-        if !ok {
-            st.stats.failed += 1;
+        if !published {
+            st.stats.duplicate_completions += 1;
         }
-        let latency = submitted.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        st.stats.latency.record(latency);
-        let node_name = st.nodes[idx].display_name().to_string();
-        st.results.push(ClusterJobResult {
-            id: job,
-            name,
-            node: node_name,
-            alg,
-            pairs,
-            checksum,
-            ok,
-            requeues,
-            latency,
-            resumed: false,
-            error,
-        });
-        self.trace(TraceEvent::JobCompleted {
-            job,
-            ok,
-            degraded: 0,
-        });
         drop(st);
         self.done.notify_all();
     }
@@ -910,22 +882,19 @@ impl Coordinator {
             state: Mutex::new(CoState {
                 pending: VecDeque::new(),
                 nodes,
-                results: Vec::new(),
-                completed: BTreeSet::new(),
                 stats: ClusterStats {
                     nodes: node_count,
                     ..ClusterStats::default()
                 },
-                next_id: 0,
                 halt: false,
             }),
             done: Condvar::new(),
             start: Instant::now(),
             cfg,
-            journal: SharedJournal::new(journal),
+            log: JobLog::new(journal, 1),
         });
         if let Some(replayed) = replayed {
-            apply_resume(&shared, replayed);
+            apply_resume(&shared, replayed)?;
         }
         let threads = (0..shared.lock().nodes.len())
             .map(|idx| {
@@ -959,31 +928,30 @@ impl Coordinator {
                 "job footprint {footprint} exceeds every node's budget"
             ));
         }
-        let id = st.next_id + 1;
-        // Journal-before-queue, under the id-assigning lock: a client
-        // that got an id back will find its job after a crash, and a
-        // refused commit fails the submission before it takes the id.
-        self.shared
-            .journal
-            .commit(|| JournalRecord::JobSubmitted {
-                job: id,
-                line: req.to_line(),
-            })
+        let line = req.to_line();
+        let id = self
+            .shared
+            .log
+            .accept(
+                |id| JournalRecord::JobSubmitted { job: id, line },
+                Err,
+                |id| {
+                    st.stats.submitted += 1;
+                    self.shared.trace(TraceEvent::JobSubmitted {
+                        job: id,
+                        footprint,
+                        shard: 0,
+                    });
+                    st.pending.push_back(PendingJob {
+                        id,
+                        req,
+                        requeues: 0,
+                        ready_at: Instant::now(),
+                        submitted: Instant::now(),
+                    });
+                },
+            )
             .map_err(|e| format!("journal commit failed: {e}"))?;
-        st.next_id = id;
-        st.stats.submitted += 1;
-        self.shared.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: 0,
-        });
-        st.pending.push_back(PendingJob {
-            id,
-            req,
-            requeues: 0,
-            ready_at: Instant::now(),
-            submitted: Instant::now(),
-        });
         drop(st);
         // Wake the idle dispatchers: one of them can take this job now.
         self.shared.done.notify_all();
@@ -1013,12 +981,7 @@ impl Coordinator {
     pub fn drain(&self) {
         let mut st = self.shared.lock();
         loop {
-            {
-                let CoState {
-                    pending, completed, ..
-                } = &mut *st;
-                pending.retain(|p| !completed.contains(&p.id));
-            }
+            st.pending.retain(|p| !self.shared.log.is_published(p.id));
             let in_flight: usize = st.nodes.iter().map(|n| n.in_flight.len()).sum();
             if st.pending.is_empty() && in_flight == 0 {
                 return;
@@ -1038,7 +1001,7 @@ impl Coordinator {
 
     /// Terminal results so far, in completion order.
     pub fn results(&self) -> Vec<ClusterJobResult> {
-        self.shared.lock().results.clone()
+        self.shared.log.results()
     }
 
     /// Counter snapshot: live aggregates (budget, reservations, leak
@@ -1059,7 +1022,7 @@ impl Coordinator {
                 n.reserved.saturating_sub(backing)
             })
             .sum();
-        stats.journal = self.shared.journal.stats();
+        stats.journal = self.shared.log.journal_stats();
         stats
     }
 
@@ -1076,7 +1039,7 @@ impl Coordinator {
             let _ = h.join();
         }
         let stats = self.stats();
-        let results = std::mem::take(&mut self.shared.lock().results);
+        let results = self.shared.log.take_results();
         (results, stats)
     }
 }
@@ -1101,36 +1064,18 @@ impl Drop for Coordinator {
 }
 
 /// Fold a replayed journal into the fresh coordinator state: re-report
-/// completed jobs exactly once, re-queue everything else under its
-/// original id, and continue id assignment above the replayed maximum.
-fn apply_resume(shared: &CoShared, replayed: Replayed) {
-    let (jobs, next_id) = resume_jobs(&ReplayState::from_records(&replayed.records));
+/// completed jobs exactly once and re-queue everything else under its
+/// original id ([`JobLog::resume`]).
+fn apply_resume(shared: &CoShared, replayed: Replayed) -> Result<(), String> {
+    let (jobs, top) = resume_jobs(&ReplayState::from_records(&replayed.records));
     let mut st = shared.lock();
     let mut pending = 0u64;
-    for (id, req, completed) in jobs {
-        match completed {
-            Some((pairs, checksum, ok)) => {
-                st.completed.insert(id);
-                st.stats.completed += 1;
-                st.stats.resumed_reported += 1;
-                if !ok {
-                    st.stats.failed += 1;
-                }
-                st.results.push(ClusterJobResult {
-                    id,
-                    name: req.name.clone(),
-                    node: "journal".into(),
-                    alg: req.alg.map_or("auto", |a| a.name()).to_string(),
-                    pairs,
-                    checksum,
-                    ok,
-                    requeues: 0,
-                    latency: 0.0,
-                    resumed: true,
-                    error: replayed_error(ok),
-                });
-            }
-            None => {
+    let jobs = jobs.into_iter().map(|(id, req, done)| (id, (req, done)));
+    shared.log.resume(
+        Some(top),
+        jobs,
+        |id, (req, completed)| -> Result<_, String> {
+            let Some((pairs, checksum, ok)) = completed else {
                 pending += 1;
                 st.stats.submitted += 1;
                 st.pending.push_back(PendingJob {
@@ -1140,10 +1085,28 @@ fn apply_resume(shared: &CoShared, replayed: Replayed) {
                     ready_at: Instant::now(),
                     submitted: Instant::now(),
                 });
+                return Ok(None);
+            };
+            st.stats.completed += 1;
+            st.stats.resumed_reported += 1;
+            if !ok {
+                st.stats.failed += 1;
             }
-        }
-    }
-    st.next_id = next_id;
+            Ok(Some(ClusterJobResult {
+                id,
+                name: req.name.clone(),
+                node: "journal".into(),
+                alg: req.alg.map_or("auto", |a| a.name()).to_string(),
+                pairs,
+                checksum,
+                ok,
+                requeues: 0,
+                latency: 0.0,
+                resumed: true,
+                error: replayed_error(ok),
+            }))
+        },
+    )?;
     st.stats.replayed_records = replayed.records.len() as u64;
     drop(st);
     shared.trace(TraceEvent::RecoveryReplayed {
@@ -1152,4 +1115,5 @@ fn apply_resume(shared: &CoShared, replayed: Replayed) {
         orphans_deleted: 0,
         resumed_jobs: pending,
     });
+    Ok(())
 }

@@ -24,10 +24,10 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use memmap2::MmapRaw;
 use mmjoin_env::trace::{null_sink, MapOp, TraceEvent, TraceSink};
 use mmjoin_env::{
@@ -461,7 +461,7 @@ impl Env for MmapEnv {
                 .get(name)
                 .cloned()
                 .ok_or_else(|| EnvError::NotFound(name.clone()))?;
-            let (tx, rx): (Sender<SRequest>, Receiver<SRequest>) = unbounded();
+            let (tx, rx): (Sender<SRequest>, Receiver<SRequest>) = channel();
             let part_bytes = catalog.part_bytes;
             let obj = catalog.s_obj_size as usize;
             let handle = std::thread::Builder::new()
@@ -524,7 +524,7 @@ impl Env for MmapEnv {
             }
         }
         let stopped = || EnvError::BadSRequest("Sproc service stopped".into());
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         if let Err(refused) = tx.send(SRequest {
             ptrs: ptrs.to_vec(),
             out: std::mem::take(out),

@@ -39,8 +39,6 @@
 //! zeroed and synced, so neither the next commit nor a reopen's scan
 //! adopts the record. If that erase fails too, the journal closes.
 
-use std::sync::Mutex;
-
 use mmjoin_env::{DiskId, Env, EnvError, FileOps, ProcId, Result, TraceEvent};
 
 use crate::crc::crc32;
@@ -338,41 +336,6 @@ impl<E: Env> Journal<E> {
     /// Bytes of record area in use.
     pub fn used_bytes(&self) -> u64 {
         self.tail - HEADER_SIZE
-    }
-}
-
-/// A tier's journal as its threads share it (append order is lock
-/// order), or none when the tier runs unjournaled.
-pub struct SharedJournal<E: Env>(Option<Mutex<Journal<E>>>);
-
-impl<E: Env> SharedJournal<E> {
-    /// Share `journal`; `None` disables journaling.
-    pub fn new(journal: Option<Journal<E>>) -> SharedJournal<E> {
-        SharedJournal(journal.map(Mutex::new))
-    }
-
-    /// Whether there is a journal to commit to.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// [`Journal::append_commit`] the record `make` builds; without a
-    /// journal, build nothing and succeed. The caller propagates an
-    /// error: what the refused record guards must not become visible.
-    pub fn commit(&self, make: impl FnOnce() -> JournalRecord) -> Result<()> {
-        match &self.0 {
-            Some(j) => j
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .append_commit(&make()),
-            None => Ok(()),
-        }
-    }
-
-    /// Live counters; `None` without a journal.
-    pub fn stats(&self) -> Option<JournalStats> {
-        let j = self.0.as_ref()?;
-        Some(j.lock().unwrap_or_else(|e| e.into_inner()).stats())
     }
 }
 

@@ -12,29 +12,32 @@
 //!   framed, checksummed, total-decode wire format;
 //! * [`Journal`] — an append-only write-ahead log over one [`Env`]
 //!   file, committing with the flush-before-commit ordering
-//!   (data `sync` → header write → header `sync`), and
-//!   [`SharedJournal`], the form every tier's threads share;
+//!   (data `sync` → header write → header `sync`);
+//! * [`JobLog`] — the job lifecycle every tier shares: the journal,
+//!   id assignment, commit-then-publish, exactly-once results, `drain`
+//!   and `wait_results`, and resume numbering;
 //! * [`ReplayState`] / [`gc_orphans`] — folding a replayed record
 //!   prefix into recovered state and deleting a dead job's leftover
 //!   storage areas.
 //!
 //! Each tier journals only what its resume reads. A join that did not
-//! complete re-runs from scratch, so a job costs two records, each
-//! committed before it becomes visible: its submission and its
-//! completion. Every tier opens its journal with
-//! [`Journal::open_or_create`] and propagates a refused commit as an
-//! error; a refused record is erased before the error returns, so it
-//! never replays.
+//! complete re-runs from scratch, so a job costs two records, its
+//! submission and its completion, committed as [`JobLog`] describes.
+//! Every tier opens its journal with [`Journal::open_or_create`]; a
+//! refused record is erased before the error returns, so it never
+//! replays.
 //!
 //! [`Env`]: mmjoin_env::Env
 
 pub mod crc;
 pub mod journal;
+pub mod lifecycle;
 pub mod record;
 pub mod replay;
 
 pub use crc::crc32;
-pub use journal::{Journal, JournalStats, Replayed, SharedJournal, HEADER_SIZE, JOURNAL_CAPACITY};
+pub use journal::{Journal, JournalStats, Replayed, HEADER_SIZE, JOURNAL_CAPACITY};
+pub use lifecycle::JobLog;
 pub use record::JournalRecord;
 pub use replay::{gc_orphans, BatchState, JobState, ReplayState};
 

@@ -8,16 +8,10 @@
 //! [`SharedJournal`](mmjoin_recovery::SharedJournal) — append order in
 //! the file is the lock-acquisition order, which is all replay needs.
 //!
-//! What gets journaled, and when it commits — two records per job,
-//! each committed before what it describes becomes visible, and a
-//! refused commit fails what it guards:
-//!
-//! * `JobSubmitted` — at submission, before the id is returned (a
-//!   client that got an id back will find its job after a crash); a
-//!   refused commit fails the submission, which takes no id;
-//! * `JobCompleted` — after the job finishes, before its result is
-//!   published; a refused commit publishes the job as failed
-//!   ("journal commit failed: …"), and a resume re-runs it.
+//! A job costs two records, `JobSubmitted` and `JobCompleted`, both
+//! committed by the shared lifecycle
+//! ([`JobLog`](mmjoin_recovery::JobLog)); [`refused_completion`] is
+//! the error a refused completion publishes.
 //!
 //! On restart with `--resume`, [`resume_jobs`] folds the replayed
 //! records into the jobs they describe; completed jobs are re-reported

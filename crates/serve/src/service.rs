@@ -211,9 +211,8 @@ pub(crate) struct Queued {
 /// `finish` would return.
 pub trait JoinService: Send + Sync {
     /// Plan and enqueue one job; returns its id or a submit-time
-    /// rejection. Id assignment, the journal record and the enqueue
-    /// happen under one lock, so each shard's queue (and with it FIFO
-    /// admission) is in id order even with concurrent submitters.
+    /// rejection. Each shard's queue is in id order
+    /// ([`JobLog::accept`](mmjoin_recovery::JobLog::accept)).
     fn submit(&self, req: JobRequest) -> Result<JobId, String>;
 
     /// Block until every submitted job has completed.

@@ -21,8 +21,11 @@
 //!   under the configured [`AdmissionPolicy`](crate::AdmissionPolicy),
 //!   and a job runs on the shard it was placed on.
 //!
-//! Lock order: the global lock may be held while taking one shard's
-//! lock (submit enqueues under it), never the reverse.
+//! Ids, the journal and the results live in one
+//! [`JobLog`], the lifecycle every tier shares.
+//! Lock order: the log's lock may be held while taking one shard's lock
+//! (submit enqueues, and a completion settles its shard, under it),
+//! never the reverse.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -31,7 +34,7 @@ use std::time::Instant;
 use mmjoin::{choose, PlanChoice};
 use mmjoin_env::TraceEvent;
 use mmjoin_mmstore::MmapEnv;
-use mmjoin_recovery::{JournalRecord, ReplayState, Replayed, SharedJournal};
+use mmjoin_recovery::{JobLog, JournalRecord, ReplayState, Replayed};
 
 use crate::admission::Candidate;
 use crate::job::{JobId, JobRequest, JobResult};
@@ -93,42 +96,25 @@ impl Shard {
     }
 }
 
-/// Submission and completion bookkeeping shared by every shard.
-#[derive(Default)]
-struct Global {
-    next_id: JobId,
-    placed: u64,
-    finished: u64,
-    rejected: u64,
-    results: Vec<JobResult>,
-    /// Startup replay counters (`--resume`), reported through the
-    /// merged [`ServiceStats`].
-    journal_replayed_records: u64,
-    journal_torn_bytes: u64,
-    journal_orphans_deleted: u64,
-    journal_resumed_jobs: u64,
-}
-
 /// Everything the shards share. The execution core
-/// ([`run_job`]) reads the configuration and journal from here and
+/// ([`run_job`]) reads the configuration from here and
 /// reports lifecycle events and mid-run releases back through it.
 pub(crate) struct ShardedInner {
     pub(crate) cfg: ServeConfig,
     placement: Box<dyn Placement>,
     shards: Vec<Shard>,
-    /// Write-ahead journal shared by every shard, when configured.
-    journal: SharedJournal<MmapEnv>,
-    global: Mutex<Global>,
-    /// Signalled under `global` when a job completes (for `drain` and
-    /// `wait_results`).
-    done: Condvar,
+    /// Ids, the journal shared by every shard, and the results.
+    log: JobLog<JobResult, MmapEnv>,
+    /// Service-wide counters: submit-time rejections and the startup
+    /// replay (`--resume`), merged into [`ShardedService`]'s stats.
+    counters: Mutex<ServiceStats>,
     /// Service start; lifecycle trace timestamps are seconds since it.
     origin: Instant,
 }
 
 impl ShardedInner {
-    fn global_lock(&self) -> MutexGuard<'_, Global> {
-        self.global.lock().unwrap_or_else(|e| e.into_inner())
+    fn counters(&self) -> MutexGuard<'_, ServiceStats> {
+        self.counters.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Emit a job lifecycle event at the service wall clock.
@@ -255,9 +241,8 @@ impl ShardedService {
             cfg,
             placement,
             shards,
-            journal: SharedJournal::new(journal),
-            global: Mutex::new(Global::default()),
-            done: Condvar::new(),
+            log: JobLog::new(journal, 1),
+            counters: Mutex::new(ServiceStats::default()),
             origin: Instant::now(),
         });
         if let Some(replayed) = replayed {
@@ -299,28 +284,10 @@ impl ShardedService {
         self.inner.shards.iter().map(|s| s.budget_bytes).collect()
     }
 
-    /// Block until the completion-ordered result list is longer than
-    /// `from`, then return `results[from..]`; an empty vector means
-    /// `deadline` passed first. A consumer that remembers how many
-    /// results it has seen gets each one once, woken by the completion
-    /// itself, without re-cloning the whole list per look.
+    /// Results past the first `from`, in completion order, once there
+    /// are any; empty once `deadline` passes ([`JobLog::wait_results`]).
     pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<JobResult> {
-        let mut g = self.inner.global_lock();
-        loop {
-            if let Some(fresh) = g.results.get(from..).filter(|s| !s.is_empty()) {
-                return fresh.to_vec();
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Vec::new();
-            }
-            g = self
-                .inner
-                .done
-                .wait_timeout(g, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
+        self.inner.log.wait_results(from, deadline)
     }
 
     /// Drain, stop the workers, and return every result plus the merged
@@ -328,7 +295,7 @@ impl ShardedService {
     pub fn finish(mut self) -> (Vec<JobResult>, ServiceStats) {
         JoinService::drain(&self);
         self.stop();
-        let results = std::mem::take(&mut self.inner.global_lock().results);
+        let results = self.inner.log.take_results();
         let stats = JoinService::stats(&self);
         (results, stats)
     }
@@ -366,7 +333,7 @@ impl JoinService for ShardedService {
         let (resolved, plan, shard) = inner.plan_and_place(&mut req)?;
         let footprint = req.footprint();
         let Some(k) = shard else {
-            inner.global_lock().rejected += 1;
+            inner.counters().rejected += 1;
             let slices = inner.shards.iter().map(|s| s.budget_bytes);
             let max = slices.max().unwrap_or(0);
             return Err(if inner.shards.len() == 1 {
@@ -377,58 +344,39 @@ impl JoinService for ShardedService {
                 )
             });
         };
-        let id = {
-            let mut g = inner.global_lock();
-            let id = g.next_id + 1;
-            // Journal-before-queue, and both under the id-assigning
-            // lock: a client that got an id back will find its job
-            // after a crash, and journal order and every shard's queue
-            // order match id order. A refused commit fails the
-            // submission before it takes the id.
-            inner
-                .journal
-                .commit(|| JournalRecord::JobSubmitted {
+        let id = inner
+            .log
+            .accept(
+                |id| JournalRecord::JobSubmitted {
                     job: id,
                     line: original_line,
-                })
-                .map_err(|e| format!("journal commit failed: {e}"))?;
-            g.next_id = id;
-            g.placed += 1;
-            inner.enqueue(k, id, req, plan);
-            id
-        };
+                },
+                Err,
+                |id| inner.enqueue(k, id, req, plan),
+            )
+            .map_err(|e| format!("journal commit failed: {e}"))?;
         inner.trace_submitted(id, footprint, k, resolved.as_ref());
         inner.shards[k].work.notify_all();
         Ok(id)
     }
 
     fn drain(&self) {
-        let mut g = self.inner.global_lock();
-        while g.finished < g.placed {
-            g = self.inner.done.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
+        self.inner.log.drain()
     }
 
     fn results(&self) -> Vec<JobResult> {
-        self.inner.global_lock().results.clone()
+        self.inner.log.results()
     }
 
     /// Merged counters: per-shard snapshots folded with
-    /// [`ServiceStats::merge`], plus the global rejection count.
+    /// [`ServiceStats::merge`], plus the service-wide counters.
     fn stats(&self) -> ServiceStats {
         let mut merged = ServiceStats::default();
         for s in &self.inner.shards {
             merged.merge(&s.stats_snapshot());
         }
-        {
-            let g = self.inner.global_lock();
-            merged.rejected = g.rejected;
-            merged.journal_replayed_records = g.journal_replayed_records;
-            merged.journal_torn_bytes = g.journal_torn_bytes;
-            merged.journal_orphans_deleted = g.journal_orphans_deleted;
-            merged.journal_resumed_jobs = g.journal_resumed_jobs;
-        }
-        if let Some(js) = self.inner.journal.stats() {
+        merged.merge(&self.inner.counters());
+        if let Some(js) = self.inner.log.journal_stats() {
             merged.journal_appended_records = js.appended_records;
             merged.journal_commits = js.commits;
         }
@@ -450,15 +398,15 @@ impl JoinService for ShardedService {
 
 /// Install a replayed journal into a freshly-built service (before its
 /// workers start): garbage-collect leftover per-job stores, re-report
-/// completed jobs through shard 0's counters, re-place in-flight jobs
-/// under their original ids with the configured placement policy, and
-/// continue id assignment past everything the journal has seen.
+/// completed jobs through shard 0's counters, and re-place in-flight
+/// jobs under their original ids with the configured placement policy
+/// ([`JobLog::resume`]).
 fn apply_resume(inner: &ShardedInner, replayed: Replayed) -> Result<(), String> {
     let orphans_deleted = match &inner.cfg.env {
         EnvKind::Mmap { root } => gc_job_stores(root)?,
         EnvKind::Sim => 0,
     };
-    let (jobs, next_id) = resume_jobs(&ReplayState::from_records(&replayed.records));
+    let (jobs, top) = resume_jobs(&ReplayState::from_records(&replayed.records));
     let resumed_jobs = jobs.iter().filter(|(_, _, done)| done.is_none()).count() as u64;
     let records = replayed.records.len() as u64;
     inner.trace(TraceEvent::RecoveryReplayed {
@@ -468,57 +416,51 @@ fn apply_resume(inner: &ShardedInner, replayed: Replayed) -> Result<(), String> 
         resumed_jobs,
     });
     {
-        let mut g = inner.global_lock();
-        g.next_id = g.next_id.max(next_id);
-        g.journal_replayed_records = records;
-        g.journal_torn_bytes = replayed.torn_bytes;
-        g.journal_orphans_deleted = orphans_deleted;
-        g.journal_resumed_jobs = resumed_jobs;
+        let mut c = inner.counters();
+        c.journal_replayed_records = records;
+        c.journal_torn_bytes = replayed.torn_bytes;
+        c.journal_orphans_deleted = orphans_deleted;
+        c.journal_resumed_jobs = resumed_jobs;
     }
-    let finish = |r: JobResult| {
-        {
-            let mut st = inner.shards[0].lock();
-            st.stats.submitted += 1;
-            st.stats.record(&r, None, None);
-        }
-        let mut g = inner.global_lock();
-        g.placed += 1;
-        g.finished += 1;
-        g.results.push(r);
+    let report = |r: JobResult| {
+        let mut st = inner.shards[0].lock();
+        st.stats.submitted += 1;
+        st.stats.record(&r, None, None);
+        r
     };
-    for (id, mut req, completed) in jobs {
-        if let Some((pairs, checksum, ok)) = completed {
-            let plan = choose(inner.cfg.machine()?, &req.planner_inputs());
-            finish(JobResult {
-                pairs,
-                checksum,
-                verified: ok,
-                resumed: true,
-                error: replayed_error(ok),
-                ..JobResult::new(id, &req, &plan)
-            });
-            continue;
-        }
-        let (resolved, plan, shard) = inner.plan_and_place(&mut req)?;
-        let footprint = req.footprint();
-        let Some(k) = shard else {
-            // The journal came from a differently-shaped service and no
-            // slice can ever hold this job: fail it visibly rather than
-            // queue it forever (which would hang every drain).
-            finish(JobResult {
-                resumed: true,
-                error: Some(format!(
-                    "resumed job footprint {footprint} B exceeds every shard's budget slice"
-                )),
-                ..JobResult::new(id, &req, &plan)
-            });
-            continue;
-        };
-        inner.global_lock().placed += 1;
-        inner.enqueue(k, id, req, plan);
-        inner.trace_submitted(id, footprint, k, resolved.as_ref());
-    }
-    Ok(())
+    let jobs = jobs.into_iter().map(|(id, req, done)| (id, (req, done)));
+    inner
+        .log
+        .resume(Some(top), jobs, |id, (mut req, completed)| {
+            if let Some((pairs, checksum, ok)) = completed {
+                let plan = choose(inner.cfg.machine()?, &req.planner_inputs());
+                return Ok(Some(report(JobResult {
+                    pairs,
+                    checksum,
+                    verified: ok,
+                    resumed: true,
+                    error: replayed_error(ok),
+                    ..JobResult::new(id, &req, &plan)
+                })));
+            }
+            let (resolved, plan, shard) = inner.plan_and_place(&mut req)?;
+            let footprint = req.footprint();
+            let Some(k) = shard else {
+                // The journal came from a differently-shaped service and no
+                // slice can ever hold this job: fail it visibly rather than
+                // queue it forever (which would hang every drain).
+                return Ok(Some(report(JobResult {
+                    resumed: true,
+                    error: Some(format!(
+                        "resumed job footprint {footprint} B exceeds every shard's budget slice"
+                    )),
+                    ..JobResult::new(id, &req, &plan)
+                })));
+            };
+            inner.enqueue(k, id, req, plan);
+            inner.trace_submitted(id, footprint, k, resolved.as_ref());
+            Ok(None)
+        })
 }
 
 fn shard_worker(inner: &ShardedInner, me: usize) {
@@ -563,43 +505,34 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
             shard: me as u32,
         });
 
-        let (mut result, folded, passes) = run_job(inner, job, me);
-
-        // Journal the terminal result before it becomes visible in
-        // memory: a crash after this commit re-reports, never re-runs.
-        // A refused commit publishes the job failed; a resume re-runs it.
-        if let Err(e) = inner.journal.commit(|| JournalRecord::JobCompleted {
+        let (result, folded, passes) = run_job(inner, job, me);
+        let completed = JournalRecord::JobCompleted {
             job: result.id,
             pairs: result.pairs,
             checksum: result.checksum,
             ok: result.error.is_none() && result.verified,
-        }) {
-            result.error = Some(refused_completion(result.error.take(), &e));
-        }
-
-        let mut st = shard.lock();
-        debug_assert!(result.released_bytes <= footprint);
-        // Terminal release: degradations already returned part of the
-        // reservation mid-run; exactly the remainder is still held.
-        st.used_bytes -= footprint - result.released_bytes;
-        st.running -= 1;
-        st.backlog_seconds = (st.backlog_seconds - predicted).max(0.0);
-        st.stats.record(&result, folded.as_ref(), passes.as_ref());
-        let ok = result.error.is_none() && result.verified;
-        let degraded = result.degraded;
-        let id = result.id;
-        drop(st);
-        inner.trace(TraceEvent::JobCompleted {
-            job: id,
-            ok,
-            degraded,
+        };
+        inner.log.publish(result.id, Some(completed), |committed| {
+            let mut result = result;
+            if let Err(e) = committed {
+                result.error = Some(refused_completion(result.error.take(), &e));
+            }
+            let mut st = shard.lock();
+            debug_assert!(result.released_bytes <= footprint);
+            // Terminal release: degradations already returned part of
+            // the reservation mid-run; exactly the remainder is held.
+            st.used_bytes -= footprint - result.released_bytes;
+            st.running -= 1;
+            st.backlog_seconds = (st.backlog_seconds - predicted).max(0.0);
+            st.stats.record(&result, folded.as_ref(), passes.as_ref());
+            drop(st);
+            inner.trace(TraceEvent::JobCompleted {
+                job: result.id,
+                ok: result.error.is_none() && result.verified,
+                degraded: result.degraded,
+            });
+            result
         });
-        {
-            let mut g = inner.global_lock();
-            g.finished += 1;
-            g.results.push(result);
-            inner.done.notify_all();
-        }
         // Freed budget may admit or un-starve a job queued here.
         shard.work.notify_all();
     }

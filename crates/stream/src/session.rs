@@ -12,21 +12,17 @@
 //! re-executes only the suffix that never completed.
 //!
 //! The journal is opened like every tier's
-//! ([`Journal::open_or_create`]), and its commit points mirror the
-//! serve tier:
+//! ([`Journal::open_or_create`]), and sequence numbers, the op
+//! records and the results go through the shared lifecycle
+//! ([`JobLog`]): `BatchSubmitted` is committed as the op is accepted,
+//! `BatchCompleted` as its result is published, and only for ops that
+//! verified clean (a failed op re-runs on resume). Beyond it the stream
+//! commits one `StreamOpened` at open, which pins the header line so a
+//! resume with a different shape is refused; a refusal fails `open`.
+//! A refused `BatchSubmitted` is the one refusal that is only logged:
+//! the op runs, and is not durable (ROADMAP item 13).
 //!
-//! * `StreamOpened` — at open, committed (pins the header line so a
-//!   resume with a different shape is refused);
-//! * `BatchSubmitted` — before the op is queued, committed (a caller
-//!   that got a sequence number back will find the op after a crash);
-//! * `BatchCompleted` — before the result is visible, committed, and
-//!   only for ops that verified clean (a failed op re-runs on resume).
-//!
-//! A refused commit fails what it guards, as in every tier: a refused
-//! `StreamOpened` fails `open`, and an op whose completion is refused
-//! is reported failed. The one exception left is a refused
-//! `BatchSubmitted`, which is only logged to stderr: the op runs, and
-//! is not durable (ROADMAP 1(a)).
+//! Lock order: the session lock, then the log's.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -38,7 +34,7 @@ use mmjoin_env::machine::MachineParams;
 use mmjoin_env::trace::escape;
 use mmjoin_env::{Env, EnvError, Histogram, ProcId, Result, TraceEvent};
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_recovery::{Journal, JournalRecord, ReplayState, SharedJournal};
+use mmjoin_recovery::{JobLog, Journal, JournalRecord, ReplayState};
 
 use crate::grammar::{StreamHeader, StreamOp, PAGE};
 use crate::resident::{BatchOutput, ResidentSet};
@@ -226,10 +222,7 @@ struct QueuedOp {
 #[derive(Default)]
 struct SessState {
     queue: VecDeque<QueuedOp>,
-    busy: bool,
     shutdown: bool,
-    next_seq: u64,
-    results: Vec<BatchResult>,
     stats: StreamStats,
 }
 
@@ -237,11 +230,10 @@ struct Shared<E: Env> {
     env: Arc<E>,
     header: StreamHeader,
     machine: MachineParams,
-    journal: SharedJournal<MmapEnv>,
+    log: JobLog<BatchResult, MmapEnv>,
     state: Mutex<SessState>,
     not_full: Condvar,
     not_empty: Condvar,
-    idle: Condvar,
     bound: usize,
 }
 
@@ -262,7 +254,7 @@ impl<E: Env + 'static> StreamSession<E> {
     /// resident set, re-apply any replayed ops, and start the worker.
     pub fn open(env: Arc<E>, header: StreamHeader, cfg: StreamConfig) -> Result<StreamSession<E>> {
         header.rel().validate()?;
-        let (journal, replayed) = match &cfg.journal_dir {
+        let (mut journal, replayed) = match &cfg.journal_dir {
             None => (None, None),
             Some(dir) => {
                 // The journal owns its `stream.wal` and nothing else in
@@ -280,9 +272,6 @@ impl<E: Env + 'static> StreamSession<E> {
                 (Some(journal), replayed)
             }
         };
-        let journal_stats = replayed
-            .as_ref()
-            .map_or((0, 0), |r| (r.records.len() as u64, r.torn_bytes));
         let replayed = replayed.map(|r| ReplayState::from_records(&r.records));
 
         // A resumed stream must be the same stream: the journaled
@@ -309,16 +298,20 @@ impl<E: Env + 'static> StreamSession<E> {
         }
 
         let mut resident = ResidentSet::build(Arc::clone(&env), &header, &cfg.machine)?;
+        if let (Some(j), None) = (journal.as_mut(), &replayed) {
+            j.append_commit(&JournalRecord::StreamOpened {
+                line: header.to_line(),
+            })?;
+        }
 
         let shared = Arc::new(Shared {
             env: Arc::clone(&env),
             header: header.clone(),
             machine: cfg.machine,
-            journal: SharedJournal::new(journal),
+            log: JobLog::new(journal, 0),
             state: Mutex::new(SessState::default()),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            idle: Condvar::new(),
             bound: cfg.queue_bound.max(1),
         });
 
@@ -327,67 +320,64 @@ impl<E: Env + 'static> StreamSession<E> {
             st.stats.resident_objects = header.s_objects;
             st.stats.live_objects = header.s_objects;
             st.stats.resident_builds = 1;
-            st.stats.journal_replayed_records = journal_stats.0;
-            st.stats.journal_torn_bytes = journal_stats.1;
-        }
-
-        if replayed.is_none() {
-            shared.journal.commit(|| JournalRecord::StreamOpened {
-                line: header.to_line(),
-            })?;
         }
 
         // Re-apply the replayed op list in sequence order on the fresh
         // resident set: completed mutations replay their state effect,
         // completed batches re-report exactly once, everything else
-        // queues for normal execution.
+        // queues for normal execution. A dropped op keeps its seq.
         if let Some(state) = replayed {
             let mut st = shared.lock();
-            for (seq, bs) in &state.batches {
-                let op = match StreamOp::parse_line(&bs.line) {
-                    Ok(Some(op)) => op,
-                    _ => {
-                        eprintln!(
-                            "mmjoin-stream: journal op {seq} has unusable line {:?}; dropped",
-                            bs.line
-                        );
-                        continue;
-                    }
-                };
-                st.stats.submitted += 1;
-                st.next_seq = st.next_seq.max(seq + 1);
-                match &bs.completed {
-                    Some((pairs, checksum, misses)) => {
-                        if op.is_mutation() {
-                            apply_mutation(&mut resident, &op)?;
+            let top = state.batches.keys().next_back().copied();
+            let ops =
+                state
+                    .batches
+                    .iter()
+                    .filter_map(|(seq, bs)| match StreamOp::parse_line(&bs.line) {
+                        Ok(Some(op)) => Some((*seq, (op, bs.completed))),
+                        _ => {
+                            eprintln!(
+                                "mmjoin-stream: journal op {seq} has unusable line {:?}; dropped",
+                                bs.line
+                            );
+                            None
                         }
-                        let r = BatchResult {
-                            seq: *seq,
-                            name: op.label().to_string(),
-                            kind: op_kind(&op),
-                            rows: op_rows(&op),
-                            pairs: *pairs,
-                            checksum: *checksum,
-                            misses: *misses,
-                            ok: true,
-                            predicted_seconds: 0.0,
-                            queue_wait: 0.0,
-                            exec_wall: 0.0,
-                            env_elapsed: 0.0,
-                            live_after: resident.live_count(),
-                            resumed: true,
-                            error: None,
-                        };
-                        st.stats.record(&r);
-                        st.results.push(r);
+                    });
+            shared
+                .log
+                .resume(top, ops, |seq, (op, completed)| -> Result<_> {
+                    st.stats.submitted += 1;
+                    let Some((pairs, checksum, misses)) = completed else {
+                        st.queue.push_back(QueuedOp {
+                            seq,
+                            op,
+                            enqueued: Instant::now(),
+                        });
+                        return Ok(None);
+                    };
+                    if op.is_mutation() {
+                        apply_mutation(&mut resident, &op)?;
                     }
-                    None => st.queue.push_back(QueuedOp {
-                        seq: *seq,
-                        op,
-                        enqueued: Instant::now(),
-                    }),
-                }
-            }
+                    let r = BatchResult {
+                        seq,
+                        name: op.label().to_string(),
+                        kind: op_kind(&op),
+                        rows: op_rows(&op),
+                        pairs,
+                        checksum,
+                        misses,
+                        ok: true,
+                        predicted_seconds: 0.0,
+                        queue_wait: 0.0,
+                        exec_wall: 0.0,
+                        env_elapsed: 0.0,
+                        live_after: resident.live_count(),
+                        resumed: true,
+                        error: None,
+                    };
+                    st.stats.record(&r);
+                    Ok(Some(r))
+                })?;
         }
 
         let worker = {
@@ -410,7 +400,7 @@ impl<E: Env + 'static> StreamSession<E> {
         // The journal line is formatted before the state lock is taken
         // (a 4096-row `batch-rows=` line is not short); an un-journaled
         // session formats nothing.
-        let line = self.shared.journal.is_enabled().then(|| op.to_line());
+        let line = self.shared.log.is_journaled().then(|| op.to_line());
         let mut st = self.shared.lock();
         let mut blocked = false;
         while st.queue.len() >= self.shared.bound && !st.shutdown {
@@ -434,33 +424,31 @@ impl<E: Env + 'static> StreamSession<E> {
         if st.shutdown {
             return Err(EnvError::InvalidConfig("stream is shut down".into()));
         }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.stats.submitted += 1;
-        if let Some(line) = line {
-            // The one refused commit that is only logged, not
-            // propagated: the op still runs, and is not durable
-            // (ROADMAP 1(a)).
-            if let Err(e) = self
-                .shared
-                .journal
-                .commit(|| JournalRecord::BatchSubmitted { batch: seq, line })
-            {
-                eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
-            }
-        }
-        self.shared.env.trace(
-            PROC,
-            TraceEvent::BatchSubmitted {
+        let rows = op_rows(&op);
+        let seq = self.shared.log.accept(
+            |seq| JournalRecord::BatchSubmitted {
                 batch: seq,
-                rows: op_rows(&op),
+                line: line.unwrap_or_default(),
             },
-        );
-        st.queue.push_back(QueuedOp {
-            seq,
-            op,
-            enqueued: Instant::now(),
-        });
+            |e| {
+                // The one refused commit that is only logged, not
+                // propagated: the op still runs, and is not durable
+                // (ROADMAP item 13).
+                eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
+                Ok(())
+            },
+            |seq| {
+                st.queue.push_back(QueuedOp {
+                    seq,
+                    op,
+                    enqueued: Instant::now(),
+                })
+            },
+        )?;
+        st.stats.submitted += 1;
+        self.shared
+            .env
+            .trace(PROC, TraceEvent::BatchSubmitted { batch: seq, rows });
         self.shared.not_empty.notify_one();
         Ok(seq)
     }
@@ -476,51 +464,32 @@ impl<E: Env + 'static> StreamSession<E> {
         Ok(seqs)
     }
 
-    /// Block until the queue is empty and the worker idle.
+    /// Block until every accepted op has its result.
     pub fn drain(&self) {
-        let mut st = self.shared.lock();
-        while !st.queue.is_empty() || st.busy {
-            st = self.shared.idle.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        self.shared.log.drain()
     }
 
     /// Results so far, submission order.
     pub fn results(&self) -> Vec<BatchResult> {
-        let mut r = self.shared.lock().results.clone();
+        let mut r = self.shared.log.results();
         r.sort_by_key(|x| x.seq);
         r
     }
 
-    /// Block until more than `from` results exist, then return
-    /// `results[from..]` in completion order; an empty vector means
-    /// `deadline` passed first. A consumer that remembers how many
-    /// results it has seen gets each one once, woken by the completion
-    /// itself.
+    /// Results past the first `from`, in completion order, once there
+    /// are any; empty once `deadline` passes ([`JobLog::wait_results`]).
     pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<BatchResult> {
-        let mut st = self.shared.lock();
-        loop {
-            if let Some(fresh) = st.results.get(from..).filter(|s| !s.is_empty()) {
-                return fresh.to_vec();
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Vec::new();
-            }
-            st = self
-                .shared
-                .idle
-                .wait_timeout(st, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
+        self.shared.log.wait_results(from, deadline)
     }
 
     /// Counter snapshot (journal counters folded in live).
     pub fn stats(&self) -> StreamStats {
         let mut s = self.shared.lock().stats.clone();
-        if let Some(js) = self.shared.journal.stats() {
+        if let Some(js) = self.shared.log.journal_stats() {
             s.journal_appended_records = js.appended_records;
             s.journal_commits = js.commits;
+            s.journal_replayed_records = js.replayed_records;
+            s.journal_torn_bytes = js.torn_bytes;
         }
         s
     }
@@ -579,7 +548,6 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
             let mut st = shared.lock();
             loop {
                 if let Some(item) = st.queue.pop_front() {
-                    st.busy = true;
                     break Some(item);
                 }
                 if st.shutdown {
@@ -603,62 +571,58 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
             .map(|j| shared.env.now(ProcId(j)) - t0[j as usize])
             .fold(0.0, f64::max);
         let exec_wall = started.elapsed().as_secs_f64();
-        // Completion commits before the result becomes visible, and
-        // only for clean ops: a failed op re-runs after a crash, and so
-        // does one whose completion could not be committed.
-        let error = error.or_else(|| {
-            shared
-                .journal
-                .commit(|| JournalRecord::BatchCompleted {
-                    batch: item.seq,
-                    pairs: output.pairs,
-                    checksum: output.checksum,
-                    misses: output.misses,
-                })
-                .err()
-                .map(|e| format!("journal commit failed: {e}"))
-        });
-        let ok = error.is_none();
-        let result = BatchResult {
-            seq: item.seq,
-            name: item.op.label().to_string(),
-            kind: op_kind(&item.op),
-            rows,
+        // Only a clean op commits its completion: a failed op re-runs
+        // after a crash, and so does one whose commit is refused.
+        let completed = error.is_none().then_some(JournalRecord::BatchCompleted {
+            batch: item.seq,
             pairs: output.pairs,
             checksum: output.checksum,
             misses: output.misses,
-            ok,
-            predicted_seconds: predicted,
-            queue_wait,
-            exec_wall,
-            env_elapsed,
-            live_after: resident.live_count(),
-            resumed: false,
-            error,
-        };
-        shared.env.trace(
-            PROC,
-            TraceEvent::BatchCompleted {
-                batch: item.seq,
-                pairs: result.pairs,
-                misses: result.misses,
+        });
+        let live_after = resident.live_count();
+        let mut st = shared.lock();
+        shared.log.publish(item.seq, completed, |committed| {
+            let error = error.or_else(|| {
+                committed
+                    .err()
+                    .map(|e| format!("journal commit failed: {e}"))
+            });
+            let ok = error.is_none();
+            let result = BatchResult {
+                seq: item.seq,
+                name: item.op.label().to_string(),
+                kind: op_kind(&item.op),
+                rows,
+                pairs: output.pairs,
+                checksum: output.checksum,
+                misses: output.misses,
                 ok,
-            },
-        );
-        {
-            let mut st = shared.lock();
+                predicted_seconds: predicted,
+                queue_wait,
+                exec_wall,
+                env_elapsed,
+                live_after,
+                resumed: false,
+                error,
+            };
+            shared.env.trace(
+                PROC,
+                TraceEvent::BatchCompleted {
+                    batch: item.seq,
+                    pairs: result.pairs,
+                    misses: result.misses,
+                    ok,
+                },
+            );
             st.stats.record(&result);
-            st.results.push(result);
-            st.busy = false;
-        }
-        shared.idle.notify_all();
+            result
+        });
     }
     // Stops the Sproc service and deletes the S partitions: nothing
     // a later open cannot rebuild.
     if let Err(e) = resident.teardown() {
         eprintln!("mmjoin-stream: resident teardown failed: {e}");
     }
-    shared.idle.notify_all();
 }
 
 /// Run one op against the resident set. Returns

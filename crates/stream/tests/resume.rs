@@ -319,3 +319,68 @@ fn a_completion_the_full_journal_cannot_commit_is_reported_failed_and_never_resu
     sess.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An op whose journaled line no longer parses is dropped on resume but
+/// keeps its seq: an op submitted after the resume must not take it, or
+/// the dropped op's completion would later stand in for its result.
+#[test]
+fn an_unusable_op_line_is_dropped_but_keeps_its_seq() {
+    let dir = tmp("dropped");
+    {
+        let jenv = MmapEnv::new(MmapEnvConfig {
+            root: dir.clone(),
+            num_disks: 1,
+            page_size: 4096,
+        })
+        .unwrap();
+        let mut j = Journal::create(jenv, "stream.wal", 4 << 20, ProcId(0)).unwrap();
+        for rec in [
+            JournalRecord::StreamOpened {
+                line: header().to_line(),
+            },
+            JournalRecord::BatchSubmitted {
+                batch: 0,
+                line: ops()[0].to_line(),
+            },
+            JournalRecord::BatchSubmitted {
+                batch: 1,
+                line: "batch=b9 objects=nine".into(),
+            },
+            JournalRecord::BatchCompleted {
+                batch: 1,
+                pairs: 9,
+                checksum: 9,
+                misses: 0,
+            },
+        ] {
+            j.append_commit(&rec).unwrap();
+        }
+    }
+    // A batch whose row points past |S| fails, so its completion is
+    // never committed: what a crash before it completed leaves.
+    let failing = StreamOp::BatchRows {
+        name: "past".into(),
+        rows: vec![(1, 9999)],
+    };
+    let seqs = |results: &[BatchResult]| results.iter().map(|r| r.seq).collect::<Vec<_>>();
+    {
+        let sess = StreamSession::open(sim(), header(), cfg(&dir, true)).unwrap();
+        assert_eq!(sess.submit(failing).unwrap(), 2);
+        sess.drain();
+        let results = sess.results();
+        assert_eq!(seqs(&results), [0, 2]);
+        assert!(!results[1].ok, "{:?}", results[1]);
+        sess.shutdown();
+    }
+    // The second resume runs op 2 again rather than re-reporting the
+    // dropped op's journaled result under its seq.
+    let sess = StreamSession::open(sim(), header(), cfg(&dir, true)).unwrap();
+    sess.drain();
+    let results = sess.results();
+    assert_eq!(seqs(&results), [0, 2]);
+    let r = &results[1];
+    assert_eq!(r.name, "past");
+    assert!(!r.resumed && !r.ok, "{r:?}");
+    sess.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
