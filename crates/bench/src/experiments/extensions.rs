@@ -333,10 +333,7 @@ pub fn trace_stats() {
         (Algo::Grace, 0.04),
     ] {
         let pages = ((frac * r_bytes(&w) as f64) as u64 / PAGE).max(4);
-        let mut cfg = SimConfig::waterloo96(4);
-        cfg.machine = machine.clone();
-        cfg.rproc_pages = pages as usize;
-        cfg.sproc_pages = pages as usize;
+        let mut cfg = SimConfig::granted(4, machine.clone(), pages as usize, pages as usize);
         cfg.trace = true;
         let env = SimEnv::new(cfg).expect("config");
         let rels = build(&env, &w).expect("workload");
@@ -407,11 +404,9 @@ pub fn contention() {
 }
 
 fn ssd_point(disk: &DiskParams, alg: Algo, pages: u64, w: &WorkloadSpec) -> f64 {
-    let mut cfg = SimConfig::waterloo96(4);
-    cfg.machine = calibrated_params(disk).expect("calibration");
+    let machine = calibrated_params(disk).expect("calibration");
+    let mut cfg = SimConfig::granted(4, machine, pages as usize, pages as usize);
     cfg.disk = disk.clone();
-    cfg.rproc_pages = pages as usize;
-    cfg.sproc_pages = pages as usize;
     let env = SimEnv::new(cfg).expect("config");
     let rels = build(&env, w).expect("workload");
     let spec = JoinSpec::new(pages * PAGE, pages * PAGE).with_mode(ExecMode::Sequential);
@@ -489,12 +484,7 @@ pub fn msproc() {
     );
     for s_frac in [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3] {
         let s_pages = ((s_frac * r_bytes(&w) as f64) as u64 / PAGE).max(4) as usize;
-        let mut cfg = SimConfig::waterloo96(4);
-        cfg.machine = machine.clone();
-        cfg.rproc_pages = r_pages;
-        cfg.sproc_pages = s_pages;
-        cfg.policy = Policy::Lru;
-        cfg.contention = ContentionMode::Independent;
+        let cfg = SimConfig::granted(4, machine.clone(), r_pages, s_pages);
         let env = SimEnv::new(cfg).expect("config");
         let rels = build(&env, &w).expect("workload");
         let spec = JoinSpec::new(r_pages as u64 * PAGE, s_pages as u64 * PAGE)

@@ -24,15 +24,12 @@
 //! ```
 
 use mmjoin::{
-    choose, choose_auto, join, verify, Algo, ExecMode, JoinSpec, SampleSummary, HISTOGRAM_BUCKETS,
-    SAMPLE_CAP,
+    choose, choose_auto, join, verify, Algo, ExecMode, JoinSpec, SampleSummary, SAMPLE_CAP,
 };
 use mmjoin_bench::{calibrated_machine, sim_env, PAGE};
 use mmjoin_env::Options;
 use mmjoin_model::choose_k;
-use mmjoin_relstore::{
-    build, sample_spec_pointers, PointerDist, RelConfig, WorkloadSpec, SPTR_SIZE,
-};
+use mmjoin_relstore::{build, PointerDist, RelConfig, WorkloadSpec, SPTR_SIZE};
 use mmjoin_vmsim::{ContentionMode, Policy};
 
 /// One executed plan: what was chosen and what it cost.
@@ -127,13 +124,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
         };
 
         // The auto arm: sampled histogram in, data-aware plan out.
-        let summary = SampleSummary::from_pointers(
-            &sample_spec_pointers(&w, SAMPLE_CAP),
-            objects,
-            objects,
-            d,
-            HISTOGRAM_BUCKETS,
-        );
+        let summary = SampleSummary::of_spec(&w, SAMPLE_CAP);
         let plan = choose_auto(machine, &inputs, Some(&summary));
         let auto = Arm {
             alg: Algo::from(plan.choice.algorithm),

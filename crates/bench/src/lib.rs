@@ -55,13 +55,12 @@ pub fn r_bytes(spec: &WorkloadSpec) -> u64 {
 
 /// A fresh simulated machine for one sweep point.
 pub fn sim_env(d: u32, pages: usize, policy: Policy, contention: ContentionMode) -> SimEnv {
-    let mut cfg = SimConfig::waterloo96(d);
-    cfg.machine = calibrated_machine().clone();
-    cfg.rproc_pages = pages;
-    cfg.sproc_pages = pages;
-    cfg.policy = policy;
-    cfg.contention = contention;
-    SimEnv::new(cfg).expect("valid experiment config")
+    SimEnv::new(SimConfig {
+        policy,
+        contention,
+        ..SimConfig::granted(d, calibrated_machine().clone(), pages, pages)
+    })
+    .expect("valid experiment config")
 }
 
 /// One model-vs-experiment measurement.

@@ -50,10 +50,13 @@ fn outcomes(results: &[ClusterJobResult]) -> BTreeMap<String, (u64, u64, bool)> 
         .collect()
 }
 
+/// How long `fast_cfg`'s coordinator waits on a silent node.
+const TIMEOUT: Duration = Duration::from_millis(150);
+
 fn fast_cfg(nodes: Vec<String>) -> ClusterConfig {
     ClusterConfig::new(nodes)
         .with_heartbeat(Duration::from_millis(10))
-        .with_timeout(Duration::from_millis(150))
+        .with_timeout(TIMEOUT)
 }
 
 #[test]
@@ -87,8 +90,11 @@ fn two_node_cluster_matches_single_node_reference() {
 /// A scripted fake node: registers with a generous budget, absorbs up
 /// to `claim_before_silence` dispatches while answering heartbeats,
 /// then goes completely silent — never completing a job, never
-/// answering another ping. The coordinator must declare it dead and
-/// re-queue everything it swallowed onto the survivor.
+/// answering another ping. It also goes silent once it holds a job and
+/// no further dispatch has come for [`TIMEOUT`], so its silence never
+/// hangs on how many dispatches the coordinator happens to send it. The
+/// coordinator must declare it dead and re-queue everything it
+/// swallowed onto the survivor.
 fn spawn_silent_node(claim_before_silence: usize) -> (String, Arc<AtomicUsize>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -111,14 +117,16 @@ fn spawn_silent_node(claim_before_silence: usize) -> (String, Arc<AtomicUsize>) 
         )
         .unwrap();
         let mut reader = FrameReader::new();
+        let mut last_claim: Option<Instant> = None;
         loop {
+            if last_claim.is_some_and(|t| t.elapsed() >= TIMEOUT) {
+                break;
+            }
             match reader.read_msg(&mut stream) {
                 Ok(Some(Message::RunJob { .. })) => {
+                    last_claim = Some(Instant::now());
                     if count.fetch_add(1, Ordering::SeqCst) + 1 >= claim_before_silence {
-                        // Silence: hold the socket open but never
-                        // speak again — heartbeats go unanswered.
-                        std::thread::sleep(Duration::from_secs(30));
-                        return;
+                        break;
                     }
                 }
                 Ok(Some(Message::Ping { seq })) => {
@@ -130,6 +138,9 @@ fn spawn_silent_node(claim_before_silence: usize) -> (String, Arc<AtomicUsize>) 
                 Err(_) => return,
             }
         }
+        // Silence: hold the socket open but never speak again —
+        // heartbeats go unanswered.
+        std::thread::sleep(Duration::from_secs(30));
     });
     (addr, swallowed)
 }

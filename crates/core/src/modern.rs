@@ -26,7 +26,7 @@
 //!   pointer order so each `S` page is touched once while hot
 //!   ([`TraceEvent::KernelProbe`]).
 //! * **Radix-sorted runs**: runs sort by an LSD radix sort over the
-//!   pointer bits that vary across the run ([`DIGIT_BITS`]-bit digits),
+//!   pointer bits that vary across the run (`DIGIT_BITS`-bit digits),
 //!   sorted runs merge pairwise with a branch-free two-way merge, and
 //!   the owner side of Grace/hybrid sorts its gathered runs once and
 //!   finds the range-bucket boundaries by binary search.

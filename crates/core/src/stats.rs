@@ -19,6 +19,8 @@
 //!
 //! Everything here is deterministic for a fixed seed.
 
+use mmjoin_relstore::{sample_spec_pointers, WorkloadSpec};
+
 /// Default number of pointers a submit-time sample draws.
 pub const SAMPLE_CAP: usize = 4096;
 
@@ -207,6 +209,20 @@ impl SampleSummary {
             bounds,
             depths,
         }
+    }
+
+    /// Draw `cap` pointers from the workload's own distribution
+    /// ([`sample_spec_pointers`]) and fold them into a summary: the
+    /// submit-time sample `plan=auto`, `join --auto` and `plan --sample`
+    /// plan from, before the relations exist.
+    pub fn of_spec(w: &WorkloadSpec, cap: usize) -> SampleSummary {
+        SampleSummary::from_pointers(
+            &sample_spec_pointers(w, cap),
+            w.rel.r_objects,
+            w.rel.s_objects,
+            w.rel.d,
+            HISTOGRAM_BUCKETS,
+        )
     }
 
     /// The histogram-derived skew factor: the observed analogue of the

@@ -217,22 +217,32 @@ impl FaultSpec {
         self.rules.is_empty()
     }
 
-    /// Parse the grammar described at module level.
+    /// Parse the grammar described at module level. A key given twice,
+    /// `seed=` or one within a rule, is refused by name.
     pub fn parse(s: &str) -> std::result::Result<FaultSpec, String> {
+        fn num<T: std::str::FromStr>(key: &str, value: &str) -> std::result::Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("{key}: cannot parse '{value}'"))
+        }
+        let twice = |key: &str| format!("{key}= given more than once");
         let mut spec = FaultSpec::none();
         let s = s.trim();
         if s.is_empty() || s == "none" {
             return Ok(spec);
         }
+        let mut seeded = false;
         for item in s.split(';') {
             let item = item.trim();
             if item.is_empty() {
                 continue;
             }
             if let Some(seed) = item.strip_prefix("seed=") {
-                spec.seed = seed
-                    .parse()
-                    .map_err(|_| format!("seed: cannot parse '{seed}'"))?;
+                if seeded {
+                    return Err(twice("seed"));
+                }
+                seeded = true;
+                spec.seed = num("seed", seed)?;
                 continue;
             }
             let mut parts = item.split(':');
@@ -245,46 +255,29 @@ impl FaultSpec {
                 )
             })?;
             let mut rule = FaultRule::new(kind);
+            let mut keys = Vec::new();
             for kv in parts {
                 let (key, value) = kv
                     .split_once('=')
                     .ok_or_else(|| format!("expected key=value in fault rule, got '{kv}'"))?;
+                if keys.contains(&key) {
+                    return Err(twice(key));
+                }
+                keys.push(key);
                 match key {
                     "p" => {
-                        rule.p = value
-                            .parse()
-                            .map_err(|_| format!("p: cannot parse '{value}'"))?;
+                        rule.p = num(key, value)?;
                         if !(0.0..=1.0).contains(&rule.p) {
                             return Err(format!("p must be in [0,1], got {value}"));
                         }
                     }
-                    "count" => {
-                        rule.count = value
-                            .parse()
-                            .map_err(|_| format!("count: cannot parse '{value}'"))?;
-                    }
-                    "after" => {
-                        rule.after = value
-                            .parse()
-                            .map_err(|_| format!("after: cannot parse '{value}'"))?;
-                    }
-                    "disk" => {
-                        rule.disk = Some(
-                            value
-                                .parse()
-                                .map_err(|_| format!("disk: cannot parse '{value}'"))?,
-                        );
-                    }
+                    "count" => rule.count = num(key, value)?,
+                    "after" => rule.after = num(key, value)?,
+                    "disk" => rule.disk = Some(num(key, value)?),
                     "file" => rule.file = Some(value.to_string()),
-                    "ms" => {
-                        rule.delay_ms = value
-                            .parse()
-                            .map_err(|_| format!("ms: cannot parse '{value}'"))?;
-                    }
+                    "ms" => rule.delay_ms = num(key, value)?,
                     "frac" => {
-                        rule.frac = value
-                            .parse()
-                            .map_err(|_| format!("frac: cannot parse '{value}'"))?;
+                        rule.frac = num(key, value)?;
                         if !(0.0..=1.0).contains(&rule.frac) {
                             return Err(format!("frac must be in [0,1], got {value}"));
                         }
@@ -923,6 +916,25 @@ mod tests {
         ] {
             let err = FaultSpec::parse(input).unwrap_err();
             assert!(err.contains(needle), "'{input}' → {err}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_rule_key_is_refused_by_name() {
+        for (input, key) in [("read:p=0.5:p=1", "p"), ("delay:ms=5:count=2:ms=9", "ms")] {
+            let err = FaultSpec::parse(input).unwrap_err();
+            assert_eq!(err, format!("{key}= given more than once"), "'{input}'");
+        }
+        // Two rules of one kind are two rules, not a repeated key.
+        let spec = FaultSpec::parse("read:p=0.5;read:count=2").unwrap();
+        assert_eq!(spec.rules.len(), 2);
+    }
+
+    #[test]
+    fn a_repeated_seed_is_refused_by_name() {
+        for input in ["seed=1;seed=2", "seed=1;read:p=1;seed=1"] {
+            let err = FaultSpec::parse(input).unwrap_err();
+            assert_eq!(err, "seed= given more than once", "'{input}'");
         }
     }
 

@@ -13,8 +13,8 @@
 //!   ([`mmjoin::choose`]) predicted seconds as the priority key;
 //! * an **executor pool** of worker threads running admitted jobs on
 //!   either the execution-driven simulator or the real memory-mapped
-//!   store, through the same `mmjoin::join` entry point the single-query
-//!   tools use;
+//!   store, each through [`run_join`], the one-job path `mmjoin join`
+//!   takes too;
 //! * a **service stats layer** ([`ServiceStats`]) folding per-job
 //!   process counters into service-level totals, with a JSON snapshot.
 //!
@@ -77,6 +77,6 @@ pub use admission::{AdmissionPolicy, Candidate};
 pub use job::{JobId, JobRequest, JobResult, PlanMode, PAGE};
 pub use placement::{Placement, PlacementKind, PredictedBalanced, ShardLoad};
 pub use recovery::{open_journal, refused_completion, replayed_error, resume_jobs, ResumedJob};
-pub use service::{service_machine, EnvKind, JoinService, ServeConfig, Service};
+pub use service::{run_join, service_machine, EnvKind, JoinRun, JoinService, ServeConfig, Service};
 pub use shard::ShardedService;
 pub use stats::ServiceStats;

@@ -8,9 +8,8 @@
 //! the workload seed, so a resumed service re-resolves a journaled
 //! `plan=auto` line to the identical plan.
 
-use mmjoin::{choose_auto, AutoPlan, SampleSummary, HISTOGRAM_BUCKETS, SAMPLE_CAP};
+use mmjoin::{choose_auto, AutoPlan, SampleSummary, SAMPLE_CAP};
 use mmjoin_env::TraceEvent;
-use mmjoin_relstore::sample_spec_pointers;
 
 use crate::job::{JobId, JobRequest, PlanMode};
 use crate::service::ServeConfig;
@@ -64,15 +63,7 @@ pub(crate) fn resolve_auto(
     if req.plan != PlanMode::Auto {
         return Ok(None);
     }
-    let rel = &req.workload.rel;
-    let pointers = sample_spec_pointers(&req.workload, SAMPLE_CAP);
-    let summary = SampleSummary::from_pointers(
-        &pointers,
-        rel.r_objects,
-        rel.s_objects,
-        rel.d,
-        HISTOGRAM_BUCKETS,
-    );
+    let summary = SampleSummary::of_spec(&req.workload, SAMPLE_CAP);
     let auto = choose_auto(cfg.machine()?, &req.planner_inputs(), Some(&summary));
     req.m_rproc = auto.m_rproc;
     req.m_sproc = auto.m_sproc;

@@ -19,10 +19,10 @@ use mmjoin::{
 };
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{
-    null_sink, EnvError, FaultSpec, FaultyEnv, Histogram, ProcStats, TraceEvent, TraceSink,
+    null_sink, Env, EnvError, FaultSpec, FaultyEnv, Histogram, ProcStats, TraceEvent, TraceSink,
 };
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_relstore::build;
+use mmjoin_relstore::{build, WorkloadSpec};
 use mmjoin_vmsim::{calibrated_params, DiskParams, SimConfig, SimEnv};
 
 use crate::admission::AdmissionPolicy;
@@ -333,24 +333,14 @@ impl JoinService for Service {
     }
 }
 
-/// One plan-level execution: the join ran (possibly with internal
-/// retries) or failed, plus what the recovery layer did along the way.
-struct Attempt {
-    result: Result<(JoinOutput, bool), EnvError>,
-    report: RetryReport,
-    faults: u64,
-}
-
-/// Execute one admitted job and package the outcome. Never panics —
-/// worker panics are caught and become `JobResult::error` — and never
-/// orphans temporary files: every plan-level attempt runs under
-/// `join_with_retry`, which restores the env's file table on failure,
-/// and per-job environments are torn down afterwards either way.
+/// Execute one admitted job through [`run_join`] and package the
+/// outcome. Never panics: worker panics are caught and become
+/// `JobResult::error`.
 ///
 /// Failure handling, outermost first:
 /// * **`DiskFull`** — non-transient: re-plan with halved `m_rproc`/
 ///   `m_sproc` (graceful degradation), up to [`MAX_DEGRADE`] times;
-/// * **transient faults** — absorbed inside `join_with_retry` with
+/// * **transient faults** — absorbed inside [`run_join`]'s retry layer with
 ///   bounded exponential backoff and orphan cleanup.
 pub(crate) fn run_job(
     inner: &ShardedInner,
@@ -375,23 +365,30 @@ pub(crate) fn run_job(
             Err(e) => break Err(e),
         };
         result.alg = alg;
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            execute(cfg, &job, alg, m_rproc, m_sproc)
+        // Tag the job's temporary areas with its id so concurrent (or
+        // interrupted) jobs sharing a store can never collide, and so the
+        // retry layer's orphan cleanup can scope itself to this run.
+        let spec = JoinSpec::new(m_rproc, m_sproc)
+            .with_mode(job.req.mode)
+            .with_tag(&format!("j{}", job.id));
+        let store = format!("job{}", job.id);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_join(cfg, &store, &job.req.workload, alg, &spec)
         }));
-        let attempt = match attempt {
-            Ok(a) => a,
+        let run = match run {
+            Ok(run) => run,
             Err(panic) => {
                 result.panicked = true;
                 result.attempts += 1;
                 break Err(format!("worker panic isolated: {}", panic_message(&panic)));
             }
         };
-        result.attempts += attempt.report.attempts;
-        result.retries += attempt.report.transient_errors;
-        result.cleaned_files += attempt.report.cleaned_files;
-        result.faults_injected += attempt.faults;
-        match attempt.result {
-            Ok(ok) => break Ok(ok),
+        result.attempts += run.report.attempts;
+        result.retries += run.report.transient_errors;
+        result.cleaned_files += run.report.cleaned_files;
+        result.faults_injected += run.faults;
+        match run.output {
+            Ok(out) => break Ok((out, run.mismatch.is_none())),
             Err(EnvError::DiskFull(_)) if result.degraded < MAX_DEGRADE && m_rproc / 2 >= PAGE => {
                 // Graceful degradation: halve the footprint and re-plan
                 // rather than failing the job. The halved reservation is
@@ -468,91 +465,111 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Build the environment and relations, run the join under the retry
-/// layer, verify.
+/// What one run of [`run_join`] produced.
+pub struct JoinRun {
+    /// The join's output, stage times included, or the error that ended
+    /// the run (a failed build, or the join once retries ran out).
+    pub output: Result<JoinOutput, EnvError>,
+    /// Why the output failed oracle verification, if it did.
+    pub mismatch: Option<EnvError>,
+    /// What the retry layer did, failed runs included.
+    pub report: RetryReport,
+    /// Faults the injector fired.
+    pub faults: u64,
+}
+
+/// Run one join job start to finish, the one path `mmjoin join` and every
+/// service worker take:
 ///
-/// The workload is built on the *inner* environment: relations are the
-/// service's input, assumed to exist — the fault domain is the join
-/// itself (reads, writes, temp-file map setup), as in the paper's
-/// model. The join then runs through the [`FaultyEnv`] wrapper.
-fn execute(cfg: &ServeConfig, job: &Queued, alg: Algo, m_rproc: u64, m_sproc: u64) -> Attempt {
-    let req = &job.req;
-    // Tag the job's temporary areas with its id so concurrent (or
-    // interrupted) jobs sharing a store can never collide — and so the
-    // retry layer's orphan cleanup can scope itself to this run.
-    let spec = JoinSpec::new(m_rproc, m_sproc)
-        .with_mode(req.mode)
-        .with_tag(&format!("j{}", job.id));
-    let policy = RetryPolicy::attempts(cfg.retries);
-    let fail = |e: EnvError| Attempt {
-        result: Err(e),
-        report: RetryReport::default(),
-        faults: 0,
-    };
+/// 1. build the environment `cfg.env` names: the simulator with
+///    `cfg.machine()` and `spec`'s grants, or a fresh store in the
+///    directory `store` under the [`EnvKind::Mmap`] root;
+/// 2. wrap it in a [`FaultyEnv`] injecting `cfg.fault_spec`;
+/// 3. build `workload` on the inner environment: the relations are the
+///    job's input, so the fault domain is the join itself, as in the
+///    paper's model;
+/// 4. attach `cfg.trace`, so the trace covers the join and not relation
+///    generation;
+/// 5. join under `cfg.retries` attempts (a failed attempt's files are
+///    cleaned up) and verify the output against the workload oracle;
+/// 6. remove the store, on every path.
+pub fn run_join(
+    cfg: &ServeConfig,
+    store: &str,
+    workload: &WorkloadSpec,
+    alg: Algo,
+    spec: &JoinSpec,
+) -> JoinRun {
+    let d = workload.rel.d;
     match &cfg.env {
         EnvKind::Sim => {
-            let mut sim_cfg = SimConfig::waterloo96(req.workload.rel.d);
-            sim_cfg.machine = match cfg.machine() {
-                Ok(m) => m.clone(),
-                Err(e) => return fail(EnvError::InvalidConfig(e)),
+            let pages = |bytes: u64| (bytes / PAGE).max(1) as usize;
+            let (r, s) = (pages(spec.m_rproc), pages(spec.m_sproc));
+            let env = match cfg.machine() {
+                Ok(m) => SimEnv::new(SimConfig::granted(d, m.clone(), r, s)),
+                Err(e) => Err(EnvError::InvalidConfig(e)),
             };
-            sim_cfg.rproc_pages = (m_rproc / PAGE).max(1) as usize;
-            sim_cfg.sproc_pages = (m_sproc / PAGE).max(1) as usize;
-            let env = match SimEnv::new(sim_cfg) {
-                Ok(env) => {
-                    env.set_trace_sink(cfg.trace.clone());
-                    FaultyEnv::new(env, cfg.fault_spec.clone())
-                }
-                Err(e) => return fail(e),
-            };
-            attempt_on(&env, req, alg, &spec, &policy)
+            join_on(env, SimEnv::set_trace_sink, cfg, workload, alg, spec)
         }
         EnvKind::Mmap { root } => {
-            let job_root = root.join(format!("job{}", job.id));
-            let env = match MmapEnv::new(MmapEnvConfig {
-                root: job_root.clone(),
-                num_disks: req.workload.rel.d,
+            let store = Store(root.join(store));
+            let _ = std::fs::remove_dir_all(&store.0);
+            let env = MmapEnv::new(MmapEnvConfig {
+                root: store.0.clone(),
+                num_disks: d,
                 page_size: PAGE,
-            }) {
-                Ok(env) => {
-                    env.set_trace_sink(cfg.trace.clone());
-                    FaultyEnv::new(env, cfg.fault_spec.clone())
-                }
-                Err(e) => return fail(e),
-            };
-            let attempt = attempt_on(&env, req, alg, &spec, &policy);
-            drop(env);
-            let _ = std::fs::remove_dir_all(&job_root);
-            attempt
+            });
+            join_on(env, MmapEnv::set_trace_sink, cfg, workload, alg, spec)
         }
     }
 }
 
-/// Build the relations on the wrapper's inner env, run the join through
-/// the wrapper under the retry layer, and collect the fault counters.
-fn attempt_on<E: mmjoin_env::Env>(
-    env: &FaultyEnv<E>,
-    req: &JobRequest,
+/// A job's store directory, removed when dropped: after the join, on
+/// an error, and while a panic unwinds to the worker that isolates it.
+struct Store(PathBuf);
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Steps 2–5 of [`run_join`] on the environment step 1 built, which is
+/// dropped before returning.
+fn join_on<E: Env>(
+    env: Result<E, EnvError>,
+    attach: fn(&E, Arc<dyn TraceSink>),
+    cfg: &ServeConfig,
+    workload: &WorkloadSpec,
     alg: Algo,
     spec: &JoinSpec,
-    policy: &RetryPolicy,
-) -> Attempt {
-    let rels = match build(env.inner(), &req.workload) {
-        Ok(rels) => rels,
+) -> JoinRun {
+    let built = env.and_then(|env| {
+        let env = FaultyEnv::new(env, cfg.fault_spec.clone());
+        let rels = build(env.inner(), workload)?;
+        attach(env.inner(), cfg.trace.clone());
+        Ok((env, rels))
+    });
+    let (env, rels) = match built {
+        Ok(built) => built,
         Err(e) => {
-            return Attempt {
-                result: Err(e),
+            return JoinRun {
+                output: Err(e),
+                mismatch: None,
                 report: RetryReport::default(),
-                faults: env.fault_stats().total(),
+                faults: 0,
             }
         }
     };
-    let (result, report) = join_with_retry_report(env, &rels, alg, spec, policy);
-    Attempt {
-        result: result.map(|out| {
-            let verified = verify(&out, &rels).is_ok();
-            (out, verified)
-        }),
+    let policy = RetryPolicy::attempts(cfg.retries);
+    let (output, report) = join_with_retry_report(&env, &rels, alg, spec, &policy);
+    let mismatch = output
+        .as_ref()
+        .ok()
+        .and_then(|out| verify(out, &rels).err());
+    JoinRun {
+        output,
+        mismatch,
         report,
         faults: env.fault_stats().total(),
     }

@@ -89,6 +89,23 @@ impl SimConfig {
         }
     }
 
+    /// The test bed with `machine`'s parameters and per-process grants
+    /// of `rproc_pages`/`sproc_pages`: the one simulated machine the
+    /// service, the CLI and the experiments run a join on.
+    pub fn granted(
+        num_disks: u32,
+        machine: MachineParams,
+        rproc_pages: usize,
+        sproc_pages: usize,
+    ) -> Self {
+        SimConfig {
+            machine,
+            rproc_pages,
+            sproc_pages,
+            ..SimConfig::waterloo96(num_disks)
+        }
+    }
+
     fn validate(&self) -> Result<()> {
         if self.num_disks == 0 {
             return Err(EnvError::InvalidConfig("num_disks must be > 0".into()));
