@@ -4,10 +4,12 @@
 //!
 //! For each distribution the fixed arm takes the model's pick under
 //! the paper's uniform assumption at the configured memory grant; the
-//! auto arm samples the workload's pointers, folds them into the
-//! equi-depth histogram, and takes whatever algorithm, grant, and
-//! partition count `choose_auto` derives from it. Both plans then run
-//! for real, so the table is an end-to-end account of what the
+//! auto arm is the same request as a `plan=auto` serve job: serve's
+//! `resolve_auto` samples the workload's pointers, folds them into the
+//! equi-depth histogram, and takes whatever algorithm, `M_Rproc` grant
+//! and partition count `choose_auto` derives from it, keeping the fixed
+//! `M_Sproc` grant. Both plans then run for real through serve's
+//! executor, so the table is an end-to-end account of what the
 //! statistics buy.
 //!
 //! `--json` writes `results/skew_planner.json`; `--assert` turns the
@@ -23,14 +25,12 @@
 //! mmjoin-bench skew_planner --json --assert
 //! ```
 
-use mmjoin::{
-    choose, choose_auto, join, verify, Algo, ExecMode, JoinSpec, SampleSummary, SAMPLE_CAP,
-};
-use mmjoin_bench::{calibrated_machine, sim_env, PAGE};
+use mmjoin::{choose, Algo, ExecMode, JoinSpec};
+use mmjoin_bench::{calibrated_machine, PAGE};
 use mmjoin_env::Options;
 use mmjoin_model::choose_k;
-use mmjoin_relstore::{build, PointerDist, RelConfig, WorkloadSpec, SPTR_SIZE};
-use mmjoin_vmsim::{ContentionMode, Policy};
+use mmjoin_relstore::PointerDist;
+use mmjoin_serve::{resolve_auto, run_join, JobRequest, PlanMode, ServeConfig};
 
 /// One executed plan: what was chosen and what it cost.
 struct Arm {
@@ -41,16 +41,15 @@ struct Arm {
     elapsed: f64,
 }
 
-/// Run one plan to completion on a fresh simulated machine and verify
-/// it against the workload oracle. Elapsed is virtual seconds, so the
-/// sweep is bit-deterministic across hosts.
-fn execute(w: &WorkloadSpec, alg: Algo, m_rproc: u64) -> f64 {
-    let pages = (m_rproc / PAGE).max(1) as usize;
-    let env = sim_env(w.rel.d, pages, Policy::Lru, ContentionMode::Independent);
-    let rels = build(&env, w).expect("workload builds");
-    let spec = JoinSpec::new(m_rproc, m_rproc).with_mode(ExecMode::Sequential);
-    let out = join(&env, &rels, alg, &spec).expect("join runs");
-    verify(&out, &rels).expect("join result matches oracle");
+/// Run `req` with `alg` at its grants to completion through serve's
+/// executor, on a fresh simulated machine, and verify it against the
+/// workload oracle. Elapsed is virtual seconds, so the sweep is
+/// bit-deterministic across hosts.
+fn execute(cfg: &ServeConfig, req: &JobRequest, alg: Algo) -> f64 {
+    let spec = JoinSpec::new(req.m_rproc, req.m_sproc).with_mode(ExecMode::Sequential);
+    let run = run_join(cfg, "skew_planner", &req.workload, alg, &spec);
+    let out = run.output.expect("join runs");
+    assert!(run.mismatch.is_none(), "join result matches oracle");
     out.elapsed
 }
 
@@ -67,6 +66,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
     opts.finish("skew_planner")?;
 
     let machine = calibrated_machine();
+    let cfg = ServeConfig::sim(0, 1);
     let grant = pages * PAGE;
     println!(
         "skew-planner sweep: |R| = |S| = {objects} x {obj_size} B, D = {d}, \
@@ -87,51 +87,34 @@ pub fn run(opts: &Options) -> Result<(), String> {
     .into_iter()
     .enumerate()
     {
-        let w = WorkloadSpec {
-            rel: RelConfig {
-                r_size: obj_size,
-                s_size: obj_size,
-                d,
-                r_objects: objects,
-                s_objects: objects,
-            },
-            dist,
-            seed,
-            prefix: String::new(),
-        };
-        let inputs = mmjoin_model::JoinInputs {
-            r_objects: objects,
-            s_objects: objects,
-            r_size: obj_size,
-            s_size: obj_size,
-            sptr_size: SPTR_SIZE,
-            d,
-            skew: 1.0,
-            m_rproc: grant,
-            m_sproc: grant,
-            g_buffer: 4096,
-        };
+        let mut req = JobRequest::new(objects, obj_size, d, pages, seed);
+        req.workload.dist = dist;
 
         // The fixed arm: the uniform-assumption pick at the configured
         // grant, with the partition count the executor would derive.
+        let mut inputs = req.planner_inputs();
+        inputs.skew = 1.0;
         let fixed_choice = choose(machine, &inputs);
         let fixed = Arm {
             alg: Algo::from(fixed_choice.algorithm),
             m_rproc: grant,
             partitions: choose_k(objects / d as u64, obj_size, grant).max(1) as u32,
             predicted: fixed_choice.predicted_seconds(),
-            elapsed: execute(&w, Algo::from(fixed_choice.algorithm), grant),
+            elapsed: execute(&cfg, &req, Algo::from(fixed_choice.algorithm)),
         };
 
-        // The auto arm: sampled histogram in, data-aware plan out.
-        let summary = SampleSummary::of_spec(&w, SAMPLE_CAP);
-        let plan = choose_auto(machine, &inputs, Some(&summary));
+        // The auto arm: the same request as a `plan=auto` job, resolved
+        // by serve's planner (sampled histogram in, data-aware plan out;
+        // `m_sproc` stays at the fixed grant).
+        req.plan = PlanMode::Auto;
+        let resolved = resolve_auto(&cfg, &mut req)?.expect("a plan=auto request resolves");
+        let plan = &resolved.auto;
         let auto = Arm {
             alg: Algo::from(plan.choice.algorithm),
             m_rproc: plan.m_rproc,
             partitions: plan.partitions,
             predicted: plan.predicted_seconds(),
-            elapsed: execute(&w, Algo::from(plan.choice.algorithm), plan.m_rproc),
+            elapsed: execute(&cfg, &req, Algo::from(plan.choice.algorithm)),
         };
 
         let plans_differ = auto.alg != fixed.alg
@@ -142,7 +125,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
             "{:>10} {:>6.2} {:>8.2}  {:<14} {:>9.1}  {:<30} {:>9.1} {:>7.2}",
             name,
             plan.skew,
-            summary.duplication,
+            resolved.duplication,
             format!("{} K={}", fixed.alg.name(), fixed.partitions),
             fixed.elapsed,
             plan.describe(),
@@ -165,7 +148,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
             ),
             name,
             plan.skew,
-            summary.duplication,
+            resolved.duplication,
             fixed.alg.name(),
             fixed.m_rproc / 1024,
             fixed.partitions,

@@ -6,7 +6,7 @@ use mmjoin::{
     choose, choose_auto, explain, Algo, ExecMode, JoinSpec, PlanChoice, SampleSummary, SAMPLE_CAP,
 };
 use mmjoin_env::Options;
-use mmjoin_serve::{run_join, EnvKind, JobRequest, ServeConfig, PAGE};
+use mmjoin_serve::{resolve_auto, run_join, EnvKind, JobRequest, PlanMode, ServeConfig, PAGE};
 
 use crate::{env_from, fault_spec_from, flush_trace, job_from, machine_from, trace_sink, traced};
 
@@ -32,8 +32,8 @@ fn sample_cap_from(opts: &Options) -> Result<Option<usize>, String> {
 }
 
 /// A `join` command line as a job request: the workload keys, plus
-/// `--alg A | --auto` (no algorithm: the planner picks) and
-/// `--threads | --modern`.
+/// `--alg A | --auto` (`plan=auto`: the planner picks algorithm and
+/// grant) and `--threads | --modern`.
 fn join_request(opts: &Options) -> Result<JobRequest, String> {
     let mut req = job_from(opts)?;
     req.mode = match (opts.flag("threads")?, opts.flag("modern")?) {
@@ -42,19 +42,19 @@ fn join_request(opts: &Options) -> Result<JobRequest, String> {
         (true, _) => ExecMode::Threaded,
         _ => ExecMode::Sequential,
     };
-    req.alg = match (opts.flag("auto")?, opts.get("alg")?) {
+    match (opts.flag("auto")?, opts.get("alg")?) {
         (true, Some(_)) => return Err("--alg and --auto are mutually exclusive".to_string()),
-        (true, None) => None,
-        (false, alg) => Some(parse_alg(alg.unwrap_or("grace"))?),
-    };
+        (true, None) => (req.alg, req.plan) = (None, PlanMode::Auto),
+        (false, alg) => req.alg = Some(parse_alg(alg.unwrap_or("grace"))?),
+    }
     Ok(req)
 }
 
 /// `mmjoin join`: one job through [`run_join`], the path every serve
-/// worker takes, configured as a one-job service.
+/// worker takes, configured as a one-job service. `--auto` makes it a
+/// `plan=auto` job, planned by the service's own [`resolve_auto`].
 pub(crate) fn cmd_join(opts: &Options) -> Result<(), String> {
-    let req = join_request(opts)?;
-    let sample_cap = sample_cap_from(opts)?;
+    let mut req = join_request(opts)?;
     let fault_spec = fault_spec_from(opts)?;
     let retries = opts.parse_or("retries", 3)?;
     let env = env_from(opts, std::env::temp_dir())?;
@@ -62,22 +62,6 @@ pub(crate) fn cmd_join(opts: &Options) -> Result<(), String> {
     let machine = machine_from(opts.get("machine-profile")?)?;
     opts.finish("join")?;
 
-    let w = &req.workload;
-    let mut pages = req.m_rproc / PAGE;
-    // `--auto` hands algorithm and memory grant to the data-aware
-    // planner: sample the workload's pointers, estimate skew from the
-    // histogram, and take the plan — exactly what a `plan=auto` job
-    // line gets under serve.
-    let (alg, auto_plan) = match req.alg {
-        Some(alg) => (alg, None),
-        None => {
-            let summary = SampleSummary::of_spec(w, sample_cap.unwrap_or(SAMPLE_CAP));
-            let auto = choose_auto(&machine, &req.planner_inputs(), Some(&summary));
-            pages = (auto.m_rproc / PAGE).max(1);
-            (Algo::from(auto.choice.algorithm), Some(auto))
-        }
-    };
-    let spec = JoinSpec::new(pages * PAGE, pages * PAGE).with_mode(req.mode);
     let sink = trace_sink(trace)?;
     let cfg = ServeConfig {
         env,
@@ -86,6 +70,13 @@ pub(crate) fn cmd_join(opts: &Options) -> Result<(), String> {
         trace: traced(&sink),
         ..ServeConfig::sim(0, 1).with_machine(machine.into())
     };
+    let auto = resolve_auto(&cfg, &mut req)?.map(|r| r.auto);
+    let alg = match &auto {
+        Some(auto) => Algo::from(auto.choice.algorithm),
+        None => req.alg.unwrap_or(Algo::Grace),
+    };
+    let w = &req.workload;
+    let spec = JoinSpec::new(req.m_rproc, req.m_sproc).with_mode(req.mode);
     let store = format!("mmjoin-cli-{}", std::process::id());
     let run = run_join(&cfg, &store, w, alg, &spec);
     let out = run.output.map_err(|e| e.to_string())?;
@@ -107,7 +98,7 @@ pub(crate) fn cmd_join(opts: &Options) -> Result<(), String> {
         );
     }
     println!("algorithm:   {}", alg.name());
-    if let Some(auto) = &auto_plan {
+    if let Some(auto) = &auto {
         println!(
             "auto plan:   {} — predicted {:.1} s",
             auto.describe(),
@@ -118,7 +109,12 @@ pub(crate) fn cmd_join(opts: &Options) -> Result<(), String> {
         "workload:    |R| = |S| = {} x {} B over D = {}",
         w.rel.r_objects, w.rel.r_size, w.rel.d
     );
-    println!("memory:      {pages} pages/process");
+    let (r_pages, s_pages) = (req.m_rproc / PAGE, req.m_sproc / PAGE);
+    if r_pages == s_pages {
+        println!("memory:      {r_pages} pages/process");
+    } else {
+        println!("memory:      {r_pages} pages/Rproc, {s_pages} pages/Sproc");
+    }
     println!("result:      {} pairs, checksum verified", out.pairs);
     println!("elapsed:     {:.3} s", out.elapsed);
     println!(
@@ -213,6 +209,7 @@ mod tests {
         assert_eq!(req.m_rproc, 160 * PAGE, "the CLI's default grant");
         let req = with_opts(&["--auto", "--modern"], join_request).unwrap();
         assert_eq!((req.alg, req.mode), (None, ExecMode::Modern));
+        assert_eq!(req.plan, PlanMode::Auto);
     }
 
     #[test]

@@ -145,9 +145,9 @@ fn usage() {
     println!("  4096) from the workload's distribution, folds them into an");
     println!("  equi-depth histogram, and prints the auto plan (algorithm,");
     println!("  memory grant, partition count, skew provenance) next to the");
-    println!("  fixed-statistics ranking; join --auto runs that plan; serve job");
-    println!("  lines opt in per job with plan=auto (admission then budgets the");
-    println!("  chosen grant, not the submitted one)");
+    println!("  fixed-statistics ranking; serve job lines opt in per job with");
+    println!("  plan=auto (admission then budgets the chosen grant, not the");
+    println!("  submitted one); join --auto runs one such job");
     println!();
     println!("--modern routes joins through the cache-conscious kernel path:");
     println!("  radix-partitioned scans, pre-sorted run exchange with one");
@@ -301,6 +301,7 @@ mod tests {
                 "shards",
             ),
             (&["join", "--objets", "10"], "objets"),
+            (&["join", "--auto", "--sample"], "sample"),
             (&["plan", "--mem-pages", "8", "--modern"], "modern"),
             (&["plan", "--skew", "4"], "skew"),
             (&["calibrate", "--quick", "--objects", "10"], "objects"),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use mmjoin::RetryPolicy;
 use mmjoin_env::trace::escape;
 use mmjoin_env::{JsonlSink, Options};
-use mmjoin_serve::{EnvKind, PAGE};
+use mmjoin_serve::{EnvKind, StoreDir, PAGE};
 use mmjoin_vmsim::{SimConfig, SimEnv};
 
 use crate::{env_from, fault_spec_from, flush_trace, machine_from, trace_sink, traced};
@@ -27,11 +27,15 @@ fn journal_from(opts: &Options) -> Result<(Option<PathBuf>, bool), String> {
 
 /// Where `--env mmap` keeps its store: next to the journal, so a
 /// restarted run finds (and recovers or garbage-collects) the previous
-/// life's files, else in a per-process temp dir.
-fn store_root(journal_dir: &Option<PathBuf>, tier: &str) -> PathBuf {
+/// life's files, else in a per-process temp dir, which the returned
+/// guard removes when the command ends.
+fn store_root(journal_dir: &Option<PathBuf>, tier: &str) -> (PathBuf, Option<StoreDir>) {
     match journal_dir {
-        Some(dir) => dir.join("store"),
-        None => std::env::temp_dir().join(format!("mmjoin-{tier}-{}", std::process::id())),
+        Some(dir) => (dir.join("store"), None),
+        None => {
+            let root = std::env::temp_dir().join(format!("mmjoin-{tier}-{}", std::process::id()));
+            (root.clone(), Some(StoreDir(root)))
+        }
     }
 }
 
@@ -172,7 +176,8 @@ pub(crate) fn cmd_serve(opts: &Options) -> Result<(), String> {
     let fault_spec = fault_spec_from(opts)?;
     let retries: u32 = opts.parse_or("retries", 3)?;
     let (journal_dir, resume) = journal_from(opts)?;
-    let env = env_from(opts, store_root(&journal_dir, "serve"))?;
+    let (root, _scratch) = store_root(&journal_dir, "serve");
+    let env = env_from(opts, root)?;
     let trace = opts.get("trace")?;
     let profile = opts.get("machine-profile")?;
     // A cluster node takes jobs from its coordinator, never a script.
@@ -365,7 +370,8 @@ fn cmd_stream(opts: &Options) -> Result<(), String> {
 
     let queue_bound: usize = opts.parse_or("queue-bound", 64)?;
     let (journal_dir, resume) = journal_from(opts)?;
-    let env = env_from(opts, store_root(&journal_dir, "stream"))?;
+    let (root, _scratch) = store_root(&journal_dir, "stream");
+    let env = env_from(opts, root)?;
     let trace = opts.get("trace")?;
     let profile = opts.get("machine-profile")?;
     let reports = Reports::read(opts)?;

@@ -191,18 +191,16 @@ impl SkewSource {
 /// A data-aware plan: algorithm, memory grant, and partition count
 /// chosen from observed (or estimated) statistics rather than a fixed
 /// configuration, with the provenance of the skew term it was priced
-/// with.
+/// with. The plan leaves `M_Sproc_i` at the requested grant: shrinking
+/// it always costs hybrid hash its resident bucket 0.
 #[derive(Clone, Debug)]
 pub struct AutoPlan {
     /// The ranked algorithm decision at the chosen memory grant.
     pub choice: PlanChoice,
-    /// The chosen `M_Rproc_i` in bytes — never predicted slower than
-    /// the requested grant, and trimmed when the model says the extra
-    /// memory buys nothing.
+    /// The chosen `M_Rproc_i` in bytes: the requested grant, or the
+    /// model's useful cap below it when the model predicts the cap no
+    /// slower.
     pub m_rproc: u64,
-    /// The chosen `M_Sproc_i` in bytes (currently the requested grant;
-    /// shrinking it always costs hybrid hash its resident bucket 0).
-    pub m_sproc: u64,
     /// The skew factor the plan was priced with.
     pub skew: f64,
     /// Plan-level partition count for the local join pass
@@ -235,28 +233,20 @@ impl AutoPlan {
 /// Page size used to align chosen memory grants.
 const PLAN_PAGE: u64 = 4096;
 
-/// Smallest memory grant the auto-planner will choose.
-const PLAN_MIN_BYTES: u64 = 4 * PLAN_PAGE;
-
-/// Relative tolerance under which a smaller memory grant counts as
-/// "predicted no slower": only genuinely flat regions of the cost
-/// curve let the grant shrink.
-const PLAN_FLAT_EPS: f64 = 1e-9;
-
 /// The skew-adjusted worst per-process `RS_i` population.
 fn rs_worst(inputs: &JoinInputs, skew: f64) -> u64 {
     let ri = inputs.r_objects / inputs.d as u64;
     ((ri as f64 * skew).min(inputs.r_objects as f64)).ceil() as u64
 }
 
-/// A memory grant beyond which the model's curves are flat: the
-/// resident partition plus a `choose_k`-slack hash table over the
-/// skew-adjusted worst `RS_i`.
+/// The grant a larger request may be trimmed to: the resident
+/// partition plus a `choose_k`-slack hash table over the skew-adjusted
+/// worst `RS_i`, page aligned and at least four pages.
 fn useful_cap(inputs: &JoinInputs, skew: f64) -> u64 {
     let ri = inputs.r_objects / inputs.d as u64;
     let rs = rs_worst(inputs, skew);
     let bytes = ri * inputs.r_size as u64 + rs * (inputs.r_size as u64 + HASH_ENTRY_OVERHEAD) * 3;
-    bytes.next_multiple_of(PLAN_PAGE).max(PLAN_MIN_BYTES)
+    bytes.next_multiple_of(PLAN_PAGE).max(4 * PLAN_PAGE)
 }
 
 /// Choose algorithm, memory grant, and partition count from statistics.
@@ -264,12 +254,14 @@ fn useful_cap(inputs: &JoinInputs, skew: f64) -> u64 {
 /// The skew term comes from `summary` when one is given (a histogram
 /// over sampled pointers), else from `base.skew` (the workload's
 /// analytical estimate), else it is the uniform assumption. The memory
-/// grant starts from `base.m_rproc` and is reduced to the smallest
-/// page-aligned candidate whose best predicted time is within
-/// `PLAN_FLAT_EPS` of the best overall — so the plan is never
-/// *predicted* slower than the fixed plan, and uniform inputs hand
-/// budget back to the admission controller while skewed inputs keep
-/// their grant.
+/// grant is one of two: the requested `base.m_rproc`, or the
+/// page-aligned useful cap below it (the resident partition plus a
+/// hash table over the skew-adjusted worst `RS_i`) when the model
+/// predicts that no slower. So the plan is never *predicted* slower
+/// than the fixed plan, and a grant far past the working set goes back
+/// to the admission controller; a grant below the cap is kept even
+/// where the model's curve is flat, since a flat prediction is where
+/// the model errs, not a promise that less memory is free.
 ///
 /// A sampled summary additionally replaces `|S|` with its Chao1
 /// hot-set estimate ([`SampleSummary::estimated_distinct`]): heavily
@@ -297,41 +289,22 @@ pub fn choose_auto(
         inputs.s_objects = inputs.s_objects.min(s.estimated_distinct().max(1));
     }
 
-    let cap = useful_cap(&inputs, skew)
-        .min(base.m_rproc)
-        .max(PLAN_MIN_BYTES);
-    let mut candidates = vec![base.m_rproc, cap, cap / 2, cap / 4];
-    for c in &mut candidates {
-        *c = (*c / PLAN_PAGE * PLAN_PAGE).max(PLAN_MIN_BYTES);
+    let mut choice = choose(machine, &inputs);
+    let cap = useful_cap(&inputs, skew);
+    if cap < base.m_rproc {
+        let mut trimmed = inputs;
+        trimmed.m_rproc = cap;
+        let at_cap = choose(machine, &trimmed);
+        if at_cap.predicted_seconds() <= choice.predicted_seconds() {
+            inputs = trimmed;
+            choice = at_cap;
+        }
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-
-    let predicted: Vec<(u64, f64)> = candidates
-        .iter()
-        .map(|&m| {
-            let mut w = inputs;
-            w.m_rproc = m;
-            (m, choose(machine, &w).predicted_seconds())
-        })
-        .collect();
-    let best = predicted
-        .iter()
-        .map(|&(_, t)| t)
-        .fold(f64::INFINITY, f64::min);
-    let m_rproc = predicted
-        .iter()
-        .find(|&&(_, t)| t <= best * (1.0 + PLAN_FLAT_EPS))
-        .map(|&(m, _)| m)
-        .unwrap_or(base.m_rproc);
-
-    inputs.m_rproc = m_rproc;
-    let choice = choose(machine, &inputs);
+    let m_rproc = inputs.m_rproc;
     let partitions = choose_k(rs_worst(&inputs, skew), inputs.r_size, m_rproc).max(1) as u32;
     AutoPlan {
         choice,
         m_rproc,
-        m_sproc: base.m_sproc,
         skew,
         partitions,
         source,
@@ -482,6 +455,36 @@ mod tests {
             base.m_rproc
         );
         assert_eq!(auto.m_rproc % 4096, 0, "grant is page aligned");
+    }
+
+    #[test]
+    fn auto_plan_keeps_the_grant_where_the_model_is_flat() {
+        // Hot zipf keys: the Chao1 hot set fits every grant, so the
+        // model prices 4 and 8 pages alike, but nested loops ran 42.3 s
+        // at 4 pages against 18.5 s at 8. A grant under the useful cap
+        // is kept.
+        use mmjoin_relstore::{PointerDist, RelConfig, WorkloadSpec};
+        let m = MachineParams::waterloo96();
+        let spec = WorkloadSpec {
+            rel: RelConfig {
+                r_size: 128,
+                s_size: 128,
+                d: 4,
+                r_objects: 40_000,
+                s_objects: 40_000,
+            },
+            dist: PointerDist::Zipf { theta: 2.0 },
+            seed: 1996,
+            prefix: String::new(),
+        };
+        let sum = SampleSummary::of_spec(&spec, crate::stats::SAMPLE_CAP);
+        let mut base = inputs(0.0);
+        base.r_objects = 40_000;
+        base.s_objects = 40_000;
+        base.m_rproc = 8 * 4096;
+        base.m_sproc = 8 * 4096;
+        let auto = choose_auto(&m, &base, Some(&sum));
+        assert_eq!(auto.m_rproc, base.m_rproc, "{}", auto.describe());
     }
 
     #[test]

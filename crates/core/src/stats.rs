@@ -19,7 +19,7 @@
 //!
 //! Everything here is deterministic for a fixed seed.
 
-use mmjoin_relstore::{sample_spec_pointers, WorkloadSpec};
+use mmjoin_relstore::{sample_spec_pointers, splitmix64, WorkloadSpec};
 
 /// Default number of pointers a submit-time sample draws.
 pub const SAMPLE_CAP: usize = 4096;
@@ -79,13 +79,6 @@ impl<T: Copy> Reservoir<T> {
     pub fn seen(&self) -> u64 {
         self.seen
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A compact statistical summary of sampled join pointers: enough for

@@ -15,8 +15,8 @@ pub mod workload;
 
 pub use chunk::{chunked_capacity, ChunkedFile, StreamReader};
 pub use object::{
-    encode_r, encode_s, pair_digest, r_key, r_sptr, s_key, RelConfig, MIN_R_SIZE, MIN_S_SIZE,
-    SPTR_SIZE,
+    encode_r, encode_s, pair_digest, r_key, r_sptr, s_key, splitmix64, RelConfig, MIN_R_SIZE,
+    MIN_S_SIZE, SPTR_SIZE,
 };
 pub use scan::ObjScan;
 pub use workload::{

@@ -164,6 +164,17 @@ pub fn s_key(buf: &[u8]) -> u64 {
     u64::from_le_bytes(buf[KEY_OFF..KEY_OFF + 8].try_into().expect("8 bytes"))
 }
 
+/// One step of the splitmix64 generator: advance `z` by the golden
+/// gamma and finalize it. Deterministic and dependency-free, so every
+/// seeded draw outside the workload generator itself (samplers,
+/// stream batches) repeats bit for bit across hosts.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Order-independent digest of one joined `(R.key, S.key)` pair.
 ///
 /// The digests of all produced pairs are combined with wrapping

@@ -76,7 +76,10 @@ pub mod stats;
 pub use admission::{AdmissionPolicy, Candidate};
 pub use job::{JobId, JobRequest, JobResult, PlanMode, PAGE};
 pub use placement::{Placement, PlacementKind, PredictedBalanced, ShardLoad};
+pub use plan::{resolve_auto, ResolvedPlan};
 pub use recovery::{open_journal, refused_completion, replayed_error, resume_jobs, ResumedJob};
-pub use service::{run_join, service_machine, EnvKind, JoinRun, JoinService, ServeConfig, Service};
+pub use service::{
+    run_join, service_machine, EnvKind, JoinRun, JoinService, ServeConfig, Service, StoreDir,
+};
 pub use shard::ShardedService;
 pub use stats::ServiceStats;

@@ -1,6 +1,8 @@
 //! Submit-time auto-planning (`plan=auto`): sample the workload's
 //! pointer distribution, summarize it, and let the data-aware planner
-//! re-shape the request *before* admission control sees it.
+//! re-shape the request *before* admission control sees it. This is
+//! the one auto-planning path: `mmjoin join --auto` resolves its
+//! request here too, so it runs what a `plan=auto` job runs.
 //!
 //! The mutation happens before the footprint is computed, so the
 //! admission controller budgets — and the worker reserves — the
@@ -16,14 +18,14 @@ use crate::service::ServeConfig;
 
 /// The provenance of a resolved `plan=auto` request: what was sampled
 /// and what the planner chose from it.
-pub(crate) struct ResolvedPlan {
+pub struct ResolvedPlan {
     /// The full data-aware decision (algorithm ranking at the chosen
     /// grant, skew, partitions, provenance).
-    pub(crate) auto: AutoPlan,
+    pub auto: AutoPlan,
     /// Pointers sampled at submit time.
-    pub(crate) sampled: u64,
+    pub sampled: u64,
     /// Pointer duplication factor of the sample.
-    pub(crate) duplication: f64,
+    pub duplication: f64,
 }
 
 impl ResolvedPlan {
@@ -51,12 +53,12 @@ impl ResolvedPlan {
 /// Resolve a request's plan in place. `plan=fixed` requests pass
 /// through untouched (`None`); `plan=auto` requests are sampled
 /// ([`SAMPLE_CAP`] pointers drawn from the workload distribution,
-/// bounded cost, deterministic per seed) and their memory grants
-/// replaced by the planner's choice. The algorithm is *not* pinned:
-/// the queued plan already ranks algorithms at the chosen grant, and
-/// leaving `alg=auto` lets graceful degradation re-plan at a halved
-/// footprint later.
-pub(crate) fn resolve_auto(
+/// bounded cost, deterministic per seed) and their `m_rproc` replaced
+/// by the planner's choice; `m_sproc` stays as submitted. The
+/// algorithm is *not* pinned: the queued plan already ranks algorithms
+/// at the chosen grant, and leaving `alg=auto` lets graceful
+/// degradation re-plan at a halved footprint later.
+pub fn resolve_auto(
     cfg: &ServeConfig,
     req: &mut JobRequest,
 ) -> Result<Option<ResolvedPlan>, String> {
@@ -66,7 +68,6 @@ pub(crate) fn resolve_auto(
     let summary = SampleSummary::of_spec(&req.workload, SAMPLE_CAP);
     let auto = choose_auto(cfg.machine()?, &req.planner_inputs(), Some(&summary));
     req.m_rproc = auto.m_rproc;
-    req.m_sproc = auto.m_sproc;
     Ok(Some(ResolvedPlan {
         sampled: summary.sampled,
         duplication: summary.duplication,

@@ -512,7 +512,7 @@ pub fn run_join(
             join_on(env, SimEnv::set_trace_sink, cfg, workload, alg, spec)
         }
         EnvKind::Mmap { root } => {
-            let store = Store(root.join(store));
+            let store = StoreDir(root.join(store));
             let _ = std::fs::remove_dir_all(&store.0);
             let env = MmapEnv::new(MmapEnvConfig {
                 root: store.0.clone(),
@@ -524,11 +524,12 @@ pub fn run_join(
     }
 }
 
-/// A job's store directory, removed when dropped: after the join, on
-/// an error, and while a panic unwinds to the worker that isolates it.
-struct Store(PathBuf);
+/// A store directory, removed when dropped: a job's after the join, on
+/// an error, and while a panic unwinds to the worker that isolates it;
+/// a command's per-process root on every path out of the command.
+pub struct StoreDir(pub PathBuf);
 
-impl Drop for Store {
+impl Drop for StoreDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }

@@ -31,7 +31,7 @@ use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{CpuOp, DiskId, Env, FileOps, ProcId, Result, SCatalog, SPtr, TraceEvent};
 use mmjoin_model::JoinInputs;
 use mmjoin_relstore::SPTR_SIZE;
-use mmjoin_relstore::{encode_s, names, pair_digest, s_key, RelConfig};
+use mmjoin_relstore::{encode_s, names, pair_digest, s_key, splitmix64, RelConfig};
 
 use crate::grammar::StreamHeader;
 
@@ -314,11 +314,4 @@ impl<E: Env> ResidentSet<E> {
         }
         Ok(())
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
