@@ -25,7 +25,7 @@
 //! mmjoin-bench skew_planner --json --assert
 //! ```
 
-use mmjoin::{choose, Algo, ExecMode, JoinSpec};
+use mmjoin::{choose, Algo, ExecMode, JoinSpec, SAMPLE_CAP};
 use mmjoin_bench::{calibrated_machine, PAGE};
 use mmjoin_env::Options;
 use mmjoin_model::choose_k;
@@ -107,7 +107,8 @@ pub fn run(opts: &Options) -> Result<(), String> {
         // by serve's planner (sampled histogram in, data-aware plan out;
         // `m_sproc` stays at the fixed grant).
         req.plan = PlanMode::Auto;
-        let resolved = resolve_auto(&cfg, &mut req)?.expect("a plan=auto request resolves");
+        let resolved =
+            resolve_auto(&cfg, &mut req, SAMPLE_CAP)?.expect("a plan=auto request resolves");
         let plan = &resolved.auto;
         let auto = Arm {
             alg: Algo::from(plan.choice.algorithm),
@@ -125,7 +126,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
             "{:>10} {:>6.2} {:>8.2}  {:<14} {:>9.1}  {:<30} {:>9.1} {:>7.2}",
             name,
             plan.skew,
-            resolved.duplication,
+            resolved.summary.duplication,
             format!("{} K={}", fixed.alg.name(), fixed.partitions),
             fixed.elapsed,
             plan.describe(),
@@ -148,7 +149,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
             ),
             name,
             plan.skew,
-            resolved.duplication,
+            resolved.summary.duplication,
             fixed.alg.name(),
             fixed.m_rproc / 1024,
             fixed.partitions,

@@ -2,9 +2,7 @@
 //! prints it; `mmjoin plan` asks the analytical model what it would
 //! cost.
 
-use mmjoin::{
-    choose, choose_auto, explain, Algo, ExecMode, JoinSpec, PlanChoice, SampleSummary, SAMPLE_CAP,
-};
+use mmjoin::{choose, explain, Algo, ExecMode, JoinSpec, PlanChoice, SAMPLE_CAP};
 use mmjoin_env::Options;
 use mmjoin_serve::{resolve_auto, run_join, EnvKind, JobRequest, PlanMode, ServeConfig, PAGE};
 
@@ -70,7 +68,7 @@ pub(crate) fn cmd_join(opts: &Options) -> Result<(), String> {
         trace: traced(&sink),
         ..ServeConfig::sim(0, 1).with_machine(machine.into())
     };
-    let auto = resolve_auto(&cfg, &mut req)?.map(|r| r.auto);
+    let auto = resolve_auto(&cfg, &mut req, SAMPLE_CAP)?.map(|r| r.auto);
     let alg = match &auto {
         Some(auto) => Algo::from(auto.choice.algorithm),
         None => req.alg.unwrap_or(Algo::Grace),
@@ -145,28 +143,32 @@ fn print_ranking(plan: &PlanChoice) {
 }
 
 pub(crate) fn cmd_plan(opts: &Options) -> Result<(), String> {
-    let req = job_from(opts)?;
+    let mut req = job_from(opts)?;
     let sample_cap = sample_cap_from(opts)?;
     let explain_alg = opts.get("explain")?;
     let machine = machine_from(opts.get("machine-profile")?)?;
     opts.finish("plan")?;
+    let cfg = ServeConfig::sim(0, 1).with_machine(machine.into());
+    let machine = cfg.machine()?;
     let w = &req.workload;
     let pages = req.m_rproc / PAGE;
     // Plan from statistics alone — no data is generated — under the
     // paper's uniform assumption; `--sample` measures the real skew.
     let mut inputs = req.planner_inputs();
     inputs.skew = 1.0;
-    let plan = choose(&machine, &inputs);
+    let plan = choose(machine, &inputs);
     println!(
         "plan for |R| = |S| = {} x {} B, D = {}, {} pages/proc, skew 1",
         w.rel.r_objects, w.rel.r_size, w.rel.d, pages
     );
     print_ranking(&plan);
     if let Some(cap) = sample_cap {
-        // The data-aware path: draw pointers, estimate skew from the
-        // histogram, and re-rank at the planner's chosen grant.
-        let summary = SampleSummary::of_spec(w, cap);
-        let auto = choose_auto(&machine, &inputs, Some(&summary));
+        // The data-aware path, as a `plan=auto` job resolves it: draw
+        // pointers, estimate skew from the histogram, and re-rank at
+        // the planner's chosen grant.
+        req.plan = PlanMode::Auto;
+        let resolved = resolve_auto(&cfg, &mut req, cap)?.expect("a plan=auto request resolves");
+        let (summary, auto) = (&resolved.summary, &resolved.auto);
         println!();
         println!(
             "sampled {} of {} pointers: histogram skew {:.2} \
@@ -174,7 +176,7 @@ pub(crate) fn cmd_plan(opts: &Options) -> Result<(), String> {
             summary.sampled,
             summary.population,
             summary.estimated_skew(),
-            w.rel.d as f64,
+            req.workload.rel.d as f64,
             summary.duplication
         );
         println!("auto plan: {}", auto.describe());
@@ -186,7 +188,7 @@ pub(crate) fn cmd_plan(opts: &Options) -> Result<(), String> {
             .find(|a| a.name() == name)
             .ok_or_else(|| format!("unknown algorithm '{name}'"))?;
         println!("\nitemized prediction for {}:", alg.name());
-        println!("{}", explain(&machine, &inputs, alg).table());
+        println!("{}", explain(machine, &inputs, alg).table());
     }
     Ok(())
 }

@@ -166,7 +166,17 @@ pub trait Env: Send + Sync {
     /// Bulk-load file contents outside any measurement: no paging, no
     /// cost. Models relations that already exist on disk before a join
     /// begins — loading them is the workload generator's job, not the
-    /// join's.
+    /// join's. A range past the file's end is refused whole
+    /// (`OutOfBounds`) and writes nothing.
+    ///
+    /// "No cost" means, per environment: `SimEnv` copies `data` into
+    /// the file body and marks every page materialized on disk, so the
+    /// join's first touch of a page is a charged read fault. `MmapEnv`
+    /// writes through the file descriptor, not the mapping, then maps
+    /// the written pages writable with one `madvise` per call: loading
+    /// takes no fault per page, and the join and later `write_at`
+    /// patches find the pages mapped, as a copy through the mapping
+    /// would leave them.
     fn preload(&self, name: &str, offset: u64, data: &[u8]) -> Result<()>;
 
     /// Zero every per-process counter and clock. Drivers call this after

@@ -4,7 +4,10 @@
 //!
 //! * [`mod@env`]: [`env::MmapEnv`], the [`mmjoin_env::Env`] implementation
 //!   over real `mmap`-ed files with real `Sproc` threads — the
-//!   functional-validation twin of the simulator;
+//!   functional-validation twin of the simulator. Every read and write
+//!   goes through the mapping except [`mmjoin_env::Env::preload`], the
+//!   pre-join load, which writes through the file descriptor and then
+//!   maps the loaded pages;
 //! * [`setup_cost`]: wall-clock measurement of `newMap`/`openMap`/
 //!   `deleteMap` versus mapping size (Fig. 1b).
 

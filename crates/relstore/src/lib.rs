@@ -20,6 +20,6 @@ pub use object::{
 };
 pub use scan::ObjScan;
 pub use workload::{
-    build, build_explicit, sample_relation, sample_spec_pointers, PointerDist, Relations,
-    WorkloadSpec, Zipf,
+    build, build_explicit, preload_objects, sample_relation, sample_spec_pointers, PointerDist,
+    Relations, WorkloadSpec, Zipf, PRELOAD_BLOCK,
 };

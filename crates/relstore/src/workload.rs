@@ -330,11 +330,46 @@ pub fn build_explicit<E: Env>(
     Err(invalid(format!("build_explicit: {problem}")))
 }
 
+/// Bytes encoded per [`Env::preload`] call by [`preload_objects`]:
+/// large enough that the per-call cost vanishes, small enough to stay
+/// in cache between encoding and the copy into storage.
+pub const PRELOAD_BLOCK: usize = 256 * 1024;
+
+/// Preload `count` fixed-size objects into file `name`, object `k` at
+/// byte `k · obj_size` (nonzero), encoded by `encode(k, bytes)`, which
+/// must write all `obj_size` bytes. Objects are encoded into one reused buffer of
+/// whole objects, at most [`PRELOAD_BLOCK`] bytes unless one object is
+/// larger, and each full buffer is one `preload`, so a partition is
+/// never held in memory whole and is copied into storage once.
+pub fn preload_objects<E: Env>(
+    env: &E,
+    name: &str,
+    obj_size: u32,
+    count: u64,
+    mut encode: impl FnMut(u64, &mut [u8]),
+) -> Result<()> {
+    let obj = obj_size as usize;
+    let per_block = ((PRELOAD_BLOCK / obj).max(1) as u64).min(count);
+    let mut block = vec![0u8; per_block as usize * obj];
+    let mut first = 0u64;
+    while first < count {
+        let n = per_block.min(count - first) as usize;
+        let bytes = &mut block[..n * obj];
+        for (k, o) in bytes.chunks_exact_mut(obj).enumerate() {
+            encode(first + k as u64, o);
+        }
+        env.preload(name, first * obj as u64, bytes)?;
+        first += n as u64;
+    }
+    Ok(())
+}
+
 /// Write a validated relation pair into `env`: S slot `idx` holds key
 /// `s_key(idx)`, and R row `n` (of partition `n / |R_i|`) is
 /// `r_row(n) = (key, target S-index)`. Computes the checksum oracle and
 /// the partition-pair counts first, creates and preloads S then R on
-/// each disk (cost-free), and resets the environment's counters.
+/// each disk (cost-free, block by block through [`preload_objects`]),
+/// and resets the environment's counters.
 fn materialize<E: Env>(
     env: &E,
     rel: RelConfig,
@@ -368,18 +403,15 @@ fn materialize<E: Env>(
         env.create_file(proc, &r_name, DiskId(i), rel.r_part_bytes())?;
         env.create_file(proc, &s_name, DiskId(i), rel.s_part_bytes())?;
 
-        let mut s_data = vec![0u8; rel.s_part_bytes() as usize];
-        for (k, obj) in s_data.chunks_exact_mut(rel.s_size as usize).enumerate() {
-            encode_s(obj, s_key(i as u64 * rel.s_per_part() + k as u64));
-        }
-        env.preload(&s_name, 0, &s_data)?;
-
-        let mut r_data = vec![0u8; rel.r_part_bytes() as usize];
-        for (k, obj) in r_data.chunks_exact_mut(rel.r_size as usize).enumerate() {
-            let (key, s_idx) = r_row(i as u64 * rel.r_per_part() + k as u64);
-            encode_r(obj, key, rel.sptr_of(s_idx));
-        }
-        env.preload(&r_name, 0, &r_data)?;
+        let s_first = i as u64 * rel.s_per_part();
+        preload_objects(env, &s_name, rel.s_size, rel.s_per_part(), |k, obj| {
+            encode_s(obj, s_key(s_first + k))
+        })?;
+        let r_first = i as u64 * rel.r_per_part();
+        preload_objects(env, &r_name, rel.r_size, rel.r_per_part(), |k, obj| {
+            let (key, s_idx) = r_row(r_first + k);
+            encode_r(obj, key, rel.sptr_of(s_idx))
+        })?;
 
         r_files.push(r_name);
         s_files.push(s_name);

@@ -2,7 +2,8 @@
 //! pointer distribution, summarize it, and let the data-aware planner
 //! re-shape the request *before* admission control sees it. This is
 //! the one auto-planning path: `mmjoin join --auto` resolves its
-//! request here too, so it runs what a `plan=auto` job runs.
+//! request here too, so it runs what a `plan=auto` job runs, and
+//! `mmjoin plan --sample [N]` prints what it resolves.
 //!
 //! The mutation happens before the footprint is computed, so the
 //! admission controller budgets — and the worker reserves — the
@@ -10,7 +11,7 @@
 //! the workload seed, so a resumed service re-resolves a journaled
 //! `plan=auto` line to the identical plan.
 
-use mmjoin::{choose_auto, AutoPlan, SampleSummary, SAMPLE_CAP};
+use mmjoin::{choose_auto, AutoPlan, SampleSummary};
 use mmjoin_env::TraceEvent;
 
 use crate::job::{JobId, JobRequest, PlanMode};
@@ -22,10 +23,8 @@ pub struct ResolvedPlan {
     /// The full data-aware decision (algorithm ranking at the chosen
     /// grant, skew, partitions, provenance).
     pub auto: AutoPlan,
-    /// Pointers sampled at submit time.
-    pub sampled: u64,
-    /// Pointer duplication factor of the sample.
-    pub duplication: f64,
+    /// The pointer sample the plan was priced from.
+    pub summary: SampleSummary,
 }
 
 impl ResolvedPlan {
@@ -34,9 +33,9 @@ impl ResolvedPlan {
         [
             TraceEvent::PlanSampled {
                 job,
-                sampled: self.sampled,
+                sampled: self.summary.sampled,
                 skew: self.auto.skew,
-                duplication: self.duplication,
+                duplication: self.summary.duplication,
             },
             TraceEvent::PlanChosen {
                 job,
@@ -52,40 +51,40 @@ impl ResolvedPlan {
 
 /// Resolve a request's plan in place. `plan=fixed` requests pass
 /// through untouched (`None`); `plan=auto` requests are sampled
-/// ([`SAMPLE_CAP`] pointers drawn from the workload distribution,
-/// bounded cost, deterministic per seed) and their `m_rproc` replaced
-/// by the planner's choice; `m_sproc` stays as submitted. The
-/// algorithm is *not* pinned: the queued plan already ranks algorithms
-/// at the chosen grant, and leaving `alg=auto` lets graceful
-/// degradation re-plan at a halved footprint later.
+/// (`sample_cap` pointers drawn from the workload distribution —
+/// serve and `join --auto` draw [`SAMPLE_CAP`](mmjoin::SAMPLE_CAP),
+/// `plan --sample N` draws `N` — bounded cost, deterministic per seed)
+/// and their `m_rproc` replaced by the planner's choice; `m_sproc`
+/// stays as submitted. The algorithm is *not* pinned: the queued plan
+/// already ranks algorithms at the chosen grant, and leaving
+/// `alg=auto` lets graceful degradation re-plan at a halved footprint
+/// later.
 pub fn resolve_auto(
     cfg: &ServeConfig,
     req: &mut JobRequest,
+    sample_cap: usize,
 ) -> Result<Option<ResolvedPlan>, String> {
     if req.plan != PlanMode::Auto {
         return Ok(None);
     }
-    let summary = SampleSummary::of_spec(&req.workload, SAMPLE_CAP);
+    let summary = SampleSummary::of_spec(&req.workload, sample_cap);
     let auto = choose_auto(cfg.machine()?, &req.planner_inputs(), Some(&summary));
     req.m_rproc = auto.m_rproc;
-    Ok(Some(ResolvedPlan {
-        sampled: summary.sampled,
-        duplication: summary.duplication,
-        auto,
-    }))
+    Ok(Some(ResolvedPlan { auto, summary }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::PAGE;
+    use mmjoin::SAMPLE_CAP;
 
     #[test]
     fn fixed_requests_pass_through() {
         let cfg = ServeConfig::sim(256 * PAGE, 1);
         let mut req = JobRequest::new(2_000, 64, 2, 32, 1);
         let before = req.m_rproc;
-        assert!(resolve_auto(&cfg, &mut req).unwrap().is_none());
+        assert!(resolve_auto(&cfg, &mut req, SAMPLE_CAP).unwrap().is_none());
         assert_eq!(req.m_rproc, before);
     }
 
@@ -95,11 +94,11 @@ mod tests {
         let mut a = JobRequest::new(8_000, 64, 4, 4_096, 7);
         a.plan = PlanMode::Auto;
         let mut b = a.clone();
-        let ra = resolve_auto(&cfg, &mut a).unwrap().unwrap();
-        let rb = resolve_auto(&cfg, &mut b).unwrap().unwrap();
+        let ra = resolve_auto(&cfg, &mut a, SAMPLE_CAP).unwrap().unwrap();
+        let rb = resolve_auto(&cfg, &mut b, SAMPLE_CAP).unwrap().unwrap();
         assert_eq!(a.m_rproc, b.m_rproc);
         assert_eq!(ra.auto.skew.to_bits(), rb.auto.skew.to_bits());
-        assert_eq!(ra.sampled, rb.sampled);
+        assert_eq!(ra.summary.sampled, rb.summary.sampled);
         // A grossly oversized grant is trimmed, so admission reserves
         // the chosen footprint, not the submitted one.
         assert!(a.m_rproc < 4_096 * PAGE, "grant {} not trimmed", a.m_rproc);

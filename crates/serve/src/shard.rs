@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use mmjoin::{choose, PlanChoice};
+use mmjoin::{choose, PlanChoice, SAMPLE_CAP};
 use mmjoin_env::TraceEvent;
 use mmjoin_mmstore::MmapEnv;
 use mmjoin_recovery::{JobLog, JournalRecord, ReplayState, Replayed};
@@ -152,7 +152,7 @@ impl ShardedInner {
         &self,
         req: &mut JobRequest,
     ) -> Result<(Option<ResolvedPlan>, PlanChoice, Option<usize>), String> {
-        let resolved = resolve_auto(&self.cfg, req)?;
+        let resolved = resolve_auto(&self.cfg, req, SAMPLE_CAP)?;
         let plan = match &resolved {
             Some(r) => r.auto.choice.clone(),
             None => choose(self.cfg.machine()?, &req.planner_inputs()),

@@ -31,7 +31,9 @@ use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{CpuOp, DiskId, Env, FileOps, ProcId, Result, SCatalog, SPtr, TraceEvent};
 use mmjoin_model::JoinInputs;
 use mmjoin_relstore::SPTR_SIZE;
-use mmjoin_relstore::{encode_s, names, pair_digest, s_key, splitmix64, RelConfig};
+use mmjoin_relstore::{
+    encode_s, names, pair_digest, preload_objects, s_key, splitmix64, RelConfig,
+};
 
 use crate::grammar::StreamHeader;
 
@@ -90,13 +92,10 @@ impl<E: Env> ResidentSet<E> {
         for j in 0..d {
             let s_name = names::scoped(&header.name, &names::s_part(j));
             env.create_file(proc, &s_name, DiskId(j), rel.s_part_bytes())?;
-            let mut s_data = vec![0u8; rel.s_part_bytes() as usize];
-            for k in 0..rel.s_per_part() {
-                let slot = j as u64 * rel.s_per_part() + k;
-                let off = (k * rel.s_size as u64) as usize;
-                encode_s(&mut s_data[off..off + rel.s_size as usize], slot);
-            }
-            env.preload(&s_name, 0, &s_data)?;
+            let first = j as u64 * rel.s_per_part();
+            preload_objects(&*env, &s_name, rel.s_size, rel.s_per_part(), |k, obj| {
+                encode_s(obj, first + k)
+            })?;
             s_files.push(s_name);
         }
 

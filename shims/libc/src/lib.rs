@@ -2,9 +2,10 @@
 //!
 //! Declares exactly the symbols and constants the workspace uses, with
 //! Linux values: the shared mappings of the `memmap2` shim and of
-//! calibrate's `MT` probe, and the CLI's SIGTERM handler. The process
-//! already links the system C library through std, so plain
-//! `extern "C"` declarations resolve against it.
+//! calibrate's `MT` probe, the mmap store's page-table population, and
+//! the CLI's SIGTERM handler. The process already links the system C
+//! library through std, so plain `extern "C"` declarations resolve
+//! against it.
 
 #![allow(non_camel_case_types)]
 
@@ -29,6 +30,10 @@ pub const MAP_FAILED: *mut c_void = !0 as *mut c_void;
 /// Synchronous `msync`.
 pub const MS_SYNC: c_int = 4;
 
+/// `madvise`: fault the range in writable, as a write to each page
+/// would (Linux 5.14 and later; older kernels return `EINVAL`).
+pub const MADV_POPULATE_WRITE: c_int = 23;
+
 /// Termination request (`kill -TERM`).
 pub const SIGTERM: c_int = 15;
 
@@ -50,6 +55,7 @@ extern "C" {
     ) -> *mut c_void;
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     pub fn msync(addr: *mut c_void, len: size_t, flags: c_int) -> c_int;
+    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
     pub fn signal(signum: c_int, handler: sighandler_t) -> sighandler_t;
 }
 
