@@ -8,9 +8,12 @@
 //! model-vs-experiment sweep runner, and plain-text table/plot
 //! rendering.
 
+use std::time::Instant;
+
 use mmjoin::{inputs_for, join, verify, Algo, ExecMode, JoinSpec};
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::trace::escape;
+use mmjoin_env::CpuOp;
 use mmjoin_model::predict;
 use mmjoin_relstore::{build, PointerDist, RelConfig, Relations, WorkloadSpec};
 use mmjoin_serve::service_machine;
@@ -46,6 +49,24 @@ pub fn paper_workload(d: u32, seed: u64) -> WorkloadSpec {
         prefix: String::new(),
     }
 }
+
+/// The Fig. 5 sweep, 27 points: the memory fractions `M_Rproc / |R|`
+/// of panels (a), (b) and (c), per algorithm. The `simrate` row times
+/// these points; perfbench's `paper-fig5-sim` workload runs the same.
+pub const FIG5_SWEEP: [(Algo, &[f64]); 3] = [
+    (
+        Algo::NestedLoops,
+        &[0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7],
+    ),
+    (
+        Algo::SortMerge,
+        &[0.01, 0.012, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04, 0.05],
+    ),
+    (
+        Algo::Grace,
+        &[0.015, 0.02, 0.025, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08],
+    ),
+];
 
 /// Total bytes of `R` for a workload (the denominator of the Fig. 5
 /// x-axis `M_Rproc_i / |R|`).
@@ -90,37 +111,67 @@ pub fn fig5_sweep(
     workload: &WorkloadSpec,
     annotate: impl Fn(&Relations, &JoinSpec) -> String,
 ) -> Vec<Fig5Row> {
-    let machine = calibrated_machine();
-    let total_r = r_bytes(workload);
     fracs
         .iter()
-        .map(|&frac| {
-            let pages = (((frac * total_r as f64) as u64) / PAGE).max(4);
-            let env = sim_env(
-                workload.rel.d,
-                pages as usize,
-                Policy::Lru,
-                ContentionMode::Independent,
-            );
-            let rels = build(&env, workload).expect("workload builds");
-            let spec = JoinSpec::new(pages * PAGE, pages * PAGE).with_mode(ExecMode::Sequential);
-            let out = join(&env, &rels, alg, &spec).expect("join runs");
-            verify(&out, &rels).expect("join result matches oracle");
-            let model = alg
-                .modelled()
-                .map(|a| predict(a, machine, &inputs_for(&rels, &spec)).total())
-                .unwrap_or(f64::NAN);
-            Fig5Row {
-                frac,
-                pages,
-                model,
-                sim: out.elapsed,
-                faults_read: out.stats.total_read_faults(),
-                faults_write: out.stats.total_write_backs(),
-                note: annotate(&rels, &spec),
-            }
-        })
+        .map(|&frac| fig5_point(alg, frac, workload, &annotate).0)
         .collect()
+}
+
+/// Host wall-clock cost of one simulated Fig. 5 point.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PointWall {
+    /// Seconds spent building and loading the relations.
+    pub build_s: f64,
+    /// Seconds spent in the simulated join.
+    pub join_s: f64,
+    /// Pager touches the join made (hits plus faults, every process).
+    pub touches: u64,
+}
+
+/// One point of [`fig5_sweep`], with where its wall-clock time went.
+pub fn fig5_point(
+    alg: Algo,
+    frac: f64,
+    workload: &WorkloadSpec,
+    annotate: impl Fn(&Relations, &JoinSpec) -> String,
+) -> (Fig5Row, PointWall) {
+    let pages = (((frac * r_bytes(workload) as f64) as u64) / PAGE).max(4);
+    let env = sim_env(
+        workload.rel.d,
+        pages as usize,
+        Policy::Lru,
+        ContentionMode::Independent,
+    );
+    let started = Instant::now();
+    let rels = build(&env, workload).expect("workload builds");
+    let built = Instant::now();
+    let spec = JoinSpec::new(pages * PAGE, pages * PAGE).with_mode(ExecMode::Sequential);
+    let out = join(&env, &rels, alg, &spec).expect("join runs");
+    let wall = PointWall {
+        build_s: (built - started).as_secs_f64(),
+        join_s: built.elapsed().as_secs_f64(),
+        touches: out
+            .stats
+            .procs
+            .iter()
+            .map(|p| p.page_hits + p.cpu_ops[CpuOp::FaultOverhead.index()])
+            .sum(),
+    };
+    verify(&out, &rels).expect("join result matches oracle");
+    let model = alg
+        .modelled()
+        .map(|a| predict(a, calibrated_machine(), &inputs_for(&rels, &spec)).total())
+        .unwrap_or(f64::NAN);
+    let row = Fig5Row {
+        frac,
+        pages,
+        model,
+        sim: out.elapsed,
+        faults_read: out.stats.total_read_faults(),
+        faults_write: out.stats.total_write_backs(),
+        note: annotate(&rels, &spec),
+    };
+    (row, wall)
 }
 
 /// Render a model-vs-experiment table in the shape of one Fig. 5 panel.

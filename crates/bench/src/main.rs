@@ -13,12 +13,13 @@ mod experiments {
     pub mod chaos;
     pub mod extensions;
     pub mod figures;
+    pub mod simrate;
     pub mod skew_planner;
 }
 
 use std::process::{Command, ExitCode, Stdio};
 
-use experiments::{chaos, extensions as ext, figures as fig, skew_planner};
+use experiments::{chaos, extensions as ext, figures as fig, simrate, skew_planner};
 use mmjoin_bench::write_json;
 use mmjoin_env::Options;
 use Entry::{Json, Plain};
@@ -58,7 +59,7 @@ const fn row(name: &'static str, kind: Kind, entry: Entry) -> Experiment {
 }
 
 /// Every experiment, once: the paper's figures and §5.1 claim, the
-/// extensions E1–E12, and two tools.
+/// extensions E1–E12, the simulator's own rate, and two tools.
 #[rustfmt::skip]
 const EXPERIMENTS: &[Experiment] = &[
     row("fig1a",                Golden,    Plain(fig::fig1a)),
@@ -79,6 +80,7 @@ const EXPERIMENTS: &[Experiment] = &[
     row("ssd",                  Golden,    Plain(ext::ssd)),
     row("msproc",               Golden,    Plain(ext::msproc)),
     row("gbuffer",              Golden,    Plain(ext::gbuffer)),
+    row("simrate",              WallClock, Entry::Options(simrate::run)),
     row("chaos",                Tool,      Entry::Options(chaos::run)),
     row("skew_planner",         Tool,      Entry::Options(skew_planner::run)),
 ];

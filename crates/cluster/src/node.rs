@@ -17,8 +17,8 @@
 //! to the live connection the moment it exists. Every writer — `Hello`,
 //! `Pong`, the pump, a resend — holds the one connection mutex, so
 //! frames never interleave. `kill`, `Shutdown` and drop end all three
-//! through the `running` flag plus a socket reset (and a throw-away
-//! self-connect for a blocked `accept`).
+//! through the `running` flag plus a socket reset, and `kill` stops the
+//! listening socket itself, which fails a blocked `accept` at once.
 //!
 //! # At-least-once dispatch, idempotent dedup
 //!
@@ -41,6 +41,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -282,10 +283,27 @@ impl NodeShared {
     }
 }
 
+/// Stop `listener` listening, with no TCP round trip: on Linux,
+/// `shutdown(2)` on a listening socket refuses further connects and
+/// fails an `accept` blocked on it with `EINVAL` at once.
+fn stop_listening(listener: &TcpListener) {
+    extern "C" {
+        fn shutdown(fd: i32, how: i32) -> i32;
+    }
+    const SHUT_RDWR: i32 = 2;
+    // SAFETY: the descriptor stays open for the whole call (`listener`
+    // owns it), and `shutdown` does not close it. An already stopped
+    // socket only makes the call fail, which changes nothing.
+    unsafe {
+        shutdown(listener.as_raw_fd(), SHUT_RDWR);
+    }
+}
+
 /// A running worker node. Dropping it stops the accept loop, the
 /// completion pump, and the wrapped service's workers.
 pub struct NodeServer {
     shared: Arc<NodeShared>,
+    listener: Arc<TcpListener>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     pump: Option<JoinHandle<()>>,
@@ -299,7 +317,8 @@ impl NodeServer {
         let budget_bytes = cfg.budget_bytes;
         let workers = cfg.workers as u32;
         let svc = Service::start(cfg)?;
-        let listener = TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
+        let listener =
+            Arc::new(TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?);
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
@@ -313,14 +332,14 @@ impl NodeServer {
             jobs: Mutex::new(NodeJobs::default()),
         });
         let accept_shared = Arc::clone(&shared);
+        let accept_listener = Arc::clone(&listener);
         let accept = std::thread::Builder::new()
             .name(format!("node-{name}"))
             .spawn(move || {
                 while accept_shared.running.load(Ordering::SeqCst) {
-                    // Blocks; `kill` clears `running` and then wakes it
-                    // with a throw-away connection, which `handle`
-                    // turns away.
-                    let Ok((stream, _)) = listener.accept() else {
+                    // Blocks; `kill` clears `running` and then stops the
+                    // socket, which fails the `accept`.
+                    let Ok((stream, _)) = accept_listener.accept() else {
                         break;
                     };
                     // Connections are served inline: one coordinator,
@@ -329,10 +348,13 @@ impl NodeServer {
                     let _ = accept_shared.handle(stream);
                     *accept_shared.conn() = None;
                 }
+                // After a `Shutdown` too, connects are refused from now on.
+                stop_listening(&accept_listener);
             })
             .map_err(|e| format!("spawn accept loop: {e}"))?;
         let mut node = NodeServer {
             shared,
+            listener,
             addr,
             accept: Some(accept),
             pump: None,
@@ -377,8 +399,7 @@ impl NodeServer {
         if let Some(conn) = self.shared.conn().take() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        // Wake a blocked `accept`; refused when the loop already ended.
-        let _ = TcpStream::connect_timeout(&self.addr, WRITE_TIMEOUT);
+        stop_listening(&self.listener);
     }
 
     /// Block until the node stops (a coordinator `Shutdown`, or

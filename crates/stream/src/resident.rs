@@ -277,19 +277,23 @@ impl<E: Env> ResidentSet<E> {
     }
 
     /// Write the current key of each patched slot into its S partition
-    /// — an in-place patch, never a rebuild. The writes go through
-    /// charged `write_at`, so maintenance cost is measured, and the
-    /// trace records the patch for the steady-state ("no pass 0 after
-    /// warmup") check.
+    /// — an in-place patch, never a rebuild. Each touched partition is
+    /// opened once per call. The writes go through charged `write_at`,
+    /// so maintenance cost is measured, and the trace records the patch
+    /// for the steady-state ("no pass 0 after warmup") check.
     fn patch_slots(&self, slots: &[u64], op: &str) -> Result<()> {
         let proc = ProcId(0);
         let mut obj = vec![0u8; self.rel.s_size as usize];
+        let mut opened: Vec<Option<E::File>> = self.s_files.iter().map(|_| None).collect();
         for &slot in slots {
             let j = (slot / self.rel.s_per_part()) as usize;
             let local = slot % self.rel.s_per_part();
             let key = self.keys[slot as usize];
             encode_s(&mut obj, key);
-            let s = self.env.open_file(proc, &self.s_files[j])?;
+            let s = match &mut opened[j] {
+                Some(s) => s,
+                closed => closed.insert(self.env.open_file(proc, &self.s_files[j])?),
+            };
             s.write_at(proc, local * self.rel.s_size as u64, &obj)?;
             self.env.cpu(proc, CpuOp::Hash, 1);
         }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use mmjoin::{join, Algo, ExecMode, JoinSpec};
 use mmjoin_env::machine::MachineParams;
+use mmjoin_env::trace::MapOp;
 use mmjoin_env::{CollectingSink, Env, TraceEvent};
 use mmjoin_relstore::{build, PointerDist, RelConfig, WorkloadSpec};
 use mmjoin_stream::{StreamConfig, StreamHeader, StreamOp, StreamSession};
@@ -207,5 +208,64 @@ batch=b2 objects=16 seed=5
     assert!(error.contains("slot 128"), "{error}");
     assert_eq!((results[5].pairs, results[5].live_after), (16, 32));
     assert_eq!(sess.stats().failed, 2);
+    sess.shutdown();
+}
+
+/// A mutation opens each S partition it patches once, not once per
+/// slot: `delete=64` and `append=32` over four partitions make at most
+/// four `map_setup op=open` events each.
+#[test]
+fn a_mutation_opens_each_s_partition_at_most_once() {
+    const PARTS: u32 = 4;
+    let mut cfg = SimConfig::waterloo96(PARTS);
+    cfg.rproc_pages = 64;
+    cfg.sproc_pages = 64;
+    let env = Arc::new(SimEnv::new(cfg).unwrap());
+    let sink = CollectingSink::new();
+    env.set_trace_sink(sink.clone());
+    let header = StreamHeader {
+        name: "patch".into(),
+        s_objects: S_OBJECTS,
+        s_size: 64,
+        d: PARTS,
+        mem_pages: 64,
+        seed: 3,
+        modern: false,
+    };
+    let sess = StreamSession::open(
+        Arc::clone(&env),
+        header,
+        StreamConfig::ephemeral(MachineParams::waterloo96()),
+    )
+    .unwrap();
+    let opens = || {
+        sink.records()
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.event,
+                    TraceEvent::MapSetup {
+                        op: MapOp::Open,
+                        ..
+                    }
+                )
+            })
+            .count()
+    };
+    for op in [
+        StreamOp::Delete { count: 64, seed: 9 },
+        StreamOp::Append { count: 32, seed: 0 },
+    ] {
+        sess.drain();
+        let before = opens();
+        sess.submit(op).unwrap();
+        sess.drain();
+        let made = opens() - before;
+        assert!(
+            (1..=PARTS as usize).contains(&made),
+            "{made} opens for one mutation"
+        );
+    }
+    assert!(sess.results().iter().all(|r| r.error.is_none()));
     sess.shutdown();
 }

@@ -121,8 +121,17 @@ impl SimConfig {
 }
 
 /// Contents and write-back state of one file.
+///
+/// Contents are held page by page: a page's buffer is allocated by its
+/// first write, and a page never written reads as zeros. A fresh file
+/// therefore costs one pointer per page, and the 4 KiB buffers come from
+/// the heap, which reuses the buffers of deleted files, instead of one
+/// fresh file-sized region whose every page the host faults in on first
+/// touch. Storage never affects what is charged: the pager and the
+/// `materialized` bits alone decide hits, faults and disk traffic.
 struct FileBody {
-    data: Vec<u8>,
+    page: usize,
+    pages: Vec<Option<Box<[u8]>>>,
     /// Bit per page: has this page ever been materialized on disk? A
     /// fault on a never-materialized page of a temporary area is a
     /// zero-fill fault and costs no disk read.
@@ -133,8 +142,51 @@ impl FileBody {
     fn new(bytes: u64, page: u64) -> Self {
         let pages = bytes.div_ceil(page) as usize;
         FileBody {
-            data: vec![0u8; bytes as usize],
+            page: page as usize,
+            pages: (0..pages).map(|_| None).collect(),
             materialized: vec![0u64; pages.div_ceil(64)],
+        }
+    }
+
+    /// Split `offset..offset + len` at page boundaries: `(page, offset
+    /// within it, offset within the range, bytes)` per piece.
+    fn pieces(
+        &self,
+        offset: u64,
+        len: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let page = self.page;
+        let start = offset as usize;
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            (done < len).then(|| {
+                let at = start + done;
+                let n = (page - at % page).min(len - done);
+                let piece = (at / page, at % page, done, n);
+                done += n;
+                piece
+            })
+        })
+    }
+
+    /// Copy `buf.len()` bytes at `offset` out (the caller has checked
+    /// the range).
+    fn read(&self, offset: u64, buf: &mut [u8]) {
+        for (p, within, at, n) in self.pieces(offset, buf.len()) {
+            let dst = &mut buf[at..at + n];
+            match &self.pages[p] {
+                Some(data) => dst.copy_from_slice(&data[within..within + n]),
+                None => dst.fill(0),
+            }
+        }
+    }
+
+    /// Copy `data` in at `offset` (the caller has checked the range).
+    fn write(&mut self, offset: u64, data: &[u8]) {
+        let page = self.page;
+        for (p, within, at, n) in self.pieces(offset, data.len()) {
+            let buf = self.pages[p].get_or_insert_with(|| vec![0u8; page].into_boxed_slice());
+            buf[within..within + n].copy_from_slice(&data[at..at + n]);
         }
     }
 
@@ -319,8 +371,7 @@ impl SimEnv {
     pub fn peek(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<()> {
         let entry = self.lookup(name)?;
         entry.check_range(offset, buf.len() as u64)?;
-        let body = entry.body.lock();
-        buf.copy_from_slice(&body.data[offset as usize..offset as usize + buf.len()]);
+        entry.body.lock().read(offset, buf);
         Ok(())
     }
 
@@ -365,15 +416,17 @@ impl SimInner {
     /// that fills the queue, so traced write services are lumpy; the
     /// analyzer only uses their mean.
     fn charge_disk(&self, proc: ProcId, disk: DiskId, op: DiskOp) -> f64 {
-        let clock_now = self.proc_state(proc).lock().stats.clock;
+        // Only queued arbitration reads the requester's clock.
+        let queued_at = (self.cfg.contention == ContentionMode::Queued)
+            .then(|| self.proc_state(proc).lock().stats.clock);
         let mut ds = self.disks[disk.0 as usize].lock();
         let (svc, block, kind) = match op {
             DiskOp::Read(b) => (ds.disk.read(b), b, TraceKind::Read),
             DiskOp::Write(b) => (ds.disk.write(b), b, TraceKind::Write),
         };
-        let charged = match self.cfg.contention {
-            ContentionMode::Independent => svc,
-            ContentionMode::Queued => {
+        let charged = match queued_at {
+            None => svc,
+            Some(clock_now) => {
                 let start = clock_now.max(ds.busy_until);
                 let end = start + svc;
                 ds.busy_until = end;
@@ -415,17 +468,27 @@ impl SimInner {
         let first = offset / page;
         let last = (offset + len - 1) / page;
         let fault_overhead = self.cfg.machine.op(CpuOp::FaultOverhead);
+        let (pager_state, charge_state) =
+            (self.proc_state(pager_proc), self.proc_state(charge_proc));
         for p in first..=last {
             // Decide hit/fault under the pager lock, then price I/O
-            // outside it.
-            let access = {
-                let mut ps = self.proc_state(pager_proc).lock();
-                ps.pager.touch(PageKey { file: idx, page: p }, dirty)
+            // outside it. A hit on the charged process's own pager is
+            // counted under that one lock.
+            let key = PageKey { file: idx, page: p };
+            let access = if pager_proc == charge_proc {
+                let mut ps = pager_state.lock();
+                let access = ps.pager.touch(key, dirty);
+                ps.stats.page_hits += u64::from(access == Access::Hit);
+                access
+            } else {
+                let access = pager_state.lock().pager.touch(key, dirty);
+                if access == Access::Hit {
+                    charge_state.lock().stats.page_hits += 1;
+                }
+                access
             };
             match access {
-                Access::Hit => {
-                    self.proc_state(charge_proc).lock().stats.page_hits += 1;
-                }
+                Access::Hit => {}
                 Access::Fault { evicted } => {
                     let mut io = 0.0;
                     let mut wrote = 0u64;
@@ -457,7 +520,7 @@ impl SimInner {
                         io += self.charge_disk(charge_proc, entry.disk, DiskOp::Read(block));
                         read = 1;
                     }
-                    let mut ps = self.proc_state(charge_proc).lock();
+                    let mut ps = charge_state.lock();
                     ps.stats.fault_read_blocks += read;
                     ps.stats.fault_write_blocks += wrote;
                     ps.stats.io_time += io;
@@ -485,8 +548,7 @@ impl FileOps for SimFile {
             buf.len() as u64,
             false,
         )?;
-        let body = self.entry.body.lock();
-        buf.copy_from_slice(&body.data[offset as usize..offset as usize + buf.len()]);
+        self.entry.body.lock().read(offset, buf);
         Ok(())
     }
 
@@ -500,8 +562,7 @@ impl FileOps for SimFile {
             buf.len() as u64,
             true,
         )?;
-        let mut body = self.entry.body.lock();
-        body.data[offset as usize..offset as usize + buf.len()].copy_from_slice(buf);
+        self.entry.body.lock().write(offset, buf);
         Ok(())
     }
 
@@ -774,9 +835,8 @@ impl Env for SimEnv {
                 out.truncate(start);
                 return Err(e);
             }
-            let body = entry.body.lock();
-            out[start + i * obj as usize..start + (i + 1) * obj as usize]
-                .copy_from_slice(&body.data[off as usize..(off + obj) as usize]);
+            let at = start + i * obj as usize;
+            entry.body.lock().read(off, &mut out[at..at + obj as usize]);
         }
         let mut ps = self.inner.procs[proc.0 as usize].lock();
         ps.stats.s_batches += 1;
@@ -791,7 +851,7 @@ impl Env for SimEnv {
         let entry = self.lookup(name)?;
         entry.check_range(offset, data.len() as u64)?;
         let mut body = entry.body.lock();
-        body.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        body.write(offset, data);
         body.set_all_materialized();
         Ok(())
     }
@@ -1062,5 +1122,88 @@ mod tests {
         // exercised heavily by the sort-merge tests.
         env.delete_file(R0, "c").unwrap();
         env.delete_file(R0, "d").unwrap();
+    }
+
+    proptest::proptest! {
+        /// The page-backed body reads back exactly what a flat buffer
+        /// would: pieces that straddle pages, pages never written (zeros,
+        /// and no buffer allocated), and the whole file at the end.
+        #[test]
+        fn file_body_matches_a_flat_buffer(
+            page in 1u64..40,
+            bytes in 1u64..300,
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, 0u64..300, 0usize..100, 0u8..255),
+                0..60,
+            ),
+        ) {
+            let mut body = FileBody::new(bytes, page);
+            let mut flat = vec![0u8; bytes as usize];
+            let mut written = vec![false; body.pages.len()];
+            for (write, offset, len, fill) in ops {
+                let offset = offset % bytes;
+                let at = offset as usize;
+                let len = len.min(flat.len() - at);
+                if write {
+                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    body.write(offset, &data);
+                    flat[at..at + len].copy_from_slice(&data);
+                    for b in at..at + len {
+                        written[b / page as usize] = true;
+                    }
+                } else {
+                    let mut got = vec![0xAA; len];
+                    body.read(offset, &mut got);
+                    proptest::prop_assert_eq!(&got[..], &flat[at..at + len]);
+                }
+            }
+            let mut all = vec![0xAA; flat.len()];
+            body.read(0, &mut all);
+            proptest::prop_assert_eq!(all, flat);
+            let allocated: Vec<bool> = body.pages.iter().map(Option::is_some).collect();
+            proptest::prop_assert_eq!(allocated, written);
+        }
+
+        /// `preload` in chunks at offsets that straddle pages, then
+        /// `s_fetch_batch` of objects whose size does not divide the
+        /// page: both agree with a flat copy of the partition.
+        #[test]
+        fn preload_and_s_fetch_match_a_flat_partition(
+            obj in 1u64..300,
+            objects in 1u64..120,
+            chunk in 1usize..5000,
+            picks in proptest::collection::vec(0u64..1_000, 1..40),
+        ) {
+            let env = small_env();
+            let part_bytes = obj * objects;
+            let mut flats = Vec::new();
+            for j in 0..2u32 {
+                let name = format!("S_{j}");
+                env.create_file(R0, &name, DiskId(j), part_bytes).unwrap();
+                let flat: Vec<u8> = (0..part_bytes).map(|b| (b * 7 + u64::from(j)) as u8).collect();
+                for (k, piece) in flat.chunks(chunk).enumerate() {
+                    env.preload(&name, (k * chunk) as u64, piece).unwrap();
+                }
+                let mut back = vec![0u8; flat.len()];
+                env.peek(&name, 0, &mut back).unwrap();
+                proptest::prop_assert_eq!(&back, &flat);
+                flats.push(flat);
+            }
+            env.register_s(SCatalog {
+                part_files: vec!["S_0".into(), "S_1".into()],
+                part_bytes,
+                s_obj_size: obj as u32,
+            })
+            .unwrap();
+            let slots: Vec<u64> = picks.iter().map(|p| p % objects).collect();
+            let ptrs: Vec<SPtr> = slots.iter().map(|s| SPtr::new(1, s * obj, part_bytes)).collect();
+            let mut out = vec![0xEE; 3];
+            env.s_fetch_batch(R0, 1, &ptrs, 8, &mut out).unwrap();
+            let mut want = vec![0xEE; 3];
+            for s in &slots {
+                want.extend_from_slice(&flats[1][(s * obj) as usize..((s + 1) * obj) as usize]);
+            }
+            proptest::prop_assert_eq!(out, want);
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! residual error to Dynix's "simple page replacement algorithm" (§8).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identity of one page: which file, which page within it.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -22,6 +23,44 @@ pub struct PageKey {
     /// Page number within the file.
     pub page: u64,
 }
+
+/// Multiplicative hasher for [`PageKey`]s: a rotate, xor and multiply
+/// per word (the `FxHash` recipe) instead of std's SipHash, which is
+/// built to resist chosen keys and costs a large share of a hit. Page
+/// keys are not chosen by an adversary, and no simulated decision
+/// depends on the map's iteration order.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
+type PageMap = HashMap<PageKey, u32, BuildHasherDefault<PageHasher>>;
 
 /// Page replacement policy.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -96,7 +135,7 @@ pub struct Pager {
     free: Vec<u32>,
     head: u32,
     tail: u32,
-    map: HashMap<PageKey, u32>,
+    map: PageMap,
     hits: u64,
     faults: u64,
 }
@@ -113,7 +152,7 @@ impl Pager {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            map: HashMap::new(),
+            map: PageMap::default(),
             hits: 0,
             faults: 0,
         }
@@ -234,6 +273,17 @@ impl Pager {
     /// Touch one page; `dirty` marks it modified. Returns whether the
     /// access hit, and on a fault, which page (if any) was evicted.
     pub fn touch(&mut self, key: PageKey, dirty: bool) -> Access {
+        // Fast path: the list head is the page touched last (or, under
+        // FIFO and second-chance, inserted last). Re-touching it skips the
+        // map; promoting the head is a no-op, so only the bits change.
+        if let Some(s) = self.slots.get_mut(self.head as usize) {
+            if s.key == key {
+                self.hits += 1;
+                s.dirty |= dirty;
+                s.referenced = true;
+                return Access::Hit;
+            }
+        }
         if let Some(&idx) = self.map.get(&key) {
             self.hits += 1;
             {
@@ -438,59 +488,115 @@ mod tests {
         assert_eq!(p.budget(), 1);
     }
 
-    /// Reference model: a Vec ordered most-recent-first.
-    struct RefLru {
+    /// Reference model of all three policies: a `Vec` of `(key, dirty,
+    /// referenced)` ordered head first, with no shortcut: every hit
+    /// searches the list, and LRU moves the page to the front.
+    struct RefPager {
+        policy: Policy,
         budget: usize,
-        pages: Vec<(PageKey, bool)>,
+        pages: Vec<(PageKey, bool, bool)>,
     }
 
-    impl RefLru {
-        fn touch(&mut self, key: PageKey, dirty: bool) -> (bool, Option<(PageKey, bool)>) {
-            if let Some(pos) = self.pages.iter().position(|(k, _)| *k == key) {
-                let (k, d) = self.pages.remove(pos);
-                self.pages.insert(0, (k, d || dirty));
-                return (true, None);
+    impl RefPager {
+        fn touch(&mut self, key: PageKey, dirty: bool) -> Access {
+            if let Some(pos) = self.pages.iter().position(|p| p.0 == key) {
+                self.pages[pos].1 |= dirty;
+                self.pages[pos].2 = true;
+                if self.policy == Policy::Lru {
+                    let page = self.pages.remove(pos);
+                    self.pages.insert(0, page);
+                }
+                return Access::Hit;
             }
-            let evicted = if self.pages.len() >= self.budget {
-                self.pages.pop()
-            } else {
-                None
-            };
-            self.pages.insert(0, (key, dirty));
-            (false, evicted)
+            let evicted = (self.pages.len() >= self.budget).then(|| {
+                if self.policy == Policy::SecondChance {
+                    // Referenced pages at the tail go back to the head
+                    // with their bit cleared, one at a time.
+                    while self.pages.last().is_some_and(|p| p.2) {
+                        let mut page = self.pages.pop().unwrap();
+                        page.2 = false;
+                        self.pages.insert(0, page);
+                    }
+                }
+                let (key, dirty, _) = self.pages.pop().unwrap();
+                Eviction { key, dirty }
+            });
+            self.pages.insert(0, (key, dirty, false));
+            Access::Fault { evicted }
         }
+
+        fn drop_file(&mut self, file: u32) -> Vec<PageKey> {
+            let mut dropped: Vec<PageKey> = self
+                .pages
+                .iter()
+                .filter(|p| p.0.file == file)
+                .map(|p| p.0)
+                .collect();
+            self.pages.retain(|p| p.0.file != file);
+            dropped.sort_unstable_by_key(|k| (k.file, k.page));
+            dropped
+        }
+
+        fn take_dirty(&mut self) -> Vec<PageKey> {
+            let mut dirty: Vec<PageKey> = self.pages.iter().filter(|p| p.1).map(|p| p.0).collect();
+            for p in &mut self.pages {
+                p.1 = false;
+            }
+            dirty.sort_unstable_by_key(|k| (k.file, k.page));
+            dirty
+        }
+    }
+
+    /// Drive `policy`'s pager and the reference model through `ops` —
+    /// `(op, file, page, dirty)`, where op 0 drops `file`, op 1 takes
+    /// the dirty pages and any other op touches `(file, page)` — and
+    /// require the same hits, victims, dirty bits and final order.
+    fn check_against_reference(policy: Policy, budget: usize, ops: &[(u8, u32, u64, bool)]) {
+        let mut p = Pager::new(budget, policy);
+        let mut r = RefPager {
+            policy,
+            budget,
+            pages: Vec::new(),
+        };
+        for &(op, file, page, dirty) in ops {
+            match op {
+                0 => {
+                    let mut got = p.drop_file(file);
+                    got.sort_unstable_by_key(|k| (k.file, k.page));
+                    proptest::prop_assert_eq!(got, r.drop_file(file));
+                }
+                1 => proptest::prop_assert_eq!(p.take_dirty(), r.take_dirty()),
+                _ => {
+                    let key = PageKey { file, page };
+                    let (got, want) = (p.touch(key, dirty), r.touch(key, dirty));
+                    proptest::prop_assert_eq!(got, want, "{:?} touching {:?}", policy, key);
+                }
+            }
+            proptest::prop_assert_eq!(p.resident(), r.pages.len());
+        }
+        let order: Vec<PageKey> = r.pages.iter().map(|page| page.0).collect();
+        proptest::prop_assert_eq!(p.recency_order(), order);
     }
 
     proptest::proptest! {
         #[test]
         fn lru_matches_reference_model(
             budget in 1usize..16,
-            accesses in proptest::collection::vec((0u64..32, proptest::bool::ANY), 0..400),
+            ops in proptest::collection::vec((0u8..24, 0u32..3, 0u64..12, proptest::bool::ANY), 0..400),
         ) {
-            let mut p = Pager::new(budget, Policy::Lru);
-            let mut r = RefLru { budget, pages: Vec::new() };
-            for (page, dirty) in accesses {
-                let got = p.touch(k(page), dirty);
-                let (hit, evicted) = r.touch(k(page), dirty);
-                match got {
-                    Access::Hit => proptest::prop_assert!(hit),
-                    Access::Fault { evicted: got_ev } => {
-                        proptest::prop_assert!(!hit);
-                        match (got_ev, evicted) {
-                            (None, None) => {}
-                            (Some(ge), Some((rk, rd))) => {
-                                proptest::prop_assert_eq!(ge.key, rk);
-                                proptest::prop_assert_eq!(ge.dirty, rd);
-                            }
-                            other => proptest::prop_assert!(false, "mismatch: {:?}", other),
-                        }
-                    }
-                }
-                proptest::prop_assert_eq!(p.resident(), r.pages.len());
-            }
-            // Final recency order must agree.
-            let order: Vec<PageKey> = r.pages.iter().map(|(key, _)| *key).collect();
-            proptest::prop_assert_eq!(p.recency_order(), order);
+            check_against_reference(Policy::Lru, budget, &ops);
+        }
+
+        /// FIFO and second-chance never reorder on a hit, so the head
+        /// fast path must leave their victims exactly as they were.
+        /// Few distinct pages make repeated touches of the head common.
+        #[test]
+        fn fifo_and_second_chance_match_reference_models(
+            budget in 1usize..8,
+            ops in proptest::collection::vec((0u8..40, 0u32..2, 0u64..6, proptest::bool::ANY), 0..400),
+        ) {
+            check_against_reference(Policy::Fifo, budget, &ops);
+            check_against_reference(Policy::SecondChance, budget, &ops);
         }
     }
 }
