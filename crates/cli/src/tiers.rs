@@ -282,10 +282,11 @@ pub(crate) fn cmd_serve(opts: &Options) -> Result<(), String> {
     }
     if stats.journal_appended_records + stats.journal_replayed_records > 0 {
         println!(
-            "journal: {} record(s) appended in {} commit(s); replay saw {} record(s) \
-             ({} torn byte(s)), deleted {} orphaned area(s), resumed {} job(s)",
+            "journal: {} record(s) appended in {} commit(s), {} sync(s); replay saw {} \
+             record(s) ({} torn byte(s)), deleted {} orphaned area(s), resumed {} job(s)",
             stats.journal_appended_records,
             stats.journal_commits,
+            stats.journal_syncs,
             stats.journal_replayed_records,
             stats.journal_torn_bytes,
             stats.journal_orphans_deleted,
@@ -573,10 +574,11 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     );
     if stats.journal_appended_records + stats.journal_replayed_records > 0 {
         println!(
-            "journal: {} record(s) appended in {} commit(s); replay saw {} record(s) \
-             ({} torn byte(s)), resumed {} op(s)",
+            "journal: {} record(s) appended in {} commit(s), {} sync(s); replay saw {} \
+             record(s) ({} torn byte(s)), resumed {} op(s)",
             stats.journal_appended_records,
             stats.journal_commits,
+            stats.journal_syncs,
             stats.journal_replayed_records,
             stats.journal_torn_bytes,
             stats.resumed_batches
@@ -596,6 +598,7 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
         env_elapsed_seconds: results.iter().map(|r| r.env_elapsed).sum(),
         journal_appended_records: stats.journal_appended_records,
         journal_commits: stats.journal_commits,
+        journal_syncs: stats.journal_syncs,
         journal_replayed_records: stats.journal_replayed_records,
         journal_torn_bytes: stats.journal_torn_bytes,
         journal_resumed_jobs: stats.resumed_batches,
@@ -696,9 +699,9 @@ pub(crate) fn cmd_coordinator(opts: &Options) -> Result<(), String> {
     }
     if let Some(j) = &stats.journal {
         println!(
-            "journal: {} record(s) appended in {} commit(s); replay saw {} record(s) \
-             ({} torn byte(s))",
-            j.appended_records, j.commits, j.replayed_records, j.torn_bytes
+            "journal: {} record(s) appended in {} commit(s), {} sync(s); replay saw {} \
+             record(s) ({} torn byte(s))",
+            j.appended_records, j.commits, j.syncs, j.replayed_records, j.torn_bytes
         );
     }
     let rows = results.iter().map(|r| {

@@ -17,8 +17,9 @@
 //! to the live connection the moment it exists. Every writer — `Hello`,
 //! `Pong`, the pump, a resend — holds the one connection mutex, so
 //! frames never interleave. `kill`, `Shutdown` and drop end all three
-//! through the `running` flag plus a socket reset, and `kill` stops the
-//! listening socket itself, which fails a blocked `accept` at once.
+//! through the `running` flag plus a socket reset, `kill` stops the
+//! listening socket itself, which fails a blocked `accept` at once, and
+//! both wake the pump through the service's sticky wake-up.
 //!
 //! # At-least-once dispatch, idempotent dedup
 //!
@@ -50,11 +51,6 @@ use std::time::{Duration, Instant};
 use mmjoin_serve::{JobRequest, ServeConfig, Service};
 
 use crate::wire::{write_msg, FrameReader, Message};
-
-/// How often the idle completion pump looks at the `running` flag. Not
-/// on the job path: a completion wakes the pump through the service's
-/// own condvar; this only bounds how long `kill`/drop waits for it.
-const PUMP_IDLE: Duration = Duration::from_millis(50);
 
 /// A stalled coordinator must not wedge a writer forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -141,10 +137,14 @@ impl NodeShared {
     /// has not seen, fold them into the `done` cache, and push them to
     /// the coordinator on whatever connection is live. With none live
     /// they wait in the cache for the next `Hello`.
+    ///
+    /// The wait has no deadline that matters: only a completion or
+    /// `kill`'s wake-up ends it.
     fn pump(&self) {
         let mut harvested = 0;
         while self.running.load(Ordering::SeqCst) {
-            let fresh = self.svc.wait_results(harvested, Instant::now() + PUMP_IDLE);
+            let forever = Instant::now() + Duration::from_secs(3600);
+            let fresh = self.svc.wait_results(harvested, forever);
             if fresh.is_empty() {
                 continue;
             }
@@ -274,6 +274,7 @@ impl NodeShared {
                 }
                 Some(Message::Shutdown) => {
                     self.running.store(false, Ordering::SeqCst);
+                    self.svc.wake_waiters();
                     return Ok(());
                 }
                 Some(_) => {}
@@ -400,6 +401,7 @@ impl NodeServer {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         stop_listening(&self.listener);
+        self.shared.svc.wake_waiters();
     }
 
     /// Block until the node stops (a coordinator `Shutdown`, or

@@ -82,8 +82,8 @@ impl ClusterStats {
             Some(j) => {
                 let _ = write!(
                     s,
-                    ",\"journal\":{{\"appended_records\":{},\"appended_bytes\":{},\"commits\":{},\"replayed_records\":{},\"torn_bytes\":{}}}",
-                    j.appended_records, j.appended_bytes, j.commits, j.replayed_records, j.torn_bytes
+                    ",\"journal\":{{\"appended_records\":{},\"appended_bytes\":{},\"commits\":{},\"syncs\":{},\"replayed_records\":{},\"torn_bytes\":{}}}",
+                    j.appended_records, j.appended_bytes, j.commits, j.syncs, j.replayed_records, j.torn_bytes
                 );
             }
             None => s.push_str(",\"journal\":null"),
@@ -135,6 +135,7 @@ mod tests {
                 appended_records: 4,
                 appended_bytes: 128,
                 commits: 4,
+                syncs: 5,
                 replayed_records: 0,
                 torn_bytes: 0,
             }),
@@ -142,6 +143,6 @@ mod tests {
         };
         let json = st.to_json();
         assert!(json.contains("\"journal\":{\"appended_records\":4"));
-        assert!(json.contains("\"commits\":4"));
+        assert!(json.contains("\"commits\":4,\"syncs\":5"));
     }
 }

@@ -515,10 +515,13 @@ fn resume_on_fresh_journal_is_a_plain_start() {
     assert_eq!(results.len(), 1);
     assert!(results[0].ok);
     assert_eq!(stats.resumed_reported, 0);
-    // A job costs two records and two commits: its submission and its
-    // completion.
+    // A job costs two records and two commits, its submission and its
+    // completion, and one sync each after the create's.
     let journal = stats.journal.expect("journal configured");
-    assert_eq!((journal.appended_records, journal.commits), (2, 2));
+    assert_eq!(
+        (journal.appended_records, journal.commits, journal.syncs),
+        (2, 2, 3)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -18,15 +18,23 @@
 //! [`Journal::commit`] performs, in order:
 //!
 //! 1. `file.sync()` — every appended record is durable;
-//! 2. header rewrite with the new `committed` watermark;
-//! 3. `file.sync()` — the watermark is durable.
+//! 2. header rewrite with the new `committed` watermark, *not* synced:
+//!    it becomes durable with the next commit's sync (or any later one).
 //!
-//! A crash therefore never yields a committed watermark pointing at
-//! data that did not land (the exemplar ordering of pmem logs:
-//! flush/drain the data, then the commit record). Torn or corrupted
-//! *records* are still possible — the per-record CRC32 catches them,
-//! and [`Journal::open`] stops its scan at the first invalid record, so
-//! any prefix-truncated journal replays to a consistent prefix state.
+//! One sync per commit. The header is only ever written after the
+//! records it vouches for are durable, so a crash never yields a
+//! durable watermark pointing at data that did not land (the exemplar
+//! ordering of pmem logs: flush/drain the data, then the commit
+//! record); at worst the durable watermark lags one commit behind
+//! records the scan adopts anyway. Torn or corrupted *records* are
+//! still possible — the per-record CRC32 catches them, and
+//! [`Journal::open`] stops its scan at the first invalid record, so any
+//! prefix-truncated journal replays to a consistent prefix state.
+//!
+//! What the lag costs: [`JournalStats::torn_bytes`] measures damage
+//! only up to the *durable* watermark, so a record of the newest commit
+//! that is damaged on disk while the header still lags looks like a
+//! clean end of the log rather than a torn committed region.
 //!
 //! Records *beyond* the committed watermark that scan as CRC-valid are
 //! adopted too: they were fully written but the crash preceded their
@@ -63,12 +71,18 @@ pub struct JournalStats {
     pub appended_records: u64,
     /// Frame bytes appended in this process.
     pub appended_bytes: u64,
-    /// Commits (header flushes) performed.
+    /// Commits performed: each made every record appended before it
+    /// durable.
     pub commits: u64,
+    /// `sync` calls issued: one per create and per commit, plus one per
+    /// rollback and per torn-tail re-commit.
+    pub syncs: u64,
     /// CRC-valid records adopted by the last open-replay.
     pub replayed_records: u64,
-    /// Bytes between the scan stop and the committed watermark — a torn
-    /// or corrupted committed region (0 in a clean shutdown).
+    /// Bytes between the scan stop and the durable committed watermark
+    /// — a torn or corrupted committed region (0 in a clean shutdown;
+    /// blind to the newest commit while its header lags, see the
+    /// module docs).
     pub torn_bytes: u64,
 }
 
@@ -110,7 +124,7 @@ impl<E: Env> Journal<E> {
             )));
         }
         let file = env.create_file(proc, name, DiskId(0), capacity)?;
-        let j = Journal {
+        let mut j = Journal {
             env,
             file,
             proc,
@@ -122,7 +136,7 @@ impl<E: Env> Journal<E> {
             stats: JournalStats::default(),
         };
         j.write_header(HEADER_SIZE)?;
-        j.file.sync(proc)?;
+        j.sync()?;
         Ok(j)
     }
 
@@ -211,7 +225,7 @@ impl<E: Env> Journal<E> {
         };
         // Records adopted past the watermark have been replayed, so they
         // count as committed: a refused commit must not erase them.
-        let j = Journal {
+        let mut j = Journal {
             env,
             file,
             proc,
@@ -226,7 +240,7 @@ impl<E: Env> Journal<E> {
         // into the discarded torn region.
         if torn_bytes > 0 {
             j.write_header(tail)?;
-            j.file.sync(proc)?;
+            j.sync()?;
         }
         Ok((
             j,
@@ -245,6 +259,12 @@ impl<E: Env> Journal<E> {
         let crc = crc32(&header[0..20]);
         header[20..24].copy_from_slice(&crc.to_le_bytes());
         self.file.write_at(self.proc, 0, &header)
+    }
+
+    /// Make every prior write durable, counted in [`JournalStats::syncs`].
+    fn sync(&mut self) -> Result<()> {
+        self.stats.syncs += 1;
+        self.file.sync(self.proc)
     }
 
     /// Append one record (not yet durable — call [`Journal::commit`]).
@@ -283,16 +303,15 @@ impl<E: Env> Journal<E> {
 
     /// Make every appended record durable, then advance the committed
     /// watermark — the flush-before-commit ordering (see module docs).
+    /// One sync: the new watermark rides the next one.
     pub fn commit(&mut self) -> Result<()> {
         if self.tail == self.committed {
             return Ok(());
         }
         // 1. Data durable first.
-        self.file.sync(self.proc)?;
-        // 2. Then the watermark...
+        self.sync()?;
+        // 2. Then the watermark, which vouches only for synced records.
         self.write_header(self.tail)?;
-        // 3. ...made durable itself.
-        self.file.sync(self.proc)?;
         self.committed = self.tail;
         self.dirty = self.tail;
         self.stats.commits += 1;
@@ -320,7 +339,7 @@ impl<E: Env> Journal<E> {
             .file
             .write_at(self.proc, self.committed, &zeros)
             .and_then(|()| self.write_header(self.committed))
-            .and_then(|()| self.file.sync(self.proc));
+            .and_then(|()| self.sync());
         self.tail = self.committed;
         match erased {
             Ok(()) => self.dirty = self.committed,
@@ -449,11 +468,117 @@ mod tests {
     /// Open a journal whose record area holds exactly `image`, written
     /// past an empty committed watermark as a crashed writer leaves it.
     fn open_image(image: &[u8]) -> Replayed {
+        reopen_at(HEADER_SIZE, image).2
+    }
+
+    /// Write `bytes` at `offset` of a fresh empty 64 KiB journal, then
+    /// reopen it; the environment comes back for a further reopen.
+    fn reopen_at(
+        offset: u64,
+        bytes: &[u8],
+    ) -> (
+        mmjoin_vmsim::SimEnv,
+        Journal<mmjoin_vmsim::SimEnv>,
+        Replayed,
+    ) {
         let env = sim();
         drop(Journal::create(env.clone(), "wal", 1 << 16, P).unwrap());
         let file = env.open_file(P, "wal").unwrap();
-        file.write_at(P, HEADER_SIZE, image).unwrap();
-        Journal::open(env, "wal", P).unwrap().1
+        file.write_at(P, offset, bytes).unwrap();
+        let (j, replayed) = Journal::open(env.clone(), "wal", P).unwrap();
+        (env, j, replayed)
+    }
+
+    #[test]
+    fn each_commit_syncs_once_after_the_create() {
+        let env = sim();
+        let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
+        assert_eq!(j.stats().syncs, 1, "the create's header");
+        for k in 1..=5 {
+            j.append_commit(&done(k, k)).unwrap();
+            assert_eq!((j.stats().commits, j.stats().syncs), (k, 1 + k));
+        }
+        // Nothing appended: nothing to make durable.
+        j.commit().unwrap();
+        assert_eq!(j.stats().syncs, 6);
+        drop(j);
+        let (j, _) = Journal::open(env, "wal", P).unwrap();
+        assert_eq!(j.stats().syncs, 0, "a clean reopen re-commits nothing");
+    }
+
+    /// A crash keeps only what was synced. After commit k the records
+    /// 1..k are durable, the header's watermark may still be the one of
+    /// commit k-1, and any prefix of record k+1 (appended, not yet
+    /// synced) may have landed. Every such image must replay 1..k, plus
+    /// k+1 when it landed whole, with no torn bytes; and the next commit
+    /// after the reopen must neither lose nor duplicate a record.
+    #[test]
+    fn every_image_a_crash_can_leave_replays_the_synced_records() {
+        let records = [
+            JournalRecord::StreamOpened {
+                line: "resident=v objects=1024".into(),
+            },
+            JournalRecord::JobSubmitted {
+                job: 1,
+                line: "name=a objects=800 seed=1".into(),
+            },
+            JournalRecord::BatchSubmitted {
+                batch: 2,
+                line: "batch=b0 objects=128".into(),
+            },
+            done(1, 800),
+            JournalRecord::BatchCompleted {
+                batch: 2,
+                pairs: 128,
+                checksum: 7,
+                misses: 3,
+            },
+            JournalRecord::JobSubmitted {
+                job: 3,
+                line: "x".repeat(300),
+            },
+        ];
+        // The whole file after the create and after each commit.
+        let env = sim();
+        let mut j = Journal::create(env.clone(), "wal", 1 << 16, P).unwrap();
+        let peek = || {
+            let mut image = vec![0u8; 1 << 16];
+            env.peek("wal", 0, &mut image).unwrap();
+            image
+        };
+        let mut images = vec![peek()];
+        let mut ends = vec![HEADER_SIZE as usize];
+        for rec in &records {
+            j.append_commit(rec).unwrap();
+            images.push(peek());
+            ends.push(HEADER_SIZE as usize + j.used_bytes() as usize);
+        }
+        let after = done(99, 0);
+        for k in 1..records.len() {
+            let (end, next_end) = (ends[k], ends[k + 1]);
+            let next = &images[k + 1][end..next_end];
+            // None, every torn prefix, or all of record k+1's bytes.
+            for landed in 0..=next.len() {
+                for header in [&images[k - 1], &images[k]] {
+                    let mut image = images[k][..next_end].to_vec();
+                    image[..HEADER_SIZE as usize].copy_from_slice(&header[..HEADER_SIZE as usize]);
+                    image[end..next_end].fill(0);
+                    image[end..end + landed].copy_from_slice(&next[..landed]);
+                    let (env, mut j, replayed) = reopen_at(0, &image);
+                    let whole = landed == next.len();
+                    let want = &records[..k + usize::from(whole)];
+                    let case = format!("commit {k}, {landed} byte(s) of the next record");
+                    assert_eq!(replayed.records, want, "{case}");
+                    assert_eq!(replayed.torn_bytes, 0, "{case}");
+                    j.append_commit(&after).unwrap();
+                    drop(j);
+                    let (_, again) = Journal::open(env, "wal", P).unwrap();
+                    let mut want = want.to_vec();
+                    want.push(after.clone());
+                    assert_eq!(again.records, want, "{case}, then one more commit");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   framed, checksummed, total-decode wire format;
 //! * [`Journal`] — an append-only write-ahead log over one [`Env`]
 //!   file, committing with the flush-before-commit ordering
-//!   (data `sync` → header write → header `sync`);
+//!   (data `sync` → header write, which the next `sync` makes durable);
 //! * [`JobLog`] — the job lifecycle every tier shares: the journal,
 //!   id assignment, commit-then-publish, exactly-once results, `drain`
 //!   and `wait_results`, and resume numbering;

@@ -36,6 +36,8 @@ struct LogState<R, E: Env> {
     accepted: u64,
     published: BTreeSet<u64>,
     results: Vec<R>,
+    /// Set by [`JobLog::wake`]: `wait_results` no longer blocks.
+    woken: bool,
 }
 
 impl<R: Clone, E: Env> JobLog<R, E> {
@@ -50,6 +52,7 @@ impl<R: Clone, E: Env> JobLog<R, E> {
                 accepted: 0,
                 published: BTreeSet::new(),
                 results: Vec::new(),
+                woken: false,
             }),
             published: Condvar::new(),
         }
@@ -161,14 +164,17 @@ impl<R: Clone, E: Env> JobLog<R, E> {
 
     /// Block until more than `from` results exist, then return
     /// `results[from..]` in completion order; an empty vector means
-    /// `deadline` passed first. A consumer that remembers how many
-    /// results it has seen gets each one once, woken by the publication
-    /// itself.
+    /// `deadline` passed first, or [`JobLog::wake`] was called. A
+    /// consumer that remembers how many results it has seen gets each
+    /// one once, woken by the publication itself.
     pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<R> {
         let mut st = self.lock();
         loop {
             if let Some(fresh) = st.results.get(from..).filter(|s| !s.is_empty()) {
                 return fresh.to_vec();
+            }
+            if st.woken {
+                return Vec::new();
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -177,6 +183,14 @@ impl<R: Clone, E: Env> JobLog<R, E> {
             let waited = self.published.wait_timeout(st, left);
             st = waited.unwrap_or_else(|e| e.into_inner()).0;
         }
+    }
+
+    /// Make every `wait_results`, blocked now or called later, return
+    /// at once (with whatever results are fresh, possibly none): how a
+    /// consumer that waits with no deadline is told to stop.
+    pub fn wake(&self) {
+        self.lock().woken = true;
+        self.published.notify_all();
     }
 
     /// Results so far, in completion order.
@@ -380,6 +394,26 @@ mod tests {
             .wait_results(ids.len(), t + Duration::from_millis(5))
             .is_empty());
         assert!(t.elapsed() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn a_wake_ends_a_blocked_wait_and_every_later_one() {
+        let log: Log = JobLog::new(None, 1);
+        let t = Instant::now();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| log.wait_results(0, Instant::now() + Duration::from_secs(60)));
+            std::thread::sleep(Duration::from_millis(20));
+            log.wake();
+            assert!(waiter.join().unwrap().is_empty());
+        });
+        assert!(t.elapsed() < Duration::from_secs(30), "{:?}", t.elapsed());
+        let far = Instant::now() + Duration::from_secs(60);
+        assert!(log.wait_results(0, far).is_empty(), "the wake is sticky");
+        // Fresh results still come back first.
+        let id = accept(&log);
+        log.publish(id, None, |_| (id, true));
+        assert_eq!(log.wait_results(0, far), [(id, true)]);
+        assert!(log.wait_results(1, far).is_empty());
     }
 
     #[test]

@@ -295,6 +295,12 @@ impl Service {
         self.0.wait_results(from, deadline)
     }
 
+    /// Make every `wait_results`, blocked now or called later, return
+    /// at once ([`ShardedService::wake_waiters`]).
+    pub fn wake_waiters(&self) {
+        self.0.wake_waiters()
+    }
+
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         self.0.stats()
@@ -654,6 +660,23 @@ mod tests {
         assert!(stats.peak_budget_bytes <= 32 * PAGE);
         assert_eq!(stats.completed, 8);
         assert_eq!(stats.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_journaled_job_costs_one_sync_per_commit() {
+        let dir = std::env::temp_dir().join(format!("mmjoin-syncs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = Service::start(ServeConfig::sim(64 * PAGE, 1).with_journal(dir.clone())).unwrap();
+        for seed in 0..3 {
+            svc.submit(tiny_job(seed, 8)).unwrap();
+        }
+        let (_, stats) = svc.finish();
+        assert_eq!(stats.journal_commits, 6, "{stats:?}");
+        // The create's sync, then one per commit: the watermark rides
+        // the next commit's sync instead of paying its own.
+        assert_eq!(stats.journal_syncs, stats.journal_commits + 1, "{stats:?}");
+        assert!(stats.to_json().contains("\"commits\":6,\"syncs\":7,"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -290,6 +290,12 @@ impl ShardedService {
         self.inner.log.wait_results(from, deadline)
     }
 
+    /// Make every `wait_results`, blocked now or called later, return
+    /// at once ([`JobLog::wake`]).
+    pub fn wake_waiters(&self) {
+        self.inner.log.wake()
+    }
+
     /// Drain, stop the workers, and return every result plus the merged
     /// counters.
     pub fn finish(mut self) -> (Vec<JobResult>, ServiceStats) {
@@ -379,6 +385,7 @@ impl JoinService for ShardedService {
         if let Some(js) = self.inner.log.journal_stats() {
             merged.journal_appended_records = js.appended_records;
             merged.journal_commits = js.commits;
+            merged.journal_syncs = js.syncs;
         }
         merged
     }

@@ -45,8 +45,12 @@ pub struct ServiceStats {
     /// Write-ahead journal records appended by this process (0 when
     /// journaling is disabled).
     pub journal_appended_records: u64,
-    /// Journal commits (durable header flushes) performed.
+    /// Journal commits performed, each making the records appended
+    /// before it durable.
     pub journal_commits: u64,
+    /// Journal `sync` calls issued: one per commit plus the create's
+    /// (and one per rollback of a refused commit).
+    pub journal_syncs: u64,
     /// CRC-valid records replayed at startup (`--resume`).
     pub journal_replayed_records: u64,
     /// Committed journal bytes lost to a torn or corrupted tail at
@@ -153,6 +157,7 @@ impl ServiceStats {
         self.budget_leak_bytes += other.budget_leak_bytes;
         self.journal_appended_records += other.journal_appended_records;
         self.journal_commits += other.journal_commits;
+        self.journal_syncs += other.journal_syncs;
         self.journal_replayed_records += other.journal_replayed_records;
         self.journal_torn_bytes += other.journal_torn_bytes;
         self.journal_orphans_deleted += other.journal_orphans_deleted;
@@ -183,7 +188,7 @@ impl ServiceStats {
                 "\"faults\":{{\"read_blocks\":{},\"write_blocks\":{},\"page_hits\":{}}},",
                 "\"recovery\":{{\"faults_injected\":{},\"retries\":{},\"degraded\":{},",
                 "\"panics\":{},\"cleaned_files\":{}}},",
-                "\"journal\":{{\"appended_records\":{},\"commits\":{},",
+                "\"journal\":{{\"appended_records\":{},\"commits\":{},\"syncs\":{},",
                 "\"replayed_records\":{},\"torn_bytes\":{},\"orphans_deleted\":{},",
                 "\"resumed_jobs\":{}}},",
                 "\"stream\":{{\"batches\":{},\"mutations\":{},\"misses\":{},",
@@ -212,6 +217,7 @@ impl ServiceStats {
             self.cleaned_files,
             self.journal_appended_records,
             self.journal_commits,
+            self.journal_syncs,
             self.journal_replayed_records,
             self.journal_torn_bytes,
             self.journal_orphans_deleted,

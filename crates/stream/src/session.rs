@@ -171,6 +171,8 @@ pub struct StreamStats {
     pub journal_appended_records: u64,
     /// Journal commits performed.
     pub journal_commits: u64,
+    /// Journal `sync` calls issued (one per commit, plus the create's).
+    pub journal_syncs: u64,
     /// CRC-valid records replayed at startup.
     pub journal_replayed_records: u64,
     /// Committed bytes lost to a torn tail at startup.
@@ -488,6 +490,7 @@ impl<E: Env + 'static> StreamSession<E> {
         if let Some(js) = self.shared.log.journal_stats() {
             s.journal_appended_records = js.appended_records;
             s.journal_commits = js.commits;
+            s.journal_syncs = js.syncs;
             s.journal_replayed_records = js.replayed_records;
             s.journal_torn_bytes = js.torn_bytes;
         }

@@ -299,6 +299,7 @@ fn service_is_its_single_shard() {
         rejected: stats.rejected,
         journal_appended_records: stats.journal_appended_records,
         journal_commits: stats.journal_commits,
+        journal_syncs: stats.journal_syncs,
         ..per[0].clone()
     };
     assert_eq!(stats.to_json(), expected.to_json());
