@@ -163,8 +163,9 @@ fn usage() {
     println!("  once --queue-bound ops are pending (backpressure). --journal");
     println!("  DIR logs every accepted op and its result; --resume re-reports");
     println!("  completed ops and re-runs the torn suffix exactly once (give");
-    println!("  the resumed stream a header-only script). SIGTERM stops intake");
-    println!("  and drains accepted ops before exiting");
+    println!("  the resumed stream a header-only script); after a clean");
+    println!("  shutdown it reopens the kept S files instead of reloading S.");
+    println!("  SIGTERM stops intake and drains accepted ops before exiting");
     println!();
     println!("serve --node turns the service into one cluster worker: it listens");
     println!("  on --listen (default 127.0.0.1:0, the chosen port is printed),");

@@ -562,13 +562,14 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     }
     println!(
         "completed {} batch(es) + {} mutation(s) / failed {} — resident {} live of {} \
-         object(s), {} build(s), {} patched, {} backpressure stall(s)",
+         object(s), {} build(s), {} reopen(s), {} patched, {} backpressure stall(s)",
         stats.completed,
         stats.mutations,
         stats.failed,
         stats.live_objects,
         stats.resident_objects,
         stats.resident_builds,
+        stats.resident_reopens,
         stats.patched_objects,
         stats.backpressure
     );

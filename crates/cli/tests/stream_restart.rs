@@ -140,3 +140,47 @@ fn kill9_then_resume_is_exactly_once() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A clean journaled run on the real store, then two header-only
+/// resumes: each reopens the resident set the previous clean shutdown
+/// checkpointed (no rebuild) and reports the clean run's outcome set,
+/// live counts included.
+#[test]
+fn resumes_after_a_clean_shutdown_reopen_the_resident_set() {
+    let dir = tmp("reopen");
+    let jobs = dir.join("jobs.txt");
+    std::fs::write(&jobs, script()).expect("write jobs");
+    let header_only = dir.join("header.txt");
+    std::fs::write(&header_only, HEADER).expect("write header");
+    let wal = dir.join("journal");
+    let run = |script: &Path, resume: bool, results: &Path| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mmjoin"));
+        cmd.args(["serve", "--stream", "--env", "mmap", "--jobs"])
+            .arg(script)
+            .arg("--journal")
+            .arg(&wal)
+            .arg("--results-json")
+            .arg(results);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("run stream");
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(out.status.success(), "stream failed:\n{stdout}");
+        let outcomes = outcome_set(&std::fs::read_to_string(results).expect("read results"));
+        (outcomes, stdout)
+    };
+
+    let (clean, stdout) = run(&jobs, false, &dir.join("clean.json"));
+    assert_eq!(clean.len(), 12, "the clean run covers every op");
+    assert!(stdout.contains("1 build(s), 0 reopen(s)"), "{stdout}");
+    for n in 0..2 {
+        let (resumed, stdout) = run(&header_only, true, &dir.join(format!("resume{n}.json")));
+        assert_eq!(resumed, clean, "resume {n} diverged from the clean run");
+        assert!(
+            stdout.contains("0 build(s), 1 reopen(s)"),
+            "resume {n} rebuilt the resident set:\n{stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -385,6 +385,16 @@ trace_events! {
             /// S objects loaded, all live.
             objects: u64,
         },
+        /// A resident S set was reopened from the partitions a clean
+        /// shutdown checkpointed, instead of being loaded again.
+        ResidentReopened = "resident_reopened" {
+            /// Resident partitions reopened (one per disk).
+            parts: u32,
+            /// S objects, live and tombstoned.
+            objects: u64,
+            /// Live objects found by the key scan.
+            live: u64,
+        },
         /// An `append=`/`delete=` mutation patched the resident set in
         /// place (no rebuild).
         ResidentPatched = "resident_patched" {
@@ -942,6 +952,16 @@ mod tests {
             },
         );
         assert!(patched.contains("\"ev\":\"resident_patched\""));
+        let reopened = encode(
+            1.5,
+            &TraceEvent::ResidentReopened {
+                parts: 2,
+                objects: 40_000,
+                live: 39_968,
+            },
+        );
+        assert!(reopened.contains("\"ev\":\"resident_reopened\""));
+        assert!(reopened.contains("\"objects\":40000") && reopened.contains("\"live\":39968"));
         assert!(patched.contains("\"op\":\"delete\"") && patched.contains("\"live\":39968"));
         let sub = encode(
             2.0,

@@ -16,9 +16,10 @@
 //!   grammar (`mmjoin serve --stream` scripts and the journal's wire
 //!   lines);
 //! * [`resident`] — the resident set: build (the stream's only O(|S|)
-//!   cost), probe through the Sproc shared-buffer exchange, in-place
-//!   patch, and the rank/select live-slot index that makes each
-//!   mutation or generated row O(log |S|);
+//!   cost) or reopen from a clean shutdown's checkpoint, probe through
+//!   the Sproc shared-buffer exchange, in-place patch, and the
+//!   rank/select live-slot index that makes each mutation or generated
+//!   row O(log |S|);
 //! * [`session`] — the ordered worker, backpressure, write-ahead
 //!   journaling, and exactly-once `--resume`.
 //!
@@ -33,14 +34,17 @@
 //!   join of the same rows;
 //! * **exactly-once** — a killed session resumed from its journal
 //!   re-reports completed batches without re-executing them and
-//!   continues the suffix.
+//!   continues the suffix;
+//! * **reopen** — a resume after a clean shutdown reopens the
+//!   checkpointed partitions and matches a regenerating resume, and
+//!   every checkpoint state a crash can leave regenerates.
 
 pub mod grammar;
 pub mod resident;
 pub mod session;
 
 pub use grammar::{StreamHeader, StreamOp, PAGE};
-pub use resident::{BatchOutput, ResidentSet, DEAD_BIT, PROBE_BATCH};
+pub use resident::{checkpoint_file, BatchOutput, Checkpoint, ResidentSet, DEAD_BIT, PROBE_BATCH};
 pub use session::{BatchResult, StreamConfig, StreamSession, StreamStats};
 
 #[cfg(test)]

@@ -24,15 +24,26 @@
 //! mutation of `count` slots costs O(count · log |S|) plus its `count`
 //! in-place patches, a generated batch O(rows · log |S|), and the
 //! index's share of the build O(|S| / 64).
+//!
+//! A journaled session's clean shutdown keeps the partitions for the
+//! next process: [`ResidentSet::checkpoint`] syncs them, then writes
+//! and syncs `NAME.ckpt`, a CRC-framed [`Checkpoint`] that vouches for
+//! them. [`ResidentSet::reopen`] maps them again (the paper's
+//! `openMap`) and rebuilds the key table and live-slot index from one
+//! scan of the stored keys, when the checkpoint is intact and names
+//! the same header and last mutation as the journal. The first patch
+//! after a reopen invalidates the checkpoint durably before it writes.
 
 use std::sync::Arc;
 
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{CpuOp, DiskId, Env, FileOps, ProcId, Result, SCatalog, SPtr, TraceEvent};
 use mmjoin_model::JoinInputs;
-use mmjoin_relstore::SPTR_SIZE;
+use mmjoin_recovery::crc32;
+use mmjoin_recovery::record::{frame, put_str, Cursor};
 use mmjoin_relstore::{
-    encode_s, names, pair_digest, preload_objects, s_key, splitmix64, RelConfig,
+    encode_s, names, pair_digest, preload_objects, s_key, splitmix64, RelConfig, PRELOAD_BLOCK,
+    SPTR_SIZE,
 };
 
 use crate::grammar::StreamHeader;
@@ -59,10 +70,81 @@ pub struct BatchOutput {
     pub misses: u64,
 }
 
+/// What a clean shutdown records beside the partitions it keeps.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// The stream's header line.
+    pub line: String,
+    /// Seq of the last mutation applied to the partitions; `None` when
+    /// none was.
+    pub mutation_seq: Option<u64>,
+    /// Next fresh key `append=` hands out.
+    pub next_key: u64,
+}
+
+impl Checkpoint {
+    /// The line, the seq plus one (0: no mutation) and `next_key`,
+    /// framed with their length and CRC like a journal record.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_str(&mut body, &self.line);
+        body.extend_from_slice(&self.mutation_seq.map_or(0, |s| s + 1).to_le_bytes());
+        body.extend_from_slice(&self.next_key.to_le_bytes());
+        frame(&body)
+    }
+
+    /// The checkpoint `buf` starts with; `None` if it is torn, fails
+    /// its CRC or does not parse (an invalidated, all-zero file).
+    pub fn decode(buf: &[u8]) -> Option<Checkpoint> {
+        let len = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
+        let body = buf.get(4..4 + len)?;
+        if buf.get(4 + len..8 + len)? != crc32(body).to_le_bytes() {
+            return None;
+        }
+        let mut c = Cursor::new(body);
+        let (line, seq, next_key) = (c.string()?, c.u64()?, c.u64()?);
+        c.at_end().then(|| Checkpoint {
+            line,
+            mutation_seq: seq.checked_sub(1),
+            next_key,
+        })
+    }
+}
+
+/// The checkpoint file of stream `name`.
+pub fn checkpoint_file(name: &str) -> String {
+    names::scoped(name, "ckpt")
+}
+
+/// Durably invalidate the checkpoint file `name`: zero it, then sync.
+fn invalidate_checkpoint<E: Env>(env: &E, name: &str) -> Result<()> {
+    let proc = ProcId(0);
+    let f = env.open_file(proc, name)?;
+    f.write_at(proc, 0, &vec![0u8; f.len() as usize])?;
+    f.sync(proc)
+}
+
+/// Delete `files` of stream `name` from the store, its checkpoint
+/// first and invalidated durably: a checkpoint whose deletion a power
+/// loss undid would vouch for partitions written after it.
+pub(crate) fn delete_files<E: Env>(env: &E, name: &str, files: &[String]) -> Result<()> {
+    let ckpt = checkpoint_file(name);
+    if env.list_files().contains(&ckpt) {
+        invalidate_checkpoint(env, &ckpt)?;
+        env.delete_file(ProcId(0), &ckpt)?;
+    }
+    for f in files.iter().filter(|f| **f != ckpt) {
+        env.delete_file(ProcId(0), f)?;
+    }
+    Ok(())
+}
+
 /// The resident S relation: `D` mapped partitions plus the in-memory
 /// key and liveness tables.
 pub struct ResidentSet<E: Env> {
     env: Arc<E>,
+    /// The stream's name (the store files' prefix).
+    name: String,
     rel: RelConfig,
     /// Current key of every slot; `DEAD_BIT` marks tombstones.
     keys: Vec<u64>,
@@ -72,6 +154,11 @@ pub struct ResidentSet<E: Env> {
     /// Next fresh key handed to `append=`.
     next_key: u64,
     s_files: Vec<String>,
+    /// A checkpoint on disk vouches for the partitions as they are: set
+    /// by a reopen, cleared by invalidating it before the first patch.
+    checkpointed: bool,
+    /// A patch failed part-way: storage may disagree with the tables.
+    torn: bool,
 }
 
 impl<E: Env> ResidentSet<E> {
@@ -114,12 +201,103 @@ impl<E: Env> ResidentSet<E> {
 
         Ok(ResidentSet {
             env,
+            name: header.name.clone(),
             rel,
             keys: (0..rel.s_objects).collect(),
             live: LiveSlots::full(rel.s_objects),
             next_key: rel.s_objects,
             s_files,
+            checkpointed: false,
+            torn: false,
         })
+    }
+
+    /// Reopen the partitions a clean shutdown kept, if its checkpoint
+    /// is intact and names `header`'s line and `mutation_seq`, the seq
+    /// of the last mutation the journal completed. The key table and
+    /// live-slot index come from one scan of the stored keys
+    /// (tombstones carry [`DEAD_BIT`]), and the scan must find `live`
+    /// live slots. `Ok(None)` when any of that fails: the caller builds
+    /// afresh.
+    pub fn reopen(
+        env: Arc<E>,
+        header: &StreamHeader,
+        mutation_seq: Option<u64>,
+        live: u64,
+    ) -> Result<Option<Self>> {
+        let rel = header.rel();
+        rel.validate()?;
+        let proc = ProcId(0);
+        let ckpt = checkpoint_file(&header.name);
+        let s_files: Vec<String> = (0..rel.d)
+            .map(|j| names::scoped(&header.name, &names::s_part(j)))
+            .collect();
+        let present = env.list_files();
+        if !s_files.iter().chain([&ckpt]).all(|f| present.contains(f)) {
+            return Ok(None);
+        }
+        let f = env.open_file(proc, &ckpt)?;
+        let mut buf = vec![0u8; f.len() as usize];
+        f.read_at(proc, 0, &mut buf)?;
+        let Some(c) = Checkpoint::decode(&buf) else {
+            return Ok(None);
+        };
+        if c.line != header.to_line() || c.mutation_seq != mutation_seq {
+            return Ok(None);
+        }
+
+        let obj = rel.s_size as usize;
+        let mut keys = Vec::with_capacity(rel.s_objects as usize);
+        let mut words = vec![0u64; rel.s_objects.div_ceil(64) as usize];
+        let mut block = vec![0u8; (PRELOAD_BLOCK / obj).max(1) * obj];
+        for name in &s_files {
+            let f = env.open_file(proc, name)?;
+            if f.len() != rel.s_part_bytes() {
+                return Ok(None);
+            }
+            let mut at = 0;
+            while at < f.len() {
+                let n = block.len().min((f.len() - at) as usize);
+                f.read_at(proc, at, &mut block[..n])?;
+                for o in block[..n].chunks_exact(obj) {
+                    let (slot, key) = (keys.len(), s_key(o));
+                    if key & DEAD_BIT == 0 {
+                        words[slot / 64] |= 1 << (slot % 64);
+                    }
+                    keys.push(key);
+                }
+                at += n as u64;
+            }
+        }
+        let live_slots = LiveSlots::from_words(words, rel.s_objects);
+        if live_slots.len() != live {
+            return Ok(None);
+        }
+
+        env.register_s(SCatalog {
+            part_files: s_files.clone(),
+            part_bytes: rel.s_part_bytes(),
+            s_obj_size: rel.s_size,
+        })?;
+        env.trace(
+            proc,
+            TraceEvent::ResidentReopened {
+                parts: rel.d,
+                objects: rel.s_objects,
+                live,
+            },
+        );
+        Ok(Some(ResidentSet {
+            env,
+            name: header.name.clone(),
+            rel,
+            keys,
+            live: live_slots,
+            next_key: c.next_key,
+            s_files,
+            checkpointed: true,
+            torn: false,
+        }))
     }
 
     /// Live (non-tombstoned) slots.
@@ -130,6 +308,11 @@ impl<E: Env> ResidentSet<E> {
     /// Current key of every slot (`DEAD_BIT` set on tombstones).
     pub fn keys(&self) -> &[u64] {
         &self.keys
+    }
+
+    /// Next fresh key `append=` hands out.
+    pub fn next_key(&self) -> u64 {
+        self.next_key
     }
 
     /// Relation shape of the resident set.
@@ -280,9 +463,31 @@ impl<E: Env> ResidentSet<E> {
     /// — an in-place patch, never a rebuild. Each touched partition is
     /// opened once per call. The writes go through charged `write_at`,
     /// so maintenance cost is measured, and the trace records the patch
-    /// for the steady-state ("no pass 0 after warmup") check.
-    fn patch_slots(&self, slots: &[u64], op: &str) -> Result<()> {
+    /// for the steady-state ("no pass 0 after warmup") check. A failure
+    /// marks the set torn, so its shutdown keeps nothing.
+    fn patch_slots(&mut self, slots: &[u64], op: &str) -> Result<()> {
+        let written = self.write_slots(slots);
+        self.torn |= written.is_err();
+        written?;
+        self.env.trace(
+            ProcId(0),
+            TraceEvent::ResidentPatched {
+                op: op.to_string(),
+                objects: slots.len() as u64,
+                live: self.live_count(),
+            },
+        );
+        Ok(())
+    }
+
+    /// [`ResidentSet::patch_slots`]'s writes, after invalidating the
+    /// checkpoint a reopen found, if this is the first patch since.
+    fn write_slots(&mut self, slots: &[u64]) -> Result<()> {
         let proc = ProcId(0);
+        if self.checkpointed {
+            invalidate_checkpoint(&*self.env, &checkpoint_file(&self.name))?;
+            self.checkpointed = false;
+        }
         let mut obj = vec![0u8; self.rel.s_size as usize];
         let mut opened: Vec<Option<E::File>> = self.s_files.iter().map(|_| None).collect();
         for &slot in slots {
@@ -297,24 +502,49 @@ impl<E: Env> ResidentSet<E> {
             s.write_at(proc, local * self.rel.s_size as u64, &obj)?;
             self.env.cpu(proc, CpuOp::Hash, 1);
         }
-        self.env.trace(
-            proc,
-            TraceEvent::ResidentPatched {
-                op: op.to_string(),
-                objects: slots.len() as u64,
-                live: self.live_count(),
-            },
-        );
         Ok(())
     }
 
-    /// Stop the Sproc service and delete the resident files.
-    pub fn teardown(self) -> Result<()> {
+    /// Stop the Sproc service and keep the partitions for
+    /// [`ResidentSet::reopen`]: sync them, then write and sync the
+    /// [`Checkpoint`] that vouches for them, so the data is durable
+    /// before the record that names it. `mutation_seq` is the seq of
+    /// the last mutation applied. A reopened set no patch has touched
+    /// keeps the checkpoint it was opened from; a torn one is torn
+    /// down instead.
+    pub fn checkpoint(self, header: &StreamHeader, mutation_seq: Option<u64>) -> Result<()> {
+        if self.torn {
+            return self.teardown();
+        }
         self.env.shutdown_s();
+        if self.checkpointed {
+            return Ok(());
+        }
         let proc = ProcId(0);
         for name in &self.s_files {
-            self.env.delete_file(proc, name)?;
+            self.env.open_file(proc, name)?.sync(proc)?;
         }
-        Ok(())
+        let ckpt = checkpoint_file(&self.name);
+        if self.env.list_files().contains(&ckpt) {
+            self.env.delete_file(proc, &ckpt)?;
+        }
+        let bytes = Checkpoint {
+            line: header.to_line(),
+            mutation_seq,
+            next_key: self.next_key,
+        }
+        .encode();
+        let f = self
+            .env
+            .create_file(proc, &ckpt, DiskId(0), bytes.len() as u64)?;
+        f.write_at(proc, 0, &bytes)?;
+        f.sync(proc)
+    }
+
+    /// Stop the Sproc service and delete the resident files (a
+    /// checkpoint included).
+    pub fn teardown(self) -> Result<()> {
+        self.env.shutdown_s();
+        delete_files(&*self.env, &self.name, &self.s_files)
     }
 }

@@ -29,6 +29,14 @@ impl LiveSlots {
         if slots % 64 != 0 {
             words[n - 1] = (1 << (slots % 64)) - 1;
         }
+        LiveSlots::from_words(words, slots)
+    }
+
+    /// `slots` slots, slot `s` live iff bit `s % 64` of `words[s / 64]`
+    /// is set; bits past the last slot must be clear.
+    pub(super) fn from_words(words: Vec<u64>, slots: u64) -> LiveSlots {
+        let n = words.len();
+        debug_assert_eq!(n as u64, slots.div_ceil(64));
         // Linear build: each node adds its finished sum to its parent.
         let mut tree = vec![0u64; n + 1];
         for i in 1..=n {
@@ -38,10 +46,11 @@ impl LiveSlots {
                 tree[parent] += tree[i];
             }
         }
+        let live = words.iter().map(|w| u64::from(w.count_ones())).sum();
         LiveSlots {
             words,
             tree,
-            live: slots,
+            live,
             slots,
         }
     }
@@ -231,6 +240,11 @@ mod tests {
                 if n <= 4_097 {
                     m.check_order(&idx);
                 }
+                // A reopened set indexes the scanned bitmap alone: the
+                // result must be the index the mutations maintained.
+                let rebuilt = LiveSlots::from_words(idx.words.clone(), n);
+                prop_assert_eq!(&rebuilt.tree, &idx.tree);
+                prop_assert_eq!(rebuilt.len(), idx.len());
             }
         }
     }

@@ -6,10 +6,18 @@
 //! resident set, so batches must observe exactly the mutations that
 //! preceded them in submission order. A single worker executes ops in
 //! sequence, which also makes the journal's completion records a prefix
-//! of its submission records — resume re-applies the op list in order
-//! on a freshly rebuilt resident set, re-reports completed batches from
-//! their journaled outputs (exactly once, no re-execution), and
+//! of its submission records — resume re-reports completed ops from
+//! their journaled outputs (exactly once, no re-execution) and
 //! re-executes only the suffix that never completed.
+//!
+//! The resident set a resume starts from is the one the last clean
+//! shutdown checkpointed, reopened as it is, when the checkpoint names
+//! the journal's last completed mutation ([`ResidentSet::reopen`]).
+//! Otherwise (no checkpoint, a torn or stale one, any crash) the set is
+//! rebuilt and the completed mutations are re-applied in seq order. A
+//! clean shutdown of a journaled session checkpoints only when storage
+//! holds exactly the completed mutations: no patch failed and no
+//! commit was refused.
 //!
 //! The journal is opened like every tier's
 //! ([`Journal::open_or_create`]), and sequence numbers, the op
@@ -37,7 +45,7 @@ use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
 use mmjoin_recovery::{JobLog, Journal, JournalRecord, ReplayState};
 
 use crate::grammar::{StreamHeader, StreamOp, PAGE};
-use crate::resident::{BatchOutput, ResidentSet};
+use crate::resident::{delete_files, BatchOutput, ResidentSet};
 
 /// Journal file name inside the stream journal directory.
 const JOURNAL_FILE: &str = "stream.wal";
@@ -161,8 +169,10 @@ pub struct StreamStats {
     pub resident_objects: u64,
     /// Live slots right now.
     pub live_objects: u64,
-    /// Resident builds this process paid (1, plus 1 per resume).
+    /// Resident sets this session built (0 or 1).
     pub resident_builds: u64,
+    /// Resident sets this session reopened from a checkpoint (0 or 1).
+    pub resident_reopens: u64,
     /// Slots patched in place by mutations.
     pub patched_objects: u64,
     /// Batches re-reported from the journal instead of re-executed.
@@ -226,6 +236,11 @@ struct SessState {
     queue: VecDeque<QueuedOp>,
     shutdown: bool,
     stats: StreamStats,
+    /// An op ran without both of its records committed, so storage may
+    /// hold a mutation the journal lacks: shutdown keeps nothing.
+    uncommitted: bool,
+    /// Seq of the last mutation applied to the resident set.
+    last_mutation: Option<u64>,
 }
 
 struct Shared<E: Env> {
@@ -252,8 +267,9 @@ pub struct StreamSession<E: Env + 'static> {
 }
 
 impl<E: Env + 'static> StreamSession<E> {
-    /// Open a stream: set up (or replay) the journal, build the
-    /// resident set, re-apply any replayed ops, and start the worker.
+    /// Open a stream: set up (or replay) the journal, reopen or build
+    /// the resident set, re-report any replayed ops, and start the
+    /// worker.
     pub fn open(env: Arc<E>, header: StreamHeader, cfg: StreamConfig) -> Result<StreamSession<E>> {
         header.rel().validate()?;
         let (mut journal, replayed) = match &cfg.journal_dir {
@@ -289,17 +305,57 @@ impl<E: Env + 'static> StreamSession<E> {
             }
         }
 
-        // Leftover resident files from the crashed process would make
-        // the rebuild's create_file fail; they carry nothing a rebuild
-        // cannot reproduce.
-        let prefix = format!("{}.", header.name);
-        for name in env.list_files() {
-            if name.starts_with(&prefix) {
-                env.delete_file(PROC, &name)?;
+        // The replayed op list, in seq order. A dropped op keeps its
+        // seq (`top`).
+        let (top, ops) = match &replayed {
+            None => (None, Vec::new()),
+            Some(state) => {
+                let ops: Vec<_> = state
+                    .batches
+                    .iter()
+                    .filter_map(|(seq, bs)| match StreamOp::parse_line(&bs.line) {
+                        Ok(Some(op)) => Some((*seq, (op, bs.completed))),
+                        _ => {
+                            eprintln!(
+                                "mmjoin-stream: journal op {seq} has unusable line {:?}; dropped",
+                                bs.line
+                            );
+                            None
+                        }
+                    })
+                    .collect();
+                (state.batches.keys().next_back().copied(), ops)
+            }
+        };
+        // What the completed mutations leave: the last one's seq and the
+        // live count, which a reopened set must show.
+        let mut last_mutation = None;
+        let mut live = header.s_objects;
+        for (seq, (op, completed)) in &ops {
+            if op.is_mutation() && completed.is_some() {
+                last_mutation = Some(*seq);
+                live = live_after(live, op);
             }
         }
 
-        let mut resident = ResidentSet::build(Arc::clone(&env), &header, &cfg.machine)?;
+        let reopened = match replayed {
+            Some(_) => ResidentSet::reopen(Arc::clone(&env), &header, last_mutation, live)?,
+            None => None,
+        };
+        let reopen = reopened.is_some();
+        let mut resident = match reopened {
+            Some(set) => set,
+            None => {
+                // Leftover files of an earlier process would make the
+                // build's create_file fail; whatever they hold, the
+                // rebuild and the replay below reproduce.
+                let prefix = format!("{}.", header.name);
+                let mut leftovers = env.list_files();
+                leftovers.retain(|name| name.starts_with(&prefix));
+                delete_files(&*env, &header.name, &leftovers)?;
+                ResidentSet::build(Arc::clone(&env), &header, &cfg.machine)?
+            }
+        };
         if let (Some(j), None) = (journal.as_mut(), &replayed) {
             j.append_commit(&JournalRecord::StreamOpened {
                 line: header.to_line(),
@@ -321,30 +377,17 @@ impl<E: Env + 'static> StreamSession<E> {
             let mut st = shared.lock();
             st.stats.resident_objects = header.s_objects;
             st.stats.live_objects = header.s_objects;
-            st.stats.resident_builds = 1;
+            st.stats.resident_builds = u64::from(!reopen);
+            st.stats.resident_reopens = u64::from(reopen);
+            st.last_mutation = last_mutation;
         }
 
-        // Re-apply the replayed op list in sequence order on the fresh
-        // resident set: completed mutations replay their state effect,
-        // completed batches re-report exactly once, everything else
-        // queues for normal execution. A dropped op keeps its seq.
-        if let Some(state) = replayed {
+        // Re-report completed ops in seq order, re-applying completed
+        // mutations to a rebuilt set (a reopened one holds them
+        // already); everything else queues for normal execution.
+        if replayed.is_some() {
             let mut st = shared.lock();
-            let top = state.batches.keys().next_back().copied();
-            let ops =
-                state
-                    .batches
-                    .iter()
-                    .filter_map(|(seq, bs)| match StreamOp::parse_line(&bs.line) {
-                        Ok(Some(op)) => Some((*seq, (op, bs.completed))),
-                        _ => {
-                            eprintln!(
-                                "mmjoin-stream: journal op {seq} has unusable line {:?}; dropped",
-                                bs.line
-                            );
-                            None
-                        }
-                    });
+            let mut live = header.s_objects;
             shared
                 .log
                 .resume(top, ops, |seq, (op, completed)| -> Result<_> {
@@ -358,7 +401,10 @@ impl<E: Env + 'static> StreamSession<E> {
                         return Ok(None);
                     };
                     if op.is_mutation() {
-                        apply_mutation(&mut resident, &op)?;
+                        if !reopen {
+                            apply_mutation(&mut resident, &op)?;
+                        }
+                        live = live_after(live, &op);
                     }
                     let r = BatchResult {
                         seq,
@@ -373,7 +419,7 @@ impl<E: Env + 'static> StreamSession<E> {
                         queue_wait: 0.0,
                         exec_wall: 0.0,
                         env_elapsed: 0.0,
-                        live_after: resident.live_count(),
+                        live_after: live,
                         resumed: true,
                         error: None,
                     };
@@ -427,6 +473,7 @@ impl<E: Env + 'static> StreamSession<E> {
             return Err(EnvError::InvalidConfig("stream is shut down".into()));
         }
         let rows = op_rows(&op);
+        let mut refused = false;
         let seq = self.shared.log.accept(
             |seq| JournalRecord::BatchSubmitted {
                 batch: seq,
@@ -437,6 +484,7 @@ impl<E: Env + 'static> StreamSession<E> {
                 // propagated: the op still runs, and is not durable
                 // (ROADMAP item 13).
                 eprintln!("mmjoin-stream: journal commit (batch_submitted) failed: {e}");
+                refused = true;
                 Ok(())
             },
             |seq| {
@@ -447,6 +495,7 @@ impl<E: Env + 'static> StreamSession<E> {
                 })
             },
         )?;
+        st.uncommitted |= refused;
         st.stats.submitted += 1;
         self.shared
             .env
@@ -537,6 +586,15 @@ fn op_rows(op: &StreamOp) -> u64 {
     }
 }
 
+/// Live slots after completed op `op` left `live`.
+fn live_after(live: u64, op: &StreamOp) -> u64 {
+    match op {
+        StreamOp::Append { count, .. } => live.saturating_add(*count),
+        StreamOp::Delete { count, .. } => live.saturating_sub(*count),
+        _ => live,
+    }
+}
+
 fn apply_mutation<E: Env>(resident: &mut ResidentSet<E>, op: &StreamOp) -> Result<Vec<u64>> {
     match op {
         StreamOp::Append { count, .. } => resident.append(*count),
@@ -585,12 +643,16 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
         let live_after = resident.live_count();
         let mut st = shared.lock();
         shared.log.publish(item.seq, completed, |committed| {
+            st.uncommitted |= committed.is_err();
             let error = error.or_else(|| {
                 committed
                     .err()
                     .map(|e| format!("journal commit failed: {e}"))
             });
             let ok = error.is_none();
+            if ok && item.op.is_mutation() {
+                st.last_mutation = Some(item.seq);
+            }
             let result = BatchResult {
                 seq: item.seq,
                 name: item.op.label().to_string(),
@@ -621,10 +683,20 @@ fn worker_loop<E: Env + 'static>(shared: Arc<Shared<E>>, mut resident: ResidentS
             result
         });
     }
-    // Stops the Sproc service and deletes the S partitions: nothing
-    // a later open cannot rebuild.
-    if let Err(e) = resident.teardown() {
-        eprintln!("mmjoin-stream: resident teardown failed: {e}");
+    // A journaled session whose storage holds exactly the completed
+    // mutations keeps its partitions for the next resume to reopen;
+    // any other deletes them, and a resume rebuilds what they held.
+    let (uncommitted, last_mutation) = {
+        let st = shared.lock();
+        (st.uncommitted, st.last_mutation)
+    };
+    let done = if shared.log.is_journaled() && !uncommitted {
+        resident.checkpoint(&shared.header, last_mutation)
+    } else {
+        resident.teardown()
+    };
+    if let Err(e) = done {
+        eprintln!("mmjoin-stream: resident shutdown failed: {e}");
     }
 }
 

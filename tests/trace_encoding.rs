@@ -150,6 +150,11 @@ fn every_variant() -> Vec<TraceEvent> {
             parts: 4,
             objects: 40_000,
         },
+        TraceEvent::ResidentReopened {
+            parts: 4,
+            objects: 40_000,
+            live: 39_968,
+        },
         TraceEvent::ResidentPatched {
             op: s(),
             objects: 32,
@@ -192,7 +197,7 @@ fn every_variant_encodes_to_one_parseable_flat_object_in_declaration_order() {
     let mut tags: Vec<&str> = events.iter().map(TraceEvent::tag).collect();
     tags.sort_unstable();
     tags.dedup();
-    assert_eq!(tags.len(), 29, "one instance of each variant");
+    assert_eq!(tags.len(), 30, "one instance of each variant");
 
     for (i, event) in events.iter().enumerate() {
         let line = encode(i as f64 * 0.5, event);
