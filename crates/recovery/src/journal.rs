@@ -29,7 +29,10 @@
 //! records the scan adopts anyway. Torn or corrupted *records* are
 //! still possible — the per-record CRC32 catches them, and
 //! [`Journal::open`] stops its scan at the first invalid record, so any
-//! prefix-truncated journal replays to a consistent prefix state.
+//! prefix-truncated journal replays to a consistent prefix state. The
+//! scan reads the record area [`SCAN_BLOCK`] bytes at a time and stops
+//! reading where it stops decoding, so an open costs the journal's used
+//! bytes, not its capacity.
 //!
 //! What the lag costs: [`JournalStats::torn_bytes`] measures damage
 //! only up to the *durable* watermark, so a record of the newest commit
@@ -62,6 +65,9 @@ pub const HEADER_SIZE: u64 = 4096;
 /// Capacity every tier creates its journal with: room for thousands
 /// of jobs' or tens of thousands of stream ops' records.
 pub const JOURNAL_CAPACITY: u64 = 4 << 20;
+
+/// Bytes of record area an open's replay scan reads at a time.
+pub const SCAN_BLOCK: u64 = 64 << 10;
 
 /// Counters describing a journal's lifetime and its last replay,
 /// surfaced in the service stats JSON.
@@ -163,8 +169,8 @@ impl<E: Env> Journal<E> {
 
     /// Open an existing journal and replay it: validate the header,
     /// scan CRC-valid records from the head of the record area, stop at
-    /// the first invalid frame. Appends resume after the last valid
-    /// record.
+    /// the first invalid frame, reading only up to there (plus at most
+    /// one [`SCAN_BLOCK`]). Appends resume after the last valid record.
     pub fn open(env: E, name: &str, proc: ProcId) -> Result<(Journal<E>, Replayed)> {
         let file = env.open_file(proc, name)?;
         let capacity = file.len();
@@ -193,30 +199,20 @@ impl<E: Env> Journal<E> {
             // The header write itself was torn. The committed watermark
             // is untrustworthy; fall back to scanning from the start of
             // the record area (record CRCs are the ground truth).
-            return Self::scan_from(env, file, proc, name, capacity, HEADER_SIZE);
+            return Self::scan_from(env, file, proc, capacity, HEADER_SIZE);
         }
-        Self::scan_from(env, file, proc, name, capacity, committed)
+        Self::scan_from(env, file, proc, capacity, committed)
     }
 
     fn scan_from(
         env: E,
         file: E::File,
         proc: ProcId,
-        _name: &str,
         capacity: u64,
         committed: u64,
     ) -> Result<(Journal<E>, Replayed)> {
-        // Read the whole record area once; journals are small by
-        // construction (capacity is bounded at create time).
-        let mut area = vec![0u8; (capacity - HEADER_SIZE) as usize];
-        file.read_at(proc, HEADER_SIZE, &mut area)?;
-        let mut records = Vec::new();
-        let mut off = 0usize;
-        while let Some((rec, used)) = JournalRecord::decode(&area[off..]) {
-            records.extend(rec);
-            off += used;
-        }
-        let tail = HEADER_SIZE + off as u64;
+        let (records, tail) = scan_area(&file, proc, capacity - HEADER_SIZE, SCAN_BLOCK)?;
+        let tail = HEADER_SIZE + tail;
         let torn_bytes = committed.saturating_sub(tail);
         let stats = JournalStats {
             replayed_records: records.len() as u64,
@@ -252,13 +248,7 @@ impl<E: Env> Journal<E> {
     }
 
     fn write_header(&self, committed: u64) -> Result<()> {
-        let mut header = [0u8; 24];
-        header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        header[12..20].copy_from_slice(&committed.to_le_bytes());
-        let crc = crc32(&header[0..20]);
-        header[20..24].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_at(self.proc, 0, &header)
+        self.file.write_at(self.proc, 0, &encode_header(committed))
     }
 
     /// Make every prior write durable, counted in [`JournalStats::syncs`].
@@ -356,6 +346,66 @@ impl<E: Env> Journal<E> {
     pub fn used_bytes(&self) -> u64 {
         self.tail - HEADER_SIZE
     }
+}
+
+/// The header naming `committed` as the durable watermark.
+fn encode_header(committed: u64) -> [u8; 24] {
+    let mut header = [0u8; 24];
+    header[0..8].copy_from_slice(&MAGIC.to_le_bytes());
+    header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&committed.to_le_bytes());
+    let crc = crc32(&header[0..20]);
+    header[20..24].copy_from_slice(&crc.to_le_bytes());
+    header
+}
+
+/// Decode the frames at the head of a record area of `area` bytes,
+/// reading it `block` bytes at a time. The next block is read only
+/// when the frame at the stop point runs past what has been read: its
+/// length prefix, or the `8 + len` bytes it declares. The scan stops
+/// at a frame that is complete but does not decode, at a frame that
+/// would end past the area, and at the end of the area, which are
+/// exactly the places a decode loop over the whole area stops. So it
+/// returns the same records and stop offset, having read the used
+/// prefix of the area plus at most one block (or as far as a corrupt
+/// length prefix at the stop point declares, within the area).
+fn scan_area<F: FileOps>(
+    file: &F,
+    proc: ProcId,
+    area: u64,
+    block: u64,
+) -> Result<(Vec<JournalRecord>, u64)> {
+    let mut records = Vec::new();
+    // Record-area bytes `base..base + buf.len()`; the scan is at `off`.
+    let (mut buf, mut base, mut off) = (Vec::new(), 0u64, 0usize);
+    loop {
+        let rest = &buf[off..];
+        if let Some((rec, used)) = JournalRecord::decode(rest) {
+            records.extend(rec);
+            off += used;
+            continue;
+        }
+        let need = match *rest {
+            // No frame has an empty body: this is the zero fill past
+            // the last record.
+            [0, 0, 0, 0, ..] => break,
+            [a, b, c, d, ..] => 8 + u64::from(u32::from_le_bytes([a, b, c, d])),
+            _ => 4,
+        };
+        let at = base + off as u64;
+        if rest.len() as u64 >= need || at + need > area {
+            break;
+        }
+        // Keep only the incomplete frame, then read whole blocks up to
+        // its end.
+        buf.drain(..off);
+        (base, off) = (at, 0);
+        let have = buf.len();
+        let end = (at + need).next_multiple_of(block).min(area);
+        buf.resize((end - base) as usize, 0);
+        file.read_at(proc, HEADER_SIZE + base + have as u64, &mut buf[have..])?;
+    }
+    Ok((records, base + off as u64))
 }
 
 #[cfg(test)]
@@ -481,8 +531,21 @@ mod tests {
         Journal<mmjoin_vmsim::SimEnv>,
         Replayed,
     ) {
+        reopen_in(1 << 16, offset, bytes)
+    }
+
+    /// [`reopen_at`] on a journal of `capacity` bytes.
+    fn reopen_in(
+        capacity: u64,
+        offset: u64,
+        bytes: &[u8],
+    ) -> (
+        mmjoin_vmsim::SimEnv,
+        Journal<mmjoin_vmsim::SimEnv>,
+        Replayed,
+    ) {
         let env = sim();
-        drop(Journal::create(env.clone(), "wal", 1 << 16, P).unwrap());
+        drop(Journal::create(env.clone(), "wal", capacity, P).unwrap());
         let file = env.open_file(P, "wal").unwrap();
         file.write_at(P, offset, bytes).unwrap();
         let (j, replayed) = Journal::open(env.clone(), "wal", P).unwrap();
@@ -720,5 +783,179 @@ mod tests {
     #[test]
     fn capacity_floor_enforced() {
         assert!(Journal::create(sim(), "wal", 100, P).is_err());
+    }
+
+    #[test]
+    fn an_open_reads_the_used_pages_and_at_most_one_block_more() {
+        let env = sim();
+        let mut j = Journal::create(env.clone(), "wal", JOURNAL_CAPACITY, P).unwrap();
+        for batch in 0.. {
+            if j.used_bytes() >= 20 << 10 {
+                break;
+            }
+            let line = format!("batch=b{batch} objects=16 seed={batch}");
+            j.append_commit(&JournalRecord::BatchSubmitted { batch, line })
+                .unwrap();
+        }
+        let (used, records) = (j.used_bytes(), j.stats().appended_records);
+        drop(j);
+        // Put the unused area on disk, as a real file's is, so that a
+        // read of it faults and counts rather than zero-filling.
+        let rest = JOURNAL_CAPACITY - HEADER_SIZE - used;
+        env.preload("wal", HEADER_SIZE + used, &vec![0u8; rest as usize])
+            .unwrap();
+        env.reset_stats();
+        let (j, replayed) = Journal::open(env.clone(), "wal", P).unwrap();
+        assert_eq!(replayed.records.len() as u64, records);
+        assert_eq!(j.used_bytes(), used);
+        let st = &env.stats().procs[P.0 as usize];
+        let page = env.page_size();
+        let bound = (HEADER_SIZE + used).div_ceil(page) + SCAN_BLOCK / page;
+        let touched = st.page_hits + st.fault_read_blocks;
+        assert!(touched <= bound, "{touched} pages touched, bound {bound}");
+    }
+
+    /// A record-area image of exactly `n` bytes of valid frames (`n` is
+    /// 0 or at least [`MIN_FRAME`]) and the records it holds.
+    fn frames(n: usize, first_job: u64) -> (Vec<JournalRecord>, Vec<u8>) {
+        let (mut recs, mut image) = (Vec::new(), Vec::new());
+        let mut left = n;
+        while left > 0 {
+            // Every piece, and what it leaves, is a whole frame.
+            let take = match left {
+                l if l > 8000 => 4000,
+                l if l > 4000 => l / 2,
+                l => l,
+            };
+            let rec = JournalRecord::JobSubmitted {
+                job: first_job + recs.len() as u64,
+                line: "x".repeat(take - MIN_FRAME),
+            };
+            image.extend(rec.encode());
+            recs.push(rec);
+            left -= take;
+        }
+        assert_eq!(image.len(), n);
+        (recs, image)
+    }
+
+    /// Frame bytes of a `JobSubmitted` with an empty line.
+    const MIN_FRAME: usize = 21;
+
+    /// The scan the block-wise one must equal: decode frames from the
+    /// whole record area until one does not decode.
+    fn whole_area_scan(area: &[u8]) -> (Vec<JournalRecord>, u64) {
+        let (mut records, mut off) = (Vec::new(), 0);
+        while let Some((rec, used)) = JournalRecord::decode(&area[off..]) {
+            records.extend(rec);
+            off += used;
+        }
+        (records, off as u64)
+    }
+
+    /// Capacity of the journals the scan property opens: three blocks
+    /// of record area, so frames straddle two block boundaries.
+    const SCAN_CAP: u64 = HEADER_SIZE + 3 * SCAN_BLOCK;
+
+    /// A record-area image: valid frames up to `start`, then one more
+    /// valid frame of `len` bytes (so that it straddles whatever
+    /// boundary lies inside it), then what `tail` selects.
+    fn scan_image(start: usize, len: usize, tail: u32, junk: u64) -> Vec<u8> {
+        let area = (SCAN_CAP - HEADER_SIZE) as usize;
+        let (_, mut image) = frames(start, 0);
+        let (_, last) = frames(len, 1 << 20);
+        image.extend(&last);
+        let mut rng = junk;
+        let mut junk = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    (rng >> 56) as u8 ^ (rng >> 17) as u8
+                })
+                .collect()
+        };
+        let at = image.len();
+        let length = |len: u64| (len as u32).to_le_bytes();
+        match tail {
+            // A clean end: the zero fill.
+            0 => {}
+            // A torn last frame: a cut copy of the frame before it.
+            1 => image.extend(&last[..junk(1)[0] as usize % last.len()]),
+            // Corrupt length prefixes: far past the area, ending just
+            // past it, and ending exactly at it over a body that fails
+            // its CRC.
+            2 => image.extend(u32::MAX.to_le_bytes()),
+            3 => image.extend(length((area + 1 - at - 8) as u64)),
+            4 => image.extend(length((area - at - 8) as u64)),
+            // A plausible length over arbitrary bytes.
+            5 => {
+                let len = 1 + junk(2).iter().map(|&b| b as u64).sum::<u64>() * 8;
+                image.extend(length(len));
+                image.extend(junk(len as usize + 4));
+            }
+            // Arbitrary bytes.
+            6 => image.extend(junk(300)),
+            // Valid frames filling the area exactly.
+            _ => image.extend(frames(area - at, 2 << 20).1),
+        }
+        image.truncate(area);
+        image
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The block-wise scan adopts the records, stops at the offset
+        /// and reports the torn bytes of a decode loop over the whole
+        /// record area, and re-commits a torn tail as that would.
+        #[test]
+        fn the_block_wise_scan_equals_the_whole_area_scan(
+            boundary in 1u64..3,
+            back in 1u64..40,
+            len in MIN_FRAME..400,
+            tail in 0u32..8,
+            junk in 0u64..u64::MAX,
+            watermark in 0u64..4,
+        ) {
+            // The straddling frame starts `back` bytes before a block
+            // boundary: inside its length prefix for `back` < 4.
+            let start = (boundary * SCAN_BLOCK - back) as usize;
+            let image = scan_image(start, len, tail, junk);
+            let mut area = image.clone();
+            area.resize((SCAN_CAP - HEADER_SIZE) as usize, 0);
+            let (want, stop) = whole_area_scan(&area);
+            // Header: an empty watermark, one at the stop, one past it
+            // (a torn committed region), or one past it that fails its
+            // CRC, which the scan must ignore.
+            let committed = match watermark {
+                0 => HEADER_SIZE,
+                1 => HEADER_SIZE + stop,
+                _ => (HEADER_SIZE + stop + 1 + junk % (SCAN_CAP - HEADER_SIZE)).min(SCAN_CAP),
+            };
+            let mut header = encode_header(committed);
+            if watermark == 3 {
+                header[20] ^= 1;
+            }
+            let torn = if watermark == 3 { 0 } else { committed.saturating_sub(HEADER_SIZE + stop) };
+            let mut file = header.to_vec();
+            file.resize(HEADER_SIZE as usize, 0);
+            file.extend(&image);
+            let (env, j, replayed) = reopen_in(SCAN_CAP, 0, &file);
+            proptest::prop_assert_eq!(&replayed.records, &want);
+            proptest::prop_assert_eq!(j.used_bytes(), stop);
+            proptest::prop_assert_eq!(replayed.torn_bytes, torn);
+            proptest::prop_assert_eq!(j.stats().torn_bytes, torn);
+            proptest::prop_assert_eq!(j.stats().syncs, u64::from(torn > 0));
+            let mut on_disk = [0u8; 24];
+            env.peek("wal", 0, &mut on_disk).unwrap();
+            let rewritten = if torn > 0 { encode_header(HEADER_SIZE + stop) } else { header };
+            proptest::prop_assert_eq!(on_disk, rewritten);
+            // Blocks smaller than a frame read it in several pieces.
+            let file = env.open_file(P, "wal").unwrap();
+            for block in [1, 7, 4096] {
+                let (got, got_stop) = scan_area(&file, P, SCAN_CAP - HEADER_SIZE, block).unwrap();
+                proptest::prop_assert_eq!((&got, got_stop), (&want, stop), "block {}", block);
+            }
+        }
     }
 }

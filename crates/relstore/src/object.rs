@@ -27,7 +27,7 @@ pub const MIN_S_SIZE: u32 = 8;
 pub const SPTR_SIZE: u32 = 8;
 
 /// Byte offset of the key field in both object kinds.
-const KEY_OFF: usize = 0;
+pub const KEY_OFF: usize = 0;
 /// Byte offset of the join pointer in an R-object.
 const SPTR_OFF: usize = 8;
 

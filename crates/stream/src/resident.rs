@@ -30,9 +30,10 @@
 //! and syncs `NAME.ckpt`, a CRC-framed [`Checkpoint`] that vouches for
 //! them. [`ResidentSet::reopen`] maps them again (the paper's
 //! `openMap`) and rebuilds the key table and live-slot index from one
-//! scan of the stored keys, when the checkpoint is intact and names
-//! the same header and last mutation as the journal. The first patch
-//! after a reopen invalidates the checkpoint durably before it writes.
+//! scan that reads each stored object's key word and nothing else,
+//! when the checkpoint is intact and names the same header and last
+//! mutation as the journal. The first patch after a reopen invalidates
+//! the checkpoint durably before it writes.
 
 use std::sync::Arc;
 
@@ -42,8 +43,7 @@ use mmjoin_model::JoinInputs;
 use mmjoin_recovery::crc32;
 use mmjoin_recovery::record::{frame, put_str, Cursor};
 use mmjoin_relstore::{
-    encode_s, names, pair_digest, preload_objects, s_key, splitmix64, RelConfig, PRELOAD_BLOCK,
-    SPTR_SIZE,
+    encode_s, names, pair_digest, preload_objects, s_key, splitmix64, RelConfig, KEY_OFF, SPTR_SIZE,
 };
 
 use crate::grammar::StreamHeader;
@@ -215,7 +215,7 @@ impl<E: Env> ResidentSet<E> {
     /// Reopen the partitions a clean shutdown kept, if its checkpoint
     /// is intact and names `header`'s line and `mutation_seq`, the seq
     /// of the last mutation the journal completed. The key table and
-    /// live-slot index come from one scan of the stored keys
+    /// live-slot index come from one scan of the stored key words
     /// (tombstones carry [`DEAD_BIT`]), and the scan must find `live`
     /// live slots. `Ok(None)` when any of that fails: the caller builds
     /// afresh.
@@ -246,27 +246,23 @@ impl<E: Env> ResidentSet<E> {
             return Ok(None);
         }
 
-        let obj = rel.s_size as usize;
+        // One read of the key word per object: the scan needs nothing
+        // else of S.
         let mut keys = Vec::with_capacity(rel.s_objects as usize);
         let mut words = vec![0u64; rel.s_objects.div_ceil(64) as usize];
-        let mut block = vec![0u8; (PRELOAD_BLOCK / obj).max(1) * obj];
+        let mut word = [0u8; 8];
         for name in &s_files {
             let f = env.open_file(proc, name)?;
             if f.len() != rel.s_part_bytes() {
                 return Ok(None);
             }
-            let mut at = 0;
-            while at < f.len() {
-                let n = block.len().min((f.len() - at) as usize);
-                f.read_at(proc, at, &mut block[..n])?;
-                for o in block[..n].chunks_exact(obj) {
-                    let (slot, key) = (keys.len(), s_key(o));
-                    if key & DEAD_BIT == 0 {
-                        words[slot / 64] |= 1 << (slot % 64);
-                    }
-                    keys.push(key);
+            for local in 0..rel.s_per_part() {
+                f.read_at(proc, local * rel.s_size as u64 + KEY_OFF as u64, &mut word)?;
+                let (slot, key) = (keys.len(), u64::from_le_bytes(word));
+                if key & DEAD_BIT == 0 {
+                    words[slot / 64] |= 1 << (slot % 64);
                 }
-                at += n as u64;
+                keys.push(key);
             }
         }
         let live_slots = LiveSlots::from_words(words, rel.s_objects);
@@ -546,5 +542,52 @@ impl<E: Env> ResidentSet<E> {
     pub fn teardown(self) -> Result<()> {
         self.env.shutdown_s();
         delete_files(&*self.env, &self.name, &self.s_files)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{frame, Checkpoint};
+    use proptest::{collection::vec, proptest, ProptestConfig};
+
+    fn checkpoint(seq: u64, next_key: u64, line_len: usize) -> Checkpoint {
+        Checkpoint {
+            line: "resident=v objects=1024 ".repeat(line_len),
+            mutation_seq: seq.checked_sub(1),
+            next_key,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoding is total: arbitrary bytes give `None` or a value,
+        /// never a panic, whether or not they are framed with a valid
+        /// length and CRC.
+        #[test]
+        fn decoding_arbitrary_bytes_never_panics(bytes in vec(0u8..=255, 0..96)) {
+            let _ = Checkpoint::decode(&bytes);
+            let _ = Checkpoint::decode(&frame(&bytes));
+        }
+
+        /// A valid encoding decodes to itself; every cut of it, and the
+        /// same encoding with one byte changed, decodes to `None` or a
+        /// value without panicking.
+        #[test]
+        fn damaged_encodings_never_panic(
+            seq in 0u64..4,
+            next_key in 0u64..u64::MAX,
+            line_len in 0usize..3,
+            at in 0usize..256,
+            flip in 1u32..256,
+        ) {
+            let c = checkpoint(seq, next_key, line_len);
+            let bytes = c.encode();
+            assert_eq!(Checkpoint::decode(&bytes), Some(c));
+            let _ = Checkpoint::decode(&bytes[..at % bytes.len()]);
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= flip as u8;
+            let _ = Checkpoint::decode(&flipped);
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! streamed results came from fetched S bytes, the one-shot results
 //! from the same bytes rebuilt into a fresh workload.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use mmjoin::{join, Algo, ExecMode, JoinSpec};
@@ -190,18 +191,35 @@ fn sim() -> Arc<SimEnv> {
     Arc::new(SimEnv::new(cfg).unwrap())
 }
 
-fn mmap(tag: &str) -> Arc<MmapEnv> {
-    let root =
-        std::env::temp_dir().join(format!("mmjoin-stream-diff-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    Arc::new(
-        MmapEnv::new(MmapEnvConfig {
-            root,
-            num_disks: D,
-            page_size: 4096,
-        })
-        .unwrap(),
-    )
+/// A store root under the temp dir, removed when the guard drops, so a
+/// case cleans up after itself whether it passes or panics.
+struct TempRoot(PathBuf);
+
+impl TempRoot {
+    fn new(tag: &str) -> TempRoot {
+        let root =
+            std::env::temp_dir().join(format!("mmjoin-stream-diff-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        TempRoot(root)
+    }
+
+    /// A fresh mmap store in this root (drop it before the guard).
+    fn mmap(&self) -> Arc<MmapEnv> {
+        Arc::new(
+            MmapEnv::new(MmapEnvConfig {
+                root: self.0.clone(),
+                num_disks: D,
+                page_size: 4096,
+            })
+            .unwrap(),
+        )
+    }
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 proptest! {
@@ -227,9 +245,10 @@ proptest! {
     ) {
         let ops = decode_ops(&raw);
         for (i, modern) in [false, true].into_iter().enumerate() {
-            let stream_env = mmap(&format!("s{i}-{}", raw.len()));
-            let oneshot_env = mmap(&format!("o{i}-{}", raw.len()));
-            drive(stream_env, oneshot_env.as_ref(), &ops, modern);
+            let stream_root = TempRoot::new(&format!("s{i}-{}", raw.len()));
+            let oneshot_root = TempRoot::new(&format!("o{i}-{}", raw.len()));
+            let oneshot_env = oneshot_root.mmap();
+            drive(stream_root.mmap(), oneshot_env.as_ref(), &ops, modern);
         }
     }
 }

@@ -13,7 +13,7 @@ use mmjoin_env::machine::MachineParams;
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
 use mmjoin_stream::{
     checkpoint_file, BatchResult, Checkpoint, ResidentSet, StreamConfig, StreamHeader, StreamOp,
-    StreamSession, StreamStats,
+    StreamSession, StreamStats, DEAD_BIT,
 };
 
 const D: u32 = 2;
@@ -337,5 +337,79 @@ fn resumes_leave_the_journal_byte_identical() {
         snapshot(&dir) == store,
         "a resume that patched nothing rewrote the store"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Objects whose size is not a power of two: the reopen's key reads sit
+/// at offsets no page or block size divides.
+fn odd_header() -> StreamHeader {
+    StreamHeader {
+        name: "odd".into(),
+        s_objects: 256,
+        s_size: 72,
+        ..header()
+    }
+}
+
+/// A delete, the append that refills it (so `next_key` moves), then a
+/// delete of three quarters of S drawn with `seed`.
+fn odd_mutations<E: mmjoin_env::Env>(set: &mut ResidentSet<E>, seed: u64) {
+    set.delete(32, 1).unwrap();
+    set.append(32).unwrap();
+    set.delete(192, seed).unwrap();
+}
+
+#[test]
+fn a_reopen_of_odd_sized_objects_with_tombstoned_partition_ends_equals_a_regeneration() {
+    let h = odd_header();
+    let per_part = h.s_objects / D as u64;
+    let ends: Vec<usize> = (0..D as u64)
+        .flat_map(|j| [j * per_part, (j + 1) * per_part - 1])
+        .map(|slot| slot as usize)
+        .collect();
+    let machine = MachineParams::waterloo96();
+    // The regenerated set, with the first seed whose last delete
+    // tombstones the first and last slot of every partition.
+    let (seed, regenerated) = (0..)
+        .find_map(|seed| {
+            let sim = mmjoin_vmsim::SimEnv::new(mmjoin_vmsim::SimConfig::waterloo96(D)).unwrap();
+            let mut set = ResidentSet::build(Arc::new(sim), &h, &machine).unwrap();
+            odd_mutations(&mut set, seed);
+            let dead = ends.iter().all(|&s| set.keys()[s] & DEAD_BIT != 0);
+            dead.then_some((seed, set))
+        })
+        .unwrap();
+
+    let dir = tmp("odd");
+    let mut set = ResidentSet::build(
+        Arc::new(MmapEnv::new(store_cfg(&dir)).unwrap()),
+        &h,
+        &machine,
+    )
+    .unwrap();
+    odd_mutations(&mut set, seed);
+    set.checkpoint(&h, Some(2)).unwrap();
+
+    let live = regenerated.live_count();
+    assert!(
+        ResidentSet::reopen(recovered(&dir), &h, Some(2), live + 1)
+            .unwrap()
+            .is_none(),
+        "a live count the scan does not find rebuilds"
+    );
+    let reopened = ResidentSet::reopen(recovered(&dir), &h, Some(2), live)
+        .unwrap()
+        .expect("the checkpoint reopens");
+    assert_eq!(reopened.keys(), regenerated.keys());
+    assert_eq!(reopened.live_count(), live);
+    assert_eq!(reopened.next_key(), regenerated.next_key());
+    for seed in 0..4 {
+        assert_eq!(
+            reopened.gen_batch(64, seed),
+            regenerated.gen_batch(64, seed)
+        );
+    }
+    reopened.checkpoint(&h, Some(2)).unwrap();
+    regenerated.teardown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
