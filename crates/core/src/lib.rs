@@ -141,7 +141,7 @@ impl From<mmjoin_model::Algorithm> for Algo {
 }
 
 /// Run one join end to end: registers the S catalog, executes the `D`
-/// Rprocs, stops the Sproc service, and returns the verifiable output.
+/// Rprocs, releases the S catalog, and returns the verifiable output.
 ///
 /// [`ExecMode::Modern`] routes every algorithm through the
 /// cache-conscious kernels in [`modern`]; the faithful 1996 inner loops

@@ -71,8 +71,8 @@ pub trait FileOps: Send + Sync {
 }
 
 /// Catalog describing where the inner relation `S` lives, registered
-/// once before a join so the environment can stand up its `Sproc`
-/// service.
+/// once before a join so the environment can serve `Sproc` exchanges
+/// over it.
 #[derive(Clone, Debug)]
 pub struct SCatalog {
     /// File name of each partition `S_j`, indexed by partition.
@@ -94,8 +94,8 @@ impl SCatalog {
 /// A memory-mapped execution environment for parallel pointer-based
 /// joins.
 ///
-/// Implementations must be shareable across the `2D` worker threads of a
-/// join (`D` Rprocs + `D` Sprocs).
+/// Implementations must be shareable across the `D` Rproc threads of a
+/// join, which may fetch from one `S` partition at once.
 pub trait Env: Send + Sync {
     /// Handle to a mapped file.
     type File: FileOps + Clone + Send + Sync;
@@ -133,7 +133,13 @@ pub trait Env: Send + Sync {
     /// Declare `count` context switches experienced by `proc`.
     fn context_switches(&self, proc: ProcId, count: u64);
 
-    /// Register the inner relation and start the `Sproc` service.
+    /// Register the inner relation: check the catalog and hold its
+    /// partitions for [`Env::s_fetch_batch`]. No environment runs an
+    /// `Sproc` thread: `SimEnv` charges a fetch's faults to
+    /// `Sproc_{spart}`'s pager, and `MmapEnv` copies out of the
+    /// partition's mapping in the requesting thread. On both, each
+    /// exchange's counters (two context switches, the PS bytes) are the
+    /// protocol's declared cost.
     fn register_s(&self, catalog: SCatalog) -> Result<()>;
 
     /// One shared-buffer exchange with `Sproc_{spart}` (§5.1's buffer of
@@ -159,8 +165,9 @@ pub trait Env: Send + Sync {
         out: &mut Vec<u8>,
     ) -> Result<()>;
 
-    /// Stop the `Sproc` service (join drivers call this once the join
-    /// completes). Default: nothing to stop.
+    /// Release the registered partitions (join drivers call this once
+    /// the join completes); `MmapEnv` refuses later fetches until the
+    /// next [`Env::register_s`]. Default: nothing to release.
     fn shutdown_s(&self) {}
 
     /// Bulk-load file contents outside any measurement: no paging, no

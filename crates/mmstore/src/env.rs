@@ -8,13 +8,20 @@
 //! file descriptor (`pwrite`) before any measurement starts, then maps
 //! the loaded pages writable with one `madvise(MADV_POPULATE_WRITE)`:
 //! the mapping ends in the state a copy through it leaves, without a
-//! trap, a block allocation and a zeroing per fresh page. Each `S`
-//! partition is served by a real `Sproc` OS thread behind a channel,
-//! mirroring the shared-buffer protocol.
+//! trap, a block allocation and a zeroing per fresh page.
+//!
+//! `S` is served in the requesting thread. The paper's `Sproc_j` exists
+//! because in µDatabase only it maps `S_j`; here every Rproc runs in
+//! the one address space where all of `S` is mapped, so an exchange
+//! with `Sproc_j` ([`Env::s_fetch_batch`]) is a bounds-checked copy out
+//! of `S_j`'s mapping into the requester's buffer, and concurrent
+//! requesters never wait on one another.
 //!
 //! Cost-declaration hooks ([`mmjoin_env::Env::cpu`] etc.) only count
-//! events here — the costs are physically incurred. Clocks are wall
-//! time.
+//! events here — the costs are physically incurred. The exchange's
+//! counters (`s_batches`, `s_objects`, the PS bytes and two context
+//! switches per batch) are the protocol's declared cost, as on
+//! `SimEnv`. Clocks are wall time.
 //!
 //! # Safety
 //!
@@ -30,7 +37,6 @@
 use std::collections::HashMap;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -132,26 +138,10 @@ impl MappedFile {
 /// The page size [`MappedFile::populate_writable`] aligns to (x86-64's).
 const OS_PAGE: u64 = 4096;
 
-/// Pointers ahead of the current one whose S-object the Sproc
+/// Pointers ahead of the current one whose S-object an exchange
 /// prefetches while copying: far enough to cover a DRAM miss behind
 /// a ~100 ns object copy, near enough that the lines are still cached.
 const PREFETCH_AHEAD: usize = 16;
-
-/// One exchange: the requesting Rproc's own `out` buffer travels to
-/// the Sproc, which appends the objects to it and sends it back — the
-/// shared buffer of the protocol, filled once with no staging copy.
-struct SRequest {
-    ptrs: Vec<SPtr>,
-    out: Vec<u8>,
-    reply: Sender<SReply>,
-}
-
-/// The buffer coming back, and whether the Sproc served the batch (on
-/// `Err`, `out` is exactly as it was sent).
-struct SReply {
-    out: Vec<u8>,
-    served: Result<()>,
-}
 
 /// Hint the cache hierarchy to load the line holding `p`. No-op off
 /// x86_64; never faults, so `p` may be any address.
@@ -166,7 +156,7 @@ fn prefetch(p: *const u8) {
     let _ = p;
 }
 
-/// The Sproc's half of one exchange: bounds-check every offset, then
+/// One exchange out of `file`: bounds-check every offset, then
 /// append each referenced object to `out` in request order, prefetching
 /// the first and last line of the object [`PREFETCH_AHEAD`] pointers
 /// ahead. On a refused pointer `out` is left untouched.
@@ -205,9 +195,10 @@ fn serve_batch(
     Ok(())
 }
 
-struct SService {
-    senders: Vec<Sender<SRequest>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// The registered inner relation: each partition's mapping, indexed
+/// by partition, and the catalog geometry the exchange needs.
+struct SParts {
+    files: Vec<Arc<MappedFile>>,
     part_bytes: u64,
     s_obj_size: u32,
 }
@@ -217,7 +208,7 @@ struct Inner {
     files: RwLock<HashMap<String, Arc<MappedFile>>>,
     procs: Vec<Mutex<ProcStats>>,
     origin: Mutex<Instant>,
-    s_service: Mutex<Option<SService>>,
+    s_parts: RwLock<Option<SParts>>,
     sink: RwLock<Arc<dyn TraceSink>>,
 }
 
@@ -251,7 +242,7 @@ impl MmapEnv {
                 files: RwLock::new(HashMap::new()),
                 procs,
                 origin: Mutex::new(Instant::now()),
-                s_service: Mutex::new(None),
+                s_parts: RwLock::new(None),
                 sink: RwLock::new(null_sink()),
             }),
         })
@@ -484,42 +475,21 @@ impl Env for MmapEnv {
                 self.inner.cfg.num_disks
             )));
         }
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for (j, name) in catalog.part_files.iter().enumerate() {
-            let file = self
-                .inner
-                .files
-                .read()
-                .get(name)
-                .cloned()
-                .ok_or_else(|| EnvError::NotFound(name.clone()))?;
-            let (tx, rx): (Sender<SRequest>, Receiver<SRequest>) = channel();
-            let part_bytes = catalog.part_bytes;
-            let obj = catalog.s_obj_size as usize;
-            let handle = std::thread::Builder::new()
-                .name(format!("sproc{j}"))
-                .spawn(move || {
-                    // The Sproc loop: receive a batch of pointers with
-                    // the requester's buffer, append the referenced
-                    // objects to it, send it back.
-                    while let Ok(SRequest {
-                        ptrs,
-                        mut out,
-                        reply,
-                    }) = rx.recv()
-                    {
-                        let served = serve_batch(&file, part_bytes, obj, &ptrs, &mut out);
-                        let _ = reply.send(SReply { out, served });
-                    }
+        let files = {
+            let table = self.inner.files.read();
+            catalog
+                .part_files
+                .iter()
+                .map(|name| {
+                    table
+                        .get(name)
+                        .cloned()
+                        .ok_or_else(|| EnvError::NotFound(name.clone()))
                 })
-                .map_err(|e| EnvError::Io(std::io::Error::other(e)))?;
-            senders.push(tx);
-            handles.push(handle);
-        }
-        *self.inner.s_service.lock() = Some(SService {
-            senders,
-            handles,
+                .collect::<Result<Vec<_>>>()?
+        };
+        *self.inner.s_parts.write() = Some(SParts {
+            files,
             part_bytes: catalog.part_bytes,
             s_obj_size: catalog.s_obj_size,
         });
@@ -537,39 +507,24 @@ impl Env for MmapEnv {
         if ptrs.is_empty() {
             return Ok(());
         }
-        let (tx, part_bytes, obj) = {
-            let guard = self.inner.s_service.lock();
-            let s = guard
-                .as_ref()
-                .ok_or_else(|| EnvError::BadSRequest("no S catalog registered".into()))?;
-            let tx = s
-                .senders
-                .get(spart as usize)
-                .ok_or_else(|| EnvError::BadSRequest(format!("no S partition {spart}")))?
-                .clone();
-            (tx, s.part_bytes, s.s_obj_size as usize)
-        };
+        let guard = self.inner.s_parts.read();
+        let s = guard
+            .as_ref()
+            .ok_or_else(|| EnvError::BadSRequest("no S catalog registered".into()))?;
+        let file = s
+            .files
+            .get(spart as usize)
+            .ok_or_else(|| EnvError::BadSRequest(format!("no S partition {spart}")))?;
         for ptr in ptrs {
-            if ptr.partition(part_bytes) != spart {
+            if ptr.partition(s.part_bytes) != spart {
                 return Err(EnvError::BadSRequest(format!(
                     "{ptr} is not in partition {spart}"
                 )));
             }
         }
-        let stopped = || EnvError::BadSRequest("Sproc service stopped".into());
-        let (reply_tx, reply_rx) = channel();
-        if let Err(refused) = tx.send(SRequest {
-            ptrs: ptrs.to_vec(),
-            out: std::mem::take(out),
-            reply: reply_tx,
-        }) {
-            *out = refused.0.out;
-            return Err(stopped());
-        }
-        // The Sproc always replies (with the buffer) unless it died.
-        let reply = reply_rx.recv().map_err(|_| stopped())?;
-        *out = reply.out;
-        reply.served?;
+        let obj = s.s_obj_size as usize;
+        serve_batch(file, s.part_bytes, obj, ptrs, out)?;
+        drop(guard);
         let mut ps = self.inner.procs[proc.0 as usize].lock();
         ps.ctx_switches += 2;
         ps.s_batches += 1;
@@ -579,12 +534,7 @@ impl Env for MmapEnv {
     }
 
     fn shutdown_s(&self) {
-        if let Some(s) = self.inner.s_service.lock().take() {
-            drop(s.senders);
-            for h in s.handles {
-                let _ = h.join();
-            }
-        }
+        *self.inner.s_parts.write() = None;
     }
 
     fn preload(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
@@ -640,17 +590,6 @@ impl Env for MmapEnv {
     }
 }
 
-impl Drop for Inner {
-    fn drop(&mut self) {
-        if let Some(s) = self.s_service.lock().take() {
-            drop(s.senders);
-            for h in s.handles {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,19 +641,21 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    #[test]
-    fn sproc_threads_serve_fetches() {
-        let (e, root) = env(2);
-        let part_bytes = 4096u64;
+    /// Two partitions `S_0`, `S_1` of `part_bytes` bytes, 64-byte
+    /// objects, registered; object `i` of `S_j` starts `j, i as u8`.
+    /// Returns each partition's bytes.
+    fn registered_s(e: &MmapEnv, part_bytes: u64) -> Vec<Vec<u8>> {
+        let mut parts = Vec::new();
         for j in 0..2u32 {
             let name = format!("S_{j}");
             e.create_file(P, &name, DiskId(j), part_bytes).unwrap();
-            let mut data = vec![0u8; part_bytes as usize];
+            let mut data = pattern(j as u8, 0, part_bytes as usize);
             for (i, c) in data.chunks_mut(64).enumerate() {
                 c[0] = j as u8;
                 c[1] = i as u8;
             }
             e.preload(&name, 0, &data).unwrap();
+            parts.push(data);
         }
         e.register_s(SCatalog {
             part_files: vec!["S_0".into(), "S_1".into()],
@@ -722,6 +663,14 @@ mod tests {
             s_obj_size: 64,
         })
         .unwrap();
+        parts
+    }
+
+    #[test]
+    fn s_fetch_batch_serves_registered_partitions() {
+        let (e, root) = env(2);
+        let part_bytes = 4096u64;
+        registered_s(&e, part_bytes);
         let ptrs = vec![SPtr::new(1, 128, part_bytes), SPtr::new(1, 0, part_bytes)];
         let mut out = Vec::new();
         e.s_fetch_batch(P, 1, &ptrs, 72, &mut out).unwrap();
@@ -735,6 +684,87 @@ mod tests {
         assert!(e
             .s_fetch_batch(P, 1, &[SPtr::new(0, 0, part_bytes)], 72, &mut out)
             .is_err());
+        e.shutdown_s();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn concurrent_fetches_from_one_partition_each_get_their_own_bytes() {
+        let (e, root) = env(2);
+        let part_bytes = 64 * 256u64;
+        let parts = registered_s(&e, part_bytes);
+        let (batches, per_batch) = (200u64, 32u64);
+        // Four requesters (every process slot of a D = 2 join) hit
+        // partition 1 at once, each with its own pointer sequence.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (e, s1, start) = (&e, &parts[1], &start);
+                scope.spawn(move || {
+                    let proc = ProcId(t as u32);
+                    let mut out = Vec::new();
+                    start.wait();
+                    for b in 0..batches {
+                        let slots: Vec<u64> = (0..per_batch)
+                            .map(|k| (t * 61 + b * 7 + k * 13) % 256)
+                            .collect();
+                        let ptrs: Vec<SPtr> = slots
+                            .iter()
+                            .map(|&i| SPtr::new(1, i * 64, part_bytes))
+                            .collect();
+                        out.clear();
+                        e.s_fetch_batch(proc, 1, &ptrs, 16, &mut out).unwrap();
+                        let want: Vec<u8> = slots
+                            .iter()
+                            .flat_map(|&i| s1[i as usize * 64..][..64].to_vec())
+                            .collect();
+                        assert_eq!(out, want, "requester {t}, batch {b}");
+                    }
+                });
+            }
+        });
+        let st = e.stats();
+        for t in 0..4 {
+            assert_eq!(st.procs[t].s_batches, batches);
+            assert_eq!(st.procs[t].s_objects, batches * per_batch);
+            assert_eq!(st.procs[t].ctx_switches, 2 * batches);
+            assert_eq!(
+                st.procs[t].move_bytes[MoveKind::PS.index()],
+                batches * per_batch * (16 + 64)
+            );
+        }
+        e.shutdown_s();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_fetch_after_shutdown_is_refused_and_moves_nothing() {
+        let (e, root) = env(2);
+        let part_bytes = 4096u64;
+        registered_s(&e, part_bytes);
+        let ptrs = [SPtr::new(0, 64, part_bytes)];
+        let mut out = Vec::new();
+        e.s_fetch_batch(P, 0, &ptrs, 72, &mut out).unwrap();
+        e.shutdown_s();
+        let held = out.clone();
+        let before = e.stats().procs[0].clone();
+        let err = e.s_fetch_batch(P, 0, &ptrs, 72, &mut out).unwrap_err();
+        assert!(matches!(err, EnvError::BadSRequest(_)), "{err}");
+        assert_eq!(out, held);
+        let after = e.stats().procs[0].clone();
+        assert_eq!(after.s_batches, before.s_batches);
+        assert_eq!(after.s_objects, before.s_objects);
+        assert_eq!(after.ctx_switches, before.ctx_switches);
+        assert_eq!(after.move_bytes, before.move_bytes);
+        // Registering again serves again.
+        e.register_s(SCatalog {
+            part_files: vec!["S_0".into(), "S_1".into()],
+            part_bytes,
+            s_obj_size: 64,
+        })
+        .unwrap();
+        e.s_fetch_batch(P, 0, &ptrs, 72, &mut out).unwrap();
+        assert_eq!(&out[64..66], &[0, 1]);
         e.shutdown_s();
         std::fs::remove_dir_all(&root).unwrap();
     }

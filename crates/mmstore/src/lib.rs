@@ -3,8 +3,8 @@
 //! The µDatabase-style substrate of the reproduction (paper §2.1):
 //!
 //! * [`mod@env`]: [`env::MmapEnv`], the [`mmjoin_env::Env`] implementation
-//!   over real `mmap`-ed files with real `Sproc` threads — the
-//!   functional-validation twin of the simulator. Every read and write
+//!   over real `mmap`-ed files, serving `S` in the requesting thread —
+//!   the functional-validation twin of the simulator. Every read and write
 //!   goes through the mapping except [`mmjoin_env::Env::preload`], the
 //!   pre-join load, which writes through the file descriptor and then
 //!   maps the loaded pages;

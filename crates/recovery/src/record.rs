@@ -159,17 +159,7 @@ impl JournalRecord {
     /// and the total frame bytes consumed, or `None` for anything that
     /// is not a complete, checksum-valid frame.
     pub fn decode(buf: &[u8]) -> Option<(Option<JournalRecord>, usize)> {
-        let len = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
-        // A zero body cannot hold a type byte; this also rejects the
-        // zero-filled unused tail of a pre-sized journal file.
-        if len == 0 {
-            return None;
-        }
-        let body = buf.get(4..4 + len)?;
-        let crc = u32::from_le_bytes(buf.get(4 + len..8 + len)?.try_into().ok()?);
-        if crc32(body) != crc {
-            return None;
-        }
+        let (body, used) = unframe(buf)?;
         let mut cur = Cursor::new(body);
         let rec = match cur.u8()? {
             T_JOB_SUBMITTED => Some(JournalRecord::JobSubmitted {
@@ -224,7 +214,7 @@ impl JournalRecord {
         if !cur.at_end() {
             return None;
         }
-        Some((rec, 8 + len))
+        Some((rec, used))
     }
 }
 
@@ -236,6 +226,21 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(body);
     out.extend_from_slice(&crc32(body).to_le_bytes());
     out
+}
+
+/// The body of the frame [`frame`] wrote at the front of `buf`, and
+/// the frame's total bytes; `None` unless the frame is complete, its
+/// CRC matches and its body is not empty. A zero-length body holds no
+/// type byte or field; rejecting it also stops a scan at the
+/// zero-filled unused tail of a pre-sized journal file.
+pub fn unframe(buf: &[u8]) -> Option<(&[u8], usize)> {
+    let len = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
+    if len == 0 {
+        return None;
+    }
+    let body = buf.get(4..4 + len)?;
+    let crc = u32::from_le_bytes(buf.get(4 + len..8 + len)?.try_into().ok()?);
+    (crc32(body) == crc).then_some((body, 8 + len))
 }
 
 /// Append `s` as a `u32 LE` length plus its UTF-8 bytes.
@@ -424,5 +429,19 @@ mod tests {
     fn zero_fill_terminates() {
         assert!(JournalRecord::decode(&[0u8; 64]).is_none());
         assert!(JournalRecord::decode(&[]).is_none());
+    }
+
+    #[test]
+    fn unframe_returns_the_body_and_refuses_an_empty_one() {
+        let body = b"\x03payload";
+        let mut wire = frame(body);
+        let used = wire.len();
+        // Bytes past the frame are not part of it.
+        wire.extend_from_slice(&[0xAA; 5]);
+        assert_eq!(unframe(&wire), Some((&body[..], used)));
+        // An empty body is refused although its CRC matches.
+        let empty = frame(&[]);
+        assert_eq!(empty[4..], crc32(&[]).to_le_bytes());
+        assert_eq!(unframe(&empty), None);
     }
 }

@@ -40,8 +40,7 @@ use std::sync::Arc;
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{CpuOp, DiskId, Env, FileOps, ProcId, Result, SCatalog, SPtr, TraceEvent};
 use mmjoin_model::JoinInputs;
-use mmjoin_recovery::crc32;
-use mmjoin_recovery::record::{frame, put_str, Cursor};
+use mmjoin_recovery::record::{frame, put_str, unframe, Cursor};
 use mmjoin_relstore::{
     encode_s, names, pair_digest, preload_objects, s_key, splitmix64, RelConfig, KEY_OFF, SPTR_SIZE,
 };
@@ -55,9 +54,9 @@ use live::LiveSlots;
 /// indices at build time, a monotone counter afterwards) never reach it.
 pub const DEAD_BIT: u64 = 1 << 63;
 
-/// S-objects requested per shared-buffer exchange while probing (same
-/// granularity as the modern kernels' probe pipeline).
-pub const PROBE_BATCH: usize = 2048;
+/// S-objects requested per shared-buffer exchange while probing: the
+/// modern kernels' probe batch.
+pub use mmjoin::modern::PROBE_BATCH;
 
 /// What one probe micro-batch produced.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -96,11 +95,7 @@ impl Checkpoint {
     /// The checkpoint `buf` starts with; `None` if it is torn, fails
     /// its CRC or does not parse (an invalidated, all-zero file).
     pub fn decode(buf: &[u8]) -> Option<Checkpoint> {
-        let len = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
-        let body = buf.get(4..4 + len)?;
-        if buf.get(4 + len..8 + len)? != crc32(body).to_le_bytes() {
-            return None;
-        }
+        let (body, _) = unframe(buf)?;
         let mut c = Cursor::new(body);
         let (line, seq, next_key) = (c.string()?, c.u64()?, c.u64()?);
         c.at_end().then(|| Checkpoint {
@@ -163,7 +158,7 @@ pub struct ResidentSet<E: Env> {
 
 impl<E: Env> ResidentSet<E> {
     /// Load S (slot `k` starts with key `k`, matching
-    /// `mmjoin_relstore::build`) and start the Sproc service. The
+    /// `mmjoin_relstore::build`) and register it for probes. The
     /// partitions are pre-existing data, loaded outside measurement
     /// (the paper's relations exist before a join begins).
     ///
@@ -501,7 +496,7 @@ impl<E: Env> ResidentSet<E> {
         Ok(())
     }
 
-    /// Stop the Sproc service and keep the partitions for
+    /// Release the registered S and keep the partitions for
     /// [`ResidentSet::reopen`]: sync them, then write and sync the
     /// [`Checkpoint`] that vouches for them, so the data is durable
     /// before the record that names it. `mutation_seq` is the seq of
@@ -537,7 +532,7 @@ impl<E: Env> ResidentSet<E> {
         f.sync(proc)
     }
 
-    /// Stop the Sproc service and delete the resident files (a
+    /// Release the registered S and delete the resident files (a
     /// checkpoint included).
     pub fn teardown(self) -> Result<()> {
         self.env.shutdown_s();

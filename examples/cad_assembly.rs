@@ -8,7 +8,7 @@
 //! custom ones, so the pointer distribution is Zipf-skewed.
 //!
 //! This example runs on `MmapEnv`: real mmap-ed files under a
-//! temporary directory, real Rproc/Sproc threads, wall-clock timing.
+//! temporary directory, real Rproc threads, wall-clock timing.
 //!
 //! ```sh
 //! cargo run --release -p mmjoin --example cad_assembly

@@ -70,23 +70,27 @@ pub trait SampleRange {
     fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> Self::Output;
 }
 
+/// A uniform draw from `0..span` (`span > 0`). Rejection sampling over
+/// the widened domain removes modulo bias without needing 128-bit
+/// multiplies in the common small-span case.
+fn below<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
+    let zone = u128::MAX - (u128::MAX % span);
+    loop {
+        let raw = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
+        if raw < zone {
+            return raw % span;
+        }
+    }
+}
+
 macro_rules! int_range {
     ($($t:ty),*) => {$(
         impl SampleRange for std::ops::Range<$t> {
             type Output = $t;
             fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128) as u128;
-                // Rejection sampling over the widened domain removes
-                // modulo bias without needing 128-bit multiplies in the
-                // common small-span case.
-                let zone = u128::MAX - (u128::MAX % span);
-                loop {
-                    let raw = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
-                    if raw < zone {
-                        return self.start.wrapping_add((raw % span) as $t);
-                    }
-                }
+                let span = (self.end as u128).wrapping_sub(self.start as u128);
+                self.start.wrapping_add(below(rng, span) as $t)
             }
         }
         impl SampleRange for std::ops::RangeInclusive<$t> {
@@ -97,7 +101,10 @@ macro_rules! int_range {
                 if start == <$t>::MIN && end == <$t>::MAX {
                     return rng.next_u64() as $t;
                 }
-                (start..end.wrapping_add(1)).sample(rng)
+                // The span in `u128`, not `start..end + 1`: that end
+                // wraps to `MIN` when `end` is `MAX`.
+                let span = (end as u128).wrapping_sub(start as u128) + 1;
+                start.wrapping_add(below(rng, span) as $t)
             }
         }
     )*};
@@ -224,6 +231,21 @@ mod tests {
         }
         // Full-domain inclusive range must not overflow.
         let _ = r.random_range(0u64..=u64::MAX);
+    }
+
+    #[test]
+    fn inclusive_ranges_ending_at_max_sample_in_range() {
+        let mut r = StdRng::seed_from_u64(4);
+        for _ in 0..1000 {
+            assert!(r.random_range(1u8..=255) >= 1);
+            assert!(r.random_range((i64::MIN + 1)..=i64::MAX) > i64::MIN);
+        }
+        // A range that does not end at the maximum draws the same
+        // stream as its half-open twin.
+        let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        for _ in 0..1000 {
+            assert_eq!(a.random_range(0u8..=254), b.random_range(0u8..255));
+        }
     }
 
     #[test]
