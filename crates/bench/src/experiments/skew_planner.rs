@@ -21,6 +21,12 @@
 //! (default 10%) of the fixed arm on every input (the statistics must
 //! never cost more than they buy).
 //!
+//! The partition count is reported, not executed: no executor reads
+//! `AutoPlan::partitions`, each derives `K` from its own `JoinSpec`.
+//! So the `cross` row's `plans_differ: true` comes from that field
+//! alone (both arms run the same sort-merge plan to the same elapsed
+//! time), and so does the uniform row's.
+//!
 //! ```sh
 //! mmjoin-bench skew_planner --json --assert
 //! ```

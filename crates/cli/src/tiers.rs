@@ -441,7 +441,6 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     sink: &Option<Arc<JsonlSink>>,
 ) -> Result<(), String> {
     use mmjoin_stream::{StreamOp, StreamSession};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
     let budget_pages = header.mem_pages;
@@ -460,27 +459,24 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     // supervisor tailing stdout sees exactly which ops are durable
     // (the line prints only after the journal commit), which is what
     // the kill/resume smoke counts before delivering its SIGKILL. The
-    // printer sleeps on the session until a result lands; its wait is
-    // bounded only so it notices the end of the run. Live stdin is
-    // reported as it arrives; a finite `--jobs` script is accepted
-    // whole first, so by the first progress line every op is journaled
-    // and a header-only `--resume` recovers all of them.
-    let done = Arc::new(AtomicBool::new(false));
+    // printer sleeps on the session until a result lands or the run's
+    // wake-up, which comes after the drain, so it prints every result
+    // before it stops. Live stdin is reported as it arrives; a finite
+    // `--jobs` script is accepted whole first, so by the first progress
+    // line every op is journaled and a header-only `--resume` recovers
+    // all of them.
     let report = || {
         let sess = Arc::clone(&sess);
-        let done = Arc::clone(&done);
         std::thread::spawn(move || {
             let mut printed = 0usize;
             loop {
-                // Order matters: read the flag *before* the results so
-                // the post-drain sweep cannot miss a late completion.
-                let finishing = done.load(Ordering::SeqCst);
-                let wait = if finishing {
-                    Duration::ZERO
-                } else {
-                    Duration::from_millis(50)
-                };
-                let fresh = sess.wait_results(printed, Instant::now() + wait);
+                let deadline = Instant::now() + Duration::from_secs(3600);
+                let fresh = sess.wait_results(printed, deadline);
+                // Empty before the deadline is the wake-up; an idle hour
+                // of live stdin is not the end of the run.
+                if fresh.is_empty() && Instant::now() < deadline {
+                    break;
+                }
                 for r in &fresh {
                     println!(
                         "done seq={} kind={} name={} rows={} pairs={} misses={} ok={}{}",
@@ -495,9 +491,6 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
                     );
                 }
                 printed += fresh.len();
-                if finishing {
-                    break;
-                }
             }
         })
     };
@@ -526,7 +519,7 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
     }
     let reporter = reporter.unwrap_or_else(report);
     sess.drain();
-    done.store(true, Ordering::SeqCst);
+    sess.wake_waiters();
     let _ = reporter.join();
     if let Some(e) = intake_error {
         return Err(e);

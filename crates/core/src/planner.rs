@@ -115,9 +115,9 @@ pub fn explain(machine: &MachineParams, inputs: &JoinInputs, alg: Algorithm) -> 
 ///   holds `b` of S's `t` pages). Applied to the *worst* per-partition
 ///   share, `skew · rows / D`, priced at `dttr(P_Si)`.
 ///
-/// The admission controller prices every `batch=` line with this
-/// instead of the full-join model, so SPJF ordering and `pred`
-/// placement keep working on streams.
+/// The streaming tier prices every probe batch with this and reports
+/// the number as the batch's `predicted_seconds`. Nothing schedules by
+/// it: the stream has one ordered worker and no admission or placement.
 pub fn probe_cost(machine: &MachineParams, base: &JoinInputs, batch_rows: u64) -> CostBreakdown {
     let b = machine.page_size;
     let d = base.d as f64;
@@ -204,7 +204,11 @@ pub struct AutoPlan {
     /// The skew factor the plan was priced with.
     pub skew: f64,
     /// Plan-level partition count for the local join pass
-    /// (`choose_k` over the skew-adjusted worst `RS_i`).
+    /// (`choose_k` over the skew-adjusted worst `RS_i`). No executor
+    /// reads it: each derives `K` from its own `JoinSpec`, so it is
+    /// reported, not run. `mmjoin-bench skew_planner`'s `cross` row
+    /// reads `plans_differ: true` from this field alone (both arms run
+    /// the same sort-merge plan).
     pub partitions: u32,
     /// Where [`AutoPlan::skew`] came from.
     pub source: SkewSource,
@@ -250,6 +254,9 @@ fn useful_cap(inputs: &JoinInputs, skew: f64) -> u64 {
 }
 
 /// Choose algorithm, memory grant, and partition count from statistics.
+/// No executor reads the partition count ([`AutoPlan::partitions`]):
+/// each derives `K` from its own `JoinSpec`, and `skew_planner`'s
+/// `cross` row differs from the fixed plan in that field alone.
 ///
 /// The skew term comes from `summary` when one is given (a histogram
 /// over sampled pointers), else from `base.skew` (the workload's

@@ -298,14 +298,6 @@ impl FaultSpec {
     }
 }
 
-impl std::str::FromStr for FaultSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        FaultSpec::parse(s)
-    }
-}
-
 impl std::fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_empty() {
@@ -693,11 +685,6 @@ impl<E: Env> FaultyEnv<E> {
     /// Snapshot of the injection counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.inner.injector.stats_mut().clone()
-    }
-
-    /// The spec this wrapper was built with.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.inner.injector.spec
     }
 
     fn disk_of(&self, name: &str) -> Option<DiskId> {

@@ -27,7 +27,6 @@ pub mod error;
 pub mod faults;
 pub mod hist;
 pub mod ids;
-pub mod layout;
 pub mod machine;
 pub mod options;
 pub mod stats;

@@ -253,8 +253,8 @@ impl MmapEnv {
     /// recovery-on-open path. A plain [`MmapEnv::new`] only knows about
     /// files created through it; after a crash, the files of the previous
     /// process are still on disk but invisible to `open_file`/
-    /// `list_files`/`delete_file`. `recover` re-maps them so journal
-    /// replay can enumerate, reopen, and garbage-collect them.
+    /// `list_files`/`delete_file`. `recover` re-maps them so a journal
+    /// or a resident set can be reopened after a restart.
     ///
     /// Returns the environment plus the adopted file names (sorted).
     /// File lengths are taken from filesystem metadata; a file created
@@ -810,7 +810,7 @@ mod tests {
         f.read_at(P, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"pass0 data");
         drop(f);
-        // ...and deletable, so orphan GC can reclaim them.
+        // ...and deletable through the normal path.
         e2.delete_file(P, "RS_1").unwrap();
         assert!(!root.join("disk1").join("RS_1").exists());
         // A fresh (non-recovering) env still starts blind, as before.

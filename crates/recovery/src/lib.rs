@@ -16,9 +16,8 @@
 //! * [`JobLog`] — the job lifecycle every tier shares: the journal,
 //!   id assignment, commit-then-publish, exactly-once results, `drain`
 //!   and `wait_results`, and resume numbering;
-//! * [`ReplayState`] / [`gc_orphans`] — folding a replayed record
-//!   prefix into recovered state and deleting a dead job's leftover
-//!   storage areas.
+//! * [`ReplayState`] — folding a replayed record prefix into the jobs
+//!   and stream ops it describes.
 //!
 //! Each tier journals only what its resume reads. A join that did not
 //! complete re-runs from scratch, so a job costs two records, its
@@ -39,7 +38,7 @@ pub use crc::crc32;
 pub use journal::{Journal, JournalStats, Replayed, HEADER_SIZE, JOURNAL_CAPACITY};
 pub use lifecycle::JobLog;
 pub use record::JournalRecord;
-pub use replay::{gc_orphans, BatchState, JobState, ReplayState};
+pub use replay::{BatchState, JobState, ReplayState};
 
 #[cfg(test)]
 mod proptests {

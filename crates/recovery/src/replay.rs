@@ -1,5 +1,4 @@
-//! Folding a replayed record sequence into recovered state, and
-//! garbage-collecting leftover storage areas.
+//! Folding a replayed record sequence into recovered state.
 //!
 //! # Idempotence
 //!
@@ -18,8 +17,6 @@
 //! its progress is journaled.
 
 use std::collections::BTreeMap;
-
-use mmjoin_env::{Env, EnvError, ProcId, Result};
 
 use crate::record::JournalRecord;
 
@@ -122,30 +119,9 @@ impl ReplayState {
     }
 }
 
-/// Delete every file in `env`: nothing in a dead job's store is worth
-/// keeping, since a job that re-runs starts from scratch. Returns the
-/// names deleted, sorted.
-///
-/// A file already gone (deleted concurrently, or the create was itself
-/// torn) is tolerated: the goal state is "absent", and it is.
-pub fn gc_orphans<E: Env>(env: &E, proc: ProcId) -> Result<Vec<String>> {
-    let mut deleted = Vec::new();
-    let mut names = env.list_files();
-    names.sort();
-    for name in names {
-        match env.delete_file(proc, &name) {
-            Ok(()) => deleted.push(name),
-            Err(EnvError::NotFound(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(deleted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmjoin_env::DiskId;
 
     fn recs() -> Vec<JournalRecord> {
         vec![
@@ -194,25 +170,5 @@ mod tests {
                 st.jobs.len()
             );
         }
-    }
-
-    #[test]
-    fn gc_deletes_exactly_the_unvouched_files() {
-        // Nothing in a dead store is vouched for: every file goes.
-        let env = mmjoin_vmsim::SimEnv::new(mmjoin_vmsim::SimConfig::waterloo96(2)).unwrap();
-        let p = mmjoin_env::ProcId(0);
-        env.create_file(p, "R_0", DiskId(0), 4096).unwrap();
-        env.create_file(p, "w.RP_1#t2", DiskId(1), 4096).unwrap();
-        env.create_file(p, "RS_0", DiskId(0), 4096).unwrap();
-        let deleted = gc_orphans(&env, p).unwrap();
-        assert_eq!(
-            deleted,
-            vec![
-                "RS_0".to_string(),
-                "R_0".to_string(),
-                "w.RP_1#t2".to_string()
-            ]
-        );
-        assert!(env.list_files().is_empty());
     }
 }

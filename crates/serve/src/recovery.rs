@@ -2,11 +2,9 @@
 //! serve loop and the cluster coordinator append to, and the one resume
 //! fold both replay it with.
 //!
-//! The journal lives in its own single-disk [`MmapEnv`] (so it is
+//! The journal lives in its own single-disk [`MmapEnv`], so it is
 //! durable across restarts and exercises the same `FileOps::sync`
-//! contract the store does), shared by every worker as a
-//! [`SharedJournal`](mmjoin_recovery::SharedJournal) — append order in
-//! the file is the lock-acquisition order, which is all replay needs.
+//! contract the store does.
 //!
 //! A job costs two records, `JobSubmitted` and `JobCompleted`, both
 //! committed by the shared lifecycle
@@ -17,17 +15,16 @@
 //! records into the jobs they describe; completed jobs are re-reported
 //! from their journaled results, in-flight jobs are re-submitted under
 //! their original ids, and every leftover per-job store directory is
-//! garbage-collected through `Env::list_files`/`delete_file` — a job
-//! that re-runs starts from scratch, so nothing in its old directory
-//! is worth keeping (and `MmapEnv::create_file` would refuse to
-//! recreate areas over leftovers anyway).
+//! removed whole. A job that re-runs clears its own store first
+//! (`run_join`), so the removal serves the stores of jobs that never
+//! run again; nothing in a dead store needs mapping to be destroyed.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use mmjoin_env::{EnvError, ProcId, TraceSink};
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
-use mmjoin_recovery::{gc_orphans, Journal, ReplayState, Replayed};
+use mmjoin_recovery::{Journal, ReplayState, Replayed};
 
 use crate::job::{JobId, JobRequest, PAGE};
 
@@ -111,49 +108,38 @@ pub fn refused_completion(error: Option<String>, refusal: &EnvError) -> String {
     }
 }
 
-/// Delete every leftover per-job store under `root` through the
-/// environment's own file table (`Env::list_files` → `delete_file`),
-/// then drop the emptied directories. Returns the number of orphaned
-/// areas deleted.
+/// Remove every leftover per-job store (a `job*` directory) under
+/// `root` whole. Returns the number of regular files the removed stores
+/// held: every area a store keeps is one.
 pub(crate) fn gc_job_stores(root: &Path) -> Result<u64, String> {
-    let mut deleted = 0u64;
-    let entries = match std::fs::read_dir(root) {
-        Ok(entries) => entries,
+    let Ok(entries) = std::fs::read_dir(root) else {
         // No store directory yet (nothing ever ran): nothing to GC.
-        Err(_) => return Ok(0),
+        return Ok(0);
     };
+    let mut deleted = 0;
     for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !path.is_dir() || !name.starts_with("job") {
+        let is_dir = entry.file_type().is_ok_and(|t| t.is_dir());
+        if !is_dir || !entry.file_name().to_string_lossy().starts_with("job") {
             continue;
         }
-        // Disk fan-out of the dead store: one `disk{j}` directory per
-        // disk it was created with.
-        let disks = std::fs::read_dir(&path)
-            .map(|it| {
-                it.flatten()
-                    .filter(|e| e.file_name().to_string_lossy().starts_with("disk"))
-                    .count() as u32
-            })
-            .unwrap_or(0)
-            .max(1);
-        let (env, _) = MmapEnv::recover(MmapEnvConfig {
-            root: path.clone(),
-            num_disks: disks,
-            page_size: PAGE,
-        })
-        .map_err(|e| format!("gc: cannot adopt {}: {e}", path.display()))?;
-        // Nothing in a dead job's store is worth keeping: completed
-        // jobs tear their stores down on success, and re-run jobs
-        // rebuild from scratch.
-        let gone =
-            gc_orphans(&env, JOURNAL_PROC).map_err(|e| format!("gc: {}: {e}", path.display()))?;
-        deleted += gone.len() as u64;
-        let _ = std::fs::remove_dir_all(&path);
+        let path = entry.path();
+        deleted += count_files(&path);
+        std::fs::remove_dir_all(&path)
+            .map_err(|e| format!("gc: cannot remove {}: {e}", path.display()))?;
     }
     Ok(deleted)
+}
+
+/// The regular files below `dir`, following no symlink.
+fn count_files(dir: &Path) -> u64 {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    entries
+        .map(|e| match e.file_type() {
+            Ok(t) if t.is_dir() => count_files(&e.path()),
+            Ok(t) => u64::from(t.is_file()),
+            Err(_) => 0,
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -262,6 +248,28 @@ mod tests {
         assert_eq!(deleted, 2);
         assert!(!root.join("job7").exists());
         assert!(root.join("keepme").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn gc_counts_the_files_of_dead_stores_and_spares_the_rest() {
+        let root = tmp("gc-count");
+        let file = |rel: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, b"area").unwrap();
+        };
+        file("job3/disk0/a");
+        file("job3/disk1/b");
+        std::fs::create_dir_all(root.join("job9")).unwrap();
+        // Not a directory, so not a store, whatever its name.
+        file("job5");
+        file("keepme/x");
+        assert_eq!(gc_job_stores(&root).unwrap(), 2);
+        assert!(!root.join("job3").exists());
+        assert!(!root.join("job9").exists());
+        assert!(root.join("job5").is_file());
+        assert!(root.join("keepme/x").is_file());
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -278,6 +278,33 @@ batch=b2 objects=128 seed=5
     }
 
     #[test]
+    fn wake_waiters_ends_a_blocked_wait_and_every_later_one() {
+        use std::time::{Duration, Instant};
+        let sess = Arc::new(
+            StreamSession::open(sim(2), header(2, 128), StreamConfig::ephemeral(machine()))
+                .unwrap(),
+        );
+        let waiter = {
+            let sess = Arc::clone(&sess);
+            std::thread::spawn(move || {
+                let got = sess.wait_results(0, Instant::now() + Duration::from_secs(60));
+                (got.len(), Instant::now())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let woken = Instant::now();
+        sess.wake_waiters();
+        let (got, returned) = waiter.join().unwrap();
+        assert_eq!(got, 0, "an idle session has no results");
+        assert!(returned >= woken, "returned before the wake-up");
+        assert!(returned - woken < Duration::from_secs(10));
+        // The wake-up is sticky: a later wait returns at once.
+        let t = Instant::now();
+        assert!(sess.wait_results(0, t + Duration::from_secs(60)).is_empty());
+        assert!(t.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
     fn explicit_rows_probe_exact_targets() {
         let env = sim(2);
         let sess = StreamSession::open(

@@ -58,7 +58,8 @@ const PROC: ProcId = ProcId(0);
 pub struct StreamConfig {
     /// Backpressure bound: `submit` blocks while this many ops queue.
     pub queue_bound: usize,
-    /// Machine parameters pricing per-batch admission.
+    /// Machine parameters pricing each batch's `predicted_seconds`
+    /// ([`mmjoin::probe_cost`]); nothing schedules by the price.
     pub machine: MachineParams,
     /// Journal directory; `None` disables journaling (and resume).
     pub journal_dir: Option<PathBuf>,
@@ -531,6 +532,12 @@ impl<E: Env + 'static> StreamSession<E> {
     /// are any; empty once `deadline` passes ([`JobLog::wait_results`]).
     pub fn wait_results(&self, from: usize, deadline: Instant) -> Vec<BatchResult> {
         self.shared.log.wait_results(from, deadline)
+    }
+
+    /// Make every `wait_results`, blocked now or called later, return
+    /// at once ([`JobLog::wake`]).
+    pub fn wake_waiters(&self) {
+        self.shared.log.wake()
     }
 
     /// Counter snapshot (journal counters folded in live).

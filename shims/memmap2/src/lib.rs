@@ -7,8 +7,9 @@
 //!   pointers (callers do their own bounds checking and synchronization);
 //! * [`MmapMut`] — a shared mutable mapping dereferencing to `[u8]`.
 //!
-//! Both unmap on drop. Mapping a zero-length file is an error, exactly
-//! like the real crate on Linux (`mmap` returns `EINVAL`).
+//! Both unmap on drop. Unlike the real crate, mapping a zero-length
+//! file succeeds: the shim asks `mmap` for `len.max(1)` bytes, and the
+//! mapping reports a length of zero.
 
 use std::fs::File;
 use std::io;

@@ -58,7 +58,8 @@ fn identical_results_on_sim_and_mmap() {
         let spec = JoinSpec::new(24 * 4096, 24 * 4096).with_mode(ExecMode::Sequential);
         let sim_out = join(&sim, &sim_rels, alg, &spec).unwrap();
 
-        // Real mmap store, truly threaded Rprocs and Sproc threads.
+        // Real mmap store, truly threaded Rprocs; S is served in the
+        // requesting thread.
         let (mm, root) = mmap_env(4, alg.name());
         let mm_rels = build(&mm, &w).unwrap();
         let spec = JoinSpec::new(24 * 4096, 24 * 4096).with_mode(ExecMode::Threaded);
